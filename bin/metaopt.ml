@@ -198,15 +198,20 @@ let trace =
            ~doc:"With --metrics-out, also emit one span record per timed \
                  section (compile, simulate), for fine-grained traces")
 
-(* Install the sink for the rest of the process; [at_exit] closes it so
-   the last record is flushed even on an exception path. *)
+(* Install the sink for the rest of the process; [at_exit] writes a last
+   [kind = "registry"] record — every counter and histogram as the run
+   leaves them, pool shutdowns included — and closes the sink so it is
+   flushed even on an exception path. *)
 let setup_metrics study (cfg : Driver.Study.config) metrics_out trace =
   match metrics_out with
   | None -> ()
   | Some path ->
     Gp.Telemetry.set_sink (Some (Gp.Telemetry.jsonl_sink path));
     Gp.Telemetry.set_trace trace;
-    at_exit (fun () -> Gp.Telemetry.set_sink None);
+    at_exit (fun () ->
+        Gp.Telemetry.emit ~kind:"registry"
+          [ ("registry", Gp.Telemetry.registry_json ()) ];
+        Gp.Telemetry.set_sink None);
     Gp.Telemetry.emit ~kind:"run_start"
       [
         ("study", Gp.Telemetry.String (Driver.Study.kind_name study));

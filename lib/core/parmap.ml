@@ -159,6 +159,34 @@ let describe_status = function
   | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" s
   | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
 
+(* Run in every forked worker before it does any work: close every
+   descriptor except fds 0-2 and [keep], the worker's own pipe ends.
+   Anything else the child inherited stays open for the worker's whole
+   life — another
+   slot's or another pool's pipe ends, so a sibling never sees EOF on its
+   task pipe at shutdown; a [metaopt serve] daemon's listening socket and
+   client connections, so a client the daemon drops never sees its
+   connection close.  [O_CLOEXEC] does not help: workers never exec.  The
+   descriptors are listed from /proc/self/fd (/dev/fd where there is no
+   /proc); [Unix.file_descr] is the raw descriptor number on Unix, the
+   only platform that forks. *)
+let close_inherited_fds keep =
+  let fd_of_int : int -> Unix.file_descr = Obj.magic in
+  let dir =
+    if Sys.file_exists "/proc/self/fd" then "/proc/self/fd" else "/dev/fd"
+  in
+  match Sys.readdir dir with
+  | exception Sys_error _ -> ()
+  | names ->
+    Array.iter
+      (fun name ->
+        match int_of_string_opt name with
+        | Some n when n > 2 && not (List.mem (fd_of_int n) keep) -> (
+          (* The listing's own handle is already closed: EBADF. *)
+          try Unix.close (fd_of_int n) with Unix.Unix_error _ -> ())
+        | _ -> ())
+      names
+
 let sequential ~fallback f xs =
   Array.map (fun x -> try f x with _ -> fallback) xs
 
@@ -193,7 +221,7 @@ let fork_map ~jobs ~fallback f xs =
         (* The child inherits the parent's sink descriptor; writing to it
            would interleave torn lines into the parent's stream. *)
         Telemetry.set_sink None;
-        Unix.close rd;
+        close_inherited_fds [ wr ];
         let oc = Unix.out_channel_of_descr wr in
         (try
            let i = ref w in
@@ -1043,19 +1071,9 @@ let fork_spawn_into st slot =
   match do_fork 100 with
   | 0 ->
     (* The child inherits the parent's sink descriptor; writing to it
-       would interleave torn lines into the parent's stream.  It also
-       inherits the other slots' pipe ends, which would keep dead
-       siblings' pipes open — close them all. *)
+       would interleave torn lines into the parent's stream. *)
     Telemetry.set_sink None;
-    Unix.close t_w;
-    Unix.close r_r;
-    Array.iter
-      (fun s ->
-        if s != slot && s.s_alive then begin
-          (try Unix.close s.s_to with Unix.Unix_error _ -> ());
-          (try Unix.close s.s_from with Unix.Unix_error _ -> ())
-        end)
-      st.k_slots;
+    close_inherited_fds [ t_r; r_w ];
     fork_child_loop st.k_f t_r r_w
   | pid ->
     Unix.close t_r;
@@ -1121,34 +1139,53 @@ let retire_slot slot =
   Buffer.clear slot.s_buf;
   wait_status slot.s_pid
 
+(* Closing every task pipe first EOFs all idle children's blocking reads
+   at once, and they exit on their own in parallel.  They are then
+   reaped against one shared deadline, polling with a short doubling
+   nap; only a child still running at the deadline (wedged in a task no
+   batch is waiting on) is SIGKILLed, so a wedged pool costs one grace,
+   not one per slot.  A healthy shutdown kills nothing:
+   [parmap.shutdown_kills] counts the exceptions. *)
+let shutdown_grace_s = 0.5
+
 let shutdown_fork st =
-  Array.iter
+  let t0 = Unix.gettimeofday () in
+  let live = List.filter (fun s -> s.s_alive) (Array.to_list st.k_slots) in
+  List.iter
     (fun s ->
-      if s.s_alive then begin
-        s.s_alive <- false;
-        (* Closing the task pipe EOFs the idle child's blocking read; it
-           exits on its own.  A child that does not (wedged in a task no
-           batch is waiting on) is killed after a short grace. *)
-        (try Unix.close s.s_to with Unix.Unix_error _ -> ());
-        (try Unix.close s.s_from with Unix.Unix_error _ -> ());
-        let rec wait tries =
-          match retry_eintr (fun () -> Unix.waitpid [ Unix.WNOHANG ] s.s_pid) with
-          | 0, _ ->
-            if tries > 0 then begin
-              (try Unix.sleepf 0.01
-               with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-              wait (tries - 1)
-            end
-            else begin
-              (try Unix.kill s.s_pid Sys.sigkill with Unix.Unix_error _ -> ());
-              ignore (wait_status s.s_pid)
-            end
-          | _ -> ()
-          | exception Unix.Unix_error _ -> ()
-        in
-        wait 50
-      end)
-    st.k_slots
+      s.s_alive <- false;
+      (try Unix.close s.s_to with Unix.Unix_error _ -> ());
+      try Unix.close s.s_from with Unix.Unix_error _ -> ())
+    live;
+  let running s =
+    match retry_eintr (fun () -> Unix.waitpid [ Unix.WNOHANG ] s.s_pid) with
+    | 0, _ -> true
+    | _ -> false
+    | exception Unix.Unix_error _ -> false
+  in
+  let deadline = t0 +. shutdown_grace_s in
+  let rec reap nap pending =
+    match List.filter running pending with
+    | [] -> []
+    | pending ->
+      let left = deadline -. Unix.gettimeofday () in
+      if left <= 0.0 then pending
+      else begin
+        (try Unix.sleepf (Float.min nap left)
+         with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+        reap (Float.min (2.0 *. nap) 0.01) pending
+      end
+  in
+  let stuck = reap 0.0002 live in
+  List.iter
+    (fun s ->
+      (try Unix.kill s.s_pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (wait_status s.s_pid))
+    stuck;
+  if Telemetry.enabled () then begin
+    Telemetry.observe "parmap.shutdown_s" (Unix.gettimeofday () -. t0);
+    Telemetry.incr ~by:(List.length stuck) "parmap.shutdown_kills"
+  end
 
 let fork_batch (st : ('a, 'b) fork_state) (xs : 'a array) =
   let n = Array.length xs in

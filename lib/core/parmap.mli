@@ -202,10 +202,19 @@ val run_batch : ('a, 'b) handle -> 'a array -> 'b outcome array * stats
     @raise Invalid_argument once the handle has been {!shutdown}. *)
 
 val shutdown : ('a, 'b) handle -> unit
-(** Tear the pool down: [`Fork] workers are EOFed (then killed after a
-    short grace if unresponsive) and reaped, [`Domains] workers are
-    joined (quarantined ones stay abandoned, as during a run).
-    Idempotent; a fresh handle must be created to evaluate again. *)
+(** Tear the pool down.  [`Fork]: every worker's task pipe is closed
+    first, so all of them see EOF and exit together; they are then
+    reaped against one shared 0.5s grace, and only workers still running
+    when it expires (wedged in a task) are SIGKILLed — a wedged pool
+    costs one grace in total, not one per worker.  A healthy shutdown
+    takes milliseconds and kills nothing; with {!Telemetry} enabled it
+    is timed under [parmap.shutdown_s] and the kills are counted under
+    [parmap.shutdown_kills], so a worker that misses its EOF shows up as
+    a count.  (Every forked worker holds only fds 0-2 and its own two
+    pipe ends, so no other worker or pool can keep its EOF from
+    arriving.)  [`Domains] workers are joined (quarantined ones stay
+    abandoned, as during a run).  Idempotent; a fresh handle must be
+    created to evaluate again. *)
 
 val run_supervised :
   pool -> ('a -> 'b) -> 'a array -> 'b outcome array * stats

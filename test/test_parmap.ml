@@ -678,6 +678,149 @@ let test_handle_shutdown_semantics () =
   | _ -> Alcotest.fail "run_batch after shutdown must raise"
   | exception Invalid_argument _ -> ()
 
+(* --- Worker descriptors and shutdown ------------------------------------- *)
+
+let with_telemetry f =
+  let sink, _ = Gp.Telemetry.memory_sink () in
+  Gp.Telemetry.set_sink (Some sink);
+  Fun.protect ~finally:(fun () -> Gp.Telemetry.set_sink None) f
+
+let shutdown_kills () =
+  Gp.Telemetry.Counter.value (Gp.Telemetry.counter "parmap.shutdown_kills")
+
+(* Two warm pools side by side: B spawns after A, so without the worker
+   descriptor invariant B's workers would hold A's task pipes open and
+   A's workers would never see EOF — each would sit out the grace and be
+   SIGKILLed.  Shutting A down must instead be prompt and kill nothing
+   (every A worker left through its own EOF path), with B unaffected. *)
+let test_shutdown_beside_live_pool () =
+  if Gp.Parmap.available then
+    with_telemetry @@ fun () ->
+    let pool = Gp.Parmap.pool ~backend:`Fork ~jobs:2 ~chunk_max:1 () in
+    let a = Gp.Parmap.create pool ~f:(fun _ -> Unix.getpid ()) in
+    let b = Gp.Parmap.create pool ~f:(fun x -> x * 2) in
+    Fun.protect
+      ~finally:(fun () ->
+        Gp.Parmap.shutdown a;
+        Gp.Parmap.shutdown b)
+      (fun () ->
+        let pids, _ = Gp.Parmap.run_batch a [| 0; 1 |] in
+        ignore (Gp.Parmap.run_batch b [| 1; 2 |]);
+        let t0 = Unix.gettimeofday () in
+        Gp.Parmap.shutdown a;
+        let dt = Unix.gettimeofday () -. t0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "shutdown A is prompt (%.3fs)" dt)
+          true (dt < 0.1);
+        Alcotest.(check int) "no A worker needed a SIGKILL" 0 (shutdown_kills ());
+        Alcotest.(check int) "shutdown timed once" 1
+          (Gp.Telemetry.Histogram.count
+             (Gp.Telemetry.histogram "parmap.shutdown_s"));
+        Array.iter
+          (function
+            | Gp.Parmap.Ok pid ->
+              Alcotest.(check bool)
+                (Printf.sprintf "A worker %d reaped" pid)
+                true
+                (match Unix.kill pid 0 with
+                | () -> false
+                | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true)
+            | _ -> Alcotest.fail "A task failed")
+          pids;
+        let o, _ = Gp.Parmap.run_batch b [| 3; 4 |] in
+        Alcotest.(check bool) "B still serves" true
+          (o = [| Gp.Parmap.Ok 6; Gp.Parmap.Ok 8 |]);
+        Gp.Parmap.shutdown b;
+        Alcotest.(check int) "no B worker needed a SIGKILL" 0
+          (shutdown_kills ()))
+
+(* The link targets of this process's descriptors above 2, reduced to
+   their kind ("pipe", "socket", or a path).  Reading the directory
+   opens one more descriptor, already closed by the time its entry is
+   resolved, so entries that no longer resolve are dropped. *)
+let extra_fd_kinds () =
+  List.sort compare
+    (List.filter_map
+       (fun name ->
+         match int_of_string_opt name with
+         | Some n when n > 2 -> (
+           match Unix.readlink (Filename.concat "/proc/self/fd" name) with
+           | target -> (
+             match String.index_opt target ':' with
+             | Some i -> Some (String.sub target 0 i)
+             | None -> Some target)
+           | exception Unix.Unix_error _ -> None)
+         | _ -> None)
+       (Array.to_list (Sys.readdir "/proc/self/fd")))
+
+(* Every forked worker — persistent slot or one-shot [run] child — holds
+   fds 0-2 and its own pipe ends and nothing else: not a file or socket
+   the parent has open, not another live pool's pipes. *)
+let test_worker_fds () =
+  if Gp.Parmap.available && Sys.file_exists "/proc/self/fd" then begin
+    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+    let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let pool = Gp.Parmap.pool ~backend:`Fork ~jobs:2 () in
+    let other = Gp.Parmap.create pool ~f:Fun.id in
+    let h = Gp.Parmap.create pool ~f:(fun _ -> extra_fd_kinds ()) in
+    Fun.protect
+      ~finally:(fun () ->
+        Gp.Parmap.shutdown h;
+        Gp.Parmap.shutdown other;
+        Unix.close devnull;
+        Unix.close sock)
+      (fun () ->
+        ignore (Gp.Parmap.run_batch other [| 1; 2 |]);
+        let outcomes, _ = Gp.Parmap.run_batch h [| 1; 2 |] in
+        Array.iter
+          (function
+            | Gp.Parmap.Ok kinds ->
+              Alcotest.(check (list string))
+                "pool worker holds its two pipes only" [ "pipe"; "pipe" ] kinds
+            | _ -> Alcotest.fail "fd listing task failed")
+          outcomes;
+        Array.iter
+          (Alcotest.(check (list string))
+             "one-shot worker holds its result pipe only" [ "pipe" ])
+          (Gp.Parmap.run pool ~fallback:[ "lost" ]
+             (fun _ -> extra_fd_kinds ())
+             [| 1; 2 |]))
+  end
+
+(* A fork-pool study evaluates on both datasets, so its two engines each
+   spawn a pool, the novel one after the train one; closing the study
+   must still take milliseconds, not a grace per worker. *)
+let test_study_close_is_prompt () =
+  if Gp.Parmap.available then
+    with_telemetry @@ fun () ->
+    let cfg =
+      { Driver.Study.default_config with Driver.Study.backend = `Fork; jobs = 2 }
+    in
+    let ctx =
+      Driver.Study.create_with cfg Driver.Study.Hyperblock_study
+        [ "codrle4"; "decodrle4" ]
+    in
+    Fun.protect
+      ~finally:(fun () -> Driver.Study.close ctx)
+      (fun () ->
+        let g = Gp.Expr.Real (Gp.Expr.Rarg 0) in
+        ignore
+          (Driver.Evaluator.evaluate_batch ctx.Driver.Study.eval_train [| g |]
+             ~cases:[ 0; 1 ]);
+        ignore
+          (Driver.Evaluator.evaluate_batch ctx.Driver.Study.eval_novel [| g |]
+             ~cases:[ 0; 1 ]);
+        Alcotest.(check int) "both engines spawned a pool" 2
+          (Gp.Telemetry.Histogram.count
+             (Gp.Telemetry.histogram "parmap.pool_spawn_s"));
+        let t0 = Unix.gettimeofday () in
+        Driver.Study.close ctx;
+        let dt = Unix.gettimeofday () -. t0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "Study.close is prompt (%.3fs)" dt)
+          true (dt < 0.2);
+        Alcotest.(check int) "no worker needed a SIGKILL" 0 (shutdown_kills ()))
+
 (* --- Chunked dispatch ----------------------------------------------------- *)
 
 (* Chunk-geometry edge cases: a pinned chunk of 1 (the pre-chunking
@@ -842,6 +985,12 @@ let suite =
       test_handle_survives_worker_death;
     Alcotest.test_case "warm pool: shutdown semantics" `Quick
       test_handle_shutdown_semantics;
+    Alcotest.test_case "warm pool: shutdown beside a live pool" `Quick
+      test_shutdown_beside_live_pool;
+    Alcotest.test_case "workers hold only their own pipes" `Quick
+      test_worker_fds;
+    Alcotest.test_case "fork study closes promptly" `Quick
+      test_study_close_is_prompt;
     Alcotest.test_case "chunk boundaries" `Quick test_chunk_boundaries;
     Alcotest.test_case "straggler: slow worker" `Quick test_straggler_slow;
     Alcotest.test_case "straggler: hang mid-chunk" `Quick test_straggler_hang;

@@ -395,6 +395,53 @@ let test_sigterm_drains () =
       Alcotest.(check int64) "drained result persisted" (bits v) (bits got)
     | None -> Alcotest.fail "drained result missing from the store"
 
+(* --- dropped clients see EOF ------------------------------------------------ *)
+
+(* Client B is connected (and accepted) before client A's first Eval
+   spawns the daemon's pool, so the forked workers start life with B's
+   connection among the daemon's descriptors.  When the daemon prunes
+   the idle B, B must see its connection close: a worker still holding
+   the socket would keep it open for as long as the pool lives. *)
+let test_pruned_client_sees_eof () =
+  if have_fork then
+    with_dir "prune" @@ fun dir ->
+    let idle = 0.5 in
+    with_daemon ~dir
+      ~configure:(fun c -> { c with Serve.Server.idle_timeout_s = Some idle })
+      (fun ~socket ~pid:_ ->
+        let b = connect socket in
+        let a = connect socket in
+        Fun.protect
+          ~finally:(fun () ->
+            List.iter
+              (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+              [ a; b ])
+        @@ fun () ->
+        let study = open_study a in
+        (* B's last word comes just before A's Eval, so B is still
+           connected when the daemon reads that Eval and spawns its pool
+           in the same pass. *)
+        ignore (open_study b);
+        ignore (eval_ok a ~req:1 ~study [ dg 0x41 ]);
+        (* B has been quiet since; the daemon drops it within one idle
+           timeout plus a loop pass. *)
+        let deadline = Unix.gettimeofday () +. idle +. 1.0 in
+        let buf = Bytes.create 64 in
+        let rec await_eof () =
+          let left = deadline -. Unix.gettimeofday () in
+          if left <= 0.0 then
+            Alcotest.fail "pruned client never saw its connection close"
+          else
+            match Unix.select [ b ] [] [] left with
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> await_eof ()
+            | [], _, _ -> await_eof ()
+            | _ -> (
+              match Unix.read b buf 0 (Bytes.length buf) with
+              | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> ()
+              | _ -> Alcotest.fail "pruned client got data instead of EOF")
+        in
+        await_eof ())
+
 (* --- stale sockets ---------------------------------------------------------- *)
 
 let test_stale_socket () =
@@ -442,6 +489,8 @@ let suite =
     Alcotest.test_case "in-flight cap rejection" `Slow test_inflight_cap;
     Alcotest.test_case "SIGTERM drains and persists" `Slow test_sigterm_drains;
     Alcotest.test_case "stale and live sockets" `Slow test_stale_socket;
+    Alcotest.test_case "pruned client sees EOF" `Slow
+      test_pruned_client_sees_eof;
     Alcotest.test_case "served_vs_local oracle registered" `Quick
       test_oracle_registered;
   ]
