@@ -456,8 +456,8 @@ let ckpt () =
   Fmt.pr "identical evolved result : %s@." (if same then "yes" else "NO!");
   Fmt.pr "best: %s@." straight.Driver.Study.best_expr
 
-(* Simulation fast paths (DESIGN.md §10): interpreter throughput of the
-   reference vs the pre-decoded engine, trace-replay speedup over a full
+(* Simulation fast paths (DESIGN.md §10): simulation throughput of the
+   reference vs the closure engine, trace-replay speedup over a full
    simulation, the end-to-end effect of the fast paths on a sched-study
    smoke evolution (identical evolved results required), and the
    artifact-cache hit rate of a hyperblock smoke run.  Returns the
@@ -546,7 +546,7 @@ let sim_measurements p =
     float_of_int st.Driver.Simcache.artifact_hits
     /. float_of_int (max 1 lookups)
   in
-  Fmt.pr "  interpreter  : reference %.1f Minstr/s, pre-decoded %.1f (%.2fx)@."
+  Fmt.pr "  interpreter  : reference %.1f Minstr/s, closure engine %.1f (%.2fx)@."
     (dyn /. t_ref /. 1e6) (dyn /. t_fast /. 1e6) (t_ref /. t_fast);
   Fmt.pr "  trace replay : %.2fx over a full fast-engine simulation@."
     (t_fast /. t_replay);
@@ -742,7 +742,7 @@ let evalc () =
   ignore (evalc_measurements ())
 
 let sim () =
-  hr "Simulation fast paths: pre-decoded interpreter, replay, artifact cache";
+  hr "Simulation fast paths: closure engine, replay, artifact cache";
   let p =
     { params with
       Gp.Params.population_size = min 16 params.Gp.Params.population_size;

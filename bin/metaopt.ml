@@ -159,7 +159,7 @@ let no_fast_sim =
   Arg.(value & flag
        & info [ "no-fast-sim" ]
            ~doc:"Disable the simulation fast paths (artifact-keyed result \
-                 sharing, trace replay, pre-decoded interpreter) and \
+                 sharing, trace replay, closure-compiled interpreter) and \
                  measure every candidate with a fresh reference-engine \
                  simulation.  Results are bit-identical either way; this \
                  flag only trades speed for the golden slow path")

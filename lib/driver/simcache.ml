@@ -17,23 +17,27 @@
      lengths, i.e. it identifies runs whose dynamic *event stream* is
      provably identical even though their timing differs (the scheduling
      study: pure intra-block permutations that keep every event-emitting
-     instruction in the same relative order).  The first simulation of a
-     trace key records the event stream into a compact int array
+     instruction in the same relative order).  The second simulation of
+     a trace key records the event stream into a compact int array
      (Machine.Trace); later artifact misses with the same trace key
      replay it through a fresh Cache/Predictor as a tight array walk
      instead of re-interpreting tens of millions of steps.  Replay
      performs the identical float operations in the identical order, so
-     cycles stay bit-identical.
+     cycles stay bit-identical.  The first simulation of a key records
+     nothing: most keys are never seen again, and recording costs more
+     than the fused simulation itself (and holds megabytes per trace).
 
    Keys are conservative: any textual difference in the canonical
    program or in the order of event-emitting instructions produces a
    different key and a full simulation.  Noise is *never* stored —
    callers layer the per-genome jitter on top (Simulate.jittered).
 
-   In a forked worker pool the tables fill in the parent (baseline
-   measurement during Study.create) and are inherited read-only through
-   fork; worker-side inserts die with the worker.  Hit rates drop but
-   results cannot diverge, so bit-identity holds at any -j.
+   In a forked worker pool the tables fill in the parent and are
+   inherited read-only through fork; worker-side inserts die with the
+   worker.  Baselines measured by pool children reach the parent as
+   [entry] values ([simulate_entry], [adopt]) before the persistent
+   workers fork.  Hit rates drop but results cannot diverge, so
+   bit-identity holds at any -j.
 
    In a domains pool the tables are shared memory, so every table and
    stats access goes through one mutex.  Simulation and replay run
@@ -55,8 +59,16 @@ type t = {
   artifacts : (string, Machine.Simulate.result) Hashtbl.t;
   traces : (string, Machine.Trace.t) Hashtbl.t;
   mutable trace_order : string list;  (* newest first, for eviction *)
+  seen : (string, unit) Hashtbl.t;  (* trace keys simulated, bounded
+                                       like [artifacts] *)
   stats : stats;
   lock : Mutex.t;  (* guards the tables, trace_order and stats *)
+}
+
+type entry = {
+  trace_key : string;
+  artifact_key : string;
+  result : Machine.Simulate.result;
 }
 
 let locked t f =
@@ -73,6 +85,7 @@ let create ?(enabled = true) ?(max_artifacts = 8192) ?(max_traces = 8)
     artifacts = Hashtbl.create 256;
     traces = Hashtbl.create 8;
     trace_order = [];
+    seen = Hashtbl.create 256;
     stats = { artifact_hits = 0; replays = 0; simulations = 0 };
     lock = Mutex.create ();
   }
@@ -175,18 +188,23 @@ let store_artifact t key res =
     Hashtbl.reset t.artifacts;
   Hashtbl.replace t.artifacts key res
 
+let mark_seen t tk =
+  if Hashtbl.length t.seen >= t.max_artifacts then Hashtbl.reset t.seen;
+  Hashtbl.replace t.seen tk ()
+
 (* One noise-free measurement of a compiled artifact, through the fast
    paths when enabled; with [enabled = false] every call is a fresh
    reference-engine simulation (the golden slow path). *)
-let simulate (t : t) ~(machine : Machine.Config.t)
+let simulate_entry (t : t) ~(machine : Machine.Config.t)
     ~(dataset : Benchmarks.Bench.dataset) (p : Compiler.prepared)
-    (c : Compiler.compiled) : Machine.Simulate.result =
+    (c : Compiler.compiled) : Machine.Simulate.result * entry option =
   let overrides = Benchmarks.Bench.overrides p.Compiler.bench dataset in
   if not t.enabled then
-    Gp.Telemetry.span "study.simulate_s" (fun () ->
-        Machine.Simulate.run ~engine:`Reference ~config:machine
-          ~schedule_cycles:c.Compiler.schedule_cycles ~overrides
-          c.Compiler.layout)
+    ( Gp.Telemetry.span "study.simulate_s" (fun () ->
+          Machine.Simulate.run ~engine:`Reference ~config:machine
+            ~schedule_cycles:c.Compiler.schedule_cycles ~overrides
+            c.Compiler.layout),
+      None )
   else begin
     let tk = trace_key ~dataset p c in
     let ak = artifact_key ~machine tk c.Compiler.schedule_cycles in
@@ -205,31 +223,52 @@ let simulate (t : t) ~(machine : Machine.Config.t)
               `Trace tr
             | None ->
               t.stats.simulations <- t.stats.simulations + 1;
-              `Miss))
+              if Hashtbl.mem t.seen tk then `Record
+              else begin
+                mark_seen t tk;
+                `Simulate
+              end))
     in
-    match hit with
-    | `Artifact res ->
-      Gp.Telemetry.incr "evaluator.artifact_hits";
-      res
-    | `Trace tr ->
-      Gp.Telemetry.incr "study.replayed";
-      let res =
-        Gp.Telemetry.span "study.replay_s" (fun () ->
-            Machine.Simulate.replay ~config:machine
-              ~schedule_cycles:c.Compiler.schedule_cycles tr)
-      in
-      locked t (fun () -> store_artifact t ak res);
-      res
-    | `Miss ->
-      let res, tr =
-        Gp.Telemetry.span "study.simulate_s" (fun () ->
-            Machine.Simulate.run_traced ~config:machine
-              ?max_trace_events:t.max_trace_events
-              ~schedule_cycles:c.Compiler.schedule_cycles ~overrides
-              c.Compiler.layout)
-      in
-      locked t (fun () ->
-          Option.iter (store_trace t tk) tr;
-          store_artifact t ak res);
-      res
+    let res =
+      match hit with
+      | `Artifact res ->
+        Gp.Telemetry.incr "evaluator.artifact_hits";
+        res
+      | (`Trace _ | `Simulate | `Record) as miss ->
+        let res, tr =
+          match miss with
+          | `Trace tr ->
+            Gp.Telemetry.incr "study.replayed";
+            ( Gp.Telemetry.span "study.replay_s" (fun () ->
+                  Machine.Simulate.replay ~config:machine
+                    ~schedule_cycles:c.Compiler.schedule_cycles tr),
+              None )
+          | `Simulate ->
+            ( Gp.Telemetry.span "study.simulate_s" (fun () ->
+                  Machine.Simulate.run ~config:machine
+                    ~schedule_cycles:c.Compiler.schedule_cycles ~overrides
+                    c.Compiler.layout),
+              None )
+          | `Record ->
+            Gp.Telemetry.span "study.simulate_s" (fun () ->
+                Machine.Simulate.run_traced ~config:machine
+                  ?max_trace_events:t.max_trace_events
+                  ~schedule_cycles:c.Compiler.schedule_cycles ~overrides
+                  c.Compiler.layout)
+        in
+        locked t (fun () ->
+            Option.iter (store_trace t tk) tr;
+            store_artifact t ak res);
+        res
+    in
+    (res, Some { trace_key = tk; artifact_key = ak; result = res })
   end
+
+let simulate t ~machine ~dataset p c =
+  fst (simulate_entry t ~machine ~dataset p c)
+
+let adopt t (e : entry) =
+  if t.enabled then
+    locked t (fun () ->
+        store_artifact t e.artifact_key e.result;
+        mark_seen t e.trace_key)

@@ -4,10 +4,11 @@
     measured.  This cache keys noise-free simulation results on a digest
     of everything cycle-relevant (canonical transformed program,
     event-instruction order, bench + dataset, machine config, schedule
-    lengths) so identical artifacts share one simulation, and keeps the
-    recorded dynamic-event trace of recent programs so artifacts that
-    differ only in schedule lengths (the scheduling study) are re-timed
-    by replaying the event array instead of re-interpreting.  Both paths
+    lengths) so identical artifacts share one simulation.  A program
+    simulated a second time has its dynamic-event trace recorded, and
+    recent traces are kept, so further artifacts that differ only in
+    schedule lengths (the scheduling study) are re-timed by replaying the
+    event array instead of re-interpreting.  Both paths
     return bit-identical cycles and checksums to a fresh simulation;
     noise is never stored — layer {!Machine.Simulate.jittered} on top. *)
 
@@ -19,6 +20,10 @@ type stats = {
 
 type t
 
+type entry
+(** One artifact's keys and noise-free result, as a table holds it;
+    plain data, so it can cross a process boundary. *)
+
 val create :
   ?enabled:bool -> ?max_artifacts:int -> ?max_traces:int ->
   ?max_trace_events:int -> unit -> t
@@ -26,7 +31,8 @@ val create :
     reference-engine simulation — the golden slow path the fast paths
     are tested against.  Table sizes are bounded: artifacts reset at
     [max_artifacts] (default 8192), traces evict oldest-first past
-    [max_traces] (default 8).  [max_trace_events] caps the per-trace
+    [max_traces] (default 8), and the set of trace keys simulated once
+    resets at [max_artifacts].  [max_trace_events] caps the per-trace
     event budget (default {!Machine.Trace.default_max_events}); a run
     that overflows it is still measured exactly but yields no stored
     trace — incomplete traces never enter the table. *)
@@ -55,6 +61,19 @@ val simulate :
   t -> machine:Machine.Config.t -> dataset:Benchmarks.Bench.dataset ->
   Compiler.prepared -> Compiler.compiled -> Machine.Simulate.result
 (** One noise-free measurement, through artifact sharing, then trace
-    replay, then a full (traced) fast-engine simulation.  Telemetry:
-    bumps [evaluator.artifact_hits] / [study.replayed] counters and
-    records [study.simulate_s] / [study.replay_s] spans. *)
+    replay, then a full simulation — recording its trace only when the
+    trace key was simulated before.  Telemetry: bumps
+    [evaluator.artifact_hits] / [study.replayed] counters and records
+    [study.simulate_s] / [study.replay_s] spans. *)
+
+val simulate_entry :
+  t -> machine:Machine.Config.t -> dataset:Benchmarks.Bench.dataset ->
+  Compiler.prepared -> Compiler.compiled ->
+  Machine.Simulate.result * entry option
+(** {!simulate}, also returning the entry the table now holds for the
+    artifact ([None] when disabled), for another table to {!adopt}. *)
+
+val adopt : t -> entry -> unit
+(** Insert an entry measured elsewhere — a forked pool child — as if
+    this table had simulated it: later identical artifacts hit it, and
+    its trace key counts as seen once.  A no-op when disabled. *)

@@ -206,20 +206,24 @@ let noise_rng_of kind genome case =
    operations the direct simulation would perform — so sharing is sound
    under noise and a candidate whose artifact equals the baseline's
    scores speedup exactly 1.0 in the noise-free studies. *)
-let run_raw ?(compiled_eval = true) ~kind ~machine
+let run_entry ?(compiled_eval = true) ~kind ~machine
     ~(prepared : Compiler.prepared array) ~(sim : Simcache.t)
     (g : Gp.Expr.genome) ~case ~(dataset : Benchmarks.Bench.dataset) :
-    float * int =
+    (float * int) * Simcache.entry option =
   let p = prepared.(case) in
   let compiled =
     Gp.Telemetry.span "study.compile_s" (fun () ->
         Compiler.compile ~compiled_eval ~machine
           ~heuristics:(heuristics_with kind g) p)
   in
-  let res = Simcache.simulate sim ~machine ~dataset p compiled in
+  let res, entry = Simcache.simulate_entry sim ~machine ~dataset p compiled in
   let noise = noise_rng_of kind g case in
-  ( Machine.Simulate.jittered ?noise res.Machine.Simulate.cycles,
-    res.Machine.Simulate.checksum )
+  ( ( Machine.Simulate.jittered ?noise res.Machine.Simulate.cycles,
+      res.Machine.Simulate.checksum ),
+    entry )
+
+let run_raw ?compiled_eval ~kind ~machine ~prepared ~sim g ~case ~dataset =
+  fst (run_entry ?compiled_eval ~kind ~machine ~prepared ~sim g ~case ~dataset)
 
 (* Speedup over a precomputed baseline.  A candidate whose compiled
    program produces different output than the baseline is a
@@ -344,22 +348,25 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
     | None -> Gp.Parmap.pool ~backend:cfg.backend ~jobs:cfg.jobs ()
   in
   let baseline_for dataset =
-    (* Parallel like any other batch; a failed cell (worker crash) is
-       recomputed sequentially because baselines must exist. *)
-    let cells =
-      Gp.Parmap.run baseline_pool ~fallback:(Float.nan, 0)
-        (fun case ->
-          run_raw ~compiled_eval ~kind ~machine ~prepared ~sim base ~case
-            ~dataset)
-        (Array.init (Array.length prepared) Fun.id)
+    let measure case =
+      run_entry ~compiled_eval ~kind ~machine ~prepared ~sim base ~case
+        ~dataset
     in
+    (* Parallel like any other batch; a failed cell (worker crash) is
+       recomputed sequentially because baselines must exist.  A forked
+       child's simulation table dies with it, so each cell carries its
+       artifact entry back for the parent's table, which the persistent
+       evaluation workers then inherit. *)
     Array.mapi
       (fun case cell ->
-        if Float.is_nan (fst cell) then
-          run_raw ~compiled_eval ~kind ~machine ~prepared ~sim base ~case
-            ~dataset
-        else cell)
-      cells
+        let cell, entry =
+          match cell with Some c -> c | None -> measure case
+        in
+        Option.iter (Simcache.adopt sim) entry;
+        cell)
+      (Gp.Parmap.run baseline_pool ~fallback:None
+         (fun case -> Some (measure case))
+         (Array.init (Array.length prepared) Fun.id))
   in
   let baseline_train = baseline_for Benchmarks.Bench.Train in
   let baseline_novel = baseline_for Benchmarks.Bench.Novel in

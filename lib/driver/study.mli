@@ -144,7 +144,7 @@ val create_with : config -> kind -> string list -> context
     compile that hangs or crashes its worker is killed, retried, and
     ultimately scored 0 without poisoning the persistent cache.
     [fast_sim] (default true) enables the {!Simcache} fast paths —
-    artifact-keyed result sharing, trace replay, and the pre-decoded
+    artifact-keyed result sharing, trace replay, and the closure-compiled
     interpreter; disabling it routes every measurement through a fresh
     reference-engine simulation.  [compiled_eval] selects {!Gp.Evalc}
     bytecode (default) versus the {!Gp.Eval} tree-walker for heuristic

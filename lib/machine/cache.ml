@@ -15,6 +15,13 @@ type level = {
   tags : int array;          (* sets * assoc; -1 = invalid *)
   last_use : int array;
   mutable clock : int;
+  (* Every stock geometry is a power of two: then a non-negative
+     address's line is [addr lsr line_shift] and its set [line land
+     set_mask].  -1 selects [/] and [mod], which other geometries and
+     negative addresses (a load the interpreter is about to trap) keep
+     using, so their out-of-range set index fails as before. *)
+  line_shift : int;
+  set_mask : int;
 }
 
 type stats = {
@@ -30,26 +37,40 @@ type stats = {
 }
 
 type t = {
-  levels : level array;      (* l1, l2, l3 *)
+  l1 : level;
+  l2 : level;
+  l3 : level;
   memory_extra : int;
   prefetch_queue : int;
   mutable inflight_prefetches : int;
   stats : stats;
 }
 
+let log2_exact n =
+  if n <= 0 || n land (n - 1) <> 0 then -1
+  else
+    let rec go k = if 1 lsl k = n then k else go (k + 1) in
+    go 0
+
 let make_level (cfg : Config.cache_level) : level =
   let sets = max 1 (cfg.size_words / (cfg.line_words * cfg.assoc)) in
+  let line_shift = log2_exact cfg.line_words in
+  let pow2_sets = log2_exact sets >= 0 in
   {
     cfg;
     sets;
     tags = Array.make (sets * cfg.assoc) (-1);
     last_use = Array.make (sets * cfg.assoc) 0;
     clock = 0;
+    line_shift = (if pow2_sets then line_shift else -1);
+    set_mask = (if pow2_sets && line_shift >= 0 then sets - 1 else -1);
   }
 
 let create (cfg : Config.t) : t =
   {
-    levels = [| make_level cfg.l1; make_level cfg.l2; make_level cfg.l3 |];
+    l1 = make_level cfg.l1;
+    l2 = make_level cfg.l2;
+    l3 = make_level cfg.l3;
     memory_extra = cfg.memory_extra_latency;
     prefetch_queue = cfg.prefetch_queue;
     inflight_prefetches = 0;
@@ -67,69 +88,77 @@ let create (cfg : Config.t) : t =
       };
   }
 
+let[@inline] line_of (l : level) addr =
+  if l.set_mask >= 0 && addr >= 0 then addr lsr l.line_shift
+  else addr / l.cfg.line_words
+
+let[@inline] set_base (l : level) line =
+  (if l.set_mask >= 0 && line >= 0 then line land l.set_mask
+   else line mod l.sets)
+  * l.cfg.assoc
+
 (* Probe one level; on hit, refresh LRU and return true.  On miss return
    false without filling (fill happens separately so we can fill all missed
    levels once the hit level is known). *)
 let probe (l : level) (addr : int) : bool =
-  let line = addr / l.cfg.line_words in
-  let set = line mod l.sets in
-  let base = set * l.cfg.assoc in
+  let line = line_of l addr in
+  let base = set_base l line in
   l.clock <- l.clock + 1;
-  let rec scan i =
-    if i >= l.cfg.assoc then false
-    else if l.tags.(base + i) = line then begin
-      l.last_use.(base + i) <- l.clock;
-      true
-    end
-    else scan (i + 1)
-  in
-  scan 0
+  let i = ref 0 in
+  while !i < l.cfg.assoc && l.tags.(base + !i) <> line do
+    incr i
+  done;
+  if !i < l.cfg.assoc then begin
+    l.last_use.(base + !i) <- l.clock;
+    true
+  end
+  else false
 
 let fill (l : level) (addr : int) : unit =
-  let line = addr / l.cfg.line_words in
-  let set = line mod l.sets in
-  let base = set * l.cfg.assoc in
+  let line = line_of l addr in
+  let base = set_base l line in
   l.clock <- l.clock + 1;
-  (* Find an invalid way or the LRU way. *)
-  let victim = ref 0 in
-  let oldest = ref max_int in
-  (try
-     for i = 0 to l.cfg.assoc - 1 do
-       if l.tags.(base + i) = -1 then begin
-         victim := i;
-         raise Exit
-       end;
-       if l.last_use.(base + i) < !oldest then begin
-         oldest := l.last_use.(base + i);
-         victim := i
-       end
-     done
-   with Exit -> ());
+  (* The first invalid way, else the first least recently used one. *)
+  let victim = ref 0 and oldest = ref max_int and i = ref 0 in
+  while !i < l.cfg.assoc do
+    let w = base + !i in
+    if l.tags.(w) = -1 then begin
+      victim := !i;
+      i := l.cfg.assoc
+    end
+    else begin
+      if l.last_use.(w) < !oldest then begin
+        oldest := l.last_use.(w);
+        victim := !i
+      end;
+      incr i
+    end
+  done;
   l.tags.(base + !victim) <- line;
   l.last_use.(base + !victim) <- l.clock
 
 (* Where does this access hit?  Fills all levels above the hit level. *)
 let lookup_and_fill (t : t) (addr : int) : int =
-  if probe t.levels.(0) addr then begin
+  if probe t.l1 addr then begin
     t.stats.l1_hits <- t.stats.l1_hits + 1;
-    t.levels.(0).cfg.extra_latency
+    t.l1.cfg.extra_latency
   end
-  else if probe t.levels.(1) addr then begin
+  else if probe t.l2 addr then begin
     t.stats.l2_hits <- t.stats.l2_hits + 1;
-    fill t.levels.(0) addr;
-    t.levels.(1).cfg.extra_latency
+    fill t.l1 addr;
+    t.l2.cfg.extra_latency
   end
-  else if probe t.levels.(2) addr then begin
+  else if probe t.l3 addr then begin
     t.stats.l3_hits <- t.stats.l3_hits + 1;
-    fill t.levels.(0) addr;
-    fill t.levels.(1) addr;
-    t.levels.(2).cfg.extra_latency
+    fill t.l1 addr;
+    fill t.l2 addr;
+    t.l3.cfg.extra_latency
   end
   else begin
     t.stats.memory_accesses <- t.stats.memory_accesses + 1;
-    fill t.levels.(0) addr;
-    fill t.levels.(1) addr;
-    fill t.levels.(2) addr;
+    fill t.l1 addr;
+    fill t.l2 addr;
+    fill t.l3 addr;
     t.memory_extra
   end
 
@@ -163,7 +192,7 @@ let queue_full_backpressure = 8
 
 let prefetch (t : t) (addr : int) : int =
   t.stats.prefetches <- t.stats.prefetches + 1;
-  if probe t.levels.(0) addr then
+  if probe t.l1 addr then
     (* Redundant prefetch of a resident line: consumed an issue slot but
        no memory transaction. *)
     0

@@ -17,9 +17,10 @@
    issue slots and dependence height (schedule lengths), memory latency
    (cache stalls), and control transfer costs (mispredictions).
 
-   The same timing observer can be driven by either interpreter engine
-   ([run]) or by a recorded event trace ([replay]); because the event
-   sequence is identical, cycles are bit-identical across all three.
+   [run] instantiates the closure engine with this model fused in; the
+   reference engine, trace recording ([run_traced]) and trace replay
+   ([replay]) drive the same model through an observer.  The event
+   sequence is identical on every path, so cycles are bit-identical.
 
    [noise] injects multiplicative measurement noise, used by the
    prefetching study to model a real, non-reproducible machine. *)
@@ -36,32 +37,80 @@ type result = {
 
 type engine = [ `Fast | `Reference ]
 
-(* The timing model as an observer over dynamic events. *)
-let timing_observer ~(config : Config.t) ~(schedule_cycles : int array)
-    ~(cache : Cache.t) ~(predictor : Profile.Predictor.t) (cycles : float ref)
-    : Profile.Interp.observer =
-  let penalty = float_of_int config.Config.mispredict_penalty in
-  let redirect = float_of_int config.Config.taken_branch_redirect in
-  let call_overhead = config.Config.call_overhead_cycles in
+(* The timing model.  Cycles accumulate in an all-float record, which
+   OCaml stores unboxed, so no event allocates. *)
+type clock = {
+  mutable cycles : float;
+  penalty : float;        (* per mispredicted branch *)
+  redirect : float;       (* per taken control transfer *)
+  call_overhead : float;  (* per dynamic call *)
+}
+
+type timing = {
+  clock : clock;
+  block_cycles : float array;  (* schedule length by block uid *)
+  cache : Cache.t;
+  predictor : Profile.Predictor.t;
+}
+
+let timing ~(config : Config.t) ~(schedule_cycles : int array) ~n_branch_sites
+    =
   {
-    Profile.Interp.block_enter =
-      (fun uid -> cycles := !cycles +. float_of_int schedule_cycles.(uid));
-    branch =
-      (fun site taken ->
-        if taken then cycles := !cycles +. redirect;
-        if Profile.Predictor.observe predictor ~site ~taken then
-          cycles := !cycles +. penalty);
+    clock =
+      {
+        cycles = 0.0;
+        penalty = float_of_int config.Config.mispredict_penalty;
+        redirect = float_of_int config.Config.taken_branch_redirect;
+        call_overhead = config.Config.call_overhead_cycles;
+      };
+    block_cycles = Array.map float_of_int schedule_cycles;
+    cache = Cache.create config;
+    predictor = Profile.Predictor.create ~n_sites:n_branch_sites;
+  }
+
+module Timing = struct
+  type t = timing
+
+  let block_enter t uid =
+    t.clock.cycles <- t.clock.cycles +. t.block_cycles.(uid)
+
+  let branch t site taken =
+    let c = t.clock in
+    if taken then c.cycles <- c.cycles +. c.redirect;
+    if Profile.Predictor.observe t.predictor ~site ~taken then
+      c.cycles <- c.cycles +. c.penalty
+
+  let load t addr =
+    t.clock.cycles <- t.clock.cycles +. float_of_int (Cache.load t.cache addr)
+
+  let store t addr = Cache.store t.cache addr
+
+  let prefetch t addr =
+    t.clock.cycles <-
+      t.clock.cycles +. float_of_int (Cache.prefetch t.cache addr)
+
+  let call t _ =
+    let c = t.clock in
+    if c.call_overhead > 0.0 then c.cycles <- c.cycles +. c.call_overhead
+end
+
+(* The closure engine with the timing model fused in: events go straight
+   to [Cache] and [Predictor]. *)
+module Fused = Profile.Interp.Make (Timing)
+
+(* The same timing model as an observer, for the reference engine,
+   recording and replay. *)
+let timing_observer (t : timing) : Profile.Interp.observer =
+  {
+    Profile.Interp.block_enter = Timing.block_enter t;
+    branch = Timing.branch t;
     mem =
       (fun kind addr ->
         match kind with
-        | Profile.Interp.Mload ->
-          cycles := !cycles +. float_of_int (Cache.load cache addr)
-        | Profile.Interp.Mstore -> Cache.store cache addr
-        | Profile.Interp.Mprefetch ->
-          cycles := !cycles +. float_of_int (Cache.prefetch cache addr));
-    call =
-      (fun _ ->
-        if call_overhead > 0.0 then cycles := !cycles +. call_overhead);
+        | Profile.Interp.Mload -> Timing.load t addr
+        | Profile.Interp.Mstore -> Timing.store t addr
+        | Profile.Interp.Mprefetch -> Timing.prefetch t addr);
+    call = Timing.call t;
   }
 
 let jittered ?noise cycles =
@@ -75,38 +124,34 @@ let check_lengths ~schedule_cycles (layout : Profile.Layout.t) =
   if Array.length schedule_cycles < layout.Profile.Layout.n_blocks then
     invalid_arg "Simulate.run: schedule_cycles too short"
 
-let assemble ~cycles ~output ~dynamic_instrs ~(predictor : Profile.Predictor.t)
-    ~cache =
+let assemble ?noise (t : timing) ~output ~dynamic_instrs =
   {
-    cycles;
+    cycles = jittered ?noise t.clock.cycles;
     output;
     checksum = Profile.Interp.checksum output;
     dynamic_instrs;
-    branches = predictor.Profile.Predictor.branches;
-    mispredicts = predictor.Profile.Predictor.mispredicts;
-    cache = Cache.stats cache;
+    branches = t.predictor.Profile.Predictor.branches;
+    mispredicts = t.predictor.Profile.Predictor.mispredicts;
+    cache = Cache.stats t.cache;
   }
 
 let run ?(engine = `Fast) ?(fuel = 30_000_000) ?(overrides = []) ?noise
     ~(config : Config.t) ~(schedule_cycles : int array)
     (layout : Profile.Layout.t) : result =
   check_lengths ~schedule_cycles layout;
-  let cache = Cache.create config in
-  let predictor =
-    Profile.Predictor.create ~n_sites:layout.Profile.Layout.n_branch_sites
+  let t =
+    timing ~config ~schedule_cycles
+      ~n_branch_sites:layout.Profile.Layout.n_branch_sites
   in
-  let cycles = ref 0.0 in
-  let observer = timing_observer ~config ~schedule_cycles ~cache ~predictor cycles in
-  let interp =
+  let res =
     match engine with
-    | `Fast -> Profile.Interp.run
-    | `Reference -> Profile.Interp.run_reference
+    | `Fast -> Fused.run t ~fuel ~overrides layout
+    | `Reference ->
+      Profile.Interp.run_reference ~observer:(timing_observer t) ~fuel
+        ~overrides layout
   in
-  let res = interp ~observer ~fuel ~overrides layout in
-  assemble
-    ~cycles:(jittered ?noise !cycles)
-    ~output:res.Profile.Interp.output
-    ~dynamic_instrs:res.Profile.Interp.steps ~predictor ~cache
+  assemble ?noise t ~output:res.Profile.Interp.output
+    ~dynamic_instrs:res.Profile.Interp.steps
 
 (* Simulate and record the dynamic event stream.  Returns the noise-free
    result plus the trace when it fit the event budget; the recording
@@ -116,23 +161,21 @@ let run_traced ?(fuel = 30_000_000) ?(overrides = []) ?max_trace_events
     ~(config : Config.t) ~(schedule_cycles : int array)
     (layout : Profile.Layout.t) : result * Trace.t option =
   check_lengths ~schedule_cycles layout;
-  let cache = Cache.create config in
-  let predictor =
-    Profile.Predictor.create ~n_sites:layout.Profile.Layout.n_branch_sites
+  let t =
+    timing ~config ~schedule_cycles
+      ~n_branch_sites:layout.Profile.Layout.n_branch_sites
   in
-  let cycles = ref 0.0 in
-  let timing = timing_observer ~config ~schedule_cycles ~cache ~predictor cycles in
   let tr =
     Trace.create ?max_events:max_trace_events
       ~n_blocks:layout.Profile.Layout.n_blocks
       ~n_branch_sites:layout.Profile.Layout.n_branch_sites ()
   in
-  let observer = Trace.recording_observer tr timing in
+  let observer = Trace.recording_observer tr (timing_observer t) in
   let res = Profile.Interp.run ~observer ~fuel ~overrides layout in
   Trace.finish tr res;
   let result =
-    assemble ~cycles:!cycles ~output:res.Profile.Interp.output
-      ~dynamic_instrs:res.Profile.Interp.steps ~predictor ~cache
+    assemble t ~output:res.Profile.Interp.output
+      ~dynamic_instrs:res.Profile.Interp.steps
   in
   (result, if Trace.complete tr then Some tr else None)
 
@@ -147,10 +190,8 @@ let replay ~(config : Config.t) ~(schedule_cycles : int array) (tr : Trace.t) :
     invalid_arg "Simulate.replay: incomplete trace (event budget overflowed)";
   if Array.length schedule_cycles < tr.Trace.n_blocks then
     invalid_arg "Simulate.replay: schedule_cycles too short";
-  let cache = Cache.create config in
-  let predictor = Profile.Predictor.create ~n_sites:tr.Trace.n_branch_sites in
-  let cycles = ref 0.0 in
-  let observer = timing_observer ~config ~schedule_cycles ~cache ~predictor cycles in
-  Trace.replay tr observer;
-  assemble ~cycles:!cycles ~output:tr.Trace.output
-    ~dynamic_instrs:tr.Trace.steps ~predictor ~cache
+  let t =
+    timing ~config ~schedule_cycles ~n_branch_sites:tr.Trace.n_branch_sites
+  in
+  Trace.replay tr (timing_observer t);
+  assemble t ~output:tr.Trace.output ~dynamic_instrs:tr.Trace.steps

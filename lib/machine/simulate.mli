@@ -29,8 +29,9 @@ type result = {
 }
 
 type engine = [ `Fast | `Reference ]
-(** [`Fast] drives the pre-decoded interpreter, [`Reference] the original
-    tree-walker; both produce bit-identical results. *)
+(** [`Fast] runs the closure engine with the timing model fused in,
+    [`Reference] the tree-walker through a timing observer; both produce
+    bit-identical results. *)
 
 val jittered : ?noise:Random.State.t * float -> float -> float
 (** Apply the multiplicative measurement-noise model to a cycle count;
@@ -50,8 +51,8 @@ val run_traced :
   ?fuel:int -> ?overrides:(string * float array) list ->
   ?max_trace_events:int -> config:Config.t -> schedule_cycles:int array ->
   Profile.Layout.t -> result * Trace.t option
-(** Simulate (noise-free, fast engine) while recording the dynamic event
-    stream.  Returns the trace unless it outgrew [max_trace_events]
+(** Simulate (noise-free, closure engine) while recording the dynamic
+    event stream.  Returns the trace unless it outgrew [max_trace_events]
     (default {!Trace.default_max_events}). *)
 
 val replay :

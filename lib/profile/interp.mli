@@ -1,4 +1,5 @@
-(** Reference interpreter for the predicated IR.
+(** The interpreter for the predicated IR: a closure-compiled engine and
+    the tree-walking reference it is checked against.
 
     Registers and memory hold floats; integers are stored exactly.
     Integer division and remainder by zero yield zero, so well-formed
@@ -34,14 +35,38 @@ val checksum : float list -> int
 (** Order-sensitive checksum of a program's output, used to compare
     baseline and transformed compilations. *)
 
+(** The dynamic events a closure-engine instantiation consumes, one
+    function per event kind, called in the order {!observer} would see
+    them. *)
+module type EVENTS = sig
+  type t
+
+  val block_enter : t -> int -> unit
+  val branch : t -> int -> bool -> unit
+  val load : t -> int -> unit
+  val store : t -> int -> unit
+  val prefetch : t -> int -> unit
+  val call : t -> int -> unit
+end
+
+(** The closure engine, instantiated for one event consumer.  Each run
+    compiles the program into chains of specialised closures and
+    executes them; results, event order, fuel and step accounting, the
+    cancellation poll cadence and raised exceptions are identical to
+    {!run_reference}. *)
+module Make (E : EVENTS) : sig
+  val run :
+    E.t -> ?fuel:int -> ?overrides:(string * float array) list ->
+    Layout.t -> result
+end
+
 val run :
   ?observer:observer -> ?fuel:int ->
   ?overrides:(string * float array) list -> Layout.t -> result
-(** Execute a prepared program from [main] with the pre-decoded fast
-    engine (bit-identical to {!run_reference} in results, observer event
-    stream, fuel and step accounting, and raised exceptions).
-    [overrides] replaces the initial contents of named globals (benchmark
-    datasets); [fuel] bounds dynamic instructions and block entries.
+(** Execute a prepared program from [main] on the closure engine,
+    reporting events to [observer].  [overrides] replaces the initial
+    contents of named globals (benchmark datasets); [fuel] bounds dynamic
+    instructions and block entries.
 
     @raise Out_of_fuel when the fuel budget is exhausted.
     @raise Trap on out-of-bounds accesses. *)
@@ -49,5 +74,5 @@ val run :
 val run_reference :
   ?observer:observer -> ?fuel:int ->
   ?overrides:(string * float array) list -> Layout.t -> result
-(** The original tree-walking interpreter over [Ir.Instr.t]; the golden
-    semantics the fast engine is checked against. *)
+(** The tree-walking interpreter over [Ir.Instr.t]; the golden semantics
+    the closure engine is checked against. *)

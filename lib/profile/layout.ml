@@ -6,47 +6,6 @@
    block and every static branch site gets a dense global id so observers
    can use plain arrays. *)
 
-(* Pre-decoded instruction forms: everything the interpreter would
-   otherwise look up per dynamic execution — the [Gaddr] hashtable probe,
-   [Frame] base resolution through [func], callee resolution, the
-   allocating variable-arity intrinsic dispatch, and the linear
-   exit-site scan — is resolved once at prepare time.  Name-resolution
-   failures decode to [Draise_*]/[Dtrap_arity] markers that raise the
-   exact exception the reference interpreter would raise, and only when
-   the instruction actually executes under a true guard. *)
-
-type daddr = {
-  dframe : int;   (* pre-resolved frame base; 0 for global/unknown space *)
-  dbase : Ir.Types.operand;
-  doffset : Ir.Types.operand;
-}
-
-type dinstr =
-  | Dibin of Ir.Types.ibinop * int * Ir.Types.operand * Ir.Types.operand
-  | Dfbin of Ir.Types.fbinop * int * Ir.Types.operand * Ir.Types.operand
-  | Dfunop of Ir.Types.funop * int * Ir.Types.operand
-  | Dicmp of Ir.Types.icmp * int * Ir.Types.operand * Ir.Types.operand
-  | Dfcmp of Ir.Types.icmp * int * Ir.Types.operand * Ir.Types.operand
-  | Dmov of int * Ir.Types.operand
-  | Ditof of int * Ir.Types.operand
-  | Dftoi of int * Ir.Types.operand
-  | Dintrin1 of Ir.Types.intrinsic * int * Ir.Types.operand
-  | Dintrin2 of Ir.Types.intrinsic * int * Ir.Types.operand * Ir.Types.operand
-  | Dgaddr of int * float              (* pre-resolved global base *)
-  | Dload of int * daddr
-  | Dstore of daddr * Ir.Types.operand
-  | Dprefetch of daddr
-  | Dcall of int * int * Ir.Types.operand array  (* dest (-1: none), findex *)
-  | Demit of Ir.Types.operand
-  | Dpdef of Ir.Types.icmp * int * int * Ir.Types.operand * Ir.Types.operand
-  | Dpclear of int
-  | Dpset of Ir.Types.icmp * int * Ir.Types.operand * Ir.Types.operand
-  | Dpor of Ir.Types.icmp * int * Ir.Types.operand * Ir.Types.operand
-  | Dexit of int * int                 (* branch site uid, target index *)
-  | Draise_notfound                    (* unknown global *)
-  | Draise_invalid of string           (* unknown function/frame *)
-  | Dtrap_arity                        (* intrinsic arity mismatch *)
-
 type pblock = {
   uid : int;                         (* global block id *)
   label : Ir.Types.label;
@@ -61,11 +20,6 @@ type pblock = {
      aligned with [exit_targets]. *)
   branch_site : int;
   exit_sites : int array;
-  (* Pre-decoded mirror of [instrs]; filled by a second pass of
-     [prepare] once all frame bases, global bases and function indices
-     are known. *)
-  mutable dinstrs : dinstr array;
-  mutable dguards : int array;
 }
 
 type pfunc = {
@@ -91,85 +45,6 @@ type t = {
   branch_name : (string * Ir.Types.label * int) array;
     (* (func, block, -1 for terminator | instr id for exits) *)
 }
-
-(* Second prepare pass: pre-decode a block's instructions.  Needs the
-   completed [t] because frame bases, global bases and function indices
-   span the whole program. *)
-let decode_block (t : t) (b : pblock) =
-  let n = Array.length b.instrs in
-  let daddr (a : Ir.Instr.address) =
-    match a.Ir.Instr.space with
-    | Ir.Instr.Frame fname -> (
-      match Hashtbl.find_opt t.func_index fname with
-      | Some i ->
-        Ok
-          {
-            dframe = t.funcs.(i).frame_base;
-            dbase = a.Ir.Instr.base;
-            doffset = a.Ir.Instr.offset;
-          }
-      | None -> Error ("Layout.func: unknown function " ^ fname))
-    | Ir.Instr.Global _ | Ir.Instr.Unknown ->
-      Ok { dframe = 0; dbase = a.Ir.Instr.base; doffset = a.Ir.Instr.offset }
-  in
-  let exit_of pos =
-    let rec find k =
-      if k >= Array.length b.exit_targets then
-        invalid_arg "Layout.decode_block: exit without a recorded target"
-      else if fst b.exit_targets.(k) = pos then
-        (b.exit_sites.(k), snd b.exit_targets.(k))
-      else find (k + 1)
-    in
-    find 0
-  in
-  let dinstrs = Array.make n Draise_notfound in
-  let dguards = Array.make n 0 in
-  Array.iteri
-    (fun pos (i : Ir.Instr.t) ->
-      dguards.(pos) <- i.Ir.Instr.guard;
-      dinstrs.(pos) <-
-        (match i.Ir.Instr.kind with
-        | Ir.Instr.Ibin (op, d, a, bb) -> Dibin (op, d, a, bb)
-        | Ir.Instr.Fbin (op, d, a, bb) -> Dfbin (op, d, a, bb)
-        | Ir.Instr.Funop (op, d, a) -> Dfunop (op, d, a)
-        | Ir.Instr.Icmp (c, d, a, bb) -> Dicmp (c, d, a, bb)
-        | Ir.Instr.Fcmp (c, d, a, bb) -> Dfcmp (c, d, a, bb)
-        | Ir.Instr.Mov (d, a) -> Dmov (d, a)
-        | Ir.Instr.Itof (d, a) -> Ditof (d, a)
-        | Ir.Instr.Ftoi (d, a) -> Dftoi (d, a)
-        | Ir.Instr.Intrin (intr, d, args) -> (
-          match (intr, args) with
-          | (Ir.Types.Isin | Icos | Iexp | Ilog), [ a ] -> Dintrin1 (intr, d, a)
-          | (Ir.Types.Imin | Imax | Ifmin | Ifmax), [ a; bb ] ->
-            Dintrin2 (intr, d, a, bb)
-          | _ -> Dtrap_arity)
-        | Ir.Instr.Gaddr (d, g) -> (
-          match Hashtbl.find_opt t.global_base g with
-          | Some base -> Dgaddr (d, float_of_int base)
-          | None -> Draise_notfound)
-        | Ir.Instr.Load (d, a) -> (
-          match daddr a with Ok da -> Dload (d, da) | Error m -> Draise_invalid m)
-        | Ir.Instr.Store (a, v) -> (
-          match daddr a with Ok da -> Dstore (da, v) | Error m -> Draise_invalid m)
-        | Ir.Instr.Prefetch a -> (
-          match daddr a with Ok da -> Dprefetch da | Error m -> Draise_invalid m)
-        | Ir.Instr.Call (d, name, args, _) -> (
-          match Hashtbl.find_opt t.func_index name with
-          | Some fi ->
-            Dcall
-              ((match d with Some d -> d | None -> -1), fi, Array.of_list args)
-          | None -> Draise_invalid ("Layout.func: unknown function " ^ name))
-        | Ir.Instr.Emit v -> Demit v
-        | Ir.Instr.Pdef (c, pt, pf, a, bb) -> Dpdef (c, pt, pf, a, bb)
-        | Ir.Instr.Pclear p -> Dpclear p
-        | Ir.Instr.Pset (c, p, a, bb) -> Dpset (c, p, a, bb)
-        | Ir.Instr.Por (c, p, a, bb) -> Dpor (c, p, a, bb)
-        | Ir.Instr.Exit _ ->
-          let site, target = exit_of pos in
-          Dexit (site, target)))
-    b.instrs;
-  b.dinstrs <- dinstrs;
-  b.dguards <- dguards
 
 let prepare (prog : Ir.Func.program) : t =
   let global_base = Hashtbl.create 16 in
@@ -250,8 +125,6 @@ let prepare (prog : Ir.Func.program) : t =
                       branch_site;
                       exit_sites =
                         Array.of_list (List.map (fun (_, _, s) -> s) exits);
-                      dinstrs = [||];
-                      dguards = [||];
                     })
                   f.blocks)
            in
@@ -266,21 +139,17 @@ let prepare (prog : Ir.Func.program) : t =
            })
          prog.funcs)
   in
-  let t =
-    {
-      prog;
-      funcs;
-      func_index;
-      global_base;
-      memory_words = !next_addr;
-      n_blocks = !block_uid;
-      n_branch_sites = !branch_uid;
-      block_name = Array.of_list (List.rev !block_names);
-      branch_name = Array.of_list (List.rev !branch_names);
-    }
-  in
-  Array.iter (fun pf -> Array.iter (decode_block t) pf.blocks) t.funcs;
-  t
+  {
+    prog;
+    funcs;
+    func_index;
+    global_base;
+    memory_words = !next_addr;
+    n_blocks = !block_uid;
+    n_branch_sites = !branch_uid;
+    block_name = Array.of_list (List.rev !block_names);
+    branch_name = Array.of_list (List.rev !branch_names);
+  }
 
 let func t name =
   match Hashtbl.find_opt t.func_index name with

@@ -5,45 +5,6 @@
     frames assigned disjoint word addresses, and every block and static
     branch site given a dense global id so observers can use arrays. *)
 
-(** Pre-decoded instruction forms.  Everything the interpreter would
-    otherwise resolve per dynamic instruction — global bases, frame
-    bases, callee indices, intrinsic arity, exit sites — is folded in at
-    prepare time.  Unresolvable names decode to markers that raise the
-    reference interpreter's exact exception, and only on execution. *)
-
-type daddr = {
-  dframe : int;  (** pre-resolved frame base; 0 for global/unknown space *)
-  dbase : Ir.Types.operand;
-  doffset : Ir.Types.operand;
-}
-
-type dinstr =
-  | Dibin of Ir.Types.ibinop * int * Ir.Types.operand * Ir.Types.operand
-  | Dfbin of Ir.Types.fbinop * int * Ir.Types.operand * Ir.Types.operand
-  | Dfunop of Ir.Types.funop * int * Ir.Types.operand
-  | Dicmp of Ir.Types.icmp * int * Ir.Types.operand * Ir.Types.operand
-  | Dfcmp of Ir.Types.icmp * int * Ir.Types.operand * Ir.Types.operand
-  | Dmov of int * Ir.Types.operand
-  | Ditof of int * Ir.Types.operand
-  | Dftoi of int * Ir.Types.operand
-  | Dintrin1 of Ir.Types.intrinsic * int * Ir.Types.operand
-  | Dintrin2 of Ir.Types.intrinsic * int * Ir.Types.operand * Ir.Types.operand
-  | Dgaddr of int * float              (** pre-resolved global base *)
-  | Dload of int * daddr
-  | Dstore of daddr * Ir.Types.operand
-  | Dprefetch of daddr
-  | Dcall of int * int * Ir.Types.operand array
-      (** dest reg (-1: none), callee function index, args *)
-  | Demit of Ir.Types.operand
-  | Dpdef of Ir.Types.icmp * int * int * Ir.Types.operand * Ir.Types.operand
-  | Dpclear of int
-  | Dpset of Ir.Types.icmp * int * Ir.Types.operand * Ir.Types.operand
-  | Dpor of Ir.Types.icmp * int * Ir.Types.operand * Ir.Types.operand
-  | Dexit of int * int                 (** branch site uid, target index *)
-  | Draise_notfound                    (** unknown global *)
-  | Draise_invalid of string           (** unknown function/frame *)
-  | Dtrap_arity                        (** intrinsic arity mismatch *)
-
 type pblock = {
   uid : int;                          (** global block id *)
   label : Ir.Types.label;
@@ -53,8 +14,6 @@ type pblock = {
   exit_targets : (int * int) array;   (** (instr position, target) *)
   branch_site : int;                  (** -1 if the terminator is not Br *)
   exit_sites : int array;             (** aligned with [exit_targets] *)
-  mutable dinstrs : dinstr array;     (** pre-decoded mirror of [instrs] *)
-  mutable dguards : int array;        (** guards aligned with [dinstrs] *)
 }
 
 type pfunc = {

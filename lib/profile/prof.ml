@@ -20,9 +20,19 @@ type t = {
   total_steps : int;
 }
 
+(* Edge counts during a run, keyed [from * n_blocks + to]: hashing an
+   int key is far cheaper than the generic tuple hash per block entry. *)
+module Edges = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
 let collect ?(fuel = 30_000_000) ?(overrides = []) (layout : Layout.t) : t =
-  let block_counts = Array.make (max 1 layout.Layout.n_blocks) 0 in
-  let edge_counts = Hashtbl.create 256 in
+  let n_blocks = max 1 layout.Layout.n_blocks in
+  let block_counts = Array.make n_blocks 0 in
+  let edges = Edges.create 256 in
   let n_sites = max 1 layout.Layout.n_branch_sites in
   let executions = Array.make n_sites 0 in
   let taken_counts = Array.make n_sites 0 in
@@ -35,9 +45,10 @@ let collect ?(fuel = 30_000_000) ?(overrides = []) (layout : Layout.t) : t =
         (fun uid ->
           block_counts.(uid) <- block_counts.(uid) + 1;
           if !last_block >= 0 then begin
-            let key = (!last_block, uid) in
-            Hashtbl.replace edge_counts key
-              (1 + Option.value ~default:0 (Hashtbl.find_opt edge_counts key))
+            let key = (!last_block * n_blocks) + uid in
+            match Edges.find edges key with
+            | c -> incr c
+            | exception Not_found -> Edges.add edges key (ref 1)
           end;
           last_block := uid);
       branch =
@@ -51,6 +62,11 @@ let collect ?(fuel = 30_000_000) ?(overrides = []) (layout : Layout.t) : t =
     }
   in
   let res = Interp.run ~observer ~fuel ~overrides layout in
+  let edge_counts = Hashtbl.create (max 16 (Edges.length edges)) in
+  Edges.iter
+    (fun key c ->
+      Hashtbl.replace edge_counts (key / n_blocks, key mod n_blocks) !c)
+    edges;
   {
     layout;
     block_counts;

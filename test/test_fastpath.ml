@@ -1,9 +1,10 @@
 (* Golden equivalence suite for the simulation fast paths.
 
-   The invariant under test: the pre-decoded interpreter, trace replay
-   and artifact-keyed result sharing produce bit-identical cycles,
-   checksums and dynamic counts to the reference tree-walking
-   interpreter, across all four studies. *)
+   The invariant under test: the closure-compiled engine (fused with the
+   timing model or driving an observer), trace replay and artifact-keyed
+   result sharing produce bit-identical cycles, checksums, dynamic
+   counts and event streams to the reference tree-walking interpreter,
+   across all four studies. *)
 
 let check_bits name a b =
   Alcotest.(check int64) name (Int64.bits_of_float a) (Int64.bits_of_float b)
@@ -53,8 +54,46 @@ let compile_for kind prepared =
   in
   (machine, Driver.Compiler.compile ~machine ~heuristics prepared)
 
-(* Fast engine vs reference engine: bit-identical results and event
-   effects on every study's machine, both datasets. *)
+(* An engine's observer-mode run: its outcome and every event it
+   reported, in order, packed as a trace packs them. *)
+let event_stream run ?fuel ~overrides (layout : Profile.Layout.t) =
+  let tr =
+    Machine.Trace.create ~max_events:max_int
+      ~n_blocks:layout.Profile.Layout.n_blocks
+      ~n_branch_sites:layout.Profile.Layout.n_branch_sites ()
+  in
+  let observer =
+    Machine.Trace.recording_observer tr Profile.Interp.null_observer
+  in
+  let outcome =
+    match run ~observer ?fuel ~overrides layout with
+    | (r : Profile.Interp.result) ->
+      Ok
+        ( List.map Int64.bits_of_float r.Profile.Interp.output,
+          Int64.bits_of_float r.Profile.Interp.return_value,
+          r.Profile.Interp.steps )
+    | exception e -> Error (Printexc.to_string e)
+  in
+  (outcome, Array.sub tr.Machine.Trace.events 0 tr.Machine.Trace.n)
+
+let check_streams name (o1, e1) (o2, e2) =
+  Alcotest.(check bool) (name ^ ": same outcome") true (o1 = o2);
+  let n = min (Array.length e1) (Array.length e2) in
+  let rec first i = if i < n && e1.(i) = e2.(i) then first (i + 1) else i in
+  Alcotest.(check int)
+    (name ^ ": events agree up to the longer stream's end")
+    (max (Array.length e1) (Array.length e2))
+    (first 0)
+
+let run_engine ~observer ?fuel ~overrides layout =
+  Profile.Interp.run ~observer ?fuel ~overrides layout
+
+let run_ref ~observer ?fuel ~overrides layout =
+  Profile.Interp.run_reference ~observer ?fuel ~overrides layout
+
+(* Fast engine vs reference engine: bit-identical results on every
+   study's machine, both datasets, and the observer-mode engine reports
+   the reference's event stream event by event. *)
 let test_fast_engine_equivalence () =
   List.iter
     (fun (kind, benches) ->
@@ -72,30 +111,58 @@ let test_fast_engine_equivalence () =
                   ~schedule_cycles:c.Driver.Compiler.schedule_cycles ~overrides
                   c.Driver.Compiler.layout
               in
-              check_result
-                (Printf.sprintf "%s/%s" (Driver.Study.kind_name kind) bench)
-                (run `Fast) (run `Reference))
+              let name =
+                Printf.sprintf "%s/%s" (Driver.Study.kind_name kind) bench
+              in
+              check_result name (run `Fast) (run `Reference);
+              check_streams name
+                (event_stream run_engine ~overrides c.Driver.Compiler.layout)
+                (event_stream run_ref ~overrides c.Driver.Compiler.layout))
             [ Benchmarks.Bench.Train; Benchmarks.Bench.Novel ])
         benches)
     study_cases
 
-(* Both engines exhaust fuel at the same point. *)
+(* Both engines exhaust fuel at the same step, after the same events,
+   for every budget up to a bound: the sweep crosses block boundaries,
+   stops mid-block, just past a taken side exit (codrle4's hyperblocks)
+   and around calls (072.sc), where the closure engine's per-segment
+   charging must fall back to per-instruction checks. *)
 let test_fast_engine_out_of_fuel () =
-  let p = prepare_for Driver.Study.Hyperblock_study "codrle4" in
-  let _, c = compile_for Driver.Study.Hyperblock_study p in
-  let raises f =
-    match f () with
-    | exception Profile.Interp.Out_of_fuel -> true
-    | _ -> false
+  let sweep bench ~crosses =
+    let p = prepare_for Driver.Study.Hyperblock_study bench in
+    let _, c = compile_for Driver.Study.Hyperblock_study p in
+    let layout = c.Driver.Compiler.layout in
+    let overrides =
+      Benchmarks.Bench.overrides p.Driver.Compiler.bench Benchmarks.Bench.Train
+    in
+    for fuel = 1 to 400 do
+      check_streams
+        (Printf.sprintf "%s fuel %d" bench fuel)
+        (event_stream run_engine ~fuel ~overrides layout)
+        (event_stream run_ref ~fuel ~overrides layout)
+    done;
+    let crossed = ref false in
+    let observer = crosses layout (fun () -> crossed := true) in
+    Alcotest.(check bool)
+      (bench ^ ": the sweep runs out of fuel")
+      true
+      (match Profile.Interp.run_reference ~observer ~fuel:400 ~overrides layout with
+       | _ -> false
+       | exception Profile.Interp.Out_of_fuel -> true);
+    Alcotest.(check bool)
+      (bench ^ ": the sweep crosses the feature under test")
+      true !crossed
   in
-  Alcotest.(check bool)
-    "fast raises" true
-    (raises (fun () ->
-         Profile.Interp.run ~fuel:1000 c.Driver.Compiler.layout));
-  Alcotest.(check bool)
-    "reference raises" true
-    (raises (fun () ->
-         Profile.Interp.run_reference ~fuel:1000 c.Driver.Compiler.layout))
+  sweep "codrle4" ~crosses:(fun layout seen ->
+      {
+        Profile.Interp.null_observer with
+        Profile.Interp.branch =
+          (fun site taken ->
+            let _, _, id = layout.Profile.Layout.branch_name.(site) in
+            if taken && id >= 0 then seen ());
+      });
+  sweep "072.sc" ~crosses:(fun _ seen ->
+      { Profile.Interp.null_observer with Profile.Interp.call = (fun _ -> seen ()) })
 
 (* Replaying a recorded trace reproduces the simulation bit-for-bit, both
    under the recorded schedule lengths and under perturbed ones (the
@@ -245,6 +312,79 @@ let test_artifact_collision () =
   in
   check_bits "baseline-equal artifact scores exactly 1.0" 1.0 s_lwd
 
+(* The recording rule: the first sighting of a trace key simulates
+   without recording, a second schedule of the same program (same trace
+   key, new schedule lengths) records, and a third replays — each answer
+   bit-identical to a fresh simulation. *)
+let test_simcache_records_second_sighting () =
+  let kind = Driver.Study.Sched_study in
+  let p = prepare_for kind "codrle4" in
+  let machine, c1 = compile_for kind p in
+  let reschedule k =
+    {
+      c1 with
+      Driver.Compiler.schedule_cycles =
+        Array.map (fun l -> l + k) c1.Driver.Compiler.schedule_cycles;
+    }
+  in
+  let sim = Driver.Simcache.create () in
+  let st = Driver.Simcache.stats sim in
+  let dataset = Benchmarks.Bench.Train in
+  let overrides = Benchmarks.Bench.overrides p.Driver.Compiler.bench dataset in
+  let step name c ~simulations ~replays ~hits =
+    let cached = Driver.Simcache.simulate sim ~machine ~dataset p c in
+    check_result name cached
+      (Machine.Simulate.run ~config:machine
+         ~schedule_cycles:c.Driver.Compiler.schedule_cycles ~overrides
+         c.Driver.Compiler.layout);
+    Alcotest.(check (list int))
+      (name ^ ": simulations, replays, artifact hits")
+      [ simulations; replays; hits ]
+      Driver.Simcache.[ st.simulations; st.replays; st.artifact_hits ]
+  in
+  step "first sighting" c1 ~simulations:1 ~replays:0 ~hits:0;
+  step "same artifact" c1 ~simulations:1 ~replays:0 ~hits:1;
+  step "second schedule records" (reschedule 1) ~simulations:2 ~replays:0
+    ~hits:1;
+  step "third schedule replays" (reschedule 2) ~simulations:2 ~replays:1
+    ~hits:1;
+  step "fourth schedule replays" (reschedule 3) ~simulations:2 ~replays:2
+    ~hits:1
+
+(* At --backend fork -jN the baselines run in pool children; their
+   artifacts must still reach the parent's table, so a candidate that
+   compiles to a baseline artifact is a hit there (and in every
+   evaluation worker forked from it) rather than a fresh simulation. *)
+let test_fork_baselines_reach_parent () =
+  if List.mem `Fork (Gp.Parmap.capabilities ()) then begin
+    let cfg =
+      { Driver.Study.default_config with Driver.Study.backend = `Fork; jobs = 2 }
+    in
+    let ctx =
+      Driver.Study.create_with cfg Driver.Study.Sched_study
+        [ "codrle4"; "huff_dec" ]
+    in
+    Fun.protect
+      ~finally:(fun () -> Driver.Study.close ctx)
+      (fun () ->
+        let st = Driver.Simcache.stats ctx.Driver.Study.sim in
+        let sims = st.Driver.Simcache.simulations
+        and hits = st.Driver.Simcache.artifact_hits in
+        let baseline_equal =
+          Gp.Expr.Real
+            (Gp.Sexp.parse_real Sched.Priority.feature_set "(mul lwd 2.0)")
+        in
+        List.iter
+          (fun (case, dataset) ->
+            check_bits "baseline-equal artifact scores exactly 1.0" 1.0
+              (Driver.Study.speedup ctx baseline_equal ~case ~dataset))
+          Benchmarks.Bench.[ (0, Train); (1, Train); (0, Novel); (1, Novel) ];
+        Alcotest.(check int)
+          "no simulation in the parent" sims st.Driver.Simcache.simulations;
+        Alcotest.(check int)
+          "four artifact hits" (hits + 4) st.Driver.Simcache.artifact_hits)
+  end
+
 (* The uid-indexed scheduler output equals the (fname, label) hashtable
    lookup per block. *)
 let test_uid_schedule_lengths () =
@@ -315,6 +455,10 @@ let suite =
       test_study_compiled_vs_walk;
     Alcotest.test_case "artifact collision shares one simulation" `Slow
       test_artifact_collision;
+    Alcotest.test_case "simcache records on the second sighting" `Slow
+      test_simcache_records_second_sighting;
+    Alcotest.test_case "fork baselines reach the parent's simcache" `Slow
+      test_fork_baselines_reach_parent;
     Alcotest.test_case "uid-indexed schedule lengths" `Quick
       test_uid_schedule_lengths;
     Alcotest.test_case "call overhead charged per dynamic call" `Slow

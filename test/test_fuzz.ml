@@ -142,16 +142,26 @@ let test_trace_overflow_rejected () =
   | () -> Alcotest.fail "store_trace accepted an incomplete trace"
   | exception Invalid_argument _ -> ());
   (* a cache forced into overflow still answers bit-identically, serving
-     fresh simulations instead of replays *)
+     fresh simulations instead of replays: three schedules of one program
+     share a trace key, so the second records (and overflows) and the
+     third would replay a stored trace *)
   let sim = Driver.Simcache.create ~max_trace_events:4 () in
-  let via_cache () =
-    Driver.Simcache.simulate sim ~machine ~dataset:Benchmarks.Bench.Train
-      prepared c
-  in
-  Alcotest.(check bool) "overflowing cache, first call exact" true
-    (sim_sig (via_cache ()) = sim_sig fresh);
-  Alcotest.(check bool) "overflowing cache, second call exact" true
-    (sim_sig (via_cache ()) = sim_sig fresh);
+  List.iter
+    (fun k ->
+      let schedule_cycles = Array.map (fun l -> l + k) sched in
+      let cached =
+        Driver.Simcache.simulate sim ~machine ~dataset:Benchmarks.Bench.Train
+          prepared
+          { c with Driver.Compiler.schedule_cycles }
+      in
+      let fresh =
+        Machine.Simulate.run ~overrides ~config:machine ~schedule_cycles layout
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "overflowing cache, schedule %d exact" k)
+        true
+        (sim_sig cached = sim_sig fresh))
+    [ 0; 1; 2 ];
   Alcotest.(check int) "no trace replays happened" 0
     (Driver.Simcache.stats sim).Driver.Simcache.replays
 
