@@ -460,8 +460,8 @@ let ckpt () =
    reference vs the closure engine, trace-replay speedup over a full
    simulation, the end-to-end effect of the fast paths on a sched-study
    smoke evolution (identical evolved results required), and the
-   artifact-cache hit rate of a hyperblock smoke run.  Returns the
-   telemetry JSON embedded in the report target. *)
+   artifact-cache and decision-tier hit rates of a hyperblock smoke run.
+   Returns the telemetry JSON embedded in the report target. *)
 let sim_measurements p =
   let best_of n f =
     let rec go best i =
@@ -542,10 +542,9 @@ let sim_measurements p =
     st.Driver.Simcache.artifact_hits + st.Driver.Simcache.replays
     + st.Driver.Simcache.simulations
   in
-  let hit_rate =
-    float_of_int st.Driver.Simcache.artifact_hits
-    /. float_of_int (max 1 lookups)
-  in
+  let rate n = float_of_int n /. float_of_int (max 1 lookups) in
+  let hit_rate = rate st.Driver.Simcache.artifact_hits in
+  let decision_hit_rate = rate st.Driver.Simcache.decision_hits in
   Fmt.pr "  interpreter  : reference %.1f Minstr/s, closure engine %.1f (%.2fx)@."
     (dyn /. t_ref /. 1e6) (dyn /. t_fast /. 1e6) (t_ref /. t_fast);
   Fmt.pr "  trace replay : %.2fx over a full fast-engine simulation@."
@@ -556,6 +555,8 @@ let sim_measurements p =
     "  artifact cache: %d hits / %d replays / %d simulations (hit rate %.2f)@."
     st.Driver.Simcache.artifact_hits st.Driver.Simcache.replays
     st.Driver.Simcache.simulations hit_rate;
+  Fmt.pr "  decision tier : %d of those hits (hit rate %.2f)@."
+    st.Driver.Simcache.decision_hits decision_hit_rate;
   Gp.Telemetry.Obj
     [
       ("throughput_bench", Gp.Telemetry.String tp_bench);
@@ -572,6 +573,8 @@ let sim_measurements p =
       ("replays", Gp.Telemetry.Int st.Driver.Simcache.replays);
       ("simulations", Gp.Telemetry.Int st.Driver.Simcache.simulations);
       ("artifact_hit_rate", Gp.Telemetry.Float hit_rate);
+      ("decision_hits", Gp.Telemetry.Int st.Driver.Simcache.decision_hits);
+      ("decision_hit_rate", Gp.Telemetry.Float decision_hit_rate);
     ]
 
 (* Compiled genome evaluation (DESIGN.md §12): batch throughput of the
@@ -1031,7 +1034,8 @@ let report () =
           | None -> fail ("sim section missing key " ^ k))
         [
           "engine_speedup"; "replay_speedup"; "evolution_speedup";
-          "evolution_identical"; "artifact_hit_rate";
+          "evolution_identical"; "artifact_hit_rate"; "decision_hits";
+          "decision_hit_rate";
         ]
     | _ -> fail "sim not an object");
     (match require "evalc" with

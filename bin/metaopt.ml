@@ -158,11 +158,13 @@ let chunk_max =
 let no_fast_sim =
   Arg.(value & flag
        & info [ "no-fast-sim" ]
-           ~doc:"Disable the simulation fast paths (artifact-keyed result \
-                 sharing, trace replay, closure-compiled interpreter) and \
-                 measure every candidate with a fresh reference-engine \
-                 simulation.  Results are bit-identical either way; this \
-                 flag only trades speed for the golden slow path")
+           ~doc:"Disable the compile and simulation fast paths (prefix \
+                 reuse and the decision tier, artifact-keyed result \
+                 sharing, trace replay, closure-compiled interpreter): \
+                 compile every candidate from scratch and measure it with \
+                 a fresh reference-engine simulation.  Results are \
+                 bit-identical either way; this flag only trades speed for \
+                 the golden slow path")
 
 let no_compiled_eval =
   Arg.(value & flag

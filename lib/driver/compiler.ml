@@ -48,53 +48,179 @@ type compiled = {
   prefetches : Prefetch.Insert.stats;
 }
 
-let compile ?(hb_config = Hyperblock.Form.default_config)
-    ?(compiled_eval = true) ~(machine : Machine.Config.t)
-    ~(heuristics : heuristics) (p : prepared) : compiled =
-  let compiled = compiled_eval in
-  let prog = Ir.Func.copy_program p.optimized in
-  (* Prefetch insertion runs first (mirroring ORC, where prefetching is an
-     early loop-nest phase): induction-variable analysis sees clean loop
-     structure, and inserted prefetches then flow through if-conversion,
-     allocation and scheduling like any other instruction. *)
+(* --- The pass pipeline, split at the pass under study -------------------- *)
+
+(* The passes a heuristic slot steers, in pipeline order.  Prefetch
+   insertion runs first (mirroring ORC, where prefetching is an early
+   loop-nest phase): induction-variable analysis sees clean loop
+   structure, and inserted prefetches then flow through if-conversion,
+   allocation and scheduling like any other instruction. *)
+type pass = Prefetch | Hyperblock | Regalloc | Sched
+
+let pipeline = [ Prefetch; Hyperblock; Regalloc; Sched ]
+
+let is_baseline (h : heuristics) = function
+  | Prefetch -> (
+    match h.pf_confidence with
+    | None -> true
+    | Some e -> e = Prefetch.Features.baseline_expr)
+  | Hyperblock -> h.hb_priority = Hyperblock.Baseline.expr
+  | Regalloc -> h.ra_savings = Regalloc.Features.baseline_expr
+  | Sched -> h.sched_priority = Sched.Priority.baseline_expr
+
+(* The passes before the first non-baseline one, that pass, and the
+   passes after it. *)
+let split (h : heuristics) =
+  let rec go before = function
+    | [] -> (List.rev before, None, [])
+    | pass :: after when not (is_baseline h pass) ->
+      (List.rev before, Some pass, after)
+    | pass :: after -> go (pass :: before) after
+  in
+  go [] pipeline
+
+let pass_under_study h =
+  let _, under, _ = split h in
+  under
+
+(* The artifact is a function of the prefix and the decisions of the
+   pass under study when every pass after it is baseline.  The
+   scheduler's decisions are the schedule itself, so it reports none. *)
+let decided h =
+  match split h with
+  | _, Some Sched, _ -> false
+  | _, _, after -> List.for_all (is_baseline h) after
+
+(* A program part-way through the pipeline, with what the passes run on
+   it so far reported. *)
+type partial = {
+  program : Ir.Func.program;
+  pf_stats : Prefetch.Insert.stats;
+  hb : Hyperblock.Form.stats;
+  n_spills : int;
+  cycles : int array;  (* set by [Sched] *)
+}
+
+let run_pass ~hb_config ~compiled ~machine ~(heuristics : heuristics)
+    ~(prof : Profile.Prof.t) ?decisions (st : partial) = function
   (* Both the compiled and the walker paths batch per function: the
      batched entry points take the same per-point interpreter when
      [compiled] is off, so toggling [compiled_eval] compares evaluators,
      not pass structure — and both are bit-identical anyway. *)
-  let prefetches =
+  | Prefetch -> (
     match heuristics.pf_confidence with
-    | None -> { Prefetch.Insert.candidates = 0; inserted = 0 }
+    | None -> st
     | Some conf ->
-      Prefetch.Insert.run_batched
-        ~decision_batch:
-          (Prefetch.Insert.decision_batch_of_expr ~compiled ~machine prog conf)
-        prog
+      let decision_batch =
+        Prefetch.Insert.decision_batch_of_expr ~compiled ~machine st.program
+          conf
+      in
+      {
+        st with
+        pf_stats =
+          Prefetch.Insert.run_batched ?decisions ~decision_batch st.program;
+      })
+  | Hyperblock ->
+    {
+      st with
+      hb =
+        Hyperblock.Form.run ~config:hb_config ~compiled ?decisions ~machine
+          ~prof ~priority:heuristics.hb_priority st.program;
+    }
+  | Regalloc ->
+    let savings_batch =
+      Regalloc.Alloc.savings_batch_of_expr ~compiled heuristics.ra_savings
+    in
+    {
+      st with
+      n_spills =
+        Regalloc.Alloc.run ?decisions ~savings_batch ~machine st.program;
+    }
+  | Sched ->
+    (* The baseline ranking skips the expression interpreter.  The
+       scheduler emits lengths in the same traversal order Layout.prepare
+       assigns block uids, so the array needs no per-candidate label
+       hashing. *)
+    let priority =
+      if is_baseline heuristics Sched then Sched.Priority.baseline
+      else Sched.Priority.of_expr ~compiled heuristics.sched_priority
+    in
+    {
+      st with
+      cycles =
+        Sched.List_sched.schedule_program_cycles ~priority ~config:machine
+          st.program;
+    }
+
+let run_passes ?(hb_config = Hyperblock.Form.default_config)
+    ?(compiled_eval = true) ?decisions ~machine ~heuristics (p : prepared)
+    passes st =
+  List.fold_left
+    (run_pass ~hb_config ~compiled:compiled_eval ~machine ~heuristics
+       ~prof:p.prof ?decisions)
+    st passes
+
+let run_before ?hb_config ?compiled_eval ~machine ~heuristics (p : prepared) =
+  let st =
+    {
+      program = p.optimized;
+      pf_stats = { Prefetch.Insert.candidates = 0; inserted = 0 };
+      hb =
+        {
+          Hyperblock.Form.regions_seen = 0;
+          regions_formed = 0;
+          blocks_merged = 0;
+          paths_selected = 0;
+          paths_total = 0;
+        };
+      n_spills = 0;
+      cycles = [||];
+    }
   in
-  let hb_stats =
-    Hyperblock.Form.run ~config:hb_config ~compiled ~machine ~prof:p.prof
-      ~priority:heuristics.hb_priority prog
+  match split heuristics with
+  | [], _, _ -> st
+  | before, _, _ ->
+    run_passes ?hb_config ?compiled_eval ~machine ~heuristics p before
+      { st with program = Ir.Func.copy_program p.optimized }
+
+let run_under ?hb_config ?compiled_eval ?decisions ~machine ~heuristics
+    (p : prepared) (st : partial) =
+  (* A copy, stats record included, so a reused prefix is never
+     touched. *)
+  let st =
+    {
+      st with
+      program = Ir.Func.copy_program st.program;
+      hb = { st.hb with regions_seen = st.hb.regions_seen };
+    }
   in
-  let spills =
-    Regalloc.Alloc.run
-      ~savings_batch:
-        (Regalloc.Alloc.savings_batch_of_expr ~compiled heuristics.ra_savings)
-      ~machine prog
+  match split heuristics with
+  | _, None, _ -> st
+  | _, Some pass, _ ->
+    run_passes ?hb_config ?compiled_eval ?decisions ~machine ~heuristics p
+      [ pass ] st
+
+let run_after ?hb_config ?compiled_eval ~machine ~heuristics (p : prepared)
+    (st : partial) =
+  let _, _, after = split heuristics in
+  let st =
+    run_passes ?hb_config ?compiled_eval ~machine ~heuristics p after st
   in
-  (* The baseline ranking skips the expression interpreter. *)
-  let sched_pri =
-    if heuristics.sched_priority = Sched.Priority.baseline_expr then
-      Sched.Priority.baseline
-    else Sched.Priority.of_expr ~compiled heuristics.sched_priority
-  in
-  (* The scheduler emits lengths in the same traversal order Layout.prepare
-     assigns block uids, so the array needs no per-candidate label hashing. *)
-  let schedule_cycles =
-    Sched.List_sched.schedule_program_cycles ~priority:sched_pri
-      ~config:machine prog
-  in
-  let layout = Profile.Layout.prepare prog in
-  assert (Array.length schedule_cycles = layout.Profile.Layout.n_blocks);
-  { prog; layout; schedule_cycles; hb_stats; spills; prefetches }
+  let layout = Profile.Layout.prepare st.program in
+  assert (Array.length st.cycles = layout.Profile.Layout.n_blocks);
+  {
+    prog = st.program;
+    layout;
+    schedule_cycles = st.cycles;
+    hb_stats = st.hb;
+    spills = st.n_spills;
+    prefetches = st.pf_stats;
+  }
+
+let compile ?hb_config ?compiled_eval ~machine ~heuristics p =
+  run_before ?hb_config ?compiled_eval ~machine ~heuristics p
+  |> run_under ?hb_config ?compiled_eval ~machine ~heuristics p
+  |> run_after ?hb_config ?compiled_eval ~machine ~heuristics p
 
 let simulate ?noise ~(machine : Machine.Config.t)
     ~(dataset : Benchmarks.Bench.dataset) (p : prepared) (c : compiled) :

@@ -41,12 +41,60 @@ type compiled = {
 val compile :
   ?hb_config:Hyperblock.Form.config -> ?compiled_eval:bool ->
   machine:Machine.Config.t -> heuristics:heuristics -> prepared -> compiled
-(** [compiled_eval] (default [true]) evaluates all four heuristic
-    expressions through the {!Gp.Evalc} bytecode compiler — each pass
-    compiles its expression once and amortizes it over every decision
-    point.  [~compiled_eval:false] routes every evaluation through the
-    {!Gp.Eval} tree-walker instead, the bit-identical executable
-    reference ([--no-compiled-eval] at the CLI). *)
+(** [run_before], then [run_under], then [run_after], with nothing
+    cached.  [compiled_eval] (default [true]) evaluates all four
+    heuristic expressions through the {!Gp.Evalc} bytecode compiler —
+    each pass compiles its expression once and amortizes it over every
+    decision point.  [~compiled_eval:false] routes every evaluation
+    through the {!Gp.Eval} tree-walker instead, the bit-identical
+    executable reference ([--no-compiled-eval] at the CLI). *)
+
+(** {1 The staged pipeline}
+
+    A study varies one heuristic slot.  The passes before that slot's
+    pass see the same program for every candidate, and the passes after
+    it are a pure function of the decisions it makes; {!Simcache.measure}
+    reuses the first and keys the second on those decisions. *)
+
+type pass = Prefetch | Hyperblock | Regalloc | Sched
+(** The passes a heuristic slot steers, in pipeline order. *)
+
+val pass_under_study : heuristics -> pass option
+(** The first pass whose slot is not baseline, i.e. differs from its
+    baseline expression ([pf_confidence = None] counts as baseline);
+    [None] when every slot is. *)
+
+val decided : heuristics -> bool
+(** Whether the compiled artifact is a function of the prefix and the
+    decisions [run_under] reports: every pass after the pass under study
+    is baseline, and that pass is not [Sched] (whose decisions are the
+    schedule itself, so it reports none). *)
+
+type partial
+(** A program part-way through the pipeline, with what the passes run
+    on it so far reported. *)
+
+val run_before :
+  ?hb_config:Hyperblock.Form.config -> ?compiled_eval:bool ->
+  machine:Machine.Config.t -> heuristics:heuristics -> prepared -> partial
+(** The passes before the pass under study (the whole pipeline when
+    there is none).  The result may share the prepared program; it is
+    never mutated by the later stages. *)
+
+val run_under :
+  ?hb_config:Hyperblock.Form.config -> ?compiled_eval:bool ->
+  ?decisions:Buffer.t -> machine:Machine.Config.t -> heuristics:heuristics ->
+  prepared -> partial -> partial
+(** A copy of the partial program through the pass under study, which
+    appends its decisions to [decisions]; the argument is left
+    untouched, so one [run_before] result serves every candidate. *)
+
+val run_after :
+  ?hb_config:Hyperblock.Form.config -> ?compiled_eval:bool ->
+  machine:Machine.Config.t -> heuristics:heuristics -> prepared -> partial ->
+  compiled
+(** The passes after the pass under study, in place, then the block
+    layout. *)
 
 val simulate :
   ?noise:Random.State.t * float -> machine:Machine.Config.t ->

@@ -199,24 +199,23 @@ let noise_rng_of kind genome case =
    instead; the sequential path (tests, [-j 1], bench report) gets the
    full split.
 
-   Simulation goes through the [Simcache] fast paths: artifact-identical
-   compilations share one noise-free measurement, and schedule-only
-   variations replay the recorded event trace.  The noise jitter is
-   layered on top here, per (genome, case), with the exact float
-   operations the direct simulation would perform — so sharing is sound
-   under noise and a candidate whose artifact equals the baseline's
-   scores speedup exactly 1.0 in the noise-free studies. *)
+   Compilation and simulation go through the [Simcache] fast paths: the
+   passes before the genome's slot run once per bench, a candidate
+   making already-seen decisions skips the passes after it,
+   artifact-identical compilations share one noise-free measurement, and
+   schedule-only variations replay the recorded event trace.  The noise
+   jitter is layered on top here, per (genome, case), with the exact
+   float operations the direct simulation would perform — so sharing is
+   sound under noise and a candidate whose artifact equals the
+   baseline's scores speedup exactly 1.0 in the noise-free studies. *)
 let run_entry ?(compiled_eval = true) ~kind ~machine
     ~(prepared : Compiler.prepared array) ~(sim : Simcache.t)
     (g : Gp.Expr.genome) ~case ~(dataset : Benchmarks.Bench.dataset) :
     (float * int) * Simcache.entry option =
-  let p = prepared.(case) in
-  let compiled =
-    Gp.Telemetry.span "study.compile_s" (fun () ->
-        Compiler.compile ~compiled_eval ~machine
-          ~heuristics:(heuristics_with kind g) p)
+  let res, entry =
+    Simcache.measure sim ~compiled_eval ~machine
+      ~heuristics:(heuristics_with kind g) ~dataset prepared.(case)
   in
-  let res, entry = Simcache.simulate_entry sim ~machine ~dataset p compiled in
   let noise = noise_rng_of kind g case in
   ( ( Machine.Simulate.jittered ?noise res.Machine.Simulate.cycles,
       res.Machine.Simulate.checksum ),
@@ -528,6 +527,8 @@ let emit_run_summary ~driver ~kind ~benches ~ctx ~elapsed_s ~evaluations
             (Gp.Telemetry.Histogram.sum (Gp.Telemetry.histogram "study.replay_s")) );
         ( "artifact_hits",
           Gp.Telemetry.Int (Simcache.stats ctx.sim).Simcache.artifact_hits );
+        ( "decision_hits",
+          Gp.Telemetry.Int (Simcache.stats ctx.sim).Simcache.decision_hits );
         ("replayed", Gp.Telemetry.Int (Simcache.stats ctx.sim).Simcache.replays);
         ( "simulations",
           Gp.Telemetry.Int (Simcache.stats ctx.sim).Simcache.simulations );

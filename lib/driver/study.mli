@@ -55,7 +55,9 @@ type config = {
           (see {!Gp.Parmap.pool}); [None] = the pool's default *)
   chunk_min : int option;        (** chunk-length floor; [None] = default *)
   chunk_max : int option;        (** chunk-length ceiling; [None] = default *)
-  fast_sim : bool;               (** {!Simcache} fast paths, default on *)
+  fast_sim : bool;
+      (** {!Simcache} fast paths, default on; off, every candidate is
+          compiled from scratch and simulated by the reference engine *)
   compiled_eval : bool;
       (** evaluate heuristic expressions through the {!Gp.Evalc} bytecode
           compiler (default) rather than the {!Gp.Eval} tree-walker;
@@ -144,12 +146,13 @@ val create_with : config -> kind -> string list -> context
     compile that hangs or crashes its worker is killed, retried, and
     ultimately scored 0 without poisoning the persistent cache.
     [fast_sim] (default true) enables the {!Simcache} fast paths —
-    artifact-keyed result sharing, trace replay, and the closure-compiled
-    interpreter; disabling it routes every measurement through a fresh
-    reference-engine simulation.  [compiled_eval] selects {!Gp.Evalc}
-    bytecode (default) versus the {!Gp.Eval} tree-walker for heuristic
-    expressions.  Results are bit-identical across all of these
-    switches. *)
+    prefix reuse and the decision tier in compilation, artifact-keyed
+    result sharing, trace replay, and the closure-compiled interpreter;
+    disabling it compiles every candidate from scratch and routes every
+    measurement through a fresh reference-engine simulation.
+    [compiled_eval] selects {!Gp.Evalc} bytecode (default) versus the
+    {!Gp.Eval} tree-walker for heuristic expressions.  Results are
+    bit-identical across all of these switches. *)
 
 val create :
   ?machine:Machine.Config.t -> ?jobs:int -> ?cache_dir:string ->

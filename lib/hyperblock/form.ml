@@ -367,10 +367,15 @@ let score_region ?(compiled = true) (f : Ir.Func.t) (prof : Profile.Prof.t)
     (priority : Gp.Expr.rexpr) (region : Region.t) : scored_path list =
   score_region_with (scorer_of ~compiled priority) f prof region
 
-let run_func ?(config = default_config) ?(compiled = true)
+let run_func ?(config = default_config) ?(compiled = true) ?decisions
     ~(machine : Machine.Config.t) ~(prof : Profile.Prof.t)
     ~(priority : Gp.Expr.rexpr) (f : Ir.Func.t) (stats : stats) : unit =
   let scorer = scorer_of ~compiled priority in
+  Option.iter
+    (fun b ->
+      Buffer.add_string b f.Ir.Func.fname;
+      Buffer.add_string b ":\n")
+    decisions;
   (* Regions are re-discovered after each conversion; entries already
      attempted are skipped. *)
   let attempted = Hashtbl.create 16 in
@@ -390,6 +395,15 @@ let run_func ?(config = default_config) ?(compiled = true)
       stats.paths_total <- stats.paths_total + List.length region.Region.paths;
       let scored = score_region_with scorer f prof region in
       let selected = select ~config ~machine f scored in
+      (* [convert] reads only the union of the selected labels, so that
+         union is the region's whole decision. *)
+      Option.iter
+        (fun b ->
+          Buffer.add_string b
+            (String.concat " "
+               (union_labels (List.map (fun s -> s.path) selected)));
+          Buffer.add_char b '\n')
+        decisions;
       let merged =
         convert f region (List.map (fun s -> s.path) selected)
       in
@@ -400,12 +414,12 @@ let run_func ?(config = default_config) ?(compiled = true)
       end
   done
 
-let run ?(config = default_config) ?(compiled = true) ~machine ~prof
-    ~priority (p : Ir.Func.program) : stats =
+let run ?(config = default_config) ?(compiled = true) ?decisions ~machine
+    ~prof ~priority (p : Ir.Func.program) : stats =
   let stats = new_stats () in
   List.iter
     (fun f ->
-      run_func ~config ~compiled ~machine ~prof ~priority f stats;
+      run_func ~config ~compiled ?decisions ~machine ~prof ~priority f stats;
       Opt.Simplify_cfg.remove_unreachable f;
       Ir.Func.renumber f)
     p.Ir.Func.funcs;

@@ -62,9 +62,14 @@ type stats = {
 }
 
 val run :
-  ?config:config -> ?compiled:bool -> machine:Machine.Config.t ->
-  prof:Profile.Prof.t -> priority:Gp.Expr.rexpr -> Ir.Func.program -> stats
+  ?config:config -> ?compiled:bool -> ?decisions:Buffer.t ->
+  machine:Machine.Config.t -> prof:Profile.Prof.t ->
+  priority:Gp.Expr.rexpr -> Ir.Func.program -> stats
 (** Form hyperblocks over every function, re-discovering regions after
     each conversion; prunes unreachable blocks and renumbers.  [compiled]
     selects the {!Gp.Evalc} path (default) versus the {!Gp.Eval}
-    tree-walker for priority evaluation; see {!score_region}. *)
+    tree-walker for priority evaluation; see {!score_region}.
+    [decisions], when given, receives the pass's decisions: per
+    function, in program order, one line per attempted region with the
+    sorted labels of its selected paths.  The formed program is a
+    function of the input program, the profile and these lines. *)

@@ -52,7 +52,7 @@ type stats = {
   inserted : int;
 }
 
-let run_with ?(config = default_config)
+let run_with ?(config = default_config) ?decisions
     ~(decide : Analysis.candidate array -> bool array) (p : Ir.Func.program) :
     stats =
   let candidates = ref 0 and inserted = ref 0 in
@@ -74,6 +74,17 @@ let run_with ?(config = default_config)
       let verdicts =
         if Array.length eligible = 0 then [||] else decide eligible
       in
+      (* The verdicts are all the pass decides: the rewrite below is a
+         function of the program and them alone. *)
+      Option.iter
+        (fun b ->
+          Buffer.add_string b f.Ir.Func.fname;
+          Buffer.add_char b ':';
+          Array.iter
+            (fun v -> Buffer.add_char b (if v then '1' else '0'))
+            verdicts;
+          Buffer.add_char b '\n')
+        decisions;
       let accepted = Hashtbl.create 16 in
       Array.iteri
         (fun k (c : Analysis.candidate) ->
@@ -131,9 +142,10 @@ let run_with ?(config = default_config)
     p.Ir.Func.funcs;
   { candidates = !candidates; inserted = !inserted }
 
-let run ?config ~(decision : decision_fn) (p : Ir.Func.program) : stats =
-  run_with ?config ~decide:(fun cs -> Array.map decision cs) p
+let run ?config ?decisions ~(decision : decision_fn) (p : Ir.Func.program) :
+    stats =
+  run_with ?config ?decisions ~decide:(fun cs -> Array.map decision cs) p
 
-let run_batched ?config ~(decision_batch : decision_batch)
+let run_batched ?config ?decisions ~(decision_batch : decision_batch)
     (p : Ir.Func.program) : stats =
-  run_with ?config ~decide:decision_batch p
+  run_with ?config ?decisions ~decide:decision_batch p

@@ -44,9 +44,16 @@ type stats = {
   inserted : int;
 }
 
-val run : ?config:config -> decision:decision_fn -> Ir.Func.program -> stats
+val run :
+  ?config:config -> ?decisions:Buffer.t -> decision:decision_fn ->
+  Ir.Func.program -> stats
+(** [decisions], when given, receives the pass's decisions: one line per
+    function, in program order, with the verdict on each eligible
+    candidate (known non-zero stride) in candidate order.  The rewritten
+    program is a function of the input program and these verdicts. *)
 
 val run_batched :
-  ?config:config -> decision_batch:decision_batch -> Ir.Func.program -> stats
+  ?config:config -> ?decisions:Buffer.t -> decision_batch:decision_batch ->
+  Ir.Func.program -> stats
 (** {!run} with the confidence function consulted once per function
     over the eligible-candidate array instead of once per candidate. *)

@@ -218,7 +218,7 @@ let insert_spills (f : Ir.Func.t) (spilled : Ir.Types.reg list) : unit =
 
 (* --- Driver ------------------------------------------------------------- *)
 
-let run_func ?(savings = baseline_savings) ?savings_batch
+let run_func ?(savings = baseline_savings) ?savings_batch ?decisions
     ~(machine : Machine.Config.t) (f : Ir.Func.t) : result =
   let g = Ir.Cfg.build f in
   let live = Liveness.compute f g in
@@ -312,6 +312,15 @@ let run_func ?(savings = baseline_savings) ?savings_batch
         lr.color <- -2;
         spilled := lr.reg :: !spilled)
     order;
+  (* The spill list, in order (it fixes the frame slots), is all the
+     rest of the pipeline sees of this allocation. *)
+  Option.iter
+    (fun b ->
+      Buffer.add_string b f.Ir.Func.fname;
+      Buffer.add_char b ':';
+      List.iter (fun r -> Printf.bprintf b " %d" r) !spilled;
+      Buffer.add_char b '\n')
+    decisions;
   insert_spills f !spilled;
   {
     ranges = Array.to_list arr;
@@ -319,10 +328,10 @@ let run_func ?(savings = baseline_savings) ?savings_batch
     n_colors_used = !max_color + 1;
   }
 
-let run ?savings ?savings_batch ~machine (p : Ir.Func.program) :
+let run ?savings ?savings_batch ?decisions ~machine (p : Ir.Func.program) :
     int (* total spills *) =
   List.fold_left
     (fun acc f ->
-      let r = run_func ?savings ?savings_batch ~machine f in
+      let r = run_func ?savings ?savings_batch ?decisions ~machine f in
       acc + List.length r.spilled)
     0 p.Ir.Func.funcs

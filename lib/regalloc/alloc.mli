@@ -64,18 +64,23 @@ val insert_spills : Ir.Func.t -> Ir.Types.reg list -> unit
 val run_func :
   ?savings:savings_fn ->
   ?savings_batch:savings_batch ->
+  ?decisions:Buffer.t ->
   machine:Machine.Config.t ->
   Ir.Func.t ->
   result
 (** When [savings_batch] is given it supersedes [savings]: priorities
     come from one vectorized evaluation over every (range, block) pair
-    of the function. *)
+    of the function.  [decisions], when given, receives one line: the
+    function's name and its spilled registers in spill order — the
+    rewritten function is a function of the input and that line. *)
 
 val run :
   ?savings:savings_fn ->
   ?savings_batch:savings_batch ->
+  ?decisions:Buffer.t ->
   machine:Machine.Config.t ->
   Ir.Func.program ->
   int
 (** Allocates every function; returns the total number of spilled
-    ranges. *)
+    ranges.  [decisions] receives {!run_func}'s line for each function,
+    in program order. *)

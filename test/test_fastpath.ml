@@ -34,7 +34,7 @@ let check_result name (a : Machine.Simulate.result)
 let study_cases =
   [
     (Driver.Study.Hyperblock_study, [ "codrle4"; "rawcaudio" ]);
-    (Driver.Study.Regalloc_study, [ "codrle4" ]);
+    (Driver.Study.Regalloc_study, [ "codrle4"; "huff_enc" ]);
     (Driver.Study.Prefetch_study, [ "015.doduc" ]);
     (Driver.Study.Sched_study, [ "codrle4" ]);
   ]
@@ -206,29 +206,79 @@ let test_replay_equivalence () =
            ~overrides c.Driver.Compiler.layout))
     study_cases
 
-(* A whole study context with fast paths on vs off: identical fitness for
-   baseline and non-trivial candidates. *)
+(* Each study's golden genomes: the baseline, other candidates, and a
+   pair that differs but makes the same decisions — a real-valued
+   function and its double (positive scaling keeps every ranking and
+   threshold test), a Boolean one and its conjunction with itself. *)
+let golden_genomes kind =
+  let fs = Driver.Study.feature_set_of kind in
+  let reals others pair =
+    let b = Gp.Sexp.parse_real fs pair in
+    List.map (fun s -> Gp.Expr.Real (Gp.Sexp.parse_real fs s)) others
+    @ [ Gp.Expr.Real b; Gp.Expr.Real (Gp.Expr.Rmul (b, Gp.Expr.Rconst 2.0)) ]
+  in
+  Driver.Study.baseline_genome_of kind
+  ::
+  (match kind with
+  | Driver.Study.Hyperblock_study ->
+    reals [ "(sub num_ops dep_height)" ] "(mul exec_ratio 2.0)"
+  | Driver.Study.Regalloc_study -> reals [ "(sub degree uses)" ] "(mul w uses)"
+  | Driver.Study.Sched_study ->
+    reals [ "(sub 0.0 lwd)"; "(mul critical_path 0.5)" ] "(add slack latency)"
+  | Driver.Study.Prefetch_study ->
+    let b = Gp.Sexp.parse_bool fs "(gt trip_estimate 8.0)" in
+    [
+      Gp.Expr.Bool (Gp.Sexp.parse_bool fs "large_array");
+      Gp.Expr.Bool b;
+      Gp.Expr.Bool (Gp.Expr.Band (b, b));
+    ])
+
+(* A whole study context with fast paths on vs off: identical fitness
+   for every study's golden genomes on every case and both datasets.
+   The train pass fills the decision tier, so the same-decision pair's
+   second genome is a decision hit and the novel pass reaches the tier
+   with no artifact for its dataset yet. *)
 let test_study_fast_vs_slow () =
-  let genomes =
-    Driver.Study.baseline_genome_of Driver.Study.Sched_study
-    :: List.map
-         (fun s ->
-           Gp.Expr.Real (Gp.Sexp.parse_real Sched.Priority.feature_set s))
-         [ "(sub 0.0 lwd)"; "(add slack latency)"; "(mul critical_path 0.5)" ]
-  in
-  let measure ~fast_sim =
-    let ctx =
-      Driver.Study.create ~fast_sim Driver.Study.Sched_study [ "codrle4" ]
-    in
-    List.map
-      (fun g ->
-        Driver.Study.speedup ctx g ~case:0 ~dataset:Benchmarks.Bench.Train)
-      genomes
-  in
-  let fast = measure ~fast_sim:true and slow = measure ~fast_sim:false in
-  List.iteri
-    (fun i (f, s) -> check_bits (Printf.sprintf "genome %d" i) f s)
-    (List.combine fast slow)
+  List.iter
+    (fun (kind, benches) ->
+      let genomes = golden_genomes kind in
+      let measure ~fast_sim =
+        let ctx =
+          Driver.Study.create_with
+            { Driver.Study.default_config with fast_sim }
+            kind benches
+        in
+        let values =
+          List.concat_map
+            (fun dataset ->
+              List.concat
+                (List.mapi
+                   (fun gi g ->
+                     List.mapi
+                       (fun case bench ->
+                         ( Printf.sprintf "%s genome %d on %s/%s"
+                             (Driver.Study.kind_name kind) gi bench
+                             (match dataset with
+                             | Benchmarks.Bench.Train -> "train"
+                             | Benchmarks.Bench.Novel -> "novel"),
+                           Driver.Study.speedup ctx g ~case ~dataset ))
+                       benches)
+                   genomes))
+            Benchmarks.Bench.[ Train; Novel ]
+        in
+        if fast_sim then
+          Alcotest.(check bool)
+            (Driver.Study.kind_name kind ^ ": the decision tier answered")
+            true
+            ((Driver.Simcache.stats ctx.Driver.Study.sim)
+               .Driver.Simcache.decision_hits > 0);
+        values
+      in
+      let fast = measure ~fast_sim:true and slow = measure ~fast_sim:false in
+      List.iter2
+        (fun (name, f) (_, s) -> check_bits name f s)
+        fast slow)
+    study_cases
 
 (* The compiled-eval golden path: a study context with Evalc on vs off
    (the [--no-compiled-eval] tree-walker reference) must score every
@@ -270,37 +320,65 @@ let test_study_compiled_vs_walk () =
     cases
 
 (* Two different genomes that induce the same compilation decisions must
-   share one simulation (the artifact hit), and a genome whose decisions
-   equal the baseline's scores speedup exactly 1.0 off the baseline's
-   artifact without simulating. *)
+   share one simulation (the artifact hit), the second of them without
+   running the passes after the one under study (the decision hit), and
+   a genome whose decisions equal the baseline's scores speedup exactly
+   1.0 off the baseline's artifact without simulating. *)
 let test_artifact_collision () =
-  let ctx =
-    Driver.Study.create Driver.Study.Hyperblock_study [ "codrle4" ]
+  let stats ctx = Driver.Simcache.stats ctx.Driver.Study.sim in
+  (* Measure [first] then [second] on train; [second] must be a decision
+     hit, hence an artifact hit.  Returns both speedups and the
+     simulation cache's stats with the simulations the pair ran. *)
+  let pair kind bench first second =
+    let ctx =
+      Driver.Study.create_with Driver.Study.default_config kind [ bench ]
+    in
+    let speedup g =
+      Driver.Study.speedup ctx g ~case:0 ~dataset:Benchmarks.Bench.Train
+    in
+    let st = stats ctx in
+    let sims = st.Driver.Simcache.simulations in
+    let s1 = speedup first in
+    let hits = Driver.Simcache.[ st.decision_hits; st.artifact_hits ] in
+    let s2 = speedup second in
+    Alcotest.(check (list int))
+      (Driver.Study.kind_name kind
+     ^ ": the second genome is a decision hit and an artifact hit")
+      (List.map succ hits)
+      Driver.Simcache.[ st.decision_hits; st.artifact_hits ];
+    (s1, s2, st, st.Driver.Simcache.simulations - sims)
   in
-  let parse s =
-    Gp.Expr.Real (Gp.Sexp.parse_real Hyperblock.Features.feature_set s)
-  in
-  let sims_before =
-    (Driver.Simcache.stats ctx.Driver.Study.sim).Driver.Simcache.simulations
+  let real kind s =
+    Gp.Expr.Real (Gp.Sexp.parse_real (Driver.Study.feature_set_of kind) s)
   in
   (* Positive scaling preserves the priority order, hence the decisions,
      hence the artifact. *)
-  let s1 =
-    Driver.Study.speedup ctx (parse "(mul exec_ratio 2.0)") ~case:0
-      ~dataset:Benchmarks.Bench.Train
+  let hb = Driver.Study.Hyperblock_study in
+  let s1, s2, st, sims =
+    pair hb "codrle4"
+      (real hb "(mul exec_ratio 2.0)")
+      (real hb "(mul exec_ratio 4.0)")
   in
-  let s2 =
-    Driver.Study.speedup ctx (parse "(mul exec_ratio 4.0)") ~case:0
-      ~dataset:Benchmarks.Bench.Train
-  in
-  let st = Driver.Simcache.stats ctx.Driver.Study.sim in
   check_bits "same decisions, same fitness" s1 s2;
-  Alcotest.(check bool)
-    "one evaluation counted" true
-    (st.Driver.Simcache.simulations - sims_before <= 1);
+  Alcotest.(check bool) "one evaluation counted" true (sims <= 1);
   Alcotest.(check bool)
     "artifact hits > 0" true
     (st.Driver.Simcache.artifact_hits > 0);
+  let ra = Driver.Study.Regalloc_study in
+  let s1, s2, _, _ =
+    pair ra "huff_enc" (real ra "(mul w uses)")
+      (real ra "(mul (mul w uses) 2.0)")
+  in
+  check_bits "regalloc: same decisions, same fitness" s1 s2;
+  (* The prefetch study's noise is drawn per genome, so only the hit is
+     comparable. *)
+  let pf = Driver.Study.Prefetch_study in
+  let conf =
+    Gp.Sexp.parse_bool (Driver.Study.feature_set_of pf) "(gt trip_estimate 8.0)"
+  in
+  ignore
+    (pair pf "015.doduc" (Gp.Expr.Bool conf)
+       (Gp.Expr.Bool (Gp.Expr.Band (conf, conf))));
   (* Scaling the baseline ranking reproduces the baseline artifact. *)
   let ctx_sched =
     Driver.Study.create Driver.Study.Sched_study [ "codrle4" ]
