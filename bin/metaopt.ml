@@ -160,7 +160,7 @@ let no_fast_sim =
        & info [ "no-fast-sim" ]
            ~doc:"Disable the compile and simulation fast paths (prefix \
                  reuse and the decision tier, artifact-keyed result \
-                 sharing, trace replay, closure-compiled interpreter): \
+                 sharing, cycle summaries, closure-compiled interpreter): \
                  compile every candidate from scratch and measure it with \
                  a fresh reference-engine simulation.  Results are \
                  bit-identical either way; this flag only trades speed for \

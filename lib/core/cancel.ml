@@ -4,9 +4,8 @@
    one is for the task itself to notice the deadline.  A [token] carries
    an absolute wall-clock deadline plus a flag another domain can set;
    the hot loops of the evaluation stack (the interpreter's block loop,
-   trace replay, Evalc's batch chunks, the Eval tree-walker) poll the
-   current token at cheap safepoints and raise [Cancelled] past the
-   deadline.  [Parmap]'s domains supervisor installs one token per task
+   Evalc's batch chunks, the Eval tree-walker) poll the current token at
+   cheap safepoints and raise [Cancelled] past the deadline.  [Parmap]'s domains supervisor installs one token per task
    attempt and maps the exception to a [Timed_out] outcome.
 
    The token is threaded implicitly: the supervisor installs it into

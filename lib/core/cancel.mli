@@ -4,10 +4,10 @@
     are enforced cooperatively: {!Parmap}'s supervisor installs a
     {!token} (atomic flag + absolute wall-clock deadline) around each
     task attempt, the evaluation stack's hot loops poll it at cheap
-    safepoints — the interpreter's block loop, trace replay, [Evalc]'s
-    batch chunks, and the [Eval] tree-walker's fuel counter — and a
-    poll past the deadline raises {!Cancelled}, which the supervisor
-    maps to a [Timed_out] outcome.
+    safepoints — the interpreter's block loop, [Evalc]'s batch chunks,
+    and the [Eval] tree-walker's fuel counter — and a poll past the
+    deadline raises {!Cancelled}, which the supervisor maps to a
+    [Timed_out] outcome.
 
     Outside any supervised task the current token is the shared
     {!never}, whose poll is one atomic load and one float compare; the

@@ -1,5 +1,5 @@
 (* Decision-keyed compilation, artifact-keyed simulation sharing and
-   trace replay.
+   cycle summaries.
 
    Small mutations of a priority function usually make the very same
    decisions and compile to the very same artifact, so most of the
@@ -26,19 +26,17 @@
      artifact equals the baseline's hits the baseline's entry and scores
      speedup exactly 1.0 without simulating.
 
-   - trace replay: the trace key drops the machine config and schedule
-     lengths, i.e. it identifies runs whose dynamic *event stream* is
+   - cycle summaries: the summary key drops the schedule lengths, i.e.
+     it identifies runs whose dynamic *event stream* on one machine is
      provably identical even though their timing differs (the scheduling
      study: pure intra-block permutations that keep every event-emitting
-     instruction in the same relative order).  The second simulation of
-     a trace key records the event stream into a compact int array
-     (Machine.Trace); later artifact misses with the same trace key
-     replay it through a fresh Cache/Predictor as a tight array walk
-     instead of re-interpreting tens of millions of steps.  Replay
-     performs the identical float operations in the identical order, so
-     cycles stay bit-identical.  The first simulation of a key records
-     nothing: most keys are never seen again, and recording costs more
-     than the fused simulation itself (and holds megabytes per trace).
+     instruction in the same relative order).  Every simulation keeps
+     its run's summary — block-entry counts plus the schedule-independent
+     remainder (Simulate.summarize) — and a later artifact miss with the
+     same summary key is answered by a dot product with its schedule
+     lengths (Simulate.retime), exact by construction.  The machine is
+     part of the key because the remainder depends on cache geometry
+     and penalties.
 
    Keys are conservative: any textual difference in the canonical
    program, in the order of event-emitting instructions or in a pass's
@@ -50,23 +48,23 @@
    inherited read-only through fork; worker-side inserts (prefixes and
    decision entries included) die with the worker.  Baselines measured
    by pool children reach the parent as [entry] values ([measure],
-   [adopt]) before the persistent workers fork.  Hit
-   rates drop but results cannot diverge, so bit-identity holds at any
-   -j.
+   [adopt]), summaries included, before the persistent workers fork.
+   Hit rates drop but results cannot diverge, so bit-identity holds at
+   any -j.
 
    In a domains pool the tables are shared memory, so every table and
-   stats access goes through one mutex.  Compilation, simulation and
-   replay run outside the lock; two domains racing on the same key at
-   worst both do the work (deterministically, to the same result) and
-   the second store overwrites the first with an equal value — slower,
-   never divergent.  A reused prefix is only ever copied, never
-   mutated, so domains may copy it concurrently. *)
+   stats access goes through one mutex.  Compilation and simulation run
+   outside the lock; two domains racing on the same key at worst both
+   do the work (deterministically, to the same result) and the second
+   store overwrites the first with an equal value — slower, never
+   divergent.  A reused prefix is only ever copied, never mutated, so
+   domains may copy it concurrently. *)
 
 type stats = {
   mutable artifact_hits : int;
   mutable decision_hits : int;  (* artifact hits keyed by the decision
                                    tier, a subset of [artifact_hits] *)
-  mutable replays : int;
+  mutable replays : int;  (* answers retimed from a stored summary *)
   mutable simulations : int;  (* full interpreter runs *)
 }
 
@@ -83,50 +81,42 @@ type prefix = {
   partial : Compiler.partial;
 }
 
-(* A decision-tier entry: enough to rebuild the trace and artifact keys
+(* A decision-tier entry: enough to rebuild the summary and artifact keys
    of the artifact on any dataset, about a kilobyte. *)
 type decided = { program : string; schedule : int array }
 
+(* One artifact's keys, noise-free result and cycle summary, as the
+   tables hold it. *)
+type entry = {
+  summary_key : string;
+  artifact_key : string;
+  summary : Machine.Simulate.summary;
+  result : Machine.Simulate.result;
+}
+
 type t = {
   enabled : bool;
-  max_artifacts : int;
-  max_traces : int;
-  max_trace_events : int option;  (* None = Trace.default_max_events *)
-  artifacts : (string, Machine.Simulate.result) Hashtbl.t;
-  traces : (string, Machine.Trace.t) Hashtbl.t;
-  mutable trace_order : string list;  (* newest first, for eviction *)
-  seen : (string, unit) Hashtbl.t;  (* trace keys simulated, bounded
-                                       like [artifacts] *)
-  decided : (string, decided) Hashtbl.t;  (* bounded like [artifacts] *)
+  max_artifacts : int;  (* bounds every table below but [prefixes] *)
+  artifacts : (string, entry) Hashtbl.t;
+  summaries : (string, Machine.Simulate.summary) Hashtbl.t;
+  decided : (string, decided) Hashtbl.t;
   prefixes : (string, prefix list) Hashtbl.t;
       (* by bench name, newest first, at most two *)
   mutable prefixes_built : int;  (* the next prefix id *)
   stats : stats;
-  lock : Mutex.t;  (* guards the tables, trace_order, prefixes_built and
-                      stats *)
-}
-
-type entry = {
-  trace_key : string;
-  artifact_key : string;
-  result : Machine.Simulate.result;
+  lock : Mutex.t;  (* guards the tables, prefixes_built and stats *)
 }
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let create ?(enabled = true) ?(max_artifacts = 8192) ?(max_traces = 8)
-    ?max_trace_events () =
+let create ?(enabled = true) ?(max_artifacts = 8192) () =
   {
     enabled;
     max_artifacts;
-    max_traces;
-    max_trace_events;
     artifacts = Hashtbl.create 256;
-    traces = Hashtbl.create 8;
-    trace_order = [];
-    seen = Hashtbl.create 256;
+    summaries = Hashtbl.create 256;
     decided = Hashtbl.create 256;
     prefixes = Hashtbl.create 16;
     prefixes_built = 0;
@@ -145,7 +135,8 @@ let dataset_tag = function
    with each block's instructions sorted by their (scheduling-invariant)
    ids, plus the *actual* order of the event-emitting instructions,
    which the scheduler may legally permute (independent loads) and which
-   replay must therefore discriminate.  Dataset-independent. *)
+   reorders the cache's and predictor's view of the run, so a summary
+   must discriminate it.  Dataset-independent. *)
 let program_digest (prog : Ir.Func.program) : string =
   let buf = Buffer.create 8192 in
   let ppf = Format.formatter_of_buffer buf in
@@ -195,13 +186,15 @@ let trace_key ~bench ~dataset program =
     (Digest.string
        (String.concat "" [ bench; "/"; dataset_tag dataset; "\n"; program ]))
 
-(* Fold the timing-relevant rest on top: machine config and schedule
-   lengths.  Same artifact key => same noise-free simulation result. *)
-let artifact_key ~(machine : Machine.Config.t) (tk : string)
-    (schedule_cycles : int array) : string =
+(* The machine on top: same summary key => same cycle summary. *)
+let summary_key ~(machine : Machine.Config.t) (tk : string) : string =
+  Digest.to_hex (Digest.string (tk ^ Marshal.to_string machine []))
+
+(* The schedule lengths on top of that: same artifact key => same
+   noise-free simulation result. *)
+let artifact_key (sk : string) (schedule_cycles : int array) : string =
   let buf = Buffer.create 512 in
-  Buffer.add_string buf tk;
-  Buffer.add_string buf (Marshal.to_string machine []);
+  Buffer.add_string buf sk;
   Array.iter
     (fun len ->
       Buffer.add_string buf (string_of_int len);
@@ -209,107 +202,72 @@ let artifact_key ~(machine : Machine.Config.t) (tk : string)
     schedule_cycles;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let store_trace t key tr =
-  (* Replaying a truncated event stream would under-count cycles for
-     every later artifact sharing this trace key; an incomplete trace
-     must never enter the table.  [simulate] below only ever passes
-     complete traces (run_traced returns None on overflow) — this guard
-     keeps the invariant local instead of relying on the caller. *)
-  if not (Machine.Trace.complete tr) then
-    invalid_arg "Simcache.store_trace: incomplete trace";
-  if Hashtbl.length t.traces >= t.max_traces then begin
-    match List.rev t.trace_order with
-    | [] -> ()
-    | oldest :: _ ->
-      Hashtbl.remove t.traces oldest;
-      t.trace_order <- List.filter (fun k -> k <> oldest) t.trace_order
-  end;
-  Hashtbl.replace t.traces key tr;
-  t.trace_order <- key :: t.trace_order
-
-let store_artifact t key res =
-  if Hashtbl.length t.artifacts >= t.max_artifacts then
-    (* Crude but bounded: restart the table.  A first sighting records
-       no trace, so a reset baseline artifact is simulated again in
-       full on its next miss. *)
-    Hashtbl.reset t.artifacts;
-  Hashtbl.replace t.artifacts key res
-
-let mark_seen t tk =
-  if Hashtbl.length t.seen >= t.max_artifacts then Hashtbl.reset t.seen;
-  Hashtbl.replace t.seen tk ()
-
-let store_decided t key d =
-  if Hashtbl.length t.decided >= t.max_artifacts then Hashtbl.reset t.decided;
-  Hashtbl.replace t.decided key d
+(* Crude but bounded: a full table restarts. *)
+let store t tbl key v =
+  if Hashtbl.length tbl >= t.max_artifacts then Hashtbl.reset tbl;
+  Hashtbl.replace tbl key v
 
 (* One noise-free measurement on [dataset] of the artifact whose program
    digests to [program] and schedules to [schedule_cycles]: a shared
-   result, else a replay of its trace, else a full simulation of
+   result, else its run's summary retimed, else a full simulation of
    [compiled ()], which is forced only then.  [decided] marks keys the
    decision tier supplied. *)
 let simulate_artifact t ~machine ~dataset (p : Compiler.prepared) ~program
     ~schedule_cycles ~(compiled : unit -> Compiler.compiled) ~decided =
-  let overrides = Benchmarks.Bench.overrides p.Compiler.bench dataset in
-  let tk =
-    trace_key ~bench:p.Compiler.bench.Benchmarks.Bench.name ~dataset program
+  let sk =
+    summary_key ~machine
+      (trace_key ~bench:p.Compiler.bench.Benchmarks.Bench.name ~dataset
+         program)
   in
-  let ak = artifact_key ~machine tk schedule_cycles in
-  (* One locked lookup classifies the call; the expensive work (full
-     simulation or replay) then runs unlocked on the hashed-out values. *)
+  let ak = artifact_key sk schedule_cycles in
+  (* One locked lookup classifies the call; the expensive work then runs
+     unlocked on the hashed-out values. *)
   let hit =
     locked t (fun () ->
         match Hashtbl.find_opt t.artifacts ak with
-        | Some res ->
+        | Some e ->
           t.stats.artifact_hits <- t.stats.artifact_hits + 1;
           if decided then t.stats.decision_hits <- t.stats.decision_hits + 1;
-          `Artifact res
+          `Artifact e
         | None -> (
-          match Hashtbl.find_opt t.traces tk with
-          | Some tr ->
+          match Hashtbl.find_opt t.summaries sk with
+          | Some s ->
             t.stats.replays <- t.stats.replays + 1;
-            `Trace tr
+            `Summary s
           | None ->
             t.stats.simulations <- t.stats.simulations + 1;
-            if Hashtbl.mem t.seen tk then `Record
-            else begin
-              mark_seen t tk;
-              `Simulate
-            end))
+            `Simulate))
   in
-  let res =
-    match hit with
-    | `Artifact res ->
-      Gp.Telemetry.incr "evaluator.artifact_hits";
-      if decided then Gp.Telemetry.incr "evaluator.decision_hits";
-      res
-    | (`Trace _ | `Simulate | `Record) as miss ->
-      let res, tr =
-        match miss with
-        | `Trace tr ->
-          Gp.Telemetry.incr "study.replayed";
-          ( Gp.Telemetry.span "study.replay_s" (fun () ->
-                Machine.Simulate.replay ~config:machine ~schedule_cycles tr),
-            None )
-        | `Simulate ->
-          let c = compiled () in
-          ( Gp.Telemetry.span "study.simulate_s" (fun () ->
-                Machine.Simulate.run ~config:machine ~schedule_cycles
-                  ~overrides c.Compiler.layout),
-            None )
-        | `Record ->
-          let c = compiled () in
-          Gp.Telemetry.span "study.simulate_s" (fun () ->
-              Machine.Simulate.run_traced ~config:machine
-                ?max_trace_events:t.max_trace_events ~schedule_cycles
-                ~overrides c.Compiler.layout)
-      in
-      locked t (fun () ->
-          Option.iter (store_trace t tk) tr;
-          store_artifact t ak res);
-      res
-  in
-  (res, { trace_key = tk; artifact_key = ak; result = res })
+  match hit with
+  | `Artifact e ->
+    Gp.Telemetry.incr "evaluator.artifact_hits";
+    if decided then Gp.Telemetry.incr "evaluator.decision_hits";
+    e
+  | `Summary summary ->
+    Gp.Telemetry.incr "study.replayed";
+    let result =
+      Gp.Telemetry.span "study.replay_s" (fun () ->
+          Machine.Simulate.retime ~schedule_cycles summary)
+    in
+    let e = { summary_key = sk; artifact_key = ak; summary; result } in
+    locked t (fun () -> store t t.artifacts ak e);
+    e
+  | `Simulate ->
+    let c = compiled () in
+    let overrides = Benchmarks.Bench.overrides p.Compiler.bench dataset in
+    let summary, result =
+      Gp.Telemetry.span "study.simulate_s" (fun () ->
+          let s =
+            Machine.Simulate.summarize ~config:machine ~overrides
+              c.Compiler.layout
+          in
+          (s, Machine.Simulate.retime ~schedule_cycles s))
+    in
+    let e = { summary_key = sk; artifact_key = ak; summary; result } in
+    locked t (fun () ->
+        store t t.summaries sk summary;
+        store t t.artifacts ak e);
+    e
 
 (* One noise-free measurement of a compiled artifact, through the fast
    paths when enabled; with [enabled = false] every call is a fresh
@@ -325,14 +283,14 @@ let simulate_entry (t : t) ~(machine : Machine.Config.t)
             c.Compiler.layout),
       None )
   else begin
-    let res, e =
+    let e =
       simulate_artifact t ~machine ~dataset p
         ~program:(program_digest c.Compiler.prog)
         ~schedule_cycles:c.Compiler.schedule_cycles
         ~compiled:(fun () -> c)
         ~decided:false
     in
-    (res, Some e)
+    (e.result, Some e)
   end
 
 let simulate t ~machine ~dataset p c =
@@ -403,7 +361,7 @@ let measure t ?(compiled_eval = true) ~machine ~heuristics ~dataset
           (Digest.string
              (string_of_int pre.id ^ ":" ^ Buffer.contents decisions))
       in
-      let res, e =
+      let e =
         match locked t (fun () -> Hashtbl.find_opt t.decided key) with
         | Some d ->
           simulate_artifact t ~machine ~dataset p ~program:d.program
@@ -418,16 +376,16 @@ let measure t ?(compiled_eval = true) ~machine ~heuristics ~dataset
               ~decided:false
           in
           locked t (fun () ->
-              store_decided t key
+              store t t.decided key
                 { program; schedule = c.Compiler.schedule_cycles });
           measured
       in
-      (res, Some e)
+      (e.result, Some e)
     end
   end
 
 let adopt t (e : entry) =
   if t.enabled then
     locked t (fun () ->
-        store_artifact t e.artifact_key e.result;
-        mark_seen t e.trace_key)
+        store t t.summaries e.summary_key e.summary;
+        store t t.artifacts e.artifact_key e)

@@ -1,5 +1,5 @@
 (** Decision-keyed compilation, artifact-keyed simulation sharing and
-    trace replay.
+    cycle summaries.
 
     Most candidate heuristics make decisions, and compile to artifacts,
     the run has already measured.  {!measure} runs the passes before
@@ -11,13 +11,15 @@
     this cache keys noise-free simulation results on a digest of
     everything cycle-relevant (canonical transformed program,
     event-instruction order, bench + dataset, machine config, schedule
-    lengths) so identical artifacts share one simulation.  A program
-    simulated a second time has its dynamic-event trace recorded, and
-    recent traces are kept, so further artifacts that differ only in
-    schedule lengths (the scheduling study) are re-timed by replaying the
-    event array instead of re-interpreting.  Every path returns
-    bit-identical cycles and checksums to a fresh compile and
-    simulation; noise is never stored — layer
+    lengths) so identical artifacts share one simulation.  Every
+    simulation also keeps its run's cycle summary
+    ({!Machine.Simulate.summarize}) under the same digest minus the
+    schedule lengths, so a further artifact that differs only in
+    schedule lengths (the scheduling study) is answered by
+    {!Machine.Simulate.retime} instead of re-interpreting.  A lookup
+    tries the artifact table, then the summaries, then simulates.  Every
+    path returns bit-identical cycles and checksums to a fresh compile
+    and simulation; noise is never stored — layer
     {!Machine.Simulate.jittered} on top. *)
 
 type stats = {
@@ -26,51 +28,34 @@ type stats = {
       (** artifact hits whose keys came from the decision tier, without
           running the passes after the pass under study; a subset of
           [artifact_hits] *)
-  mutable replays : int;
+  mutable replays : int;  (** answers retimed from a stored summary *)
   mutable simulations : int;  (** full interpreter runs *)
 }
 
 type t
 
 type entry
-(** One artifact's keys and noise-free result, as a table holds it;
-    plain data, so it can cross a process boundary. *)
+(** One artifact's keys, noise-free result and cycle summary, as a table
+    holds it; plain data, so it can cross a process boundary. *)
 
-val create :
-  ?enabled:bool -> ?max_artifacts:int -> ?max_traces:int ->
-  ?max_trace_events:int -> unit -> t
+val create : ?enabled:bool -> ?max_artifacts:int -> unit -> t
 (** [enabled = false] turns every {!measure} into a compile from
     scratch and every {!simulate} into a fresh reference-engine
     simulation — the golden slow path the fast paths are tested against.
-    Table sizes are bounded: artifacts reset at [max_artifacts] (default
-    8192), traces evict oldest-first past [max_traces] (default 8), the
-    set of trace keys simulated once and the decision tier reset at
-    [max_artifacts], and each bench keeps at most two prefixes.
-    [max_trace_events] caps the per-trace event budget (default
-    {!Machine.Trace.default_max_events}); a run that overflows it is
-    still measured exactly but yields no stored trace — incomplete
-    traces never enter the table. *)
+    Table sizes are bounded: the artifacts, the summaries and the
+    decision tier each reset at [max_artifacts] (default 8192), and each
+    bench keeps at most two prefixes. *)
 
 val stats : t -> stats
-
-val artifact_key : machine:Machine.Config.t -> string -> int array -> string
-(** [artifact_key ~machine trace_key schedule_cycles]: the result-sharing
-    key; same key implies the same noise-free simulation result. *)
-
-val store_trace : t -> string -> Machine.Trace.t -> unit
-(** Insert a recorded trace under its trace key, evicting oldest-first
-    past the table bound.  Exposed for tests.
-    @raise Invalid_argument on an incomplete trace — an overflowed event
-    stream must never be replayed. *)
 
 val simulate :
   t -> machine:Machine.Config.t -> dataset:Benchmarks.Bench.dataset ->
   Compiler.prepared -> Compiler.compiled -> Machine.Simulate.result
-(** One noise-free measurement, through artifact sharing, then trace
-    replay, then a full simulation — recording its trace only when the
-    trace key was simulated before.  Telemetry: bumps
-    [evaluator.artifact_hits] / [study.replayed] counters and records
-    [study.simulate_s] / [study.replay_s] spans. *)
+(** One noise-free measurement, through artifact sharing, then a stored
+    summary retimed (counted in [replays]), then a full simulation that
+    stores its summary.  Telemetry: bumps [evaluator.artifact_hits] /
+    [study.replayed] counters and records [study.simulate_s] /
+    [study.replay_s] spans. *)
 
 val measure :
   t -> ?compiled_eval:bool -> machine:Machine.Config.t ->
@@ -86,4 +71,5 @@ val measure :
 val adopt : t -> entry -> unit
 (** Insert an entry measured elsewhere — a forked pool child — as if
     this table had simulated it: later identical artifacts hit it, and
-    its trace key counts as seen once.  A no-op when disabled. *)
+    later schedules of the same program retime its summary.  A no-op
+    when disabled. *)

@@ -192,8 +192,8 @@ let noise_rng_of kind genome case =
     let seed = Hashtbl.hash (genome, case) in
     Some (Random.State.make [| seed |], amp)
 
-(* The compile, simulate and replay spans land in the [study.compile_s] /
-   [study.simulate_s] / [study.replay_s] histograms.  In a supervised
+(* The compile, simulate and summary-answer spans land in the
+   [study.compile_s] / [study.simulate_s] / [study.replay_s] histograms.  In a supervised
    (forked) pool they are recorded in the worker and die with it — the
    parent-side per-task latency from [Gp.Parmap] covers that path
    instead; the sequential path (tests, [-j 1], bench report) gets the
@@ -203,7 +203,7 @@ let noise_rng_of kind genome case =
    passes before the genome's slot run once per bench, a candidate
    making already-seen decisions skips the passes after it,
    artifact-identical compilations share one noise-free measurement, and
-   schedule-only variations replay the recorded event trace.  The noise
+   schedule-only variations retime the first run's cycle summary.  The noise
    jitter is layered on top here, per (genome, case), with the exact
    float operations the direct simulation would perform — so sharing is
    sound under noise and a candidate whose artifact equals the
@@ -514,7 +514,7 @@ let emit_run_summary ~driver ~kind ~benches ~ctx ~elapsed_s ~evaluations
         ("faults_gave_up", Gp.Telemetry.Int f.gave_up);
         ("faults_retried", Gp.Telemetry.Int f.retried);
         (* Where the sequential-path time went: heuristic-dependent
-           compilation vs full simulation vs trace replay, plus the
+           compilation vs full simulation vs summary answers, plus the
            simulation-sharing counters. *)
         ( "compile_s",
           Gp.Telemetry.Float

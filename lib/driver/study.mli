@@ -131,7 +131,7 @@ type context = {
   baseline_novel : (float * int) array;
   eval_train : Evaluator.t;  (** cached batch engine, training dataset *)
   eval_novel : Evaluator.t;  (** cached batch engine, novel dataset *)
-  sim : Simcache.t;  (** shared artifact/trace simulation cache *)
+  sim : Simcache.t;  (** shared artifact/summary simulation cache *)
   remote : remote_handle option;  (** the served connection, if any *)
 }
 
@@ -147,7 +147,7 @@ val create_with : config -> kind -> string list -> context
     ultimately scored 0 without poisoning the persistent cache.
     [fast_sim] (default true) enables the {!Simcache} fast paths —
     prefix reuse and the decision tier in compilation, artifact-keyed
-    result sharing, trace replay, and the closure-compiled interpreter;
+    result sharing, cycle summaries, and the closure-compiled interpreter;
     disabling it compiles every candidate from scratch and routes every
     measurement through a fresh reference-engine simulation.
     [compiled_eval] selects {!Gp.Evalc} bytecode (default) versus the

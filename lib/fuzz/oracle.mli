@@ -1,8 +1,8 @@
 (** The eleven differential oracles.
 
     Each oracle runs one seeded trial of a redundancy the repo's results
-    rest on — fast vs reference interpreter, trace replay vs fresh
-    simulation, cache hit vs recomputation, [Eval] vs
+    rest on — fast vs reference interpreter, retimed cycle summary vs
+    fresh simulation, cache hit vs recomputation, [Eval] vs
     [Eval . Simplify], checkpoint-resume vs straight evolution,
     [Parmap] at one vs many jobs (fork and domains backends),
     [Evalc] compiled bytecode vs the [Eval] tree-walker, a

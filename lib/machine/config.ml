@@ -38,8 +38,9 @@ type t = {
      the call latency the scheduler already embeds in schedule lengths
      (Instr.latency of Call).  0 on every stock machine — setting it
      would double-count — but available to model a deeper call/return
-     bubble. *)
-  call_overhead_cycles : float;
+     bubble.  An int, so every cycle term stays integral and a run's
+     cycles are exact in any order of addition (Simulate.retime). *)
+  call_overhead_cycles : int;
 }
 
 let issue_width c = c.int_units + c.fp_units + c.mem_units + c.branch_units
@@ -64,7 +65,7 @@ let table3 =
     l3 = { size_words = 524288; line_words = 8; assoc = 8; extra_latency = 33 };
     memory_extra_latency = 120;
     prefetch_queue = 3;
-    call_overhead_cycles = 0.0;
+    call_overhead_cycles = 0;
   }
 
 let table3_regalloc = { table3 with name = "table3-32reg"; gpr = 32; fpr = 32 }
@@ -103,7 +104,7 @@ let itanium1 =
       { size_words = 1048576; line_words = 16; assoc = 4; extra_latency = 21 };
     memory_extra_latency = 100;
     prefetch_queue = 3;
-    call_overhead_cycles = 0.0;
+    call_overhead_cycles = 0;
   }
 
 (* A variant of [itanium1] with a smaller L2, used by the prefetching

@@ -27,9 +27,11 @@ type t = {
   memory_extra_latency : int;
   prefetch_queue : int;
       (** outstanding prefetch fills; overflow = drop + backpressure *)
-  call_overhead_cycles : float;
+  call_overhead_cycles : int;
       (** extra cycles per dynamic call, on top of the call latency the
-          scheduler embeds in schedule lengths; 0 on all stock machines *)
+          scheduler embeds in schedule lengths; 0 on all stock machines.
+          Integral, like every other cycle term, so {!Simulate.retime}
+          is exact. *)
 }
 
 val issue_width : t -> int

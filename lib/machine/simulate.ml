@@ -17,10 +17,15 @@
    issue slots and dependence height (schedule lengths), memory latency
    (cache stalls), and control transfer costs (mispredictions).
 
-   [run] instantiates the closure engine with this model fused in; the
-   reference engine, trace recording ([run_traced]) and trace replay
-   ([replay]) drive the same model through an observer.  The event
-   sequence is identical on every path, so cycles are bit-identical.
+   Only the first term depends on the schedule; the rest depends only on
+   the event stream.  [summarize] instantiates the closure engine with
+   this model fused in, counting block entries by uid instead of adding
+   their lengths, and [retime] adds sum(count * length) to the remainder.
+   Every summand is an integer far below 2^53 (which is why
+   [call_overhead_cycles] is an int), so every partial sum is exact and
+   the total does not depend on the order of additions: [retime] equals,
+   bit for bit, the event-order sum the reference engine computes
+   through an observer.
 
    [noise] injects multiplicative measurement noise, used by the
    prefetching study to model a real, non-reproducible machine. *)
@@ -35,6 +40,8 @@ type result = {
   cache : Cache.stats;
 }
 
+type summary = { block_entries : int array; remainder : result }
+
 type engine = [ `Fast | `Reference ]
 
 (* The timing model.  Cycles accumulate in an all-float record, which
@@ -48,31 +55,30 @@ type clock = {
 
 type timing = {
   clock : clock;
-  block_cycles : float array;  (* schedule length by block uid *)
+  entries : int array;  (* block entries by uid *)
   cache : Cache.t;
   predictor : Profile.Predictor.t;
 }
 
-let timing ~(config : Config.t) ~(schedule_cycles : int array) ~n_branch_sites
-    =
+let timing ~(config : Config.t) (layout : Profile.Layout.t) =
   {
     clock =
       {
         cycles = 0.0;
         penalty = float_of_int config.Config.mispredict_penalty;
         redirect = float_of_int config.Config.taken_branch_redirect;
-        call_overhead = config.Config.call_overhead_cycles;
+        call_overhead = float_of_int config.Config.call_overhead_cycles;
       };
-    block_cycles = Array.map float_of_int schedule_cycles;
+    entries = Array.make layout.Profile.Layout.n_blocks 0;
     cache = Cache.create config;
-    predictor = Profile.Predictor.create ~n_sites:n_branch_sites;
+    predictor =
+      Profile.Predictor.create ~n_sites:layout.Profile.Layout.n_branch_sites;
   }
 
 module Timing = struct
   type t = timing
 
-  let block_enter t uid =
-    t.clock.cycles <- t.clock.cycles +. t.block_cycles.(uid)
+  let block_enter t uid = t.entries.(uid) <- t.entries.(uid) + 1
 
   let branch t site taken =
     let c = t.clock in
@@ -98,21 +104,6 @@ end
    to [Cache] and [Predictor]. *)
 module Fused = Profile.Interp.Make (Timing)
 
-(* The same timing model as an observer, for the reference engine,
-   recording and replay. *)
-let timing_observer (t : timing) : Profile.Interp.observer =
-  {
-    Profile.Interp.block_enter = Timing.block_enter t;
-    branch = Timing.branch t;
-    mem =
-      (fun kind addr ->
-        match kind with
-        | Profile.Interp.Mload -> Timing.load t addr
-        | Profile.Interp.Mstore -> Timing.store t addr
-        | Profile.Interp.Mprefetch -> Timing.prefetch t addr);
-    call = Timing.call t;
-  }
-
 let jittered ?noise cycles =
   match noise with
   | None -> cycles
@@ -120,78 +111,63 @@ let jittered ?noise cycles =
     let jitter = 1.0 +. (amplitude *. (Random.State.float rng 2.0 -. 1.0)) in
     cycles *. jitter
 
-let check_lengths ~schedule_cycles (layout : Profile.Layout.t) =
-  if Array.length schedule_cycles < layout.Profile.Layout.n_blocks then
-    invalid_arg "Simulate.run: schedule_cycles too short"
-
-let assemble ?noise (t : timing) ~output ~dynamic_instrs =
+let assemble (t : timing) (res : Profile.Interp.result) =
   {
-    cycles = jittered ?noise t.clock.cycles;
-    output;
-    checksum = Profile.Interp.checksum output;
-    dynamic_instrs;
+    cycles = t.clock.cycles;
+    output = res.Profile.Interp.output;
+    checksum = Profile.Interp.checksum res.Profile.Interp.output;
+    dynamic_instrs = res.Profile.Interp.steps;
     branches = t.predictor.Profile.Predictor.branches;
     mispredicts = t.predictor.Profile.Predictor.mispredicts;
     cache = Cache.stats t.cache;
   }
 
+let summarize ?(fuel = 30_000_000) ?(overrides = []) ~(config : Config.t)
+    (layout : Profile.Layout.t) : summary =
+  let t = timing ~config layout in
+  let res = Fused.run t ~fuel ~overrides layout in
+  { block_entries = t.entries; remainder = assemble t res }
+
+let retime ?noise ~(schedule_cycles : int array) (s : summary) : result =
+  let n = Array.length s.block_entries in
+  if Array.length schedule_cycles < n then
+    invalid_arg "Simulate.retime: schedule_cycles too short";
+  let blocks = ref 0 in
+  for uid = 0 to n - 1 do
+    blocks := !blocks + (s.block_entries.(uid) * schedule_cycles.(uid))
+  done;
+  let r = s.remainder in
+  { r with cycles = jittered ?noise (r.cycles +. float_of_int !blocks) }
+
+(* The reference engine drives the same model through an observer,
+   adding each block's length as it is entered. *)
+let reference ~fuel ~overrides ~config ~schedule_cycles layout =
+  let t = timing ~config layout in
+  let c = t.clock and lengths = Array.map float_of_int schedule_cycles in
+  let observer =
+    {
+      Profile.Interp.block_enter =
+        (fun uid -> c.cycles <- c.cycles +. lengths.(uid));
+      branch = Timing.branch t;
+      mem =
+        (fun kind addr ->
+          match kind with
+          | Profile.Interp.Mload -> Timing.load t addr
+          | Profile.Interp.Mstore -> Timing.store t addr
+          | Profile.Interp.Mprefetch -> Timing.prefetch t addr);
+      call = Timing.call t;
+    }
+  in
+  assemble t (Profile.Interp.run_reference ~observer ~fuel ~overrides layout)
+
 let run ?(engine = `Fast) ?(fuel = 30_000_000) ?(overrides = []) ?noise
     ~(config : Config.t) ~(schedule_cycles : int array)
     (layout : Profile.Layout.t) : result =
-  check_lengths ~schedule_cycles layout;
-  let t =
-    timing ~config ~schedule_cycles
-      ~n_branch_sites:layout.Profile.Layout.n_branch_sites
-  in
-  let res =
-    match engine with
-    | `Fast -> Fused.run t ~fuel ~overrides layout
-    | `Reference ->
-      Profile.Interp.run_reference ~observer:(timing_observer t) ~fuel
-        ~overrides layout
-  in
-  assemble ?noise t ~output:res.Profile.Interp.output
-    ~dynamic_instrs:res.Profile.Interp.steps
-
-(* Simulate and record the dynamic event stream.  Returns the noise-free
-   result plus the trace when it fit the event budget; the recording
-   wrapper forwards events unchanged, so the result is bit-identical to
-   [run] without noise. *)
-let run_traced ?(fuel = 30_000_000) ?(overrides = []) ?max_trace_events
-    ~(config : Config.t) ~(schedule_cycles : int array)
-    (layout : Profile.Layout.t) : result * Trace.t option =
-  check_lengths ~schedule_cycles layout;
-  let t =
-    timing ~config ~schedule_cycles
-      ~n_branch_sites:layout.Profile.Layout.n_branch_sites
-  in
-  let tr =
-    Trace.create ?max_events:max_trace_events
-      ~n_blocks:layout.Profile.Layout.n_blocks
-      ~n_branch_sites:layout.Profile.Layout.n_branch_sites ()
-  in
-  let observer = Trace.recording_observer tr (timing_observer t) in
-  let res = Profile.Interp.run ~observer ~fuel ~overrides layout in
-  Trace.finish tr res;
-  let result =
-    assemble t ~output:res.Profile.Interp.output
-      ~dynamic_instrs:res.Profile.Interp.steps
-  in
-  (result, if Trace.complete tr then Some tr else None)
-
-(* Re-time a recorded run under (possibly different) schedule lengths by
-   walking the event array instead of re-interpreting.  Noise-free. *)
-let replay ~(config : Config.t) ~(schedule_cycles : int array) (tr : Trace.t) :
-    result =
-  (* An overflowed recording is a prefix of the run: re-timing it would
-     silently under-count cycles, so reject it up front (Trace.replay
-     would also raise, but only after cache/predictor setup). *)
-  if not (Trace.complete tr) then
-    invalid_arg "Simulate.replay: incomplete trace (event budget overflowed)";
-  if Array.length schedule_cycles < tr.Trace.n_blocks then
-    invalid_arg "Simulate.replay: schedule_cycles too short";
-  let t =
-    timing ~config ~schedule_cycles ~n_branch_sites:tr.Trace.n_branch_sites
-  in
-  Trace.replay tr (timing_observer t);
-  assemble t ~output:tr.Trace.output ~dynamic_instrs:tr.Trace.steps
+  if Array.length schedule_cycles < layout.Profile.Layout.n_blocks then
+    invalid_arg "Simulate.run: schedule_cycles too short";
+  match engine with
+  | `Fast ->
+    retime ?noise ~schedule_cycles (summarize ~fuel ~overrides ~config layout)
+  | `Reference ->
+    let r = reference ~fuel ~overrides ~config ~schedule_cycles layout in
+    { r with cycles = jittered ?noise r.cycles }

@@ -11,9 +11,12 @@
            + [config.call_overhead_cycles] per dynamic call (0 on stock
              machines: call latency is already in schedule lengths).
 
-    The same timing model can also consume a recorded event trace
-    ({!replay}); the event sequence is identical, so cycles are
-    bit-identical to re-interpreting.
+    Only the first term depends on the schedule.  A run's block-entry
+    counts and the schedule-independent remainder (a {!summary}) fix its
+    cycles under any schedule lengths ({!retime}).  Every term is an
+    integer far below 2^53, so the sum is exact in any order and
+    [retime (summarize ...)] is bit-identical to the reference engine's
+    event-order sum.
 
     [noise] injects multiplicative measurement noise, modelling the real,
     non-reproducible Itanium of the paper's prefetching study. *)
@@ -28,10 +31,20 @@ type result = {
   cache : Cache.stats;
 }
 
+type summary = {
+  block_entries : int array;  (** entries per block uid *)
+  remainder : result;
+      (** the noise-free result with [cycles] holding every term but the
+          schedule lengths; the rest does not depend on the schedule *)
+}
+(** A run, minus its schedule: plain data, so it can cross a process
+    boundary. *)
+
 type engine = [ `Fast | `Reference ]
-(** [`Fast] runs the closure engine with the timing model fused in,
-    [`Reference] the tree-walker through a timing observer; both produce
-    bit-identical results. *)
+(** [`Fast] runs the closure engine with the timing model fused in
+    ([retime] of [summarize]), [`Reference] the tree-walker through a
+    timing observer that adds each block's length as it is entered; both
+    produce bit-identical results. *)
 
 val jittered : ?noise:Random.State.t * float -> float -> float
 (** Apply the multiplicative measurement-noise model to a cycle count;
@@ -47,17 +60,16 @@ val run :
     its VLIW schedule length.
     @raise Invalid_argument if the array is too short. *)
 
-val run_traced :
-  ?fuel:int -> ?overrides:(string * float array) list ->
-  ?max_trace_events:int -> config:Config.t -> schedule_cycles:int array ->
-  Profile.Layout.t -> result * Trace.t option
-(** Simulate (noise-free, closure engine) while recording the dynamic
-    event stream.  Returns the trace unless it outgrew [max_trace_events]
-    (default {!Trace.default_max_events}). *)
+val summarize :
+  ?fuel:int -> ?overrides:(string * float array) list -> config:Config.t ->
+  Profile.Layout.t -> summary
+(** Run the closure engine once, counting block entries instead of
+    adding schedule lengths. *)
 
-val replay :
-  config:Config.t -> schedule_cycles:int array -> Trace.t -> result
-(** Re-time a recorded run under (possibly different) schedule lengths by
-    walking the event array; bit-identical to the simulation that would
-    have recorded the same events.  Noise-free.
-    @raise Invalid_argument if the array is too short for the trace. *)
+val retime :
+  ?noise:Random.State.t * float -> schedule_cycles:int array -> summary ->
+  result
+(** The run's result under [schedule_cycles]: the remainder plus the sum
+    of entries times length over block uids, then [noise]; equal to
+    {!run} under the same lengths.
+    @raise Invalid_argument if the array is too short. *)

@@ -1,10 +1,10 @@
 (* Golden equivalence suite for the simulation fast paths.
 
    The invariant under test: the closure-compiled engine (fused with the
-   timing model or driving an observer), trace replay and artifact-keyed
-   result sharing produce bit-identical cycles, checksums, dynamic
-   counts and event streams to the reference tree-walking interpreter,
-   across all four studies. *)
+   timing model or driving an observer), retimed cycle summaries and
+   artifact-keyed result sharing produce bit-identical cycles,
+   checksums, dynamic counts, cache statistics and event streams to the
+   reference tree-walking interpreter, across all four studies. *)
 
 let check_bits name a b =
   Alcotest.(check int64) name (Int64.bits_of_float a) (Int64.bits_of_float b)
@@ -27,7 +27,11 @@ let check_result name (a : Machine.Simulate.result)
     a.Machine.Simulate.mispredicts b.Machine.Simulate.mispredicts;
   Alcotest.(check (list (float 0.0)))
     (name ^ ": output")
-    a.Machine.Simulate.output b.Machine.Simulate.output
+    a.Machine.Simulate.output b.Machine.Simulate.output;
+  Alcotest.(check bool)
+    (name ^ ": cache stats")
+    true
+    (a.Machine.Simulate.cache = b.Machine.Simulate.cache)
 
 (* Study kind -> (benches, machine, opt config) exactly as Study.create
    wires them. *)
@@ -55,15 +59,33 @@ let compile_for kind prepared =
   (machine, Driver.Compiler.compile ~machine ~heuristics prepared)
 
 (* An engine's observer-mode run: its outcome and every event it
-   reported, in order, packed as a trace packs them. *)
+   reported, in order, one int per event with a tag in the low three
+   bits. *)
 let event_stream run ?fuel ~overrides (layout : Profile.Layout.t) =
-  let tr =
-    Machine.Trace.create ~max_events:max_int
-      ~n_blocks:layout.Profile.Layout.n_blocks
-      ~n_branch_sites:layout.Profile.Layout.n_branch_sites ()
+  let events = ref (Array.make 4096 0) and n = ref 0 in
+  let push tag v =
+    if !n = Array.length !events then begin
+      let grown = Array.make (2 * !n) 0 in
+      Array.blit !events 0 grown 0 !n;
+      events := grown
+    end;
+    !events.(!n) <- (v lsl 3) lor tag;
+    incr n
   in
   let observer =
-    Machine.Trace.recording_observer tr Profile.Interp.null_observer
+    {
+      Profile.Interp.block_enter = push 0;
+      branch = (fun site taken -> push (if taken then 2 else 1) site);
+      mem =
+        (fun kind addr ->
+          push
+            (match kind with
+            | Profile.Interp.Mload -> 3
+            | Profile.Interp.Mstore -> 4
+            | Profile.Interp.Mprefetch -> 5)
+            addr);
+      call = push 6;
+    }
   in
   let outcome =
     match run ~observer ?fuel ~overrides layout with
@@ -74,7 +96,7 @@ let event_stream run ?fuel ~overrides (layout : Profile.Layout.t) =
           r.Profile.Interp.steps )
     | exception e -> Error (Printexc.to_string e)
   in
-  (outcome, Array.sub tr.Machine.Trace.events 0 tr.Machine.Trace.n)
+  (outcome, Array.sub !events 0 !n)
 
 let check_streams name (o1, e1) (o2, e2) =
   Alcotest.(check bool) (name ^ ": same outcome") true (o1 = o2);
@@ -164,46 +186,53 @@ let test_fast_engine_out_of_fuel () =
   sweep "072.sc" ~crosses:(fun _ seen ->
       { Profile.Interp.null_observer with Profile.Interp.call = (fun _ -> seen ()) })
 
-(* Replaying a recorded trace reproduces the simulation bit-for-bit, both
-   under the recorded schedule lengths and under perturbed ones (the
-   sched-study situation: same events, different timing). *)
-let test_replay_equivalence () =
+(* A run's cycle summary retimed reproduces the reference engine's
+   event-order sum bit for bit, under the compiled schedule lengths and
+   under perturbed ones (the sched-study situation: same events,
+   different timing): +1 per block and a seeded random perturbation. *)
+let test_summary_equivalence () =
+  let rng = Random.State.make [| 0x5d3 |] in
   List.iter
     (fun (kind, benches) ->
-      let bench = List.hd benches in
-      let p = prepare_for kind bench in
-      let machine, c = compile_for kind p in
-      let overrides =
-        Benchmarks.Bench.overrides p.Driver.Compiler.bench
-          Benchmarks.Bench.Train
-      in
-      let res, tr =
-        Machine.Simulate.run_traced ~config:machine
-          ~schedule_cycles:c.Driver.Compiler.schedule_cycles ~overrides
-          c.Driver.Compiler.layout
-      in
-      let tr =
-        match tr with
-        | Some tr -> tr
-        | None -> Alcotest.fail "trace did not fit the event budget"
-      in
-      let name = Driver.Study.kind_name kind in
-      check_result (name ^ ": traced = plain")
-        (Machine.Simulate.run ~config:machine
-           ~schedule_cycles:c.Driver.Compiler.schedule_cycles ~overrides
-           c.Driver.Compiler.layout)
-        res;
-      check_result (name ^ ": replay same lengths")
-        (Machine.Simulate.replay ~config:machine
-           ~schedule_cycles:c.Driver.Compiler.schedule_cycles tr)
-        res;
-      let perturbed =
-        Array.map (fun l -> l + 1) c.Driver.Compiler.schedule_cycles
-      in
-      check_result (name ^ ": replay perturbed lengths")
-        (Machine.Simulate.replay ~config:machine ~schedule_cycles:perturbed tr)
-        (Machine.Simulate.run ~config:machine ~schedule_cycles:perturbed
-           ~overrides c.Driver.Compiler.layout))
+      List.iter
+        (fun bench ->
+          let p = prepare_for kind bench in
+          let machine, c = compile_for kind p in
+          let compiled = c.Driver.Compiler.schedule_cycles in
+          let schedules =
+            [
+              ("compiled", compiled);
+              ("+1", Array.map succ compiled);
+              ( "random",
+                Array.map
+                  (fun l -> max 1 (l + Random.State.int rng 7 - 3))
+                  compiled );
+            ]
+          in
+          List.iter
+            (fun dataset ->
+              let overrides =
+                Benchmarks.Bench.overrides p.Driver.Compiler.bench dataset
+              in
+              let summary =
+                Machine.Simulate.summarize ~config:machine ~overrides
+                  c.Driver.Compiler.layout
+              in
+              List.iter
+                (fun (tag, schedule_cycles) ->
+                  check_result
+                    (Printf.sprintf "%s/%s/%s %s schedule"
+                       (Driver.Study.kind_name kind) bench
+                       (match dataset with
+                       | Benchmarks.Bench.Train -> "train"
+                       | Benchmarks.Bench.Novel -> "novel")
+                       tag)
+                    (Machine.Simulate.retime ~schedule_cycles summary)
+                    (Machine.Simulate.run ~engine:`Reference ~config:machine
+                       ~schedule_cycles ~overrides c.Driver.Compiler.layout))
+                schedules)
+            Benchmarks.Bench.[ Train; Novel ])
+        benches)
     study_cases
 
 (* Each study's golden genomes: the baseline, other candidates, and a
@@ -390,11 +419,11 @@ let test_artifact_collision () =
   in
   check_bits "baseline-equal artifact scores exactly 1.0" 1.0 s_lwd
 
-(* The recording rule: the first sighting of a trace key simulates
-   without recording, a second schedule of the same program (same trace
-   key, new schedule lengths) records, and a third replays — each answer
-   bit-identical to a fresh simulation. *)
-let test_simcache_records_second_sighting () =
+(* A known trace key under a new schedule is answered from its stored
+   summary from its second sighting on, a repeated schedule from the
+   artifact table, and the same program on another machine by a fresh
+   simulation — each answer bit-identical to a fresh simulation. *)
+let test_simcache_retimes_known_key () =
   let kind = Driver.Study.Sched_study in
   let p = prepare_for kind "codrle4" in
   let machine, c1 = compile_for kind p in
@@ -409,7 +438,7 @@ let test_simcache_records_second_sighting () =
   let st = Driver.Simcache.stats sim in
   let dataset = Benchmarks.Bench.Train in
   let overrides = Benchmarks.Bench.overrides p.Driver.Compiler.bench dataset in
-  let step name c ~simulations ~replays ~hits =
+  let step ?(machine = machine) name c ~simulations ~replays ~hits =
     let cached = Driver.Simcache.simulate sim ~machine ~dataset p c in
     check_result name cached
       (Machine.Simulate.run ~config:machine
@@ -422,12 +451,16 @@ let test_simcache_records_second_sighting () =
   in
   step "first sighting" c1 ~simulations:1 ~replays:0 ~hits:0;
   step "same artifact" c1 ~simulations:1 ~replays:0 ~hits:1;
-  step "second schedule records" (reschedule 1) ~simulations:2 ~replays:0
+  step "second schedule retimes" (reschedule 1) ~simulations:1 ~replays:1
     ~hits:1;
-  step "third schedule replays" (reschedule 2) ~simulations:2 ~replays:1
+  step "third schedule retimes" (reschedule 2) ~simulations:1 ~replays:2
     ~hits:1;
-  step "fourth schedule replays" (reschedule 3) ~simulations:2 ~replays:2
-    ~hits:1
+  step "second schedule again" (reschedule 1) ~simulations:1 ~replays:2
+    ~hits:2;
+  (* The remainder depends on cache geometry and penalties, so another
+     machine never retimes this machine's summary. *)
+  step "another machine simulates" ~machine:Machine.Config.itanium1 c1
+    ~simulations:2 ~replays:2 ~hits:2
 
 (* At --backend fork -jN the baselines run in pool children; their
    artifacts must still reach the parent's table, so a candidate that
@@ -460,7 +493,27 @@ let test_fork_baselines_reach_parent () =
         Alcotest.(check int)
           "no simulation in the parent" sims st.Driver.Simcache.simulations;
         Alcotest.(check int)
-          "four artifact hits" (hits + 4) st.Driver.Simcache.artifact_hits)
+          "four artifact hits" (hits + 4) st.Driver.Simcache.artifact_hits;
+        (* The adopted entries carry their summaries: a baseline
+           artifact under new schedule lengths is retimed, not
+           simulated. *)
+        let p = ctx.Driver.Study.prepared.(0) in
+        let machine, c = compile_for Driver.Study.Sched_study p in
+        let c =
+          {
+            c with
+            Driver.Compiler.schedule_cycles =
+              Array.map succ c.Driver.Compiler.schedule_cycles;
+          }
+        in
+        let replays = st.Driver.Simcache.replays in
+        ignore
+          (Driver.Simcache.simulate ctx.Driver.Study.sim ~machine
+             ~dataset:Benchmarks.Bench.Train p c);
+        Alcotest.(check (list int))
+          "a rescheduled baseline is retimed: simulations, replays"
+          [ sims; replays + 1 ]
+          Driver.Simcache.[ st.simulations; st.replays ])
   end
 
 (* The uid-indexed scheduler output equals the (fname, label) hashtable
@@ -484,40 +537,44 @@ let test_uid_schedule_lengths () =
         arr.(uid))
     layout.Profile.Layout.block_name
 
-(* call_overhead_cycles charges exactly once per dynamic call, in both
-   live simulation and replay. *)
+(* call_overhead_cycles charges exactly once per dynamic call, in the
+   fused, reference and summary paths alike. *)
 let test_call_overhead () =
   let p = prepare_for Driver.Study.Hyperblock_study "072.sc" in
   let machine, c = compile_for Driver.Study.Hyperblock_study p in
   let overrides =
     Benchmarks.Bench.overrides p.Driver.Compiler.bench Benchmarks.Bench.Train
   in
-  let res, tr =
-    Machine.Simulate.run_traced ~config:machine
-      ~schedule_cycles:c.Driver.Compiler.schedule_cycles ~overrides
-      c.Driver.Compiler.layout
+  let layout = c.Driver.Compiler.layout
+  and schedule_cycles = c.Driver.Compiler.schedule_cycles in
+  let calls = ref 0 in
+  ignore
+    (Profile.Interp.run ~overrides
+       ~observer:
+         { Profile.Interp.null_observer with call = (fun _ -> incr calls) }
+       layout);
+  Alcotest.(check bool) "benchmark performs calls" true (!calls > 0);
+  let base =
+    Machine.Simulate.run ~config:machine ~schedule_cycles ~overrides layout
   in
-  let tr = Option.get tr in
-  let calls = Machine.Trace.calls tr in
-  Alcotest.(check bool) "benchmark performs calls" true (calls > 0);
-  let costly =
-    { machine with Machine.Config.call_overhead_cycles = 5.0 }
+  let costly = { machine with Machine.Config.call_overhead_cycles = 5 } in
+  let run engine =
+    Machine.Simulate.run ~engine ~config:costly ~schedule_cycles ~overrides
+      layout
   in
   (* Integer-valued cycle arithmetic stays exact, so the overhead adds up
      to precisely 5 * calls no matter where it lands in the sum. *)
-  let live =
-    Machine.Simulate.run ~config:costly
-      ~schedule_cycles:c.Driver.Compiler.schedule_cycles ~overrides
-      c.Driver.Compiler.layout
-  in
+  let live = run `Fast in
   check_bits "live overhead = base + 5*calls"
-    (res.Machine.Simulate.cycles +. (5.0 *. float_of_int calls))
+    (base.Machine.Simulate.cycles +. (5.0 *. float_of_int !calls))
     live.Machine.Simulate.cycles;
-  let replayed =
-    Machine.Simulate.replay ~config:costly
-      ~schedule_cycles:c.Driver.Compiler.schedule_cycles tr
+  let retimed =
+    Machine.Simulate.retime ~schedule_cycles
+      (Machine.Simulate.summarize ~config:costly ~overrides layout)
   in
-  check_result "replay matches live under overhead" live replayed
+  check_result "retimed summary = fused run under overhead" live retimed;
+  check_result "retimed summary = reference run under overhead"
+    (run `Reference) retimed
 
 let suite =
   [
@@ -525,16 +582,16 @@ let suite =
       test_fast_engine_equivalence;
     Alcotest.test_case "fast engine fuel accounting" `Quick
       test_fast_engine_out_of_fuel;
-    Alcotest.test_case "trace replay bit-identical" `Slow
-      test_replay_equivalence;
+    Alcotest.test_case "cycle summaries bit-identical" `Slow
+      test_summary_equivalence;
     Alcotest.test_case "study results identical fast vs slow" `Slow
       test_study_fast_vs_slow;
     Alcotest.test_case "study results identical compiled vs walk" `Slow
       test_study_compiled_vs_walk;
     Alcotest.test_case "artifact collision shares one simulation" `Slow
       test_artifact_collision;
-    Alcotest.test_case "simcache records on the second sighting" `Slow
-      test_simcache_records_second_sighting;
+    Alcotest.test_case "simcache retimes a known trace key" `Slow
+      test_simcache_retimes_known_key;
     Alcotest.test_case "fork baselines reach the parent's simcache" `Slow
       test_fork_baselines_reach_parent;
     Alcotest.test_case "uid-indexed schedule lengths" `Quick

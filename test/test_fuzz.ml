@@ -1,6 +1,6 @@
 (* The fuzzing subsystem's own tests, plus the regression tests for the
-   engine-equivalence soft spots the fuzzer targets: trace-overflow
-   handling, evaluator disk-cache hygiene, and the
+   engine-equivalence soft spots the fuzzer targets: partial runs in the
+   simulation cache, evaluator disk-cache hygiene, and the
    [Eval = Eval . Simplify = Evalc] property at scale. *)
 
 let bits = Int64.bits_of_float
@@ -78,27 +78,7 @@ let test_campaign_summary () =
   Alcotest.(check bool) "summary renders" true
     (String.length (Fuzz.to_string s) > 0)
 
-(* --- satellite: trace overflow never accepted ---------------------------- *)
-
-let compiled_probe () =
-  (* a program long enough that a 64-event budget overflows *)
-  let p = Fuzz.Minic_gen.generate 0 in
-  let bench =
-    {
-      Benchmarks.Bench.name = "trace-overflow-probe";
-      suite = Benchmarks.Bench.Misc;
-      fp = true;
-      description = "";
-      source = Fuzz.Minic_gen.source p;
-      train = p.Fuzz.Minic_gen.train;
-      novel = p.Fuzz.Minic_gen.novel;
-    }
-  in
-  let machine = Machine.Config.table3 in
-  let prepared = Driver.Compiler.prepare bench in
-  let heuristics = Driver.Compiler.baseline () in
-  let c = Driver.Compiler.compile ~machine ~heuristics prepared in
-  (bench, machine, prepared, c)
+(* --- satellite: partial runs never answer later queries --------------- *)
 
 let sim_sig (r : Machine.Simulate.result) =
   ( bits r.Machine.Simulate.cycles,
@@ -106,64 +86,71 @@ let sim_sig (r : Machine.Simulate.result) =
     r.Machine.Simulate.checksum,
     r.Machine.Simulate.dynamic_instrs )
 
-let test_trace_overflow_rejected () =
-  let bench, machine, prepared, c = compiled_probe () in
-  let overrides = Benchmarks.Bench.overrides bench Benchmarks.Bench.Train in
-  let sched = c.Driver.Compiler.schedule_cycles in
-  let layout = c.Driver.Compiler.layout in
-  (* overflowing budget: exact result, no trace *)
-  let res, tr =
-    Machine.Simulate.run_traced ~overrides ~max_trace_events:4 ~config:machine
-      ~schedule_cycles:sched layout
+(* A run cut short must leave nothing a later query could be answered
+   from, and an evicting cache must answer like a fresh simulation.
+   codrle4 runs past one cancellation poll interval, so a cancelled run
+   really stops part-way. *)
+let test_partial_runs_never_answer () =
+  let prepared = Driver.Compiler.prepare (Benchmarks.Registry.find "codrle4") in
+  let machine = Machine.Config.table3 in
+  let c =
+    Driver.Compiler.compile ~machine
+      ~heuristics:(Driver.Compiler.baseline ())
+      prepared
   in
-  Alcotest.(check bool) "overflowed run yields no trace" true (tr = None);
-  let fresh =
-    Machine.Simulate.run ~engine:`Fast ~overrides ~config:machine
-      ~schedule_cycles:sched layout
+  let dataset = Benchmarks.Bench.Train in
+  let overrides =
+    Benchmarks.Bench.overrides prepared.Driver.Compiler.bench dataset
   in
-  Alcotest.(check bool) "overflowed run still measured exactly" true
-    (sim_sig res = sim_sig fresh);
-  (* an incomplete trace object is rejected by replay and by the cache *)
-  let incomplete =
-    Machine.Trace.create ~max_events:4
-      ~n_blocks:(Array.length sched)
-      ~n_branch_sites:1 ()
+  let reschedule k =
+    {
+      c with
+      Driver.Compiler.schedule_cycles =
+        Array.map (fun l -> l + k) c.Driver.Compiler.schedule_cycles;
+    }
   in
-  Alcotest.check_raises "replay rejects incomplete trace"
-    (Invalid_argument
-       "Simulate.replay: incomplete trace (event budget overflowed)")
+  let check name sim k =
+    let ck = reschedule k in
+    Alcotest.(check bool) name true
+      (sim_sig (Driver.Simcache.simulate sim ~machine ~dataset prepared ck)
+      = sim_sig
+          (Machine.Simulate.run ~overrides ~config:machine
+             ~schedule_cycles:ck.Driver.Compiler.schedule_cycles
+             ck.Driver.Compiler.layout))
+  in
+  let blocks = ref 0 in
+  ignore
+    (Profile.Interp.run ~overrides
+       ~observer:
+         {
+           Profile.Interp.null_observer with
+           block_enter = (fun _ -> incr blocks);
+         }
+       c.Driver.Compiler.layout);
+  Alcotest.(check bool) "the run outlasts one poll interval" true
+    (!blocks > Gp.Cancel.poll_interval);
+  let sim = Driver.Simcache.create () in
+  let tok = Gp.Cancel.create () in
+  Gp.Cancel.cancel tok;
+  Alcotest.check_raises "a cancelled simulation raises" Gp.Cancel.Cancelled
     (fun () ->
-      ignore
-        (Machine.Simulate.replay ~config:machine ~schedule_cycles:sched
-           incomplete));
-  (match
-     Driver.Simcache.store_trace (Driver.Simcache.create ()) "key" incomplete
-   with
-  | () -> Alcotest.fail "store_trace accepted an incomplete trace"
-  | exception Invalid_argument _ -> ());
-  (* a cache forced into overflow still answers bit-identically, serving
-     fresh simulations instead of replays: three schedules of one program
-     share a trace key, so the second records (and overflows) and the
-     third would replay a stored trace *)
-  let sim = Driver.Simcache.create ~max_trace_events:4 () in
-  List.iter
-    (fun k ->
-      let schedule_cycles = Array.map (fun l -> l + k) sched in
-      let cached =
-        Driver.Simcache.simulate sim ~machine ~dataset:Benchmarks.Bench.Train
-          prepared
-          { c with Driver.Compiler.schedule_cycles }
-      in
-      let fresh =
-        Machine.Simulate.run ~overrides ~config:machine ~schedule_cycles layout
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "overflowing cache, schedule %d exact" k)
-        true
-        (sim_sig cached = sim_sig fresh))
-    [ 0; 1; 2 ];
-  Alcotest.(check int) "no trace replays happened" 0
-    (Driver.Simcache.stats sim).Driver.Simcache.replays
+      Gp.Cancel.with_token tok (fun () ->
+          ignore (Driver.Simcache.simulate sim ~machine ~dataset prepared c)));
+  check "after a cancelled run, the next schedule is exact" sim 1;
+  let st = Driver.Simcache.stats sim in
+  Alcotest.(check (list int))
+    "no summary survived the cancelled run: simulations, replays"
+    [ 2; 0 ]
+    Driver.Simcache.[ st.simulations; st.replays ];
+  let tiny = Driver.Simcache.create ~max_artifacts:1 () in
+  List.iteri
+    (fun i k ->
+      check (Printf.sprintf "evicting cache, query %d exact" i) tiny k)
+    [ 0; 1; 2; 1 ];
+  let st = Driver.Simcache.stats tiny in
+  Alcotest.(check (list int))
+    "the summary outlives evicted artifacts: simulations, replays" [ 1; 3 ]
+    Driver.Simcache.[ st.simulations; st.replays ]
 
 (* --- satellite: evaluator disk cache vs non-finite values ---------------- *)
 
@@ -295,8 +282,8 @@ let suite =
     Alcotest.test_case "all oracles pass on seeds 0-2" `Slow
       test_oracles_pass_on_seeds;
     Alcotest.test_case "campaign summary" `Quick test_campaign_summary;
-    Alcotest.test_case "overflowed traces never accepted" `Quick
-      test_trace_overflow_rejected;
+    Alcotest.test_case "partial runs never answer queries" `Quick
+      test_partial_runs_never_answer;
     Alcotest.test_case "evaluator non-finite round-trip" `Quick
       test_evaluator_nonfinite_roundtrip;
     Alcotest.test_case "eval = simplify = evalc on 1000 genomes" `Quick
