@@ -37,6 +37,10 @@ let params =
 
 let jobs = env_int "METAOPT_JOBS" 1
 
+(* The run configuration the figures share: GP scale and worker count
+   from the environment, everything else at the study defaults. *)
+let config = { Driver.Study.default_config with Driver.Study.params; jobs }
+
 let hr title =
   Fmt.pr "@.%s@.%s@." title (String.make (String.length title) '=')
 
@@ -70,7 +74,7 @@ let print_history title history =
 let specialization_figure kind benches =
   List.map
     (fun bench ->
-      let r = Driver.Study.specialize ~params ~jobs kind bench in
+      let r = Driver.Study.specialize_with config kind bench in
       Fmt.pr "%-16s %10.3f %10.3f   %s@." bench r.Driver.Study.train_speedup
         r.Driver.Study.novel_speedup
         (if String.length r.Driver.Study.best_expr > 48 then
@@ -82,15 +86,15 @@ let specialization_figure kind benches =
 (* Shared general-purpose runs: Figures 6-8, 11-12, 15-16 reuse the DSS
    evolutions. *)
 let general_hb = lazy
-  (Driver.Study.evolve_general ~params ~jobs Driver.Study.Hyperblock_study
+  (Driver.Study.evolve_general_with config Driver.Study.Hyperblock_study
      Benchmarks.Registry.hyperblock_train)
 
 let general_ra = lazy
-  (Driver.Study.evolve_general ~params ~jobs Driver.Study.Regalloc_study
+  (Driver.Study.evolve_general_with config Driver.Study.Regalloc_study
      Benchmarks.Registry.regalloc_train)
 
 let general_pf = lazy
-  (Driver.Study.evolve_general ~params ~jobs Driver.Study.Prefetch_study
+  (Driver.Study.evolve_general_with config Driver.Study.Prefetch_study
      Benchmarks.Registry.prefetch_train)
 
 (* ------------------------------------------------------------------ *)
@@ -109,8 +113,10 @@ let fig5 () =
   Fmt.pr
     "paper shape: a big early jump, then a plateau; random initial@.\
      expressions already beat the baseline@.@.";
-  let r = Driver.Study.specialize ~params ~jobs Driver.Study.Hyperblock_study
-      "rawcaudio" in
+  let r =
+    Driver.Study.specialize_with config Driver.Study.Hyperblock_study
+      "rawcaudio"
+  in
   print_history "rawcaudio:" r.Driver.Study.history
 
 let fig6 () =
@@ -124,7 +130,7 @@ let fig7 () =
   Fmt.pr "paper: avg 1.09; a few benchmarks slightly below 1.0@.@.";
   let g = Lazy.force general_hb in
   let rows =
-    Driver.Study.cross_validate ~jobs Driver.Study.Hyperblock_study
+    Driver.Study.cross_validate_with config Driver.Study.Hyperblock_study
       g.Driver.Study.best Benchmarks.Registry.hyperblock_test
   in
   print_rows ~paper_train:1.09 ~paper_novel:1.09 rows
@@ -153,7 +159,7 @@ let fig10 () =
     "paper shape: gradual improvement; the baseline heuristic survives@.\
      in the population for several generations@.@.";
   let r =
-    Driver.Study.specialize ~params ~jobs Driver.Study.Regalloc_study "djpeg"
+    Driver.Study.specialize_with config Driver.Study.Regalloc_study "djpeg"
   in
   print_history "djpeg:" r.Driver.Study.history
 
@@ -169,7 +175,7 @@ let fig12 () =
   let g = Lazy.force general_ra in
   Fmt.pr "--- 32-register machine@.";
   let rows32 =
-    Driver.Study.cross_validate ~jobs Driver.Study.Regalloc_study
+    Driver.Study.cross_validate_with config Driver.Study.Regalloc_study
       g.Driver.Study.best Benchmarks.Registry.regalloc_test
   in
   print_rows ~paper_train:1.03 ~paper_novel:1.03 rows32;
@@ -179,8 +185,10 @@ let fig12 () =
       name = "table3-48reg" }
   in
   let rows48 =
-    Driver.Study.cross_validate ~jobs ~machine:machine48 Driver.Study.Regalloc_study
-      g.Driver.Study.best Benchmarks.Registry.regalloc_test
+    Driver.Study.cross_validate_with
+      { config with Driver.Study.machine = Some machine48 }
+      Driver.Study.Regalloc_study g.Driver.Study.best
+      Benchmarks.Registry.regalloc_test
   in
   print_rows ~paper_train:1.03 ~paper_novel:1.03 rows48
 
@@ -199,7 +207,7 @@ let fig13 () =
     Gp.Expr.Bool (Gp.Sexp.parse_bool Prefetch.Features.feature_set "false")
   in
   let off_rows =
-    Driver.Study.cross_validate ~jobs Driver.Study.Prefetch_study off
+    Driver.Study.cross_validate_with config Driver.Study.Prefetch_study off
       Benchmarks.Registry.prefetch_specialize
   in
   Fmt.pr "@.no-prefetch-at-all speedups over the ORC baseline:@.";
@@ -209,7 +217,8 @@ let fig14 () =
   hr "Figure 14: prefetching evolution";
   Fmt.pr "paper shape: baseline quickly weeded out; early plateau@.@.";
   let r =
-    Driver.Study.specialize ~params ~jobs Driver.Study.Prefetch_study "103.su2cor"
+    Driver.Study.specialize_with config Driver.Study.Prefetch_study
+      "103.su2cor"
   in
   print_history "103.su2cor:" r.Driver.Study.history
 
@@ -228,13 +237,14 @@ let fig16 () =
   let g = Lazy.force general_pf in
   Fmt.pr "--- itanium1@.";
   let rows =
-    Driver.Study.cross_validate ~jobs Driver.Study.Prefetch_study
+    Driver.Study.cross_validate_with config Driver.Study.Prefetch_study
       g.Driver.Study.best Benchmarks.Registry.prefetch_test
   in
   print_rows ~paper_train:1.1 ~paper_novel:1.1 rows;
   Fmt.pr "--- itanium with a small L2@.";
   let rows2 =
-    Driver.Study.cross_validate ~jobs ~machine:Machine.Config.itanium_small_l2
+    Driver.Study.cross_validate_with
+      { config with Driver.Study.machine = Some Machine.Config.itanium_small_l2 }
       Driver.Study.Prefetch_study g.Driver.Study.best
       Benchmarks.Registry.prefetch_test
   in
@@ -259,8 +269,11 @@ let ext_sched () =
 let ablations () =
   hr "Ablations: GP design choices (hyperblock study on rawcaudio)";
   let run name p =
-    let r = Driver.Study.specialize ~params:p ~jobs Driver.Study.Hyperblock_study
-        "rawcaudio" in
+    let r =
+      Driver.Study.specialize_with
+        { config with Driver.Study.params = p }
+        Driver.Study.Hyperblock_study "rawcaudio"
+    in
     let last_size =
       match List.rev r.Driver.Study.history with
       | s :: _ -> s.Gp.Evolve.best_size
@@ -378,8 +391,9 @@ let par () =
     let stamps = ref [] in
     let t0 = Unix.gettimeofday () in
     let g =
-      Driver.Study.evolve_general ~params:p ~jobs:j
+      Driver.Study.evolve_general_with
         ~on_generation:(fun _ -> stamps := Unix.gettimeofday () :: !stamps)
+        { config with Driver.Study.params = p; jobs = j }
         Driver.Study.Hyperblock_study benches
     in
     let total = Unix.gettimeofday () -. t0 in
@@ -425,25 +439,26 @@ let ckpt () =
      with Sys_error _ -> ());
     d
   in
+  let cfg = { config with Driver.Study.params = p } in
   let t0 = Unix.gettimeofday () in
   let straight =
-    Driver.Study.specialize ~params:p ~jobs Driver.Study.Hyperblock_study
-      "rawcaudio"
+    Driver.Study.specialize_with cfg Driver.Study.Hyperblock_study "rawcaudio"
   in
   let t_straight = Unix.gettimeofday () -. t0 in
   let dir = fresh_dir "ckpt" in
+  let resumable = { cfg with Driver.Study.checkpoint_dir = Some dir } in
   let halfway = p.Gp.Params.generations / 2 in
   let t1 = Unix.gettimeofday () in
   (try
      ignore
-       (Driver.Study.specialize ~params:p ~jobs ~checkpoint_dir:dir
+       (Driver.Study.specialize_with
           ~on_generation:(fun (s : Gp.Evolve.generation_stats) ->
             if s.Gp.Evolve.gen = halfway then failwith "simulated crash")
-          Driver.Study.Hyperblock_study "rawcaudio")
+          resumable Driver.Study.Hyperblock_study "rawcaudio")
    with Failure _ -> ());
   let resumed =
-    Driver.Study.specialize ~params:p ~jobs ~checkpoint_dir:dir
-      Driver.Study.Hyperblock_study "rawcaudio"
+    Driver.Study.specialize_with resumable Driver.Study.Hyperblock_study
+      "rawcaudio"
   in
   let t_ckpt = Unix.gettimeofday () -. t1 in
   let same =
@@ -528,12 +543,14 @@ let sim_measurements p =
   in
   let t_on, r_on =
     timed (fun () ->
-        Driver.Study.specialize ~params:p ~jobs ~fast_sim:true
+        Driver.Study.specialize_with
+          { config with Driver.Study.params = p; fast_sim = true }
           Driver.Study.Sched_study evo_bench)
   in
   let t_off, r_off =
     timed (fun () ->
-        Driver.Study.specialize ~params:p ~jobs ~fast_sim:false
+        Driver.Study.specialize_with
+          { config with Driver.Study.params = p; fast_sim = false }
           Driver.Study.Sched_study evo_bench)
   in
   let identical =
@@ -542,7 +559,10 @@ let sim_measurements p =
     && r_on.Driver.Study.best_expr = r_off.Driver.Study.best_expr
   in
   (* Artifact-cache behaviour of a hyperblock smoke evolution. *)
-  let ctx = Driver.Study.create Driver.Study.Hyperblock_study [ "codrle4" ] in
+  let ctx =
+    Driver.Study.create_with Driver.Study.default_config
+      Driver.Study.Hyperblock_study [ "codrle4" ]
+  in
   ignore (Gp.Evolve.run ~params:p (Driver.Study.problem_of ctx));
   let st = Driver.Simcache.stats ctx.Driver.Study.sim in
   let lookups =
@@ -802,7 +822,12 @@ let report () =
     in
     (r, steady_gen_s !stamps)
   in
-  let ctx1 = Driver.Study.create ~jobs:1 Driver.Study.Hyperblock_study benches in
+  let at_jobs jobs =
+    Driver.Study.create_with
+      { Driver.Study.default_config with Driver.Study.jobs }
+      Driver.Study.Hyperblock_study benches
+  in
+  let ctx1 = at_jobs 1 in
   let ph_cold, (r_cold, steady_j1) =
     phase "evolve -j1 (cold)" (fun () -> run_on ctx1)
   in
@@ -810,7 +835,7 @@ let report () =
   let ph_warm, (r_warm, _) =
     phase "evolve -j1 (warm cache)" (fun () -> run_on ctx1)
   in
-  let ctx4 = Driver.Study.create ~jobs:4 Driver.Study.Hyperblock_study benches in
+  let ctx4 = at_jobs 4 in
   let ph_par, (r_par, steady_j4) =
     phase "evolve -j4 (cold)" (fun () -> run_on ctx4)
   in
@@ -1014,8 +1039,7 @@ let report () =
     | _ -> fail "config not an object");
     ignore (require "records");
     (* The chunked-dispatch instrumentation must have registered: chunk
-       sizes and per-batch dispatch spans as histograms, steals as a
-       counter (0 is fine — unregistered is not). *)
+       sizes, per-batch dispatch spans and queue waits as histograms. *)
     (match require "telemetry" with
     | Gp.Telemetry.Obj _ as t ->
       (match Gp.Telemetry.member "histograms" t with
@@ -1027,9 +1051,7 @@ let report () =
           [ "parmap.chunk_size"; "parmap.dispatch_s"; "parmap.queue_wait_s" ]
       | _ -> fail "telemetry.histograms missing");
       (match Gp.Telemetry.member "counters" t with
-      | Some (Gp.Telemetry.Obj _ as c) ->
-        if Gp.Telemetry.member "parmap.steals" c = None then
-          fail "telemetry.counters missing parmap.steals"
+      | Some (Gp.Telemetry.Obj _) -> ()
       | _ -> fail "telemetry.counters missing")
     | _ -> fail "telemetry not an object");
     (match require "sim" with

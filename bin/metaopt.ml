@@ -133,28 +133,6 @@ let eval_retries =
            ~doc:"Retry a crashed or hung candidate evaluation $(docv) \
                  times on a fresh worker before giving it fitness 0")
 
-let chunk_target_ms =
-  Arg.(value & opt (some float) None
-       & info [ "chunk-target-ms" ]
-           ~doc:"Aim each dispatched work chunk at $(docv) milliseconds \
-                 of wall clock: chunk length adapts to the observed \
-                 per-task cost (pool default: 2.0)"
-           ~docv:"MS")
-
-let chunk_min =
-  Arg.(value & opt (some int) None
-       & info [ "chunk-min" ]
-           ~doc:"Floor on the adaptive chunk length (pool default: 1).  \
-                 --chunk-min 1 --chunk-max 1 pins the one-task-per-\
-                 dispatch reference protocol"
-           ~docv:"N")
-
-let chunk_max =
-  Arg.(value & opt (some int) None
-       & info [ "chunk-max" ]
-           ~doc:"Ceiling on the adaptive chunk length (pool default: 64)"
-           ~docv:"N")
-
 let no_fast_sim =
   Arg.(value & flag
        & info [ "no-fast-sim" ]
@@ -237,8 +215,8 @@ let print_faults (f : Driver.Evaluator.fault_stats) =
    command composes [config_term] and hands the record to the [_with]
    drivers. *)
 let config_of pop gens seed backend jobs cache_dir cache_shards
-    checkpoint_dir eval_timeout eval_retries chunk_target_ms chunk_min
-    chunk_max no_fast_sim no_compiled_eval connect : Driver.Study.config =
+    checkpoint_dir eval_timeout eval_retries no_fast_sim no_compiled_eval
+    connect : Driver.Study.config =
   {
     Driver.Study.default_config with
     Driver.Study.params =
@@ -255,9 +233,6 @@ let config_of pop gens seed backend jobs cache_dir cache_shards
     checkpoint_dir;
     timeout_s = eval_timeout;
     retries = eval_retries;
-    chunk_target_ms;
-    chunk_min;
-    chunk_max;
     fast_sim = not no_fast_sim;
     compiled_eval = not no_compiled_eval;
     remote = connect;
@@ -267,7 +242,6 @@ let config_term =
   Term.(
     const config_of $ pop $ gens $ seed $ backend $ jobs $ cache_dir
     $ cache_shards $ checkpoint_dir $ eval_timeout $ eval_retries
-    $ chunk_target_ms $ chunk_min $ chunk_max
     $ no_fast_sim $ no_compiled_eval $ connect)
 
 (* --- list ---------------------------------------------------------------- *)

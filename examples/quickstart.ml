@@ -38,7 +38,9 @@ let () =
   Fmt.pr "evolving (population %d, %d generations, %d worker(s))...@."
     params.Gp.Params.population_size params.Gp.Params.generations jobs;
   let result =
-    Driver.Study.specialize ~params ~jobs Driver.Study.Hyperblock_study bench
+    Driver.Study.specialize_with
+      { Driver.Study.default_config with Driver.Study.params; jobs }
+      Driver.Study.Hyperblock_study bench
   in
   Fmt.pr "@.generation history (best fitness = speedup over baseline):@.";
   List.iter

@@ -66,7 +66,11 @@ let () =
   let params =
     { Gp.Params.scaled with Gp.Params.population_size = 16; generations = 5 }
   in
-  let r = Driver.Study.specialize ~params Driver.Study.Sched_study bench in
+  let r =
+    Driver.Study.specialize_with
+      { Driver.Study.default_config with Driver.Study.params }
+      Driver.Study.Sched_study bench
+  in
   Fmt.pr "best evolved ranking : %s@." r.Driver.Study.best_expr;
   Fmt.pr "speedup vs baseline  : %.4f train / %.4f novel@."
     r.Driver.Study.train_speedup r.Driver.Study.novel_speedup

@@ -37,8 +37,6 @@ let active t = t != never
 
 let cancel t = if active t then Atomic.set t.flag true
 
-let deadline t = t.deadline
-
 (* The clock is only read when a real deadline is set, so polling an
    inactive (or flag-only) token never costs a syscall. *)
 let cancelled t =

@@ -42,10 +42,6 @@ val cancel : token -> unit
 val cancelled : token -> bool
 (** Whether the token is flagged or past its deadline. *)
 
-val deadline : token -> float
-(** The absolute deadline ([infinity] when none) — used by the domains
-    supervisor to schedule its quarantine sweep. *)
-
 val check : token -> unit
 (** @raise Cancelled when {!cancelled}. *)
 

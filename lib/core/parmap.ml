@@ -1,46 +1,28 @@
-(* A minimal task pool behind a first-class backend API.
+(* A task pool for fitness evaluation behind a first-class backend API.
 
    Three backends share one [pool] configuration record:
 
-   - [`Seq]: in-process, sequential — the bit-identity reference.
-   - [`Fork]: the original process pool.  [run] is the streaming pool:
-     tasks are dealt round-robin, worker [w] owns indices w, w+jobs, ...
-     Each worker writes [(index, result)] pairs to its pipe as they
-     complete, flushing after every task, so a worker that dies mid-chunk
-     loses only the tasks it had not yet flushed — the parent fills those
-     with [fallback].  The parent drains the workers one at a time; pipes
-     buffer in the kernel, so slower workers simply block on write until
-     their turn, and no deadlock is possible with single-reader pipes.
-     Supervised evaluation ([create]/[run_batch]/[shutdown], with
-     [run_supervised] as the one-shot composition) adds the fault model
-     long evolution runs need: pre-forked workers kept alive on pipes
-     across batches, a wall-clock deadline enforced from the parent (a
-     worker stuck in a tight loop or a blocking C call cannot be trusted
-     to deliver its own SIGALRM), exponential-backoff retries on a
-     respawned slot, and a typed outcome per task instead of a silent
-     fallback.
-   - [`Domains]: an OCaml 5 shared-memory work pool — [Domain.spawn]ed
-     workers pulling task indices from one [Atomic] counter, no fork and
-     no [Marshal] round-trip per task.  Each result is written to a
-     distinct slot of the output array, so workers never race.  A domain
-     cannot be killed, so [run_supervised] enforces deadlines
-     cooperatively: the supervisor installs a [Cancel] token around each
-     attempt, the evaluation stack polls it at safepoints and the
-     resulting [Cancelled] becomes a [Timed_out], with the same retry /
-     backoff schedule as the fork supervisor.  A task that ignores its
-     token past a grace period gets its worker {e quarantined}: the
-     domain is marked poisoned and abandoned (it exits on its own if the
-     task ever returns) and a fresh domain takes over its slot, so one
-     runaway cannot absorb the pool.
+   - [`Seq]: in-process and sequential — the bit-identity reference.
+     Exceptions isolate per task; deadlines and retries are inert.
+   - [`Fork]: pre-forked worker processes kept on pipes.  A worker stuck
+     in a tight loop or a blocking C call cannot be trusted to deliver
+     its own SIGALRM, so the parent enforces each task's deadline with
+     SIGKILL and respawns the slot.
+   - [`Domains]: [Domain.spawn]ed workers sharing the heap, so nothing is
+     marshalled.  A domain cannot be killed: deadlines are cooperative
+     ([Cancel] tokens), and a task that ignores its token past a grace
+     period gets its worker quarantined, so one runaway cannot absorb
+     the pool.
 
-   The two parallel backends are mutually exclusive per process, in one
-   direction: the OCaml 5 runtime permanently forbids [Unix.fork] once
-   any domain has ever been spawned (even after [Domain.join]).  The
-   first domains-pool run therefore retires [`Fork] for the rest of the
-   process — [capabilities] reflects that, and later [`Fork] requests
-   degrade to the sequential / in-process paths with a warning, exactly
-   as on a platform without [fork].  Fork first, domains after, or pick
-   one backend per process. *)
+   Both parallel backends run under one batch scheduler
+   ([run_scheduled]) over a small private [transport] per backend.
+
+   The OCaml 5 runtime forbids [Unix.fork] once any domain has ever been
+   spawned (even after [Domain.join]).  The first domains pool therefore
+   retires [`Fork] for the rest of the process — [capabilities] reflects
+   that, and later [`Fork] requests degrade to the in-process path with
+   a warning, as on a platform without [fork].  Fork first, domains
+   after, or pick one backend per process. *)
 
 type backend = [ `Seq | `Fork | `Domains ]
 
@@ -52,27 +34,22 @@ let domains_used = ref false
 
 let fork_usable () = available && not !domains_used
 
-let warned_fork_after_domains = ref false
+let warned_fork_after_domains = Atomic.make false
 
 let warn_fork_after_domains () =
-  if not !warned_fork_after_domains then begin
-    warned_fork_after_domains := true;
+  if not (Atomic.exchange warned_fork_after_domains true) then
     Logs.warn (fun m ->
         m "parmap: the fork backend is retired once domains have run in \
            this process (the runtime forbids fork after Domain.spawn); \
            running in-process instead")
-  end
 
 let backend_name = function
   | `Seq -> "seq"
   | `Fork -> "fork"
   | `Domains -> "domains"
 
-let backend_of_name = function
-  | "seq" -> Some `Seq
-  | "fork" -> Some `Fork
-  | "domains" -> Some `Domains
-  | _ -> None
+let backend_of_name s =
+  List.find_opt (fun b -> backend_name b = s) [ `Seq; `Fork; `Domains ]
 
 (* Domains are part of the OCaml 5 runtime and exist on every platform;
    forking is Unix-only, and retired once a domains pool has run. *)
@@ -187,145 +164,7 @@ let close_inherited_fds keep =
         | _ -> ())
       names
 
-let sequential ~fallback f xs =
-  Array.map (fun x -> try f x with _ -> fallback) xs
-
-let emit_map_record ~backend ~jobs ~tasks ~t_start =
-  let wall = Telemetry.now_s () -. t_start in
-  Telemetry.observe "parmap.map_wall_s" wall;
-  Telemetry.emit ~kind:"pool"
-    [
-      ("mode", Telemetry.String "map");
-      ("backend", Telemetry.String (backend_name backend));
-      ("jobs", Telemetry.Int jobs);
-      ("tasks", Telemetry.Int tasks);
-      ("wall_s", Telemetry.Float wall);
-    ]
-
-let fork_map ~jobs ~fallback f xs =
-  let n = Array.length xs in
-  let jobs = min jobs (max 1 n) in
-  if n = 0 || jobs <= 1 then sequential ~fallback f xs
-  else begin
-    (* Anything buffered in the parent must not be replayed by children
-       (children exit through [Unix._exit], which skips flushing). *)
-    flush stdout;
-    flush stderr;
-    let tel = Telemetry.enabled () in
-    let t_start = if tel then Telemetry.now_s () else 0.0 in
-    let results = Array.make n fallback in
-    let spawn w =
-      let rd, wr = Unix.pipe () in
-      match Unix.fork () with
-      | 0 ->
-        (* The child inherits the parent's sink descriptor; writing to it
-           would interleave torn lines into the parent's stream. *)
-        Telemetry.set_sink None;
-        close_inherited_fds [ wr ];
-        let oc = Unix.out_channel_of_descr wr in
-        (try
-           let i = ref w in
-           while !i < n do
-             let v = try f xs.(!i) with _ -> fallback in
-             Marshal.to_channel oc (!i, v) [];
-             flush oc;
-             i := !i + jobs
-           done;
-           close_out oc
-         with _ -> ());
-        Unix._exit 0
-      | pid ->
-        Unix.close wr;
-        (pid, rd)
-    in
-    let workers = Array.init jobs spawn in
-    Array.iter
-      (fun (pid, rd) ->
-        let ic = Unix.in_channel_of_descr rd in
-        (try
-           while true do
-             let (i, v) : int * _ = Marshal.from_channel ic in
-             if i >= 0 && i < n then results.(i) <- v
-           done
-         with
-        | End_of_file -> ()
-        | Failure msg ->
-          (* A truncated [Marshal] header or payload: the worker died
-             mid-write.  Clean EOF ends at a message boundary; a torn
-             stream means in-flight work was lost. *)
-          Logs.warn (fun m ->
-              m "parmap: torn result stream from worker %d (%s)" pid msg));
-        (try close_in ic with _ -> ());
-        (match retry_eintr (fun () -> Unix.waitpid [] pid) with
-        | _, Unix.WEXITED 0 -> ()
-        | _, status ->
-          Logs.warn (fun m ->
-              m "parmap: worker %d %s" pid (describe_status status))
-        | exception Unix.Unix_error _ -> ()))
-      workers;
-    if tel then emit_map_record ~backend:`Fork ~jobs ~tasks:n ~t_start;
-    results
-  end
-
-(* Run [body] as one of the pool's workers on the calling domain, with
-   telemetry suppressed exactly as it is in the spawned workers (and in
-   forked children), then restore. *)
-let as_suppressed_worker body =
-  Telemetry.suppress_in_domain true;
-  Fun.protect
-    ~finally:(fun () -> Telemetry.suppress_in_domain false)
-    body
-
-let domains_map ~jobs ~fallback f xs =
-  let n = Array.length xs in
-  let jobs = min jobs (max 1 n) in
-  if n = 0 || jobs <= 1 then sequential ~fallback f xs
-  else begin
-    let tel = Telemetry.enabled () in
-    let t_start = if tel then Telemetry.now_s () else 0.0 in
-    let results = Array.make n fallback in
-    let next = Atomic.make 0 in
-    let body () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <- (try f xs.(i) with _ -> fallback);
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let worker () =
-      Telemetry.suppress_in_domain true;
-      body ()
-    in
-    domains_used := true;
-    let spawned = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    as_suppressed_worker body;
-    Array.iter Domain.join spawned;
-    if tel then emit_map_record ~backend:`Domains ~jobs ~tasks:n ~t_start;
-    results
-  end
-
-let run pool ~fallback f xs =
-  match pool.backend with
-  | `Seq -> sequential ~fallback f xs
-  | `Fork ->
-    if fork_usable () then fork_map ~jobs:pool.jobs ~fallback f xs
-    else begin
-      if available then warn_fork_after_domains ();
-      sequential ~fallback f xs
-    end
-  | `Domains -> domains_map ~jobs:pool.jobs ~fallback f xs
-
-let map ?(jobs = 1) ~fallback f xs =
-  if jobs < 1 then
-    invalid_arg
-      (Printf.sprintf
-         "Parmap.map: jobs must be a positive worker count (got %d)" jobs);
-  run (pool ~backend:`Fork ~jobs ()) ~fallback f xs
-
-(* --- Supervised evaluation ---------------------------------------------- *)
+(* --- Outcomes ----------------------------------------------------------- *)
 
 type 'b outcome = Ok of 'b | Crashed of string | Timed_out | Gave_up
 
@@ -337,30 +176,24 @@ type stats = {
   quarantined : int;
 }
 
-(* Worker -> parent message.  A worker that dies before writing a full
-   message (signal, [exit], runaway allocation) is detected by the parent
-   as a truncated buffer at EOF. *)
-type 'b reply = Value of 'b | Raised of string
+let empty_stats =
+  { completed = 0; crashes = 0; timeouts = 0; retries = 0; quarantined = 0 }
 
-let insert_delayed ((t, _, _) as entry) l =
-  let rec go = function
-    | [] -> [ entry ]
-    | ((t', _, _) as e) :: rest ->
-      if t <= t' then entry :: e :: rest else e :: go rest
-  in
-  go l
+let now () = Unix.gettimeofday ()
 
 (* --- Adaptive chunk sizing ----------------------------------------------- *)
 
-(* The dispatcher amortizes one round-trip (a Marshal write on the fork
-   pool, a mutex/condition handoff on the domains pool) over a chunk of
-   tasks sized so a chunk is worth ~[chunk_target_ms] of work, using an
-   EWMA of observed per-task cost.  The estimate is seeded from the
-   process-wide [parmap.task_s] telemetry when available, refined on
-   every completed task, and kept per pool so batches re-estimate as the
-   workload drifts.  With no estimate at all the first batch runs at
-   [chunk_min] — the default, 1, is exactly the pre-chunking protocol
-   and the [`Seq]/-j1-compatible reference. *)
+(* The scheduler amortizes one round-trip (a Marshal write on the fork
+   transport, a mutex/condition handoff on the domains one) over a chunk
+   of tasks sized so a chunk is worth ~[chunk_target_ms] of work, using
+   an EWMA of observed per-task cost.  The estimate is seeded from the
+   process-wide [parmap.task_s] telemetry when available, refined by
+   each finished chunk's mean per-task cost (one reply gap is too noisy
+   a sample: a single slow wake-up would shrink the next chunks
+   several-fold), and kept per handle as the workload drifts.  With no
+   estimate at all the first batch runs at [chunk_min] — the default,
+   1, is exactly the one-task protocol and the [`Seq]-compatible
+   reference. *)
 
 let seed_ewma () =
   if Telemetry.enabled () then begin
@@ -390,628 +223,234 @@ let chunk_length ~target_s ~cmin ~cmax ~jobs ~ewma ~tasks =
 
 (* Task ids [0, n) as consecutive chunks of at most [len]. *)
 let partition_chunks n len =
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    let l = min len (n - !i) in
-    let base = !i in
-    out := Array.init l (fun k -> base + k) :: !out;
-    i := !i + l
-  done;
-  List.rev !out
+  List.init ((n + len - 1) / len) (fun c ->
+      Array.init (min len (n - (c * len))) (fun k -> (c * len) + k))
 
 (* No fork (or [`Seq] requested): in-process evaluation.  Exceptions
    still isolate per task, but hangs cannot be interrupted and retries
    are pointless against a deterministic in-process failure. *)
 let inprocess_supervised f xs =
-  let n = Array.length xs in
-  let outcomes = Array.make n Gave_up in
-  let completed = ref 0 in
-  let crashes = ref 0 in
-  Array.iteri
-    (fun i x ->
-      outcomes.(i) <-
-        (match f x with
-        | v ->
-          incr completed;
-          Ok v
-        | exception e ->
-          incr crashes;
-          Crashed (Printexc.to_string e)))
-    xs;
-  ( outcomes,
-    {
-      completed = !completed;
-      crashes = !crashes;
-      timeouts = 0;
-      retries = 0;
-      quarantined = 0;
-    } )
-
-(* Shared-memory supervision.  A domain cannot be SIGKILLed, so the
-   fault model is cooperative: the calling domain acts as the
-   supervisor, worker domains pull chunks — [(task ids, attempt,
-   enqueue time)] — from per-worker deques and run each member under
-   its own [Cancel] token carrying the per-task deadline.  The
-   evaluation stack polls the token at safepoints and raises
-   [Cancelled] past the deadline, which the worker records as that
-   member's timeout and moves on to the chunk's next member; retries
-   and exponential backoff then follow exactly the fork supervisor's
-   schedule, per task.
-
-   A worker whose own deque runs dry steals the younger half of the
-   fullest other deque (Chase–Lev in spirit; the deques share the pool
-   mutex rather than a lock-free protocol because chunks change hands
-   a few times per batch, not per task), so one slow worker cannot
-   strand the chunks queued behind it.
-
-   Tasks that never reach a safepoint (a blocking C call, a chaos
-   [Hang]) get the quarantine path: the running chunk publishes a
-   wall-clock quarantine time for its current member — deadline plus a
-   grace period of half the timeout (min 50ms), so a hung task is cut
-   off within 1.5x its deadline no matter how long its chunk is.  The
-   supervisor sweeps for overdue members, wins the chunk's [settled]
-   CAS so any late worker result is discarded, salvages the chunk —
-   members with a recorded partial result keep it, the hung member is
-   charged a timeout, members never started are re-enqueued uncharged
-   as singleton chunks — marks the worker poisoned and spawns a fresh
-   domain in its slot.  A poisoned domain is abandoned, never joined:
-   it exits on its own if the hung task ever returns (its next dequeue
-   sees the poison flag), and a domain parked in a blocking section
-   does not obstruct the runtime.
-
-   Results travel back through a settled-CAS-guarded record plus a
-   mutex-protected done-queue; a self-pipe wakes the supervisor's
-   [select], whose timeout is the nearest of the pending quarantine
-   times and retry wake-ups. *)
-
-type 'b attempt_result = Done of 'b | Failed of string | Deadline
-
-(* One dispatched chunk.  [r_partial.(k)] is written before
-   [r_progress] advances past member [k], so when the quarantine sweep
-   wins the CAS it can trust every recorded partial: member values are
-   deterministic, so a partial observed mid-race equals what a re-run
-   would compute. *)
-type 'b running = {
-  r_tasks : int array;
-  r_attempt : int; (* 0-based; one chunk is all one attempt *)
-  r_enq : float; (* absolute enqueue time; 0 when telemetry is off *)
-  r_dispatched : float; (* absolute take-time *)
-  mutable r_done : float; (* absolute; 0 until settled by the worker *)
-  r_qat : float Atomic.t; (* current member's quarantine time *)
-  r_settled : bool Atomic.t; (* CAS-won by worker or quarantine sweep *)
-  r_progress : int Atomic.t; (* index of the member being evaluated *)
-  r_partial : 'b attempt_result option array; (* per-member results *)
-}
-
-type 'b wstate = {
-  w_poisoned : bool Atomic.t;
-  w_current : 'b running option Atomic.t;
-}
-
-let now () = Unix.gettimeofday ()
-
-(* Persistent domains pool: the worker domains, the deques, the done
-   queue and the notify pipe outlive any single batch.  Workers read
-   the current batch's input array out of [d_xs] under the pool mutex,
-   so the supervisor's assignment is visible before any of that batch's
-   chunks can be taken. *)
-type ('a, 'b) dom_state = {
-  d_m : Mutex.t;
-  d_c : Condition.t;
-  d_deques : (int array * int * float) list ref array; (* per-slot chunks *)
-  d_done : 'b running Queue.t;
-  mutable d_stop : bool;
-  mutable d_xs : 'a array;
-  d_note_r : Unix.file_descr;
-  d_note_w : Unix.file_descr;
-  mutable d_live : ('b wstate * unit Domain.t) array;
-  d_f : 'a -> 'b;
-  d_jobs : int;
-  d_timeout_s : float option;
-  d_retries : int;
-  d_backoff_s : float;
-  d_grace : float;
-  d_target_s : float; (* chunk budget, seconds *)
-  d_cmin : int;
-  d_cmax : int;
-  d_steals : int Atomic.t;
-  mutable d_ewma : float; (* per-task cost estimate, seconds *)
-}
-
-(* Take the next chunk: own deque first, then steal the younger half of
-   the fullest other deque (the first stolen chunk is run, the rest
-   land on the taker's deque), else wait. *)
-let dom_take st idx =
-  Mutex.lock st.d_m;
-  let rec go () =
-    if st.d_stop then None
-    else begin
-      let dq = st.d_deques.(idx) in
-      match !dq with
-      | c :: rest ->
-        dq := rest;
-        Some (c, st.d_xs)
-      | [] ->
-        let best = ref (-1) and blen = ref 0 in
-        Array.iteri
-          (fun j q ->
-            if j <> idx then begin
-              let l = List.length !q in
-              if l > !blen then begin
-                best := j;
-                blen := l
-              end
-            end)
-          st.d_deques;
-        if !best >= 0 then begin
-          let q = st.d_deques.(!best) in
-          let keep = !blen - ((!blen + 1) / 2) in
-          let rec split i acc rest =
-            if i = keep then (List.rev acc, rest)
-            else
-              match rest with
-              | x :: tl -> split (i + 1) (x :: acc) tl
-              | [] -> (List.rev acc, [])
-          in
-          let kept, stolen = split 0 [] !q in
-          q := kept;
-          Atomic.incr st.d_steals;
-          match stolen with
-          | c :: mine ->
-            st.d_deques.(idx) := mine;
-            Some (c, st.d_xs)
-          | [] -> go ()
-        end
-        else begin
-          Condition.wait st.d_c st.d_m;
-          go ()
-        end
-    end
+  let outcomes =
+    Array.map
+      (fun x ->
+        match f x with
+        | v -> Ok v
+        | exception e -> Crashed (Printexc.to_string e))
+      xs
   in
-  let t = go () in
-  Mutex.unlock st.d_m;
-  t
+  let crashes =
+    Array.fold_left (fun n o -> match o with Ok _ -> n | _ -> n + 1) 0 outcomes
+  in
+  (outcomes, { empty_stats with completed = Array.length xs - crashes; crashes })
 
-let dom_worker st ws idx () =
+(* --- Transports ---------------------------------------------------------- *)
+
+(* What a worker reports for one member of its chunk.  [Deadline] is a
+   cooperative cancellation (domains only: a forked worker past its
+   deadline is killed, never asked). *)
+type 'b reply = Value of 'b | Raised of string | Deadline
+
+(* What the scheduler hears from a transport: [Reply (slot, t, r)], the
+   slot's next unreplied member finished at [t] with [r]; or
+   [Died (slot, how)], the slot's worker is gone and already replaced. *)
+type 'b event = Reply of int * float * 'b reply | Died of int * string
+
+(* The scheduler's whole view of a backend.  A transport keeps at most
+   one chunk in flight per slot, delivers that chunk's replies in
+   member order, and replaces a worker that dies or is killed without
+   disturbing the other slots.  Queueing, chunk sizing, attempts,
+   deadlines, salvage and telemetry all belong to the scheduler. *)
+type ('a, 'b) transport = {
+  grace : float;
+      (* how long past a member's deadline the scheduler waits before
+         [kill]: 0 on fork, where the deadline is the kill *)
+  send : int -> int array -> int -> 'a array -> bool;
+      (* [send slot tasks attempt inputs] hands a chunk to an idle slot;
+         [false] when no live worker could take it *)
+  wait : float -> 'b event list;
+      (* events, blocking up to the timeout (negative: indefinitely) *)
+  kill : int -> unit;
+      (* end the slot's worker mid-chunk and put a fresh one in its place *)
+  close : unit -> unit;
+}
+
+(* --- Domains transport --------------------------------------------------- *)
+
+(* Each member runs under its own [Cancel] token carrying the deadline;
+   the evaluation stack polls it at safepoints, and a poll past the
+   deadline becomes the member's [Deadline] reply.  A task that never
+   reaches a safepoint (a blocking C call, a chaos [Hang]) is cut off at
+   deadline plus a grace of half the timeout (min 50ms): [kill] poisons
+   the worker and spawns a fresh domain in its slot.  A poisoned domain
+   is abandoned, never joined — it exits if the hung task ever returns —
+   and a domain parked in a blocking section does not obstruct the
+   runtime.
+
+   A worker takes one chunk from its mailbox and records each member's
+   reply and finishing time in the chunk, publishing them through one
+   atomic progress count.  Only the chunk's end wakes the scheduler
+   (one byte on a self-pipe): the stamps keep each deadline exact, and
+   waking it per member would only spend the cores the workers need.  A
+   slot forgets its chunk when the chunk ends or its worker is
+   quarantined, so a quarantined worker's late writes go unread. *)
+
+type ('a, 'b) dchunk = {
+  d_tasks : int array;
+  d_attempt : int;
+  d_inputs : 'a array;
+  d_results : 'b reply array;
+  d_stamps : float array;
+  d_progress : int Atomic.t; (* members whose result and stamp are set *)
+  mutable d_seen : int; (* members [wait] has reported *)
+}
+
+type ('a, 'b) dworker = {
+  mutable mail : ('a, 'b) dchunk option; (* under the transport mutex *)
+  wake : Condition.t;
+  poisoned : bool Atomic.t;
+}
+
+let dom_worker m stop note_w f timeout_s w () =
   Telemetry.suppress_in_domain true;
   let rec loop () =
-    if not (Atomic.get ws.w_poisoned) then
-      match dom_take st idx with
-      | None -> ()
-      | Some ((tasks, attempt, enq), xs) ->
-        let len = Array.length tasks in
-        let r =
-          {
-            r_tasks = tasks;
-            r_attempt = attempt;
-            r_enq = enq;
-            r_dispatched = now ();
-            r_done = 0.0;
-            r_qat = Atomic.make infinity;
-            r_settled = Atomic.make false;
-            r_progress = Atomic.make 0;
-            r_partial = Array.make len None;
-          }
-        in
-        Atomic.set ws.w_current (Some r);
-        Array.iteri
-          (fun k task ->
-            Atomic.set r.r_progress k;
+    Mutex.lock m;
+    while (not (!stop || Atomic.get w.poisoned)) && Option.is_none w.mail do
+      Condition.wait w.wake m
+    done;
+    let job = if !stop || Atomic.get w.poisoned then None else w.mail in
+    w.mail <- None;
+    Mutex.unlock m;
+    match job with
+    | None -> ()
+    | Some c ->
+      Array.iteri
+        (fun k task ->
+          if not (Atomic.get w.poisoned) then begin
             (* One token per member: a chunk does not widen any single
-               task's deadline, and one timed-out member does not
-               abort the rest of its chunk. *)
-            let tok = Cancel.create ?deadline_s:st.d_timeout_s () in
-            Atomic.set r.r_qat (Cancel.deadline tok +. st.d_grace);
-            r.r_partial.(k) <-
-              Some
-                (match
-                   Cancel.with_token tok (fun () ->
-                       Chaos.task_point ~isolated:false ~key:task
-                         ~attempt:(attempt + 1);
-                       st.d_f xs.(task))
-                 with
-                | v -> Done v
-                | exception Cancel.Cancelled ->
-                  (* Only a cancelled token makes [Cancelled] a
-                     timeout; a task raising it spuriously is a
-                     crash. *)
-                  if Cancel.cancelled tok then Deadline
-                  else Failed "task raised Cancelled"
-                | exception e -> Failed (Printexc.to_string e)))
-          tasks;
-        Atomic.set r.r_progress len;
-        Atomic.set ws.w_current None;
-        r.r_done <- now ();
-        if Atomic.compare_and_set r.r_settled false true then begin
-          Mutex.lock st.d_m;
-          Queue.add r st.d_done;
-          Mutex.unlock st.d_m;
-          let b = Bytes.make 1 '!' in
-          ignore (retry_eintr (fun () -> Unix.write st.d_note_w b 0 1))
-        end;
-        (* A lost CAS means the sweep quarantined this chunk — the
-           poison flag ends the loop above. *)
+               task's deadline, and one timed-out member does not abort
+               the rest of its chunk. *)
+            let tok = Cancel.create ?deadline_s:timeout_s () in
+            c.d_results.(k) <-
+              (match
+                 Cancel.with_token tok (fun () ->
+                     Chaos.task_point ~isolated:false ~key:task
+                       ~attempt:(c.d_attempt + 1);
+                     f c.d_inputs.(k))
+               with
+              | v -> Value v
+              (* Only a cancelled token makes [Cancelled] a timeout; a
+                 task raising it spuriously is a crash. *)
+              | exception Cancel.Cancelled when Cancel.cancelled tok -> Deadline
+              | exception e -> Raised (Printexc.to_string e));
+            c.d_stamps.(k) <- now ();
+            Atomic.set c.d_progress (k + 1)
+          end)
+        c.d_tasks;
+      if not (Atomic.get w.poisoned) then begin
+        (try
+           ignore (retry_eintr (fun () -> Unix.write note_w (Bytes.make 1 '!') 0 1))
+         with Unix.Unix_error _ -> ());
         loop ()
+      end
   in
   loop ()
 
-let dom_spawn_worker st idx =
-  let ws = { w_poisoned = Atomic.make false; w_current = Atomic.make None } in
-  (ws, Domain.spawn (dom_worker st ws idx))
-
-let init_domains (p : pool) f =
+let domains_transport (p : pool) f =
   let note_r, note_w = Unix.pipe () in
-  let st =
-    {
-      d_m = Mutex.create ();
-      d_c = Condition.create ();
-      d_deques = Array.init p.jobs (fun _ -> ref []);
-      d_done = Queue.create ();
-      d_stop = false;
-      d_xs = [||];
-      d_note_r = note_r;
-      d_note_w = note_w;
-      d_live = [||];
-      d_f = f;
-      d_jobs = p.jobs;
-      d_timeout_s = p.timeout_s;
-      d_retries = p.retries;
-      d_backoff_s = p.backoff_s;
-      d_grace =
-        (match p.timeout_s with
-        | Some t -> Float.max 0.05 (0.5 *. t)
-        | None -> infinity);
-      d_target_s = p.chunk_target_ms /. 1000.0;
-      d_cmin = p.chunk_min;
-      d_cmax = p.chunk_max;
-      d_steals = Atomic.make 0;
-      d_ewma = seed_ewma ();
-    }
+  let m = Mutex.create () and stop = ref false in
+  let spawn () =
+    let w =
+      { mail = None; wake = Condition.create (); poisoned = Atomic.make false }
+    in
+    (w, Domain.spawn (dom_worker m stop note_w f p.timeout_s w))
   in
   domains_used := true;
-  let tel = Telemetry.enabled () in
-  let t0 = if tel then Telemetry.now_s () else 0.0 in
-  st.d_live <- Array.init p.jobs (fun idx -> dom_spawn_worker st idx);
-  if tel then Telemetry.observe "parmap.pool_spawn_s" (Telemetry.now_s () -. t0);
-  st
-
-let shutdown_domains st =
-  Mutex.lock st.d_m;
-  st.d_stop <- true;
-  Condition.broadcast st.d_c;
-  Mutex.unlock st.d_m;
-  Array.iter
-    (fun (ws, d) -> if not (Atomic.get ws.w_poisoned) then Domain.join d)
-    st.d_live;
-  st.d_live <- [||];
-  (try Unix.close st.d_note_r with Unix.Unix_error _ -> ());
-  (try Unix.close st.d_note_w with Unix.Unix_error _ -> ())
-
-let domains_batch (st : ('a, 'b) dom_state) (xs : 'a array) =
-  let n = Array.length xs in
-  let outcomes = Array.make n Gave_up in
-  let tel = Telemetry.enabled () in
-  let t_start = if tel then Telemetry.now_s () else 0.0 in
-  let completed = ref 0 in
-  let crashes = ref 0 in
-  let timeouts = ref 0 in
-  let retried = ref 0 in
-  let quarantined = ref 0 in
-  let task_hist = Telemetry.Histogram.create () in
-  let queue_hist = Telemetry.Histogram.create () in
-  let busy = ref 0.0 in
-  let timeout_s = st.d_timeout_s in
-  let retries = st.d_retries in
-  let backoff_s = st.d_backoff_s in
-  let steals0 = Atomic.get st.d_steals in
-  let dispatch_s = ref 0.0 in
-  (* Size the batch's chunks from the running cost estimate and install
-     them round-robin across the worker deques before the broadcast, so
-     every worker finds local work first; imbalance from mis-estimation
-     is what stealing corrects. *)
-  if st.d_ewma <= 0.0 then st.d_ewma <- seed_ewma ();
-  let clen =
-    chunk_length ~target_s:st.d_target_s ~cmin:st.d_cmin ~cmax:st.d_cmax
-      ~jobs:st.d_jobs ~ewma:st.d_ewma ~tasks:n
-  in
-  let chunks = partition_chunks n clen in
-  let t_disp0 = now () in
-  Mutex.lock st.d_m;
-  st.d_xs <- xs;
-  let enq0 = if tel then t_disp0 else 0.0 in
-  List.iteri
-    (fun i c ->
-      if tel then
-        Telemetry.observe "parmap.chunk_size" (float_of_int (Array.length c));
-      let dq = st.d_deques.(i mod st.d_jobs) in
-      dq := !dq @ [ (c, 0, enq0) ])
-    chunks;
-  Condition.broadcast st.d_c;
-  Mutex.unlock st.d_m;
-  dispatch_s := now () -. t_disp0;
-  let delayed = ref [] in
-  let remaining = ref n in
-  (* Retries and salvage re-entries go to the shortest deque: they are
-     late-batch work, and the emptiest worker reaches them soonest. *)
-  let push_chunk tasks attempt enq =
-    let t0 = now () in
-    Mutex.lock st.d_m;
-    let best = ref 0 and blen = ref max_int in
-    Array.iteri
-      (fun j q ->
-        let l = List.length !q in
-        if l < !blen then begin
-          best := j;
-          blen := l
-        end)
-      st.d_deques;
-    let dq = st.d_deques.(!best) in
-    dq := !dq @ [ (tasks, attempt, enq) ];
-    Condition.broadcast st.d_c;
-    Mutex.unlock st.d_m;
-    dispatch_s := !dispatch_s +. (now () -. t0)
-  in
-  let handle_failure ~task ~attempt kind =
-    (match kind with
-    | `Crash msg ->
-      incr crashes;
-      Logs.warn (fun m ->
-          m "parmap: task %d attempt %d crashed: %s" task (attempt + 1) msg)
-    | `Timeout ->
-      incr timeouts;
-      Logs.warn (fun m ->
-          m "parmap: task %d attempt %d timed out after %.1fs" task
-            (attempt + 1)
-            (Option.value ~default:0.0 timeout_s)));
-    if attempt < retries then begin
-      incr retried;
-      let delay = backoff_s *. (2.0 ** float_of_int attempt) in
-      delayed := insert_delayed (now () +. delay, task, attempt + 1) !delayed
-    end
-    else begin
-      outcomes.(task) <-
-        (if retries = 0 then
-           match kind with `Crash msg -> Crashed msg | `Timeout -> Timed_out
-         else Gave_up);
-      decr remaining
-    end
-  in
-  (* Settle a chunk whose CAS was won (by its worker or by the
-     quarantine sweep).  Members with a recorded partial keep it —
-     member values are deterministic, so a partial snapshotted mid-race
-     equals what a re-run would compute.  Members never started are
-     re-enqueued uncharged at the same attempt; only a forced quarantine
-     charges the member it was stuck on. *)
-  let salvage ?(forced_timeout = false) ?end_ (r : 'b running) =
-    let len = Array.length r.r_tasks in
-    let parts = Array.init len (fun k -> r.r_partial.(k)) in
-    let progress = Atomic.get r.r_progress in
-    let stop =
-      match end_ with
-      | Some t -> t
-      | None -> if r.r_done > 0.0 then r.r_done else now ()
-    in
-    let dur = Float.max 0.0 (stop -. r.r_dispatched) in
-    busy := !busy +. dur;
-    let finished =
-      Array.fold_left (fun a p -> if p <> None then a + 1 else a) 0 parts
-    in
-    let per = if finished > 0 then dur /. float_of_int finished else 0.0 in
-    st.d_ewma <- ewma_update st.d_ewma per;
-    if tel then begin
-      if r.r_enq > 0.0 then begin
-        let w = Float.max 0.0 (r.r_dispatched -. r.r_enq) in
-        for _ = 1 to len do
-          Telemetry.Histogram.add queue_hist w;
-          Telemetry.observe "parmap.queue_wait_s" w
-        done
-      end;
-      for _ = 1 to finished do
-        Telemetry.Histogram.add task_hist per;
-        Telemetry.observe "parmap.task_s" per
-      done
-    end;
-    Array.iteri
-      (fun k task ->
-        match parts.(k) with
-        | Some (Done v) ->
-          outcomes.(task) <- Ok v;
-          incr completed;
-          decr remaining
-        | Some (Failed msg) -> handle_failure ~task ~attempt:r.r_attempt (`Crash msg)
-        | Some Deadline -> handle_failure ~task ~attempt:r.r_attempt `Timeout
-        | None ->
-          if forced_timeout && k = progress then
-            handle_failure ~task ~attempt:r.r_attempt `Timeout
-          else
-            push_chunk [| task |] r.r_attempt (if tel then now () else 0.0))
-      r.r_tasks
-  in
+  let live = Array.init p.jobs (fun _ -> spawn ()) in
+  let inflight = Array.make p.jobs None in
   let drain_buf = Bytes.create 512 in
-  while !remaining > 0 do
-    let t = now () in
-    (* Promote delayed retries whose backoff has elapsed. *)
-    let rec promote () =
-      match !delayed with
-      | (nb, task, att) :: rest when nb <= t ->
-        delayed := rest;
-        push_chunk [| task |] att (if tel then t else 0.0);
-        promote ()
-      | _ -> ()
-    in
-    promote ();
-    (* Sleep until the nearest quarantine time or retry wake-up, or
-       until a worker pokes the pipe. *)
-    let nearest_quarantine =
-      Array.fold_left
-        (fun acc (ws, _) ->
-          match Atomic.get ws.w_current with
-          | Some r when not (Atomic.get r.r_settled) ->
-            Float.min acc (Atomic.get r.r_qat)
-          | _ -> acc)
-        infinity st.d_live
-    in
-    let nearest_retry =
-      match !delayed with (nb, _, _) :: _ -> nb | [] -> infinity
-    in
-    let until = Float.min nearest_quarantine nearest_retry in
-    let tmo =
-      match timeout_s with
-      | None -> if until = infinity then -1.0 else Float.max 0.0 (until -. now ())
-      | Some _ ->
-        (* A deadline is in force, and a worker may pick up a queued
-           chunk and hang before the supervisor ever sees it — never
-           sleep past a 50ms poll, or the quarantine sweep could miss
-           it. *)
-        Float.min 0.05 (Float.max 0.0 (until -. now ()))
-    in
-    (match Unix.select [ st.d_note_r ] [] [] tmo with
-    | [], _, _ -> ()
-    | _ ->
-      ignore
-        (retry_eintr (fun () ->
-             Unix.read st.d_note_r drain_buf 0 (Bytes.length drain_buf)))
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    (* Collect settled chunks. *)
-    let finished = ref [] in
-    Mutex.lock st.d_m;
-    Queue.iter (fun r -> finished := r :: !finished) st.d_done;
-    Queue.clear st.d_done;
-    Mutex.unlock st.d_m;
-    List.iter (fun r -> salvage r) (List.rev !finished);
-    (* Quarantine sweep: any chunk whose current member is past its
-       quarantine time and whose settled CAS we win is salvaged — the
-       hung member charged, finished members kept, unstarted members
-       re-enqueued — its worker poisoned and replaced.  The replacement
-       joins the persistent pool and serves later batches too. *)
-    let t = now () in
-    Array.iteri
-      (fun idx ((ws, _) as _w) ->
-        match Atomic.get ws.w_current with
-        | Some r
-          when Atomic.get r.r_qat <= t
-               && Atomic.compare_and_set r.r_settled false true ->
-          incr quarantined;
-          Atomic.set ws.w_poisoned true;
-          let len = Array.length r.r_tasks in
-          let progress = Atomic.get r.r_progress in
-          let hung = if progress < len then r.r_tasks.(progress) else -1 in
-          Logs.warn (fun m ->
-              m
-                "parmap: task %d attempt %d ignored its deadline past the \
-                 grace period; quarantining its worker and respawning the \
-                 slot"
-                hung (r.r_attempt + 1));
-          salvage ~forced_timeout:true ~end_:t r;
-          st.d_live.(idx) <- dom_spawn_worker st idx
-        | _ -> ())
-      st.d_live
-  done;
-  let steals = Atomic.get st.d_steals - steals0 in
-  if tel then begin
-    let wall = Telemetry.now_s () -. t_start in
-    Telemetry.incr ~by:!crashes "parmap.crashes";
-    Telemetry.incr ~by:!timeouts "parmap.timeouts";
-    Telemetry.incr ~by:!retried "parmap.retries";
-    Telemetry.incr ~by:!quarantined "parmap.quarantined";
-    Telemetry.incr ~by:steals "parmap.steals";
-    Telemetry.observe "parmap.dispatch_s" !dispatch_s;
-    let pct h p = Telemetry.Histogram.percentile h p in
-    Telemetry.emit ~kind:"pool"
-      [
-        ("mode", Telemetry.String "supervised");
-        ("backend", Telemetry.String "domains");
-        ("jobs", Telemetry.Int st.d_jobs);
-        ("tasks", Telemetry.Int n);
-        ("completed", Telemetry.Int !completed);
-        ("crashes", Telemetry.Int !crashes);
-        ("timeouts", Telemetry.Int !timeouts);
-        ("retries", Telemetry.Int !retried);
-        ("quarantined", Telemetry.Int !quarantined);
-        ("chunk_len", Telemetry.Int clen);
-        ("steals", Telemetry.Int steals);
-        ("dispatch_s", Telemetry.Float !dispatch_s);
-        ("wall_s", Telemetry.Float wall);
-        ("busy_s", Telemetry.Float !busy);
-        ( "utilization",
-          Telemetry.Float
-            (if wall > 0.0 then
-               !busy /. (wall *. float_of_int st.d_jobs)
-             else 0.0) );
-        ("task_p50_s", Telemetry.Float (pct task_hist 50.0));
-        ("task_p95_s", Telemetry.Float (pct task_hist 95.0));
-        ("task_max_s", Telemetry.Float (Telemetry.Histogram.max task_hist));
-        ("queue_p50_s", Telemetry.Float (pct queue_hist 50.0));
-        ("queue_p95_s", Telemetry.Float (pct queue_hist 95.0));
-        ("queue_max_s", Telemetry.Float (Telemetry.Histogram.max queue_hist));
-      ]
-  end;
-  ( outcomes,
-    {
-      completed = !completed;
-      crashes = !crashes;
-      timeouts = !timeouts;
-      retries = !retried;
-      quarantined = !quarantined;
-    } )
+  {
+    grace =
+      (match p.timeout_s with Some t -> Float.max 0.05 (0.5 *. t) | None -> 0.0);
+    send =
+      (fun i tasks attempt inputs ->
+        let n = Array.length tasks in
+        let c =
+          {
+            d_tasks = tasks;
+            d_attempt = attempt;
+            d_inputs = inputs;
+            d_results = Array.make n Deadline;
+            d_stamps = Array.make n 0.0;
+            d_progress = Atomic.make 0;
+            d_seen = 0;
+          }
+        in
+        inflight.(i) <- Some c;
+        let w, _ = live.(i) in
+        Mutex.lock m;
+        w.mail <- Some c;
+        Condition.signal w.wake;
+        Mutex.unlock m;
+        true);
+    wait =
+      (fun tmo ->
+        (match Unix.select [ note_r ] [] [] tmo with
+        | [], _, _ -> ()
+        | _ ->
+          ignore
+            (retry_eintr (fun () ->
+                 Unix.read note_r drain_buf 0 (Bytes.length drain_buf)))
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+        let events = ref [] in
+        Array.iteri
+          (fun i -> function
+            | None -> ()
+            | Some c ->
+              let upto = Atomic.get c.d_progress in
+              for k = c.d_seen to upto - 1 do
+                events := Reply (i, c.d_stamps.(k), c.d_results.(k)) :: !events
+              done;
+              c.d_seen <- upto;
+              if upto = Array.length c.d_tasks then inflight.(i) <- None)
+          inflight;
+        List.rev !events);
+    kill =
+      (fun i ->
+        let w, _ = live.(i) in
+        Mutex.lock m;
+        Atomic.set w.poisoned true;
+        Condition.signal w.wake;
+        Mutex.unlock m;
+        inflight.(i) <- None;
+        live.(i) <- spawn ());
+    close =
+      (fun () ->
+        Mutex.lock m;
+        stop := true;
+        Array.iter (fun (w, _) -> Condition.signal w.wake) live;
+        Mutex.unlock m;
+        Array.iter (fun (_, d) -> Domain.join d) live;
+        (try Unix.close note_r with Unix.Unix_error _ -> ());
+        try Unix.close note_w with Unix.Unix_error _ -> ());
+  }
 
-(* --- Persistent fork pool ------------------------------------------------ *)
+(* --- Fork transport ------------------------------------------------------ *)
 
 (* One pre-forked worker per slot, kept alive across batches on a pair
-   of pipes: the parent marshals a length-prefixed [(task ids, attempt,
-   inputs)] chunk down the task pipe, the child streams back one framed
-   [(task, reply)] per member and blocks reading the next chunk.  At
-   most one chunk is ever in flight per slot, members reply strictly in
-   chunk order, so the parent frames replies with [Marshal.header_size]
-   / [Marshal.data_size] out of a per-slot buffer and resets the slot's
-   per-task deadline after every member — a chunk never widens any one
-   task's deadline.  A worker that dies (crash, chaos kill, SIGKILL on
-   deadline) is reaped and its slot respawned without disturbing the
-   rest of the pool — warm state in the surviving children (decoded
-   layouts, simulation caches) stays resident; the dead chunk's
-   finished members keep their results, its unfinished tail is
-   re-enqueued as uncharged singletons. *)
+   of pipes: the parent marshals a [(task ids, attempt, inputs)] chunk
+   down the task pipe, the child streams back one flushed [reply] per
+   member and blocks reading the next chunk, so the parent sees progress
+   (and restarts the deadline) per task, not per chunk.  A worker that
+   dies, or that the scheduler kills at a deadline, is reaped and its
+   slot respawned without disturbing the rest of the pool: warm state in
+   the surviving children (decoded layouts, simulation caches) stays
+   resident. *)
 type fslot = {
-  mutable s_pid : int;
-  mutable s_to : Unix.file_descr; (* parent -> child task pipe *)
-  mutable s_from : Unix.file_descr; (* child -> parent result pipe *)
-  mutable s_alive : bool;
-  s_buf : Buffer.t; (* partial reply bytes *)
-  mutable s_busy : bool;
-  mutable s_tasks : int array; (* in-flight chunk, dispatch order *)
-  mutable s_done : int; (* members already replied *)
-  mutable s_attempt : int; (* 0-based; a chunk is all one attempt *)
-  mutable s_dup : bool; (* chunk involved in a steal *)
-  mutable s_deadline : float; (* absolute; [infinity] when no timeout *)
-  mutable s_last : float; (* dispatch / latest-reply time, absolute *)
+  pid : int;
+  to_child : Unix.file_descr;
+  from_child : Unix.file_descr;
+  pending : Buffer.t; (* reply bytes short of a whole frame *)
 }
-
-type ('a, 'b) fork_state = {
-  k_f : 'a -> 'b;
-  k_slots : fslot array;
-  k_jobs : int;
-  k_timeout_s : float option;
-  k_retries : int;
-  k_backoff_s : float;
-  k_target_s : float; (* chunk budget, seconds *)
-  k_cmin : int;
-  k_cmax : int;
-  mutable k_ewma : float; (* per-task cost estimate, seconds *)
-}
-
-(* The parent writes to task pipes whose child may have died; without
-   this, the resulting SIGPIPE would kill the whole run instead of
-   surfacing as an EPIPE the dispatcher handles by respawning the slot.
-   Set once, never restored: writers in this codebase check their write
-   results. *)
-let sigpipe_ignored = ref false
-
-let ignore_sigpipe () =
-  if not !sigpipe_ignored then begin
-    sigpipe_ignored := true;
-    try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
-  end
 
 let write_all fd b =
   let len = Bytes.length b in
@@ -1025,10 +464,6 @@ let wait_status pid =
   | _, status -> Some status
   | exception Unix.Unix_error _ -> None
 
-(* The worker loop run in each forked child: read one chunk, evaluate
-   its members in order streaming one flushed reply each — so the parent
-   sees progress (and can reset the deadline) per task, not per chunk —
-   repeat until the parent closes the task pipe. *)
 let fork_child_loop (type a b) (f : a -> b) rd wr =
   let ic = Unix.in_channel_of_descr rd in
   let oc = Unix.out_channel_of_descr wr in
@@ -1047,14 +482,14 @@ let fork_child_loop (type a b) (f : a -> b) rd wr =
              | v -> Value v
              | exception e -> Raised (Printexc.to_string e)
            in
-           Marshal.to_channel oc (task, reply) [];
+           Marshal.to_channel oc reply [];
            flush oc)
          tasks
      done
    with _ -> ());
   Unix._exit 0
 
-let fork_spawn_into st slot =
+let fork_spawn f =
   (* Anything buffered in the parent must not be replayed by children
      (children exit through [Unix._exit], which skips flushing). *)
   flush stdout;
@@ -1074,70 +509,41 @@ let fork_spawn_into st slot =
        would interleave torn lines into the parent's stream. *)
     Telemetry.set_sink None;
     close_inherited_fds [ t_r; r_w ];
-    fork_child_loop st.k_f t_r r_w
+    fork_child_loop f t_r r_w
   | pid ->
     Unix.close t_r;
     Unix.close r_w;
-    slot.s_pid <- pid;
-    slot.s_to <- t_w;
-    slot.s_from <- r_r;
-    slot.s_alive <- true;
-    slot.s_busy <- false;
-    Buffer.clear slot.s_buf;
-    slot.s_tasks <- [||];
-    slot.s_done <- 0;
-    slot.s_dup <- false;
-    slot.s_deadline <- infinity;
-    slot.s_last <- 0.0
+    { pid; to_child = t_w; from_child = r_r; pending = Buffer.create 256 }
 
-let init_fork (p : pool) f =
-  ignore_sigpipe ();
-  let fresh_slot () =
-    {
-      s_pid = -1;
-      s_to = Unix.stdin;
-      s_from = Unix.stdin;
-      s_alive = false;
-      s_buf = Buffer.create 256;
-      s_busy = false;
-      s_tasks = [||];
-      s_done = 0;
-      s_attempt = 0;
-      s_dup = false;
-      s_deadline = infinity;
-      s_last = 0.0;
-    }
-  in
-  let st =
-    {
-      k_f = f;
-      k_slots = Array.init p.jobs (fun _ -> fresh_slot ());
-      k_jobs = p.jobs;
-      k_timeout_s = p.timeout_s;
-      k_retries = p.retries;
-      k_backoff_s = p.backoff_s;
-      k_target_s = p.chunk_target_ms /. 1000.0;
-      k_cmin = p.chunk_min;
-      k_cmax = p.chunk_max;
-      k_ewma = seed_ewma ();
-    }
-  in
-  let tel = Telemetry.enabled () in
-  let t0 = if tel then Telemetry.now_s () else 0.0 in
-  Array.iter (fun s -> fork_spawn_into st s) st.k_slots;
-  if tel then Telemetry.observe "parmap.pool_spawn_s" (Telemetry.now_s () -. t0);
-  st
+(* Close slot [i]'s pipes, reap its child and fork a fresh one into the
+   slot, returning the old child's exit status. *)
+let respawn f slots i =
+  let s = slots.(i) in
+  (try Unix.close s.to_child with Unix.Unix_error _ -> ());
+  (try Unix.close s.from_child with Unix.Unix_error _ -> ());
+  let status = wait_status s.pid in
+  slots.(i) <- fork_spawn f;
+  status
 
-(* Close the slot's pipes and reap the child, returning its exit status.
-   Used on worker death and deadline kills; the slot is left dead for
-   [fork_spawn_into] to repopulate. *)
-let retire_slot slot =
-  (try Unix.close slot.s_to with Unix.Unix_error _ -> ());
-  (try Unix.close slot.s_from with Unix.Unix_error _ -> ());
-  slot.s_alive <- false;
-  slot.s_busy <- false;
-  Buffer.clear slot.s_buf;
-  wait_status slot.s_pid
+(* Every whole reply frame in the slot's buffer, oldest first, framed by
+   [Marshal.header_size] / [Marshal.data_size]; a partial frame stays
+   buffered for the next read.  Garbage on the wire raises. *)
+let take_frames slot =
+  let data = Buffer.contents slot.pending in
+  let len = String.length data in
+  let rec go off acc =
+    if len - off < Marshal.header_size then (off, acc)
+    else
+      let total =
+        Marshal.header_size + Marshal.data_size (Bytes.unsafe_of_string data) off
+      in
+      if len - off < total then (off, acc)
+      else go (off + total) (Marshal.from_string data off :: acc)
+  in
+  let off, frames = go 0 [] in
+  Buffer.clear slot.pending;
+  Buffer.add_substring slot.pending data off (len - off);
+  List.rev frames
 
 (* Closing every task pipe first EOFs all idle children's blocking reads
    at once, and they exit on their own in parallel.  They are then
@@ -1148,17 +554,16 @@ let retire_slot slot =
    [parmap.shutdown_kills] counts the exceptions. *)
 let shutdown_grace_s = 0.5
 
-let shutdown_fork st =
+let shutdown_fork slots =
   let t0 = Unix.gettimeofday () in
-  let live = List.filter (fun s -> s.s_alive) (Array.to_list st.k_slots) in
+  let live = Array.to_list slots in
   List.iter
     (fun s ->
-      s.s_alive <- false;
-      (try Unix.close s.s_to with Unix.Unix_error _ -> ());
-      try Unix.close s.s_from with Unix.Unix_error _ -> ())
+      (try Unix.close s.to_child with Unix.Unix_error _ -> ());
+      try Unix.close s.from_child with Unix.Unix_error _ -> ())
     live;
   let running s =
-    match retry_eintr (fun () -> Unix.waitpid [ Unix.WNOHANG ] s.s_pid) with
+    match retry_eintr (fun () -> Unix.waitpid [ Unix.WNOHANG ] s.pid) with
     | 0, _ -> true
     | _ -> false
     | exception Unix.Unix_error _ -> false
@@ -1179,64 +584,157 @@ let shutdown_fork st =
   let stuck = reap 0.0002 live in
   List.iter
     (fun s ->
-      (try Unix.kill s.s_pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (wait_status s.s_pid))
+      (try Unix.kill s.pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (wait_status s.pid))
     stuck;
   if Telemetry.enabled () then begin
     Telemetry.observe "parmap.shutdown_s" (Unix.gettimeofday () -. t0);
     Telemetry.incr ~by:(List.length stuck) "parmap.shutdown_kills"
   end
 
-let fork_batch (st : ('a, 'b) fork_state) (xs : 'a array) =
+let fork_transport (p : pool) f =
+  (* The parent writes to task pipes whose child may have died; without
+     this, the resulting SIGPIPE would kill the whole run instead of
+     surfacing as an EPIPE [send] handles by respawning the slot.  Never
+     restored: writers in this codebase check their write results. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let slots = Array.init p.jobs (fun _ -> fork_spawn f) in
+  (* The worker died mid-chunk, or wrote garbage: any partial reply is
+     torn.  Reap it, respawn the slot, and say how it ended. *)
+  let died i =
+    let msg =
+      match respawn f slots i with
+      | Some (Unix.WEXITED 0) -> "worker exited before writing a result"
+      | Some status -> "worker " ^ describe_status status
+      | None -> "worker vanished"
+    in
+    Died (i, msg)
+  in
+  let buf = Bytes.create 65536 in
+  let read i =
+    let s = slots.(i) in
+    match retry_eintr (fun () -> Unix.read s.from_child buf 0 (Bytes.length buf)) with
+    | 0 -> [ died i ]
+    | k -> (
+      Buffer.add_subbytes s.pending buf 0 k;
+      (* One read may carry several member replies. *)
+      let t = now () in
+      match take_frames s with
+      | frames -> List.map (fun r -> Reply (i, t, r)) frames
+      | exception _ -> [ died i ])
+    | exception Unix.Unix_error _ -> [ died i ]
+  in
+  {
+    grace = 0.0;
+    send =
+      (fun i tasks attempt inputs ->
+        let msg = Marshal.to_bytes (tasks, attempt, inputs) [] in
+        (* An idle worker may have died since its last chunk (a chaos
+           kill landing between batches, the OOM killer): respawn the
+           slot and resend, without charging the tasks an attempt. *)
+        let rec go tries =
+          match write_all slots.(i).to_child msg with
+          | () -> true
+          | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
+            ignore (respawn f slots i);
+            tries > 0 && go (tries - 1)
+        in
+        go 2);
+    wait =
+      (fun tmo ->
+        let fds = Array.to_list (Array.map (fun s -> s.from_child) slots) in
+        match Unix.select fds [] [] tmo with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+        | readable, _, _ ->
+          (* Resolve every descriptor before any respawn reuses one. *)
+          List.init (Array.length slots) Fun.id
+          |> List.filter (fun i -> List.mem slots.(i).from_child readable)
+          |> List.concat_map read);
+    kill =
+      (fun i ->
+        (try Unix.kill slots.(i).pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (respawn f slots i));
+    close = (fun () -> shutdown_fork slots);
+  }
+
+(* --- The batch scheduler -------------------------------------------------- *)
+
+(* One batch over a transport's [jobs] slots.  Tasks [0, n) are cut into
+   consecutive chunks sized from the handle's cost estimate and queued
+   in one ready FIFO; each idle slot takes the next chunk.  Replies come
+   back in member order, and each one restarts the deadline of the next
+   member: a chunk never widens any one task's deadline.
+
+   A failed attempt is charged to that task alone: it waits out an
+   exponential backoff and returns as a singleton chunk at the next
+   attempt number, up to [retries].  When a chunk dies — its worker
+   exited, or the executing member passed its hard deadline (the
+   deadline itself on fork, which kills; plus the grace on domains,
+   which quarantines) — that member is charged and the never-started
+   tail is re-enqueued uncharged at the same attempt, so a seeded chaos
+   plan keyed on attempt numbers fires identically under any chunking.
+
+   Every unsettled task sits in exactly one place — the ready FIFO, the
+   backoff list or one slot's chunk — so the batch ends with every slot
+   idle, and outcomes are stored by task id: for pure tasks the result
+   depends neither on scheduling nor on chunk size. *)
+
+type inflight = {
+  mutable tasks : int array;
+  mutable attempt : int; (* 0-based; a chunk is all one attempt *)
+  mutable next : int; (* members replied so far: the executing member *)
+  mutable start : float; (* dispatch time, absolute *)
+  mutable last : float; (* dispatch or latest event time, absolute *)
+}
+
+let busy sl = sl.next < Array.length sl.tasks
+
+type ('a, 'b) sched = {
+  s_pool : pool;
+  s_tr : ('a, 'b) transport;
+  mutable s_ewma : float; (* per-task cost estimate, seconds *)
+}
+
+let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
+  let p = s.s_pool and tr = s.s_tr in
   let n = Array.length xs in
   let outcomes = Array.make n Gave_up in
-  let completed = ref 0 in
-  let crashes = ref 0 in
-  let timeouts = ref 0 in
-  let retried = ref 0 in
-  let steals = ref 0 in
-  let timeout_s = st.k_timeout_s in
-  let retries = st.k_retries in
-  let backoff_s = st.k_backoff_s in
+  let completed = ref 0 and crashes = ref 0 and timeouts = ref 0 in
+  let retried = ref 0 and quarantined = ref 0 in
   (* Telemetry: per-task latency and queue wait are observed from the
      parent.  [queue_wait_s] is enqueue-to-dispatch only — pool spawn
      cost lives under [parmap.pool_spawn_s] — and [task_s] is the
-     reply-to-reply wall clock within a chunk (dispatch-to-first-reply
+     event-to-event wall clock within a chunk (dispatch-to-first-reply
      for its head).  The clock itself is read unconditionally: the
      chunk-size EWMA needs the samples whether or not telemetry records
-     them, and neither chunking nor stealing can change a task's value,
-     only when it is computed. *)
+     them, and chunking cannot change a task's value, only when it is
+     computed. *)
   let tel = Telemetry.enabled () in
   let t_start = if tel then Telemetry.now_s () else 0.0 in
   let task_hist = Telemetry.Histogram.create () in
   let queue_hist = Telemetry.Histogram.create () in
-  let busy = ref 0.0 in
-  let dispatch_s = ref 0.0 in
-  (* Per-task supervision state, shared by every dispatched copy of the
-     task: its current attempt, whether it settled, and how many live
-     copies are in flight (2 while a stolen tail runs twice; the first
-     reply wins, later ones are stale).  A copy from a superseded
-     attempt is also stale: retries bump [cur_attempt]. *)
-  let cur_attempt = Array.make n 0 in
-  let acked = Array.make n false in
-  let copies = Array.make n 0 in
-  let stale task attempt = acked.(task) || attempt <> cur_attempt.(task) in
-  if st.k_ewma <= 0.0 then st.k_ewma <- seed_ewma ();
+  let busy_s = ref 0.0 and dispatch_s = ref 0.0 in
+  if s.s_ewma <= 0.0 then s.s_ewma <- seed_ewma ();
   let clen =
-    chunk_length ~target_s:st.k_target_s ~cmin:st.k_cmin ~cmax:st.k_cmax
-      ~jobs:st.k_jobs ~ewma:st.k_ewma ~tasks:n
+    chunk_length ~target_s:(p.chunk_target_ms /. 1000.0) ~cmin:p.chunk_min
+      ~cmax:p.chunk_max ~jobs:p.jobs ~ewma:s.s_ewma ~tasks:n
   in
-  (* Chunks awaiting dispatch, FIFO, stamped with the time they became
-     ready; failed attempts wait out their backoff in [delayed] (sorted
-     by wake-up time) and return as singletons. *)
+  (* Chunks awaiting dispatch, stamped with the time they became ready;
+     failed attempts wait out their backoff in [delayed], soonest
+     first. *)
   let ready : (int array * int * float) Queue.t = Queue.create () in
-  let enq0 = if tel then now () else 0.0 in
+  let enq0 = now () in
   List.iter (fun c -> Queue.add (c, 0, enq0) ready) (partition_chunks n clen);
   let delayed = ref [] in
   let remaining = ref n in
-  let chunk = Bytes.create 65536 in
-  let finish_failure ~task ~attempt kind =
-    acked.(task) <- true;
+  let slots =
+    Array.init p.jobs (fun _ ->
+        { tasks = [||]; attempt = 0; next = 0; start = 0.0; last = 0.0 })
+  in
+  let limit =
+    match p.timeout_s with Some d -> d +. tr.grace | None -> infinity
+  in
+  let fail ~task ~attempt kind =
     (match kind with
     | `Crash msg ->
       incr crashes;
@@ -1247,356 +745,181 @@ let fork_batch (st : ('a, 'b) fork_state) (xs : 'a array) =
       Logs.warn (fun m ->
           m "parmap: task %d attempt %d timed out after %.1fs" task
             (attempt + 1)
-            (Option.value ~default:0.0 timeout_s)));
-    if attempt < retries then begin
+            (Option.value ~default:0.0 p.timeout_s)));
+    if attempt < p.retries then begin
       incr retried;
-      let delay = backoff_s *. (2.0 ** float_of_int attempt) in
-      delayed := insert_delayed (now () +. delay, task, attempt + 1) !delayed
+      let delay = p.backoff_s *. (2.0 ** float_of_int attempt) in
+      delayed :=
+        List.merge compare [ (now () +. delay, task, attempt + 1) ] !delayed
     end
     else begin
       outcomes.(task) <-
-        (if retries = 0 then
-           match kind with
-           | `Crash msg -> Crashed msg
-           | `Timeout -> Timed_out
+        (if p.retries = 0 then
+           match kind with `Crash msg -> Crashed msg | `Timeout -> Timed_out
          else Gave_up);
       decr remaining
     end
   in
-  (* Extract one framed [(task, reply)] from the slot's buffer, if
-     complete. *)
-  let try_extract_reply slot : (int * 'b reply) option =
-    let len = Buffer.length slot.s_buf in
-    if len < Marshal.header_size then None
-    else begin
-      let hdr = Bytes.of_string (Buffer.sub slot.s_buf 0 Marshal.header_size) in
-      let total = Marshal.header_size + Marshal.data_size hdr 0 in
-      if len < total then None
-      else begin
-        let data = Bytes.of_string (Buffer.contents slot.s_buf) in
-        let v = (Marshal.from_bytes data 0 : int * 'b reply) in
-        Buffer.clear slot.s_buf;
-        if len > total then Buffer.add_subbytes slot.s_buf data total (len - total);
-        Some v
-      end
-    end
-  in
-  (* A member replied: feed the reply-to-reply gap to the EWMA, push the
-     slot's deadline out for its next member, and settle the task unless
-     a sibling copy got there first. *)
-  let note_event slot =
-    let t = now () in
-    let d = Float.max 0.0 (t -. slot.s_last) in
-    slot.s_last <- t;
-    st.k_ewma <- ewma_update st.k_ewma d;
+  (* A member of the slot's chunk ended at [t]: move the slot's clock on,
+     and once the chunk is over ([ran] members), feed its mean per-task
+     cost to the EWMA. *)
+  let note_event ?ran sl t =
+    let d = Float.max 0.0 (t -. sl.last) in
+    sl.last <- t;
+    Option.iter
+      (fun ran ->
+        s.s_ewma <- ewma_update s.s_ewma ((t -. sl.start) /. float_of_int ran))
+      ran;
     if tel then begin
       Telemetry.Histogram.add task_hist d;
       Telemetry.observe "parmap.task_s" d;
-      busy := !busy +. d
+      busy_s := !busy_s +. d
     end
   in
-  let handle_reply slot (task, reply) =
-    note_event slot;
-    slot.s_done <- slot.s_done + 1;
-    if slot.s_done >= Array.length slot.s_tasks then begin
-      slot.s_busy <- false;
-      slot.s_deadline <- infinity
-    end
-    else
-      slot.s_deadline <-
-        (match timeout_s with Some d -> slot.s_last +. d | None -> infinity);
-    if not (stale task slot.s_attempt) then begin
-      copies.(task) <- copies.(task) - 1;
-      match reply with
+  let on_reply i t r =
+    let sl = slots.(i) in
+    if busy sl then begin
+      let task = sl.tasks.(sl.next) in
+      sl.next <- sl.next + 1;
+      note_event ?ran:(if busy sl then None else Some sl.next) sl t;
+      match r with
       | Value v ->
-        acked.(task) <- true;
         outcomes.(task) <- Ok v;
         incr completed;
         decr remaining
       | Raised msg ->
-        finish_failure ~task ~attempt:slot.s_attempt
-          (`Crash ("task raised: " ^ msg))
+        fail ~task ~attempt:sl.attempt (`Crash ("task raised: " ^ msg))
+      | Deadline -> fail ~task ~attempt:sl.attempt `Timeout
     end
   in
-  (* The slot's chunk is dead (worker death or deadline kill).  The
-     member it was executing is charged [kind] — unless a live sibling
-     copy still covers it — and the never-started tail is re-enqueued
-     uncharged as singletons at the same attempt, so a seeded chaos plan
-     keyed on attempt numbers fires identically under any chunking. *)
-  let salvage_members slot kind =
-    let len = Array.length slot.s_tasks in
-    for k = slot.s_done to len - 1 do
-      let task = slot.s_tasks.(k) in
-      if not (stale task slot.s_attempt) then begin
-        copies.(task) <- copies.(task) - 1;
-        if copies.(task) <= 0 then begin
-          if k = slot.s_done then
-            finish_failure ~task ~attempt:slot.s_attempt kind
-          else
-            Queue.add
-              ([| task |], slot.s_attempt, if tel then now () else 0.0)
-              ready
-        end
-      end
-    done
+  (* The slot's chunk is dead: charge the executing member, re-enqueue
+     the never-started tail uncharged. *)
+  let salvage i kind =
+    let sl = slots.(i) in
+    if busy sl then begin
+      note_event ~ran:(sl.next + 1) sl (now ());
+      let enq = now () in
+      Array.iteri
+        (fun k task ->
+          if k = sl.next then fail ~task ~attempt:sl.attempt kind
+          else if k > sl.next then Queue.add ([| task |], sl.attempt, enq) ready)
+        sl.tasks;
+      sl.next <- Array.length sl.tasks
+    end
   in
-  (* The worker died mid-chunk: any partial reply is torn.  Classify by
-     exit status, salvage the chunk, and respawn the slot so the pool
-     keeps its capacity. *)
-  let handle_death slot =
-    note_event slot;
-    let status = retire_slot slot in
-    let msg =
-      match status with
-      | Some (Unix.WEXITED 0) -> "worker exited before writing a result"
-      | Some status -> "worker " ^ describe_status status
-      | None -> "worker vanished"
-    in
-    salvage_members slot (`Crash msg);
-    fork_spawn_into st slot
-  in
-  let rec dispatch slot ((tasks, attempt, enq) as job) ~tries =
-    let inputs = Array.map (fun t -> xs.(t)) tasks in
+  let dispatch i (tasks, attempt, enq) =
     let t0 = now () in
-    let msg = Marshal.to_bytes (tasks, attempt, inputs) [] in
-    match write_all slot.s_to msg with
-    | () ->
-      let t = now () in
-      dispatch_s := !dispatch_s +. (t -. t0);
+    let sent = tr.send i tasks attempt (Array.map (fun t -> xs.(t)) tasks) in
+    let t = now () in
+    dispatch_s := !dispatch_s +. (t -. t0);
+    if not sent then
+      Array.iter
+        (fun task -> fail ~task ~attempt (`Crash "worker unavailable"))
+        tasks
+    else begin
       if tel then begin
-        Telemetry.observe "parmap.chunk_size"
-          (float_of_int (Array.length tasks));
-        if enq > 0.0 then begin
-          let w = Float.max 0.0 (t -. enq) in
-          Array.iter
-            (fun _ ->
-              Telemetry.Histogram.add queue_hist w;
-              Telemetry.observe "parmap.queue_wait_s" w)
-            tasks
-        end
-      end;
-      Array.iter (fun task -> copies.(task) <- copies.(task) + 1) tasks;
-      slot.s_busy <- true;
-      slot.s_tasks <- tasks;
-      slot.s_attempt <- attempt;
-      slot.s_done <- 0;
-      slot.s_dup <- false;
-      slot.s_last <- t;
-      slot.s_deadline <-
-        (match timeout_s with Some d -> t +. d | None -> infinity)
-    | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
-      (* The idle worker died since its last task (a chaos kill landing
-         between batches, the OOM killer): reap it, respawn the slot and
-         redispatch without charging the tasks an attempt. *)
-      ignore (retire_slot slot);
-      fork_spawn_into st slot;
-      if tries > 0 then dispatch slot job ~tries:(tries - 1)
-      else
+        Telemetry.observe "parmap.chunk_size" (float_of_int (Array.length tasks));
+        let w = Float.max 0.0 (t -. enq) in
         Array.iter
-          (fun task ->
-            if
-              (not acked.(task))
-              && cur_attempt.(task) = attempt
-              && copies.(task) <= 0
-            then finish_failure ~task ~attempt (`Crash "worker unavailable"))
+          (fun _ ->
+            Telemetry.Histogram.add queue_hist w;
+            Telemetry.observe "parmap.queue_wait_s" w)
           tasks
+      end;
+      let sl = slots.(i) in
+      sl.tasks <- tasks;
+      sl.attempt <- attempt;
+      sl.next <- 0;
+      sl.start <- t;
+      sl.last <- t
+    end
   in
   while !remaining > 0 do
     let t = now () in
-    (* Promote delayed retries whose backoff has elapsed.  The
-       promotion is what invalidates any still-running copy of the old
-       attempt: [cur_attempt] moves on, [copies] restarts at zero. *)
     let rec promote () =
       match !delayed with
-      | (nb, task, att) :: rest when nb <= t ->
+      | (wake, task, attempt) :: rest when wake <= t ->
         delayed := rest;
-        cur_attempt.(task) <- att;
-        acked.(task) <- false;
-        copies.(task) <- 0;
-        Queue.add ([| task |], att, if tel then t else 0.0) ready;
+        Queue.add ([| task |], attempt, now ()) ready;
         promote ()
       | _ -> ()
     in
     promote ();
-    Array.iter
-      (fun s ->
-        if s.s_alive && (not s.s_busy) && not (Queue.is_empty ready) then
-          dispatch s (Queue.pop ready) ~tries:2)
-      st.k_slots;
-    (* Work stealing: with nothing left to dispatch and a slot sitting
-       idle, re-dispatch the undone remainder of the slowest busy
-       chunk — the member in the straggler's hands included, since that
-       member is exactly the one a slow worker is sitting on — to the
-       idle slot.  First reply per task wins; the loser's is stale.
-       Guarded by the cost estimate (no steal before a chunk is ~4
-       expected tasks late) so healthy in-progress chunks are not
-       duplicated, and [s_dup] keeps any chunk from being stolen
-       twice. *)
-    if Queue.is_empty ready && !delayed = [] && !remaining > 0 then begin
-      let idle =
+    Array.iteri
+      (fun i sl ->
+        if (not (busy sl)) && not (Queue.is_empty ready) then
+          dispatch i (Queue.pop ready))
+      slots;
+    (* Sleep until an event, the nearest hard deadline or the nearest
+       retry wake-up — or not at all if an idle slot could not take the
+       next ready chunk. *)
+    let until =
+      if
+        (not (Queue.is_empty ready))
+        && Array.exists (fun sl -> not (busy sl)) slots
+      then 0.0
+      else
         Array.fold_left
-          (fun acc s ->
-            match acc with
-            | Some _ -> acc
-            | None -> if s.s_alive && not s.s_busy then Some s else None)
-          None st.k_slots
-      in
-      match idle with
-      | None -> ()
-      | Some idle ->
-        let t = now () in
-        let late = Float.max 0.002 (4.0 *. st.k_ewma) in
-        let victim =
-          Array.fold_left
-            (fun acc s ->
-              if
-                s.s_busy && (not s.s_dup)
-                && Array.length s.s_tasks > s.s_done
-                && t -. s.s_last > late
-              then
-                match acc with
-                | Some v when v.s_last <= s.s_last -> acc
-                | _ -> Some s
-              else acc)
-            None st.k_slots
-        in
-        (match victim with
-        | None -> ()
-        | Some v ->
-          let tail =
-            Array.sub v.s_tasks v.s_done (Array.length v.s_tasks - v.s_done)
-          in
-          let tail =
-            Array.of_list
-              (List.filter
-                 (fun task -> not (stale task v.s_attempt))
-                 (Array.to_list tail))
-          in
-          if Array.length tail > 0 then begin
-            incr steals;
-            v.s_dup <- true;
-            (* enq 0: a stolen copy's wait is not a fresh queue wait. *)
-            dispatch idle (tail, v.s_attempt, 0.0) ~tries:2;
-            if idle.s_busy then idle.s_dup <- true
-          end)
-    end;
-    let pending =
-      Array.fold_left
-        (fun acc s -> if s.s_busy then (s, s.s_from) :: acc else acc)
-        [] st.k_slots
+          (fun acc sl -> if busy sl then Float.min acc (sl.last +. limit) else acc)
+          (match !delayed with (wake, _, _) :: _ -> wake | [] -> infinity)
+          slots
     in
-    if pending = [] then begin
-      match !delayed with
-      | (nb, _, _) :: _ ->
-        let d = nb -. now () in
-        if d > 0.0 then (
-          (* An interrupted sleep just re-enters the loop, which
-             recomputes the remaining backoff. *)
-          try Unix.sleepf d
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-      | [] ->
-        (* Unreachable: remaining > 0 implies work somewhere. *)
-        remaining := 0
-    end
-    else begin
-      let fds = List.map snd pending in
-      let nearest_deadline =
-        List.fold_left
-          (fun acc (s, _) -> Float.min acc s.s_deadline)
-          infinity pending
-      in
-      let nearest_retry =
-        match !delayed with (nb, _, _) :: _ -> nb | [] -> infinity
-      in
-      let until = Float.min nearest_deadline nearest_retry in
+    if !remaining > 0 then begin
       let tmo =
         if until = infinity then -1.0 else Float.max 0.0 (until -. now ())
       in
-      let readable =
-        match Unix.select fds [] [] tmo with
-        | r, _, _ -> r
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-      in
       List.iter
-        (fun fd ->
-          match
-            List.find_opt (fun (s, f) -> f = fd && s.s_busy && s.s_alive) pending
-          with
-          | None -> ()
-          | Some (slot, _) -> (
-            match
-              retry_eintr (fun () -> Unix.read fd chunk 0 (Bytes.length chunk))
-            with
-            | 0 -> handle_death slot
-            | k ->
-              Buffer.add_subbytes slot.s_buf chunk 0 k;
-              (* One read may carry several framed member replies. *)
-              let rec drain () =
-                if slot.s_busy then
-                  match try_extract_reply slot with
-                  | Some tr ->
-                    handle_reply slot tr;
-                    drain ()
-                  | None -> ()
-                  | exception _ ->
-                    (* Garbage on the wire: treat as a worker fault. *)
-                    handle_death slot
-              in
-              drain ()
-            | exception Unix.Unix_error _ -> handle_death slot))
-        readable;
+        (function
+          | Reply (i, t, r) -> on_reply i t r
+          | Died (i, msg) -> salvage i (`Crash msg))
+        (tr.wait tmo);
       let t = now () in
-      Array.iter
-        (fun slot ->
-          if slot.s_busy && slot.s_deadline <= t then begin
-            note_event slot;
-            (try Unix.kill slot.s_pid Sys.sigkill with Unix.Unix_error _ -> ());
-            ignore (retire_slot slot);
-            salvage_members slot `Timeout;
-            fork_spawn_into st slot
+      Array.iteri
+        (fun i sl ->
+          if busy sl && sl.last +. limit <= t then begin
+            if p.backend = `Domains then begin
+              incr quarantined;
+              Logs.warn (fun m ->
+                  m
+                    "parmap: task %d attempt %d ignored its deadline past the \
+                     grace period; quarantining its worker and respawning the \
+                     slot"
+                    sl.tasks.(sl.next) (sl.attempt + 1))
+            end;
+            tr.kill i;
+            salvage i `Timeout
           end)
-        st.k_slots
+        slots
     end
   done;
-  (* Every task has settled, but a stolen chunk's slower copy may still
-     be running stale members.  Its replies must not leak into the next
-     batch's framing, so the slot is recycled rather than drained. *)
-  Array.iter
-    (fun slot ->
-      if slot.s_busy then begin
-        (try Unix.kill slot.s_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        ignore (retire_slot slot);
-        fork_spawn_into st slot
-      end)
-    st.k_slots;
   if tel then begin
     let wall = Telemetry.now_s () -. t_start in
     Telemetry.incr ~by:!crashes "parmap.crashes";
     Telemetry.incr ~by:!timeouts "parmap.timeouts";
     Telemetry.incr ~by:!retried "parmap.retries";
-    Telemetry.incr ~by:!steals "parmap.steals";
+    Telemetry.incr ~by:!quarantined "parmap.quarantined";
     Telemetry.observe "parmap.dispatch_s" !dispatch_s;
     let pct h p = Telemetry.Histogram.percentile h p in
     Telemetry.emit ~kind:"pool"
       [
         ("mode", Telemetry.String "supervised");
-        ("backend", Telemetry.String "fork");
-        ("jobs", Telemetry.Int st.k_jobs);
+        ("backend", Telemetry.String (backend_name p.backend));
+        ("jobs", Telemetry.Int p.jobs);
         ("tasks", Telemetry.Int n);
         ("completed", Telemetry.Int !completed);
         ("crashes", Telemetry.Int !crashes);
         ("timeouts", Telemetry.Int !timeouts);
         ("retries", Telemetry.Int !retried);
+        ("quarantined", Telemetry.Int !quarantined);
         ("chunk_len", Telemetry.Int clen);
-        ("steals", Telemetry.Int !steals);
         ("dispatch_s", Telemetry.Float !dispatch_s);
         ("wall_s", Telemetry.Float wall);
-        ("busy_s", Telemetry.Float !busy);
+        ("busy_s", Telemetry.Float !busy_s);
         ( "utilization",
           Telemetry.Float
-            (if wall > 0.0 then
-               !busy /. (wall *. float_of_int st.k_jobs)
-             else 0.0) );
+            (if wall > 0.0 then !busy_s /. (wall *. float_of_int p.jobs)
+             else 0.0)
+        );
         ("task_p50_s", Telemetry.Float (pct task_hist 50.0));
         ("task_p95_s", Telemetry.Float (pct task_hist 95.0));
         ("task_max_s", Telemetry.Float (Telemetry.Histogram.max task_hist));
@@ -1611,19 +934,12 @@ let fork_batch (st : ('a, 'b) fork_state) (xs : 'a array) =
       crashes = !crashes;
       timeouts = !timeouts;
       retries = !retried;
-      quarantined = 0;
+      quarantined = !quarantined;
     } )
-
-let empty_stats =
-  { completed = 0; crashes = 0; timeouts = 0; retries = 0; quarantined = 0 }
 
 (* --- Persistent pool handles --------------------------------------------- *)
 
-type ('a, 'b) impl =
-  | Uninit
-  | Inproc
-  | Forked of ('a, 'b) fork_state
-  | Domained of ('a, 'b) dom_state
+type ('a, 'b) impl = Uninit | Inproc | Pooled of ('a, 'b) sched
 
 type ('a, 'b) handle = {
   h_pool : pool;
@@ -1640,11 +956,18 @@ let create pool ~f = { h_pool = pool; h_f = f; h_impl = Uninit; h_closed = false
    workers must inherit (an armed chaos plan, the warmed caches of the
    creating process) is captured as late as possible. *)
 let init_impl h =
+  let pooled transport =
+    let tel = Telemetry.enabled () in
+    let t0 = if tel then Telemetry.now_s () else 0.0 in
+    let tr = transport h.h_pool h.h_f in
+    if tel then Telemetry.observe "parmap.pool_spawn_s" (Telemetry.now_s () -. t0);
+    Pooled { s_pool = h.h_pool; s_tr = tr; s_ewma = seed_ewma () }
+  in
   match h.h_pool.backend with
   | `Seq -> Inproc
-  | `Domains -> Domained (init_domains h.h_pool h.h_f)
+  | `Domains -> pooled domains_transport
   | `Fork ->
-    if fork_usable () then Forked (init_fork h.h_pool h.h_f)
+    if fork_usable () then pooled fork_transport
     else begin
       if available then warn_fork_after_domains ();
       Inproc
@@ -1658,8 +981,7 @@ let run_batch h xs =
     match h.h_impl with
     | Uninit -> assert false
     | Inproc -> inprocess_supervised h.h_f xs
-    | Forked st -> fork_batch st xs
-    | Domained st -> domains_batch st xs
+    | Pooled s -> run_scheduled s xs
   end
 
 let shutdown h =
@@ -1667,23 +989,10 @@ let shutdown h =
     h.h_closed <- true;
     (match h.h_impl with
     | Uninit | Inproc -> ()
-    | Forked st -> shutdown_fork st
-    | Domained st -> shutdown_domains st);
+    | Pooled s -> s.s_tr.close ());
     h.h_impl <- Uninit
   end
 
 let run_supervised pool f xs =
-  if Array.length xs = 0 then ([||], empty_stats)
-  else begin
-    let h = create pool ~f in
-    Fun.protect ~finally:(fun () -> shutdown h) (fun () -> run_batch h xs)
-  end
-
-let supervised ?(jobs = 1) ?timeout_s ?(retries = 1) ?(backoff_s = 0.05) f xs =
-  if jobs < 1 then
-    invalid_arg
-      (Printf.sprintf
-         "Parmap.supervised: jobs must be a positive worker count (got %d)"
-         jobs);
-  run_supervised (pool ~backend:`Fork ~jobs ?timeout_s ~retries ~backoff_s ())
-    f xs
+  let h = create pool ~f in
+  Fun.protect ~finally:(fun () -> shutdown h) (fun () -> run_batch h xs)

@@ -2,38 +2,38 @@
 
     The paper ran its fitness loop on a 15-20 machine cluster; this
     module is the single-machine analogue.  A {!pool} names a backend and
-    carries every knob the two entry points share:
+    carries every knob a batch needs:
 
     - [`Seq] runs in-process and sequentially — the bit-identity
       reference every parallel backend is tested against.
-    - [`Fork] is the original [Unix.fork] process pool: full fault
+    - [`Fork] keeps pre-forked worker processes on pipes: full fault
       isolation (a segfaulting or [kill -9]ed worker never takes the run
-      down) and the only backend that can enforce wall-clock deadlines,
-      at the cost of a fork and a [Marshal] round-trip per batch or task.
-    - [`Domains] is an OCaml 5 shared-memory work pool: [Domain.spawn]ed
-      workers pull task indices from one atomic counter — no fork, no
-      marshalling, results written in place.  A domain cannot be killed,
-      so {!run_supervised} enforces deadlines {e cooperatively}: each
-      attempt runs under a {!Cancel} token which the evaluation stack
-      polls at safepoints, a poll past the deadline becomes a
-      [Timed_out], and retries follow the fork supervisor's schedule.  A
-      task that ignores its token past a grace period (half the timeout,
-      min 50ms) has its worker quarantined — poisoned, abandoned, its
-      slot respawned — so hangs are cut off within 1.5x the deadline
-      even when no safepoint is ever reached.  Tasks must be thread-safe
-      (the evaluation pipeline's shared caches are; see DESIGN.md §12).
+      down) and kill-based deadlines, at the cost of a [Marshal]
+      round-trip per chunk of tasks.
+    - [`Domains] keeps [Domain.spawn]ed workers in the same heap — no
+      fork, no marshalling.  A domain cannot be killed, so deadlines are
+      enforced {e cooperatively}: each task runs under a {!Cancel} token
+      which the evaluation stack polls at safepoints, and a poll past the
+      deadline becomes a timeout.  A task that ignores its token past a
+      grace period (half the timeout, min 50ms) has its worker
+      quarantined — poisoned, abandoned, its slot respawned — so hangs
+      are cut off within 1.5x the deadline even when no safepoint is
+      ever reached.  Tasks must be thread-safe (the evaluation
+      pipeline's shared caches are; see DESIGN.md §12).
 
-    For pure tasks all backends produce bit-identical results at any job
-    count: [`Fork] workers own disjoint round-robin index slices,
-    [`Domains] workers write disjoint slots, and task functions receive
-    the same inputs regardless of scheduling.
+    Both parallel backends run under one batch scheduler, so chunking,
+    retries, deadlines and telemetry behave the same on either; only
+    the way a worker is stopped differs.  For pure tasks every backend
+    produces bit-identical results at any job count: results are stored
+    by task id, and task functions receive the same inputs regardless of
+    scheduling.
 
     One runtime rule couples the two parallel backends: the OCaml 5
     runtime forbids [Unix.fork] in any process that has ever spawned a
     domain — even one that has since been joined.  The first [`Domains]
     pool therefore {e retires} [`Fork] for the rest of the process:
     {!capabilities} stops listing it and later [`Fork] requests degrade
-    to the in-process paths with a one-time warning.  Fork first and
+    to the in-process path with a one-time warning.  Fork first and
     domains after, or pick one parallel backend per process. *)
 
 type backend = [ `Seq | `Fork | `Domains ]
@@ -42,7 +42,7 @@ val available : bool
 (** Whether forking is supported on this platform.  A static probe: it
     stays [true] even after domains have retired [`Fork] for this
     process — prefer {!capabilities}, which accounts for both.  When
-    [false], [`Fork] degrades to the sequential / in-process paths. *)
+    [false], [`Fork] degrades to the in-process path. *)
 
 val capabilities : unit -> backend list
 (** The backends usable {e right now}.  [`Seq] and [`Domains] are always
@@ -56,9 +56,8 @@ val backend_name : backend -> string
 val backend_of_name : string -> backend option
 (** Inverse of {!backend_name}. *)
 
-(** The one configuration record shared by {!run} and {!run_supervised},
-    replacing the [?jobs ?timeout_s ?retries ?backoff_s] sprawl that was
-    duplicated across [map], [supervised], [Study] and the CLI. *)
+(** The one configuration record every pool entry point, [Evaluator],
+    [Study] and the CLI share. *)
 type pool = private {
   backend : backend;
   jobs : int;
@@ -69,14 +68,14 @@ type pool = private {
   backoff_s : float;  (** initial retry backoff, doubling *)
   chunk_target_ms : float;
       (** how much estimated work one dispatch round-trip should
-          amortize: the supervised dispatchers group tasks into chunks
-          of ~[chunk_target_ms] milliseconds, using an EWMA of observed
+          amortize: the scheduler groups tasks into chunks of
+          ~[chunk_target_ms] milliseconds, using an EWMA of observed
           per-task cost (seeded from [parmap.task_s] telemetry when
-          available, re-estimated every batch) *)
+          available, refined as each chunk finishes) *)
   chunk_min : int;
       (** chunk-length floor.  The default, 1, makes an unseeded first
-          batch dispatch single tasks — exactly the pre-chunking
-          protocol and the [-j1]-compatible reference. *)
+          batch dispatch single tasks — exactly the one-task protocol
+          and the [-j1]-compatible reference. *)
   chunk_max : int;  (** chunk-length ceiling *)
   ignored_limits : string list;
       (** supervision limits this backend cannot honor, recorded at
@@ -106,9 +105,9 @@ val pool :
     well as non-positive [timeout_s], negative [retries], negative
     [backoff_s], non-positive or non-finite [chunk_target_ms],
     [chunk_min < 1] and [chunk_max < chunk_min].  Force
-    [~chunk_min:1 ~chunk_max:1] to pin the pre-chunking one-task
-    protocol (useful when tasks are so coarse or so variable that any
-    grouping risks imbalance the stealer must then undo).
+    [~chunk_min:1 ~chunk_max:1] to pin the one-task protocol (useful
+    when tasks are so coarse or so variable that any grouping risks
+    leaving one worker holding a long tail).
     @raise Invalid_argument on any of the above. *)
 
 val retry_eintr : (unit -> 'a) -> 'a
@@ -118,26 +117,6 @@ val retry_eintr : (unit -> 'a) -> 'a
     delivered mid-call — SIGCHLD, an interval timer, a profiler — cannot
     misreport a healthy worker as lost.  Exported because callers doing
     their own [waitpid]/[read] around a pool need the same discipline. *)
-
-val run : pool -> fallback:'b -> ('a -> 'b) -> 'a array -> 'b array
-(** [run pool ~fallback f xs] is [Array.map f xs] computed by the pool's
-    backend; results arrive in input order.  Any task whose result cannot
-    be obtained — [f] raised, or its forked worker crashed — yields
-    [fallback] instead.
-
-    [`Fork]: tasks are dealt round-robin over forked workers; a worker
-    that exits abnormally or tears its result stream is reported through
-    [Logs.warn], and results must be marshalable.  [`Domains]: workers
-    share the heap, so nothing is marshalled and crash isolation is
-    exception-level only.  Both degrade to the sequential path when the
-    batch is empty or effectively single-worker; [`Fork] also degrades
-    when forking is unavailable.  Not reentrant from inside a task. *)
-
-val map : ?jobs:int -> fallback:'b -> ('a -> 'b) -> 'a array -> 'b array
-(** [map ~jobs ~fallback f xs] is
-    [run (pool ~backend:`Fork ~jobs ()) ~fallback f xs] — the historical
-    fork-pool interface.  @raise Invalid_argument when [jobs < 1].
-    @deprecated Build a {!pool} and use {!run}. *)
 
 (** The outcome of one supervised task.
 
@@ -157,8 +136,8 @@ type 'b outcome = Ok of 'b | Crashed of string | Timed_out | Gave_up
     retried twice after crashing contributes 2 to [crashes]); [retries]
     counts rescheduled attempts; [quarantined] counts domains workers
     poisoned and respawned because their task ignored its deadline past
-    the grace period (each such attempt is also counted in [timeouts]).
-    Always 0 outside the [`Domains] backend. *)
+    the grace period (each such attempt is also counted in [timeouts]);
+    it is always 0 outside the [`Domains] backend. *)
 type stats = {
   completed : int;
   crashes : int;
@@ -171,7 +150,7 @@ type ('a, 'b) handle
 (** A long-lived worker pool bound to one task function.  Creating a
     handle is free; the workers are spawned lazily on the first
     {!run_batch} and then stay resident across batches: [`Domains]
-    keeps its spawned domains parked on their deques, [`Fork] keeps
+    keeps its spawned domains parked on their mailboxes, [`Fork] keeps
     pre-forked workers alive on pipes (the parent marshals task chunks
     down, the child streams one reply back per member).  Warm state
     in the workers — decoded layout artifacts, simulation-cache
@@ -190,8 +169,7 @@ val create : pool -> f:('a -> 'b) -> ('a, 'b) handle
     that first batch via [fork], so warm parent state (caches, an armed
     chaos plan) is inherited; task inputs and results must be
     marshalable.  A [`Fork] handle whose first batch runs after domains
-    have retired fork degrades to the in-process path with a warning,
-    like {!run}. *)
+    have retired fork degrades to the in-process path with a warning. *)
 
 val run_batch : ('a, 'b) handle -> 'a array -> 'b outcome array * stats
 (** [run_batch h xs] evaluates one batch on the handle's resident
@@ -224,60 +202,45 @@ val run_supervised :
     and a {!shutdown} — callers with more than one batch should hold a
     {!handle} instead and amortize the pool spawn.
 
-    [`Fork]: one disposable forked worker per attempt under a wall-clock
-    deadline of [timeout_s] seconds, checked and enforced from the parent
-    — a worker that hangs or dies is SIGKILLed and its task retried on a
-    fresh worker up to [retries] times with exponential backoff starting
-    at [backoff_s].  [f]'s side effects stay in the child, even at one
-    job.  [`Domains]: worker domains run each attempt under a {!Cancel}
-    token carrying the deadline; the evaluation hot loops poll it at
-    safepoints, so a timed-out attempt raises [Cancel.Cancelled] and is
-    retried on the same schedule as [`Fork].  An attempt that reaches no
-    safepoint for a grace period past its deadline gets its worker
-    quarantined and the slot respawned (see {!stats.quarantined});
-    hangs are thus bounded by 1.5x the deadline.  [f]'s side effects are
-    shared-memory — tasks must be thread-safe — and a task's [Cancelled]
-    must propagate to the worker (catching it swallows the deadline).
-    [`Seq] (and [`Fork] without fork support): exception isolation only,
-    sequentially, with [f]'s side effects observable; deadlines and
-    retries are inert there (see {!pool.ignored_limits}).
+    [`Fork]: the pool's resident worker processes, under a wall-clock
+    deadline of [timeout_s] seconds per task, checked and enforced from
+    the parent — a worker that hangs past it or dies is SIGKILLed or
+    reaped, its slot respawned, and the task retried up to [retries]
+    times with exponential backoff starting at [backoff_s].  [f]'s side
+    effects stay in the children, even at one job.  [`Domains]: worker
+    domains run each task under a {!Cancel} token carrying the
+    deadline; the evaluation hot loops poll it at safepoints, so a
+    timed-out task raises [Cancel.Cancelled] and is retried on the same
+    schedule as [`Fork].  A task that reaches no safepoint for a grace
+    period past its deadline gets its worker quarantined and the slot
+    respawned (see {!stats.quarantined}); hangs are thus bounded by
+    1.5x the deadline.  [f]'s side effects are shared-memory — tasks
+    must be thread-safe — and a task's [Cancelled] must propagate to the
+    worker (catching it swallows the deadline).  [`Seq] (and [`Fork]
+    without fork support): exception isolation only, sequentially, with
+    [f]'s side effects observable; deadlines and retries are inert
+    there (see {!pool.ignored_limits}).
 
-    Both parallel dispatchers group tasks into chunks sized by
-    {!pool.chunk_target_ms} and rebalance stragglers: [`Domains]
-    workers steal the younger half of the fullest sibling deque when
-    their own runs dry, and the [`Fork] parent re-dispatches the
-    unfinished remainder of the slowest chunk to an idle worker (first
-    reply per task wins, duplicates are discarded by task id).
-    Supervision stays per task: deadlines reset member by member, a
-    failure re-splits only the affected chunk, and retry attempt
-    numbers are preserved across re-splits.  Deterministic for pure
-    [f]: outcomes depend only on [f] and [xs] — not on scheduling,
-    chunk size, or which copy of a stolen task replied first, because
-    every copy computes the same value and results are reassembled in
-    input order.
+    Both parallel backends share one scheduler.  Tasks are grouped into
+    consecutive chunks sized by {!pool.chunk_target_ms} and queued in
+    one FIFO; each idle worker takes the next chunk and replies member
+    by member.  Supervision stays per task: each reply restarts the
+    deadline for the next member, a failed task alone is charged and
+    retried as a singleton, and when a worker dies or is stopped
+    mid-chunk, the member it was running is charged while the members
+    it never started are re-queued uncharged at the same attempt
+    number.  Deterministic for pure [f]: outcomes depend only on [f]
+    and [xs] — not on scheduling or chunk size — because results are
+    reassembled in input order.
 
-    With {!Telemetry} enabled, every supervised batch emits one
-    [kind = "pool"] record (carrying ["backend"], ["chunk_len"],
-    ["steals"] and ["dispatch_s"] fields), and both parallel
-    supervisors observe per-task latency ([parmap.task_s],
-    reply-to-reply within a chunk), queue wait ([parmap.queue_wait_s],
-    enqueue-to-dispatch only — worker spawn cost is recorded separately
-    under [parmap.pool_spawn_s] when a handle first populates its
-    pool), dispatched chunk sizes ([parmap.chunk_size]), per-batch
-    dispatch overhead ([parmap.dispatch_s]) and a process-wide steal
-    count ([parmap.steals]).  Forked workers drop the inherited sink
-    and domain workers suppress instrumentation domain-locally, so
+    With {!Telemetry} enabled, every batch on a parallel backend emits
+    one [kind = "pool"] record (carrying ["backend"], ["chunk_len"] and
+    ["dispatch_s"] fields) and observes per-task latency
+    ([parmap.task_s], reply-to-reply within a chunk), queue wait
+    ([parmap.queue_wait_s], enqueue-to-dispatch only — worker spawn cost
+    is recorded separately under [parmap.pool_spawn_s] when a handle
+    first populates its pool), dispatched chunk sizes
+    ([parmap.chunk_size]) and per-batch dispatch overhead
+    ([parmap.dispatch_s]).  Forked workers drop the inherited sink and
+    domain workers suppress instrumentation domain-locally, so
     worker-side records never interleave into the parent's stream. *)
-
-val supervised :
-  ?jobs:int ->
-  ?timeout_s:float ->
-  ?retries:int ->
-  ?backoff_s:float ->
-  ('a -> 'b) ->
-  'a array ->
-  'b outcome array * stats
-(** [supervised ~jobs ~timeout_s ~retries f xs] is {!run_supervised} over
-    [pool ~backend:`Fork ...] — the historical interface.
-    @raise Invalid_argument when [jobs < 1].
-    @deprecated Build a {!pool} and use {!run_supervised}. *)

@@ -33,11 +33,7 @@ type remote =
   (string * Gp.Expr.genome * int) array -> float Gp.Parmap.outcome array
 
 type t = {
-  backend : Gp.Parmap.backend;
   pool : Gp.Parmap.pool;
-  jobs : int;
-  timeout_s : float option;
-  retries : int;
   remote : remote option;
   fs : Gp.Feature_set.t;
   scope : string;
@@ -78,29 +74,15 @@ let digest_key t key case =
    for exact round-trips, sharded by digest prefix with per-shard
    locking, compaction-on-load and per-shard write degradation. *)
 
-let create ?(backend = `Fork) ?(jobs = 1) ?cache_dir
-    ?(cache_shards = Shardstore.default_shards) ?timeout_s ?(retries = 1)
-    ?chunk_target_ms ?chunk_min ?chunk_max ?remote ~fs ~scope ~case_name ~eval
-    () =
-  if jobs < 1 then
-    invalid_arg
-      (Printf.sprintf
-         "Evaluator.create: jobs must be a positive worker count (got %d)"
-         jobs);
-  let pool =
-    Gp.Parmap.pool ~backend ~jobs ?timeout_s ~retries ?chunk_target_ms
-      ?chunk_min ?chunk_max ()
-  in
+let create ?(pool = Gp.Parmap.pool ()) ?cache_dir
+    ?(cache_shards = Shardstore.default_shards) ?remote ~fs ~scope ~case_name
+    ~eval () =
   let store =
     Option.map (fun dir -> Shardstore.open_store ~shards:cache_shards dir)
       cache_dir
   in
   {
-    backend;
     pool;
-    jobs;
-    timeout_s;
-    retries = max 0 retries;
     remote;
     fs;
     scope;
@@ -119,8 +101,8 @@ let create ?(backend = `Fork) ?(jobs = 1) ?cache_dir
     h_miss = 0;
   }
 
-let jobs t = t.jobs
-let backend t = t.backend
+let jobs t = t.pool.Gp.Parmap.jobs
+let backend t = t.pool.Gp.Parmap.backend
 
 let faults t =
   {
@@ -193,11 +175,11 @@ let lookup t key case =
    [`Seq] backend is the always-sequential reference; [`Fork] degrades to
    in-process when fork is unavailable on the platform. *)
 let supervision_on t =
-  (match t.backend with
+  (match t.pool.Gp.Parmap.backend with
   | `Seq -> false
   | `Fork -> Gp.Parmap.available
   | `Domains -> true)
-  && (t.jobs > 1 || t.timeout_s <> None)
+  && (t.pool.Gp.Parmap.jobs > 1 || t.pool.Gp.Parmap.timeout_s <> None)
 
 let evaluate_batch t genomes ~cases =
   let tel = Gp.Telemetry.enabled () in

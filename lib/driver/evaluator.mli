@@ -9,14 +9,14 @@
     + (key, case) pairs already known to the in-memory memo or the
       optional on-disk cache are answered without compiling;
     + the remaining unique tasks fan out over a persistent
-      {!Gp.Parmap.handle} ([jobs] workers) — supervised whenever
-      [jobs > 1] or a [timeout_s] is set.  The pool is created on the
-      first supervised batch and its workers then stay resident for the
-      engine's lifetime, keeping warm state (decoded layout artifacts,
-      simulation-cache entries) between batches; a worker that crashes
-      or exceeds the wall-clock deadline has its slot respawned and the
-      task retried there (exponential backoff) without disturbing the
-      rest of the pool;
+      {!Gp.Parmap.handle} on the engine's pool — supervised whenever
+      the pool has more than one job or a [timeout_s].  The handle is
+      created on the first supervised batch and its workers then stay
+      resident for the engine's lifetime, keeping warm state (decoded
+      layout artifacts, simulation-cache entries) between batches; a
+      worker that crashes or exceeds the wall-clock deadline has its
+      slot respawned and the task retried (exponential backoff) without
+      disturbing the rest of the pool;
     + fresh results are folded back into both caches.
 
     The fault model separates candidate failures from infrastructure
@@ -103,52 +103,40 @@ type remote =
     exactly as a local pool's would be. *)
 
 val create :
-  ?backend:Gp.Parmap.backend ->
-  ?jobs:int ->
+  ?pool:Gp.Parmap.pool ->
   ?cache_dir:string ->
   ?cache_shards:int ->
-  ?timeout_s:float ->
-  ?retries:int ->
-  ?chunk_target_ms:float ->
-  ?chunk_min:int ->
-  ?chunk_max:int ->
   ?remote:remote ->
   fs:Gp.Feature_set.t ->
   scope:string ->
   case_name:(int -> string) ->
   eval:(Gp.Expr.genome -> int -> float) ->
   unit -> t
-(** [create ~backend ~jobs ~cache_dir ~cache_shards ~timeout_s ~retries
-    ~fs ~scope ~case_name ~eval ()] builds an engine over the raw single
-    evaluation
-    [eval] (one compile-and-simulate cycle; called on the canonical
-    genome, in a worker process or domain when supervised, so it must not
-    rely on observable global mutation).  [backend] (default [`Fork])
-    selects the {!Gp.Parmap} pool flavor: [`Fork] gives per-task fault
-    isolation and kill-based deadlines, [`Domains] shared-memory
-    parallelism with cooperative (safepoint-polled) deadlines and worker
-    quarantine, [`Seq] the in-process sequential reference.
-    [scope] namespaces the persistent cache — include everything the
-    fitness depends on besides the genome and case: study, machine,
-    dataset.  [cache_shards] (default {!Shardstore.default_shards})
-    sets the store's shard count and only matters with [cache_dir].
-    [timeout_s] (default: none) bounds one evaluation's wall
-    clock; [retries] (default 1) is how many times a crashed or hung
-    evaluation is re-run on a fresh worker before being abandoned.
-    [chunk_target_ms] / [chunk_min] / [chunk_max] tune the pool's
-    adaptive chunked dispatch (see {!Gp.Parmap.pool}); defaults are the
-    pool's own.
+(** [create ~pool ~cache_dir ~cache_shards ~fs ~scope ~case_name ~eval ()]
+    builds an engine over the raw single evaluation [eval] (one
+    compile-and-simulate cycle; called on the canonical genome, in a
+    worker process or domain when supervised, so it must not rely on
+    observable global mutation).  [pool] (default [Gp.Parmap.pool ()]:
+    [`Fork], one job, no deadline, one retry) is the {!Gp.Parmap.pool}
+    the engine's misses run on: its backend ([`Fork] for per-task fault
+    isolation and kill-based deadlines, [`Domains] for shared-memory
+    parallelism with cooperative deadlines and worker quarantine,
+    [`Seq] for the in-process sequential reference), its width, its
+    per-evaluation [timeout_s], its [retries] (how many times a crashed
+    or hung evaluation is re-run before being abandoned) and its chunk
+    bounds.  [scope] namespaces the persistent cache — include
+    everything the fitness depends on besides the genome and case:
+    study, machine, dataset.  [cache_shards] (default
+    {!Shardstore.default_shards}) sets the store's shard count and only
+    matters with [cache_dir].
     Results are sanitized: non-finite or negative values score 0.  With
-    [jobs <= 1] and no [timeout_s] (or [`Seq]), evaluation is sequential
+    one job and no [timeout_s] (or [`Seq]), evaluation is sequential
     in-process (side effects of [eval] remain observable; a raising
     [eval] is recorded as a crash fault).
     With [remote] (see {!type:remote}), misses are shipped to the
     dispatcher instead of any local pool — [eval] is then never called
     and no worker pool is spawned; the memo and hit accounting work
-    unchanged.
-
-    @raise Invalid_argument if [jobs < 1] or the pool parameters are
-    rejected by {!Gp.Parmap.pool}. *)
+    unchanged. *)
 
 val jobs : t -> int
 

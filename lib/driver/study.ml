@@ -66,8 +66,7 @@ let heuristics_with (kind : kind) (g : Gp.Expr.genome) : Compiler.heuristics =
 
 (* One record for everything an experiment run shares: GP scale, machine
    override, pool shape, caches, supervision, and the two
-   reference-vs-fast switches.  Built in one place by the CLI; the
-   legacy per-driver optional arguments are thin wrappers over this. *)
+   reference-vs-fast switches.  Built in one place by the CLI. *)
 type config = {
   params : Gp.Params.t;
   machine : Machine.Config.t option;
@@ -78,9 +77,6 @@ type config = {
   checkpoint_dir : string option;
   timeout_s : float option;
   retries : int;
-  chunk_target_ms : float option;
-  chunk_min : int option;
-  chunk_max : int option;
   fast_sim : bool;
   compiled_eval : bool;
   remote : string option;  (* serve daemon socket path (--connect) *)
@@ -97,35 +93,9 @@ let default_config =
     checkpoint_dir = None;
     timeout_s = None;
     retries = 1;
-    chunk_target_ms = None;
-    chunk_min = None;
-    chunk_max = None;
     fast_sim = true;
     compiled_eval = true;
     remote = None;
-  }
-
-(* Legacy optional-argument prefix -> config, for the deprecated driver
-   wrappers below. *)
-let config_of ?params ?machine ?jobs ?cache_dir ?timeout_s ?retries
-    ?checkpoint_dir ?fast_sim () =
-  let d = default_config in
-  {
-    params = Option.value ~default:d.params params;
-    machine;
-    backend = d.backend;
-    jobs = Option.value ~default:d.jobs jobs;
-    cache_dir;
-    cache_shards = d.cache_shards;
-    checkpoint_dir;
-    timeout_s;
-    retries = Option.value ~default:d.retries retries;
-    chunk_target_ms = d.chunk_target_ms;
-    chunk_min = d.chunk_min;
-    chunk_max = d.chunk_max;
-    fast_sim = Option.value ~default:d.fast_sim fast_sim;
-    compiled_eval = d.compiled_eval;
-    remote = d.remote;
   }
 
 (* --- Served evaluation (metaopt serve) ------------------------------------ *)
@@ -338,43 +308,50 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
           })
       cfg.remote
   in
-  (* In served mode this process does no candidate evaluation, so the
-     baselines (cheap, one genome) are computed sequentially rather
-     than spinning up a local pool just for them. *)
-  let baseline_pool =
-    match remote_h with
-    | Some _ -> Gp.Parmap.pool ~backend:`Seq ~jobs:1 ()
-    | None -> Gp.Parmap.pool ~backend:cfg.backend ~jobs:cfg.jobs ()
+  (* One pool shape for the whole context: the baselines below and both
+     dataset evaluators. *)
+  let pool =
+    Gp.Parmap.pool ~backend:cfg.backend ~jobs:cfg.jobs ?timeout_s:cfg.timeout_s
+      ~retries:cfg.retries ()
   in
   let baseline_for dataset =
     let measure case =
       run_entry ~compiled_eval ~kind ~machine ~prepared ~sim base ~case
         ~dataset
     in
-    (* Parallel like any other batch; a failed cell (worker crash) is
-       recomputed sequentially because baselines must exist.  A forked
-       child's simulation table dies with it, so each cell carries its
-       artifact entry back for the parent's table, which the persistent
-       evaluation workers then inherit. *)
-    Array.mapi
-      (fun case cell ->
-        let cell, entry =
-          match cell with Some c -> c | None -> measure case
-        in
+    let cases = Array.init (Array.length prepared) Fun.id in
+    (* Across the pool at -jN like any other batch; a failed cell is
+       recomputed in-process because baselines must exist.  With one
+       job or one case, and in served mode, where this process does no
+       candidate evaluation, the baselines (cheap, one genome) run
+       in-process rather than spinning up workers just for them.  A
+       forked child's simulation table dies with it, so each cell
+       carries its artifact entry back for the parent's table, which
+       the persistent evaluation workers then inherit. *)
+    let cells =
+      if Option.is_some remote_h || cfg.jobs = 1 || Array.length cases < 2
+      then Array.map measure cases
+      else
+        Array.map2
+          (fun case -> function
+            | Gp.Parmap.Ok cell -> cell
+            | Gp.Parmap.Crashed _ | Gp.Parmap.Timed_out | Gp.Parmap.Gave_up ->
+              measure case)
+          cases
+          (fst (Gp.Parmap.run_supervised pool measure cases))
+    in
+    Array.map
+      (fun (cell, entry) ->
         Option.iter (Simcache.adopt sim) entry;
         cell)
-      (Gp.Parmap.run baseline_pool ~fallback:None
-         (fun case -> Some (measure case))
-         (Array.init (Array.length prepared) Fun.id))
+      cells
   in
   let baseline_train = baseline_for Benchmarks.Bench.Train in
   let baseline_novel = baseline_for Benchmarks.Bench.Novel in
   let evaluator_for baselines dataset =
-    Evaluator.create ~backend:cfg.backend ~jobs:cfg.jobs
+    Evaluator.create ~pool
       ?cache_dir:(if remote_h = None then cfg.cache_dir else None)
-      ~cache_shards:cfg.cache_shards ?timeout_s:cfg.timeout_s
-      ~retries:cfg.retries ?chunk_target_ms:cfg.chunk_target_ms
-      ?chunk_min:cfg.chunk_min ?chunk_max:cfg.chunk_max
+      ~cache_shards:cfg.cache_shards
       ?remote:(Option.map (fun h -> h.rh_eval dataset) remote_h)
       ~fs:(feature_set_of kind)
       ~scope:
@@ -399,12 +376,6 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
     sim;
     remote = remote_h;
   }
-
-let create ?machine ?(jobs = 1) ?cache_dir ?timeout_s ?retries
-    ?(fast_sim = true) (kind : kind) (bench_names : string list) : context =
-  create_with
-    (config_of ?machine ~jobs ?cache_dir ?timeout_s ?retries ~fast_sim ())
-    kind bench_names
 
 let evaluator_of (ctx : context) = function
   | Benchmarks.Bench.Train -> ctx.eval_train
@@ -574,13 +545,6 @@ let specialize_with ?on_generation (cfg : config) (kind : kind)
         faults = faults ctx;
       })
 
-let specialize ?params ?jobs ?cache_dir ?timeout_s ?retries ?checkpoint_dir
-    ?on_generation ?fast_sim (kind : kind) (bench : string) : specialization =
-  specialize_with ?on_generation
-    (config_of ?params ?jobs ?cache_dir ?timeout_s ?retries ?checkpoint_dir
-       ?fast_sim ())
-    kind bench
-
 type general = {
   best : Gp.Expr.genome;
   best_expr : string;
@@ -620,14 +584,6 @@ let evolve_general_with ?on_generation (cfg : config) (kind : kind)
         faults = faults ctx;
       })
 
-let evolve_general ?params ?jobs ?cache_dir ?timeout_s ?retries
-    ?checkpoint_dir ?on_generation ?fast_sim (kind : kind)
-    (benches : string list) : general =
-  evolve_general_with ?on_generation
-    (config_of ?params ?jobs ?cache_dir ?timeout_s ?retries ?checkpoint_dir
-       ?fast_sim ())
-    kind benches
-
 (* Figure 7 / 12 / 16: apply a fixed evolved priority function to a suite
    it was not trained on.  [cfg.params] and [cfg.checkpoint_dir] are
    ignored; no evolution happens here. *)
@@ -635,11 +591,3 @@ let cross_validate_with (cfg : config) (kind : kind) (g : Gp.Expr.genome)
     (benches : string list) : (string * float * float) list =
   let ctx = create_with cfg kind benches in
   Fun.protect ~finally:(fun () -> close ctx) (fun () -> measure_rows ctx g)
-
-let cross_validate ?params ?jobs ?cache_dir ?timeout_s ?retries ?machine
-    ?fast_sim (kind : kind) (g : Gp.Expr.genome) (benches : string list) :
-    (string * float * float) list =
-  cross_validate_with
-    (config_of ?params ?machine ?jobs ?cache_dir ?timeout_s ?retries
-       ?fast_sim ())
-    kind g benches

@@ -8,10 +8,10 @@
     candidate whose compiled program produces wrong output gets fitness 0
     — "our system can also be used to uncover bugs!".
 
-    All candidate evaluation goes through the batch {!Evaluator} engine:
-    the experiment drivers below share a uniform
-    [?params ?jobs ?cache_dir] prefix controlling GP scale, the process
-    pool width and the persistent fitness cache. *)
+    All candidate evaluation goes through the batch {!Evaluator} engine.
+    Every experiment driver below takes one {!config} record — GP scale,
+    pool shape, caches, supervision — built once, typically as
+    [{ Study.default_config with ... }]. *)
 
 type kind =
   | Hyperblock_study
@@ -36,8 +36,7 @@ val heuristics_with : kind -> Gp.Expr.genome -> Compiler.heuristics
 (** One record for everything an experiment run shares: GP scale, machine
     override, {!Gp.Parmap} pool shape, caches, supervision, and the two
     reference-vs-fast switches.  Build it in one place (the CLI does) and
-    hand it to the [_with] drivers; the per-driver optional-argument
-    prefixes survive as thin wrappers for existing callers. *)
+    hand it to the [_with] drivers. *)
 type config = {
   params : Gp.Params.t;          (** GP scale (population, generations) *)
   machine : Machine.Config.t option;  (** [None] = the study's default *)
@@ -48,13 +47,10 @@ type config = {
       (** shard count of the fitness cache (see {!Shardstore}); default
           {!Shardstore.default_shards}, only meaningful with [cache_dir] *)
   checkpoint_dir : string option;  (** per-generation checkpointing *)
-  timeout_s : float option;      (** per-evaluation deadline (fork only) *)
+  timeout_s : float option;
+      (** per-evaluation deadline: a kill on [`Fork], cooperative with
+          quarantine on [`Domains], inert on [`Seq] *)
   retries : int;                 (** re-runs of a crashed/hung task *)
-  chunk_target_ms : float option;
-      (** target per-chunk wall clock of the pool's adaptive dispatch
-          (see {!Gp.Parmap.pool}); [None] = the pool's default *)
-  chunk_min : int option;        (** chunk-length floor; [None] = default *)
-  chunk_max : int option;        (** chunk-length ceiling; [None] = default *)
   fast_sim : bool;
       (** {!Simcache} fast paths, default on; off, every candidate is
           compiled from scratch and simulated by the reference engine *)
@@ -137,14 +133,19 @@ type context = {
 
 val create_with : config -> kind -> string list -> context
 (** Prepare the named benchmarks, compile + simulate the baseline on both
-    datasets (over the configured pool), and build one cached batch
-    evaluator per dataset.  Each evaluator keeps a persistent worker pool
-    alive across its batches (spawned lazily on first use); callers that
+    datasets, and build one cached batch evaluator per dataset.  One
+    {!Gp.Parmap.pool} is built from [backend], [jobs], [timeout_s] and
+    [retries] and shared by the baselines and both evaluators: at [-jN]
+    the baselines run as one supervised batch per dataset (a failed cell
+    is recomputed in-process); with one job or one benchmark, and in
+    served mode, they run in-process.  Each evaluator keeps a persistent worker pool alive
+    across its batches (spawned lazily on first use); callers that
     build a context directly own its lifetime and should {!close} it —
-    the [_with] experiment drivers below do so on every exit path.  [timeout_s] and [retries] configure the
-    evaluators' supervision (see {!Evaluator.create}): a candidate
-    compile that hangs or crashes its worker is killed, retried, and
-    ultimately scored 0 without poisoning the persistent cache.
+    the [_with] experiment drivers below do so on every exit path.
+    [timeout_s] and [retries] configure the evaluators' supervision
+    (see {!Evaluator.create}): a candidate compile that hangs or crashes
+    its worker is killed, retried, and ultimately scored 0 without
+    poisoning the persistent cache.
     [fast_sim] (default true) enables the {!Simcache} fast paths —
     prefix reuse and the decision tier in compilation, artifact-keyed
     result sharing, cycle summaries, and the closure-compiled interpreter;
@@ -153,15 +154,6 @@ val create_with : config -> kind -> string list -> context
     [compiled_eval] selects {!Gp.Evalc} bytecode (default) versus the
     {!Gp.Eval} tree-walker for heuristic expressions.  Results are
     bit-identical across all of these switches. *)
-
-val create :
-  ?machine:Machine.Config.t -> ?jobs:int -> ?cache_dir:string ->
-  ?timeout_s:float -> ?retries:int -> ?fast_sim:bool ->
-  kind -> string list -> context
-(** [create ...] is {!create_with} over {!default_config} with the given
-    overrides.
-    @deprecated new callers should build a {!config} and use
-    {!create_with}. *)
 
 val evaluator_of : context -> Benchmarks.Bench.dataset -> Evaluator.t
 
@@ -172,8 +164,8 @@ val close : context -> unit
 (** Shut down the persistent worker pools behind both dataset engines
     (see {!Evaluator.shutdown}).  Idempotent, and the context stays
     usable — a later supervised batch spawns a fresh pool.  The [_with]
-    drivers call this themselves; only direct {!create_with} /
-    {!create} callers need to. *)
+    drivers call this themselves; only direct {!create_with} callers
+    need to. *)
 
 val speedup :
   context -> Gp.Expr.genome -> case:int ->
@@ -205,15 +197,6 @@ val specialize_with :
     counts, fault counters, elapsed seconds, best expression) at the end
     of the run, as does {!evolve_general_with}. *)
 
-val specialize :
-  ?params:Gp.Params.t -> ?jobs:int -> ?cache_dir:string ->
-  ?timeout_s:float -> ?retries:int -> ?checkpoint_dir:string ->
-  ?on_generation:(Gp.Evolve.generation_stats -> unit) -> ?fast_sim:bool ->
-  kind -> string -> specialization
-(** {!specialize_with} over {!default_config} with the given overrides.
-    @deprecated new callers should build a {!config} and use
-    {!specialize_with}. *)
-
 type general = {
   best : Gp.Expr.genome;
   best_expr : string;
@@ -230,30 +213,9 @@ val evolve_general_with :
     per-generation checkpointing and resume, and [on_generation] is
     forwarded to the evolution loop (see {!Gp.Evolve.run}). *)
 
-val evolve_general :
-  ?params:Gp.Params.t -> ?jobs:int -> ?cache_dir:string ->
-  ?timeout_s:float -> ?retries:int -> ?checkpoint_dir:string ->
-  ?on_generation:(Gp.Evolve.generation_stats -> unit) -> ?fast_sim:bool ->
-  kind -> string list -> general
-(** {!evolve_general_with} over {!default_config} with the given
-    overrides.
-    @deprecated new callers should build a {!config} and use
-    {!evolve_general_with}. *)
-
 val cross_validate_with :
   config -> kind -> Gp.Expr.genome -> string list ->
   (string * float * float) list
 (** Figures 7 / 12 / 16: a fixed evolved function applied to benchmarks
     it was not trained on.  [config.params] and [config.checkpoint_dir]
     are ignored — no evolution happens here. *)
-
-val cross_validate :
-  ?params:Gp.Params.t -> ?jobs:int -> ?cache_dir:string ->
-  ?timeout_s:float -> ?retries:int ->
-  ?machine:Machine.Config.t -> ?fast_sim:bool ->
-  kind -> Gp.Expr.genome -> string list ->
-  (string * float * float) list
-(** {!cross_validate_with} over {!default_config} with the given
-    overrides.
-    @deprecated new callers should build a {!config} and use
-    {!cross_validate_with}. *)

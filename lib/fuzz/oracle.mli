@@ -4,16 +4,16 @@
     rest on — fast vs reference interpreter, retimed cycle summary vs
     fresh simulation, cache hit vs recomputation, [Eval] vs
     [Eval . Simplify], checkpoint-resume vs straight evolution,
-    [Parmap] at one vs many jobs (fork and domains backends),
-    [Evalc] compiled bytecode vs the [Eval] tree-walker, a
+    [Parmap]'s [`Seq] reference vs many jobs (fork and domains
+    backends), [Evalc] compiled bytecode vs the [Eval] tree-walker, a
     chaos-injected supervised run vs the fault-free [`Seq] -j1
     reference, a warm persistent worker pool over several batches
     vs a cold one-shot pool, chunked dispatch under a random
-    chunk floor/ceiling with a napping straggler (steal/reassign
-    exercised) vs the sequential reference, and a study evaluated
-    against a [metaopt serve] daemon (with a worker kill injected in
-    the daemon on odd seeds) vs the same study on a local pool —
-    comparing every float through [Int64.bits_of_float].
+    chunk floor/ceiling with a napping straggler (the rest of the pool
+    draining the queue meanwhile) vs the [`Seq] reference, and a study
+    evaluated against a [metaopt serve] daemon (with a worker kill
+    injected in the daemon on odd seeds) vs the same study on a local
+    pool — comparing every float through [Int64.bits_of_float].
     Failures come back as a replayable report with a greedily shrunk
     counterexample. *)
 

@@ -155,8 +155,9 @@ let count_lines path =
   end
 
 let mk_cache_evaluator ?(eval = fun _ case -> float_of_int (case + 1)) dir =
-  Driver.Evaluator.create ~backend:`Seq ~cache_dir:dir
-    ~fs:Fuzz.Genome_gen.fs ~scope:"chaos/cache"
+  Driver.Evaluator.create
+    ~pool:(Gp.Parmap.pool ~backend:`Seq ())
+    ~cache_dir:dir ~fs:Fuzz.Genome_gen.fs ~scope:"chaos/cache"
     ~case_name:(fun i -> "case" ^ string_of_int i)
     ~eval ()
 

@@ -163,20 +163,21 @@ let test_study_checkpoint_resume () =
   let tiny =
     { Gp.Params.tiny with Gp.Params.population_size = 8; generations = 4 }
   in
+  let cfg = { Driver.Study.default_config with Driver.Study.params = tiny } in
   with_dir "study" (fun dir ->
       let straight =
-        Driver.Study.specialize ~params:tiny Driver.Study.Hyperblock_study
+        Driver.Study.specialize_with cfg Driver.Study.Hyperblock_study
           "codrle4"
       in
+      let resumable = { cfg with Driver.Study.checkpoint_dir = Some dir } in
       (try
          ignore
-           (Driver.Study.specialize ~params:tiny ~checkpoint_dir:dir
-              ~on_generation:(abort_at 2) Driver.Study.Hyperblock_study
-              "codrle4")
+           (Driver.Study.specialize_with ~on_generation:(abort_at 2) resumable
+              Driver.Study.Hyperblock_study "codrle4")
        with Abort -> ());
       let resumed =
-        Driver.Study.specialize ~params:tiny ~checkpoint_dir:dir
-          Driver.Study.Hyperblock_study "codrle4"
+        Driver.Study.specialize_with resumable Driver.Study.Hyperblock_study
+          "codrle4"
       in
       Alcotest.(check string) "best expr" straight.Driver.Study.best_expr
         resumed.Driver.Study.best_expr;

@@ -2,7 +2,10 @@
    correctness guard and end-to-end miniature evolutions. *)
 
 let test_baseline_speedup_is_one () =
-  let ctx = Driver.Study.create Driver.Study.Hyperblock_study [ "codrle4" ] in
+  let ctx =
+    Driver.Study.create_with Driver.Study.default_config
+      Driver.Study.Hyperblock_study [ "codrle4" ]
+  in
   let s =
     Driver.Study.speedup ctx Hyperblock.Baseline.genome ~case:0
       ~dataset:Benchmarks.Bench.Train
@@ -28,7 +31,10 @@ let test_speedup_definition () =
     cycles_of
       { (Driver.Compiler.baseline ()) with Driver.Compiler.hb_priority = neg }
   in
-  let ctx = Driver.Study.create Driver.Study.Hyperblock_study [ "codrle4" ] in
+  let ctx =
+    Driver.Study.create_with Driver.Study.default_config
+      Driver.Study.Hyperblock_study [ "codrle4" ]
+  in
   let s =
     Driver.Study.speedup ctx (Gp.Expr.Real neg) ~case:0
       ~dataset:Benchmarks.Bench.Train
@@ -44,7 +50,10 @@ let test_sort_mismatch_rejected () =
       ignore (Driver.Study.heuristics_with Driver.Study.Hyperblock_study bool_genome))
 
 let test_prefetch_noise_is_deterministic_per_genome () =
-  let ctx = Driver.Study.create Driver.Study.Prefetch_study [ "015.doduc" ] in
+  let ctx =
+    Driver.Study.create_with Driver.Study.default_config
+      Driver.Study.Prefetch_study [ "015.doduc" ]
+  in
   let g = Prefetch.Features.baseline_genome in
   let s1 = Driver.Study.speedup ctx g ~case:0 ~dataset:Benchmarks.Bench.Train in
   let s2 = Driver.Study.speedup ctx g ~case:0 ~dataset:Benchmarks.Bench.Train in
@@ -54,7 +63,10 @@ let test_prefetch_noise_is_deterministic_per_genome () =
   Alcotest.(check bool) "noise is bounded" true (Float.abs (s1 -. 1.0) < 0.05)
 
 let test_sched_study () =
-  let ctx = Driver.Study.create Driver.Study.Sched_study [ "codrle4" ] in
+  let ctx =
+    Driver.Study.create_with Driver.Study.default_config
+      Driver.Study.Sched_study [ "codrle4" ]
+  in
   let s =
     Driver.Study.speedup ctx Sched.Priority.baseline_genome ~case:0
       ~dataset:Benchmarks.Bench.Train
@@ -86,7 +98,9 @@ let test_tiny_specialization () =
     { Gp.Params.tiny with Gp.Params.population_size = 10; generations = 3 }
   in
   let r =
-    Driver.Study.specialize ~params Driver.Study.Hyperblock_study "codrle4"
+    Driver.Study.specialize_with
+      { Driver.Study.default_config with Driver.Study.params }
+      Driver.Study.Hyperblock_study "codrle4"
   in
   Alcotest.(check bool)
     (Printf.sprintf "train speedup %.3f >= 1" r.Driver.Study.train_speedup)
@@ -102,8 +116,9 @@ let test_tiny_general_purpose () =
     { Gp.Params.tiny with Gp.Params.population_size = 8; generations = 2 }
   in
   let g =
-    Driver.Study.evolve_general ~params Driver.Study.Regalloc_study
-      [ "huff_enc"; "129.compress" ]
+    Driver.Study.evolve_general_with
+      { Driver.Study.default_config with Driver.Study.params }
+      Driver.Study.Regalloc_study [ "huff_enc"; "129.compress" ]
   in
   Alcotest.(check int) "row per training benchmark" 2
     (List.length g.Driver.Study.train_rows);
@@ -116,8 +131,8 @@ let test_tiny_general_purpose () =
 let test_cross_validation () =
   let g = Hyperblock.Baseline.genome in
   let rows =
-    Driver.Study.cross_validate Driver.Study.Hyperblock_study g
-      [ "codrle4"; "decodrle4" ]
+    Driver.Study.cross_validate_with Driver.Study.default_config
+      Driver.Study.Hyperblock_study g [ "codrle4"; "decodrle4" ]
   in
   Alcotest.(check int) "row per test benchmark" 2 (List.length rows);
   List.iter

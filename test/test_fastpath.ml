@@ -33,8 +33,8 @@ let check_result name (a : Machine.Simulate.result)
     true
     (a.Machine.Simulate.cache = b.Machine.Simulate.cache)
 
-(* Study kind -> (benches, machine, opt config) exactly as Study.create
-   wires them. *)
+(* Study kind -> (benches, machine, opt config) exactly as
+   Study.create_with wires them. *)
 let study_cases =
   [
     (Driver.Study.Hyperblock_study, [ "codrle4"; "rawcaudio" ]);
@@ -410,7 +410,8 @@ let test_artifact_collision () =
        (Gp.Expr.Bool (Gp.Expr.Band (conf, conf))));
   (* Scaling the baseline ranking reproduces the baseline artifact. *)
   let ctx_sched =
-    Driver.Study.create Driver.Study.Sched_study [ "codrle4" ]
+    Driver.Study.create_with Driver.Study.default_config
+      Driver.Study.Sched_study [ "codrle4" ]
   in
   let s_lwd =
     Driver.Study.speedup ctx_sched

@@ -46,9 +46,13 @@ let read_lines path =
 
 (* --- The supervised pool -------------------------------------------------- *)
 
+let fork_pool ?(jobs = jobs) ?timeout_s ?retries ?backoff_s () =
+  Gp.Parmap.pool ~backend:`Fork ~jobs ?timeout_s ?retries ?backoff_s ()
+
 let test_all_ok () =
   let outcomes, stats =
-    Gp.Parmap.supervised ~jobs ~timeout_s:10.0
+    Gp.Parmap.run_supervised
+      (fork_pool ~timeout_s:10.0 ())
       (fun x -> x * x)
       (Array.init 20 Fun.id)
   in
@@ -64,14 +68,23 @@ let test_all_ok () =
   Alcotest.(check int) "no retries" 0 stats.Gp.Parmap.retries
 
 (* A task that hangs on its first attempt only: the parent kills it at
-   the deadline and the retry succeeds, so the caller still sees [Ok]. *)
-let test_hang_retry_recovers () =
+   the deadline and the retry succeeds, so the caller still sees [Ok].
+   With [nap], task 4 also naps for 50ms, leaving a worker idle beside
+   the hung one while the hang runs: the hung attempt must still be
+   charged as the one timeout, not answered by any other copy. *)
+let hang_retry_recovers ?nap () =
   with_dir "hang-retry" (fun dir ->
-      let plan t n = if t = 3 && n = 1 then Some FI.Hang else None in
+      let plan t n =
+        match (t, n, nap) with
+        | 3, 1, _ -> Some FI.Hang
+        | 4, _, Some s -> Some (FI.Slow s)
+        | _ -> None
+      in
       let f = FI.wrap ~dir ~plan (fun x -> x + 100) in
       let outcomes, stats =
-        Gp.Parmap.supervised ~jobs ~timeout_s:0.3 ~retries:2 ~backoff_s:0.01 f
-          (Array.init 6 Fun.id)
+        Gp.Parmap.run_supervised
+          (fork_pool ~timeout_s:0.3 ~retries:2 ~backoff_s:0.01 ())
+          f (Array.init 6 Fun.id)
       in
       Array.iteri
         (fun i o ->
@@ -88,7 +101,8 @@ let test_hang_exhausts_retries () =
   with_dir "hang-always" (fun dir ->
       let f = FI.wrap ~dir ~plan:(fun _ _ -> Some FI.Hang) (fun x -> x) in
       let outcomes, stats =
-        Gp.Parmap.supervised ~jobs:1 ~timeout_s:0.2 ~retries:1 ~backoff_s:0.01
+        Gp.Parmap.run_supervised
+          (fork_pool ~jobs:1 ~timeout_s:0.2 ~retries:1 ~backoff_s:0.01 ())
           f [| 0 |]
       in
       check_outcome "abandoned" "Gave_up" outcomes.(0);
@@ -101,7 +115,9 @@ let test_no_retry_times_out () =
   with_dir "no-retry-hang" (fun dir ->
       let f = FI.wrap ~dir ~plan:(fun _ _ -> Some FI.Hang) (fun x -> x) in
       let outcomes, stats =
-        Gp.Parmap.supervised ~jobs:1 ~timeout_s:0.2 ~retries:0 f [| 0 |]
+        Gp.Parmap.run_supervised
+          (fork_pool ~jobs:1 ~timeout_s:0.2 ~retries:0 ())
+          f [| 0 |]
       in
       check_outcome "single attempt" "Timed_out" outcomes.(0);
       Alcotest.(check int) "exactly one attempt" 1 (FI.attempts dir 0);
@@ -118,8 +134,9 @@ let test_no_retry_crashes () =
       in
       let f = FI.wrap ~dir ~plan (fun x -> x * 10) in
       let outcomes, stats =
-        Gp.Parmap.supervised ~jobs ~timeout_s:10.0 ~retries:0 f
-          (Array.init 4 Fun.id)
+        Gp.Parmap.run_supervised
+          (fork_pool ~timeout_s:10.0 ~retries:0 ())
+          f (Array.init 4 Fun.id)
       in
       (match outcomes.(0) with
       | Gp.Parmap.Crashed msg ->
@@ -148,7 +165,8 @@ let test_fail_first_n_then_ok () =
       let plan _ n = if n <= 2 then Some (FI.Kill Sys.sigkill) else None in
       let f = FI.wrap ~dir ~plan (fun x -> x + 7) in
       let outcomes, stats =
-        Gp.Parmap.supervised ~jobs:1 ~timeout_s:10.0 ~retries:2 ~backoff_s:0.01
+        Gp.Parmap.run_supervised
+          (fork_pool ~jobs:1 ~timeout_s:10.0 ~retries:2 ~backoff_s:0.01 ())
           f [| 5 |]
       in
       (match outcomes.(0) with
@@ -197,8 +215,9 @@ let test_evaluator_fault_split () =
           case
       in
       let e =
-        Driver.Evaluator.create ~cache_dir ~timeout_s:0.25 ~retries:1
-          ~fs:Hyperblock.Features.feature_set ~scope:"faults/scope"
+        Driver.Evaluator.create
+          ~pool:(fork_pool ~jobs:1 ~timeout_s:0.25 ~retries:1 ())
+          ~cache_dir ~fs:Hyperblock.Features.feature_set ~scope:"faults/scope"
           ~case_name:(fun i -> "case" ^ string_of_int i)
           ~eval ()
       in
@@ -256,7 +275,9 @@ let suite =
   else
     [
       Alcotest.test_case "supervised: all ok" `Quick test_all_ok;
-      Alcotest.test_case "hang, retry, recover" `Quick test_hang_retry_recovers;
+      Alcotest.test_case "hang, retry, recover" `Quick hang_retry_recovers;
+      Alcotest.test_case "hang beside a napping task: timeout charged" `Quick
+        (hang_retry_recovers ~nap:0.05);
       Alcotest.test_case "hang exhausts retries -> Gave_up" `Quick
         test_hang_exhausts_retries;
       Alcotest.test_case "no retries: hang -> Timed_out" `Quick

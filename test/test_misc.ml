@@ -5,7 +5,9 @@
 let test_evolution_deterministic () =
   let params = { Gp.Params.tiny with Gp.Params.rng_seed = 1234 } in
   let run () =
-    Driver.Study.specialize ~params Driver.Study.Hyperblock_study "codrle4"
+    Driver.Study.specialize_with
+      { Driver.Study.default_config with Driver.Study.params }
+      Driver.Study.Hyperblock_study "codrle4"
   in
   let a = run () and b = run () in
   Alcotest.(check string) "same best expression" a.Driver.Study.best_expr
@@ -16,7 +18,9 @@ let test_evolution_deterministic () =
 let test_seed_changes_search () =
   let run seed =
     let params = { Gp.Params.tiny with Gp.Params.rng_seed = seed } in
-    (Driver.Study.specialize ~params Driver.Study.Hyperblock_study "rawcaudio")
+    (Driver.Study.specialize_with
+       { Driver.Study.default_config with Driver.Study.params }
+       Driver.Study.Hyperblock_study "rawcaudio")
       .Driver.Study.best_expr
   in
   (* Not guaranteed in principle, but with this population it holds and

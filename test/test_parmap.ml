@@ -8,56 +8,96 @@
 
 let squares n = Array.init n (fun i -> i * i)
 
+let fork_pool ?(retries = 1) jobs = Gp.Parmap.pool ~backend:`Fork ~jobs ~retries ()
+
+(* Outcomes as plain values, [fallback] standing for any failure. *)
+let values ~fallback outcomes =
+  Array.map (function Gp.Parmap.Ok v -> v | _ -> fallback) outcomes
+
+let run_values ~fallback pool f xs =
+  values ~fallback (fst (Gp.Parmap.run_supervised pool f xs))
+
 let test_ordering () =
   let xs = Array.init 100 Fun.id in
-  let out = Gp.Parmap.map ~jobs:3 ~fallback:(-1) (fun x -> x * x) xs in
-  Alcotest.(check (array int)) "ordered results at j=3" (squares 100) out;
-  let out7 = Gp.Parmap.map ~jobs:7 ~fallback:(-1) (fun x -> x * x) xs in
-  Alcotest.(check (array int)) "ordered results at j=7" (squares 100) out7
+  Alcotest.(check (array int)) "ordered results at j=3" (squares 100)
+    (run_values ~fallback:(-1) (fork_pool 3) (fun x -> x * x) xs);
+  Alcotest.(check (array int)) "ordered results at j=7" (squares 100)
+    (run_values ~fallback:(-1) (fork_pool 7) (fun x -> x * x) xs)
 
+(* The [`Seq] pool is the in-process reference: results in order, and
+   the task's side effects land in the caller's own heap. *)
 let test_sequential_fallback () =
   let xs = Array.init 10 Fun.id in
-  let out = Gp.Parmap.map ~jobs:1 ~fallback:(-1) (fun x -> x + 1) xs in
-  Alcotest.(check (array int)) "j=1 maps in-process"
-    (Array.init 10 (fun i -> i + 1)) out;
-  let out0 = Gp.Parmap.map ~fallback:(-1) (fun x -> x + 1) xs in
-  Alcotest.(check (array int)) "default is sequential"
-    (Array.init 10 (fun i -> i + 1)) out0
+  let calls = ref 0 in
+  let f x =
+    incr calls;
+    x + 1
+  in
+  let outcomes, stats =
+    Gp.Parmap.run_supervised (Gp.Parmap.pool ~backend:`Seq ()) f xs
+  in
+  Alcotest.(check (array int)) "seq maps in order"
+    (Array.init 10 (fun i -> i + 1))
+    (values ~fallback:(-1) outcomes);
+  Alcotest.(check int) "every task completed" 10 stats.Gp.Parmap.completed;
+  Alcotest.(check int) "tasks ran in this process" 10 !calls
 
 let test_empty_and_oversubscribed () =
-  Alcotest.(check (array int)) "empty input" [||]
-    (Gp.Parmap.map ~jobs:4 ~fallback:0 (fun x -> x) [||]);
-  let out = Gp.Parmap.map ~jobs:64 ~fallback:(-1) (fun x -> x * 2) [| 1; 2 |] in
-  Alcotest.(check (array int)) "more jobs than tasks" [| 2; 4 |] out
+  let outcomes, stats =
+    Gp.Parmap.run_supervised (fork_pool 4) (fun x -> x) [||]
+  in
+  Alcotest.(check int) "empty input" 0 (Array.length outcomes);
+  Alcotest.(check int) "nothing completed" 0 stats.Gp.Parmap.completed;
+  Alcotest.(check (array int)) "more jobs than tasks" [| 2; 4 |]
+    (run_values ~fallback:(-1) (fork_pool 8) (fun x -> x * 2) [| 1; 2 |])
 
+(* A raising task is its own outcome, in-process and in a worker alike;
+   its neighbours are unaffected. *)
 let test_exception_isolation () =
   let f x = if x mod 3 = 0 then failwith "boom" else x in
-  let want = Array.init 12 (fun x -> if x mod 3 = 0 then -7 else x) in
-  Alcotest.(check (array int)) "raise -> fallback at j=1" want
-    (Gp.Parmap.map ~jobs:1 ~fallback:(-7) f (Array.init 12 Fun.id));
-  Alcotest.(check (array int)) "raise -> fallback at j=4" want
-    (Gp.Parmap.map ~jobs:4 ~fallback:(-7) f (Array.init 12 Fun.id))
+  let xs = Array.init 12 Fun.id in
+  let check name pool =
+    let outcomes, stats = Gp.Parmap.run_supervised pool f xs in
+    Array.iteri
+      (fun x o ->
+        match o with
+        | Gp.Parmap.Crashed _ when x mod 3 = 0 -> ()
+        | Gp.Parmap.Ok v when x mod 3 <> 0 ->
+          Alcotest.(check int) (Printf.sprintf "%s: task %d" name x) x v
+        | _ -> Alcotest.failf "%s: task %d misreported" name x)
+      outcomes;
+    Alcotest.(check int) (name ^ ": four crashes") 4 stats.Gp.Parmap.crashes
+  in
+  check "seq" (Gp.Parmap.pool ~backend:`Seq ());
+  check "fork j=4" (fork_pool ~retries:0 4)
 
-(* A worker that dies outright (SIGKILL mid-task) loses its unflushed
-   tail; every result it already flushed survives, the rest fall back.
-   With round-robin dealing at j=2, worker 1 owns 1,3,5,7,9 and dies at
-   5, so 5, 7 and 9 score the fallback — the paper's "crashed compile
-   gets fitness 0" rule at the process level. *)
+(* A worker that dies outright (SIGKILL mid-task) costs only the task it
+   was running: that task is [Crashed] (retries off), the members of its
+   chunk it never started are re-queued and run elsewhere, and every
+   other task comes back — the paper's "crashed compile gets fitness 0"
+   rule at the process level. *)
 let test_worker_crash () =
   let f x =
     if x = 5 then Unix.kill (Unix.getpid ()) Sys.sigkill;
     x + 1
   in
-  let out = Gp.Parmap.map ~jobs:2 ~fallback:0 f (Array.init 10 Fun.id) in
-  Alcotest.(check (array int)) "crash loses only the unflushed tail"
-    [| 1; 2; 3; 4; 5; 0; 7; 0; 9; 0 |] out
+  let outcomes, stats =
+    Gp.Parmap.run_supervised (fork_pool ~retries:0 2) f (Array.init 10 Fun.id)
+  in
+  Alcotest.(check (array int)) "crash loses only the task it was running"
+    [| 1; 2; 3; 4; 5; 0; 7; 8; 9; 10 |]
+    (values ~fallback:0 outcomes);
+  Alcotest.(check bool) "killed task reported as a crash" true
+    (match outcomes.(5) with Gp.Parmap.Crashed _ -> true | _ -> false);
+  Alcotest.(check int) "one crash" 1 stats.Gp.Parmap.crashes
 
 (* The EINTR bugfix: a signal delivered while the parent blocks in
-   waitpid/read used to bubble up as Unix_error (EINTR, ...) and could
-   misreport a healthy worker as lost.  Drive both pools under a SIGALRM
-   storm (an interval timer firing every 2ms into a no-op handler — the
-   timer is not inherited across fork, so only the parent is stormed) and
-   require every result to come back clean. *)
+   select/read/waitpid used to bubble up as Unix_error (EINTR, ...) and
+   could misreport a healthy worker as lost.  Drive the pool under a
+   SIGALRM storm (an interval timer firing every 2ms into a no-op
+   handler — the timer is not inherited across fork, so only the parent
+   is stormed), with and without a deadline (a bounded and an unbounded
+   wait in the scheduler), and require every result to come back clean. *)
 let test_eintr_storm () =
   if Gp.Parmap.available then begin
     (* retry_eintr itself: restarts on EINTR, returns the first value. *)
@@ -85,23 +125,28 @@ let test_eintr_storm () =
           ignore (Unix.select [] [] [] 0.01);
           x * x
         in
-        let out = Gp.Parmap.map ~jobs:3 ~fallback:(-1) slow xs in
-        Alcotest.(check (array int)) "map survives the storm" (squares 12) out;
-        let outcomes, stats =
-          Gp.Parmap.supervised ~jobs:3 ~timeout_s:10.0 slow xs
-        in
-        Array.iteri
-          (fun i o ->
-            match o with
-            | Gp.Parmap.Ok v ->
-              Alcotest.(check int) (Printf.sprintf "task %d value" i) (i * i) v
-            | Gp.Parmap.Crashed m ->
-              Alcotest.failf "task %d misreported as crashed: %s" i m
-            | Gp.Parmap.Timed_out -> Alcotest.failf "task %d misreported as timeout" i
-            | Gp.Parmap.Gave_up -> Alcotest.failf "task %d gave up" i)
-          outcomes;
-        Alcotest.(check int) "no spurious crashes" 0 stats.Gp.Parmap.crashes;
-        Alcotest.(check int) "no spurious timeouts" 0 stats.Gp.Parmap.timeouts)
+        List.iter
+          (fun timeout_s ->
+            let outcomes, stats =
+              Gp.Parmap.run_supervised
+                (Gp.Parmap.pool ~backend:`Fork ~jobs:3 ?timeout_s ())
+                slow xs
+            in
+            Array.iteri
+              (fun i o ->
+                match o with
+                | Gp.Parmap.Ok v ->
+                  Alcotest.(check int) (Printf.sprintf "task %d value" i) (i * i) v
+                | Gp.Parmap.Crashed m ->
+                  Alcotest.failf "task %d misreported as crashed: %s" i m
+                | Gp.Parmap.Timed_out ->
+                  Alcotest.failf "task %d misreported as timeout" i
+                | Gp.Parmap.Gave_up -> Alcotest.failf "task %d gave up" i)
+              outcomes;
+            Alcotest.(check int) "no spurious crashes" 0 stats.Gp.Parmap.crashes;
+            Alcotest.(check int) "no spurious timeouts" 0
+              stats.Gp.Parmap.timeouts)
+          [ None; Some 10.0 ])
   end
 
 (* --- The backend/pool API ------------------------------------------------- *)
@@ -129,17 +174,6 @@ let test_pool_validation () =
       Gp.Parmap.pool ~chunk_target_ms:(-1.0) ());
   expect_invalid "chunk_target_ms nan" (fun () ->
       Gp.Parmap.pool ~chunk_target_ms:nan ());
-  (* the legacy wrappers and the evaluator validate too — a zero worker
-     count is a configuration error, not a request for sequential runs *)
-  expect_invalid "map ~jobs:0" (fun () ->
-      Gp.Parmap.map ~jobs:0 ~fallback:0 Fun.id [| 1 |]);
-  expect_invalid "supervised ~jobs:0" (fun () ->
-      Gp.Parmap.supervised ~jobs:0 Fun.id [| 1 |]);
-  expect_invalid "Evaluator.create ~jobs:0" (fun () ->
-      Driver.Evaluator.create ~jobs:0 ~fs:Hyperblock.Features.feature_set
-        ~scope:"invalid" ~case_name:string_of_int
-        ~eval:(fun _ _ -> 0.0)
-        ());
   let p =
     Gp.Parmap.pool ~backend:`Seq ~jobs:3 ~retries:2 ~chunk_target_ms:5.0
       ~chunk_min:2 ~chunk_max:32 ()
@@ -151,8 +185,8 @@ let test_pool_validation () =
   Alcotest.(check int) "valid pool keeps chunk floor" 2 p.Gp.Parmap.chunk_min;
   Alcotest.(check int) "valid pool keeps chunk ceiling" 32
     p.Gp.Parmap.chunk_max;
-  (* a pinned chunk of one is the pre-chunking reference protocol and
-     must be accepted *)
+  (* a pinned chunk of one is the one-task reference protocol and must
+     be accepted *)
   ignore (Gp.Parmap.pool ~chunk_min:1 ~chunk_max:1 ())
 
 let test_capabilities () =
@@ -175,35 +209,26 @@ let test_capabilities () =
 
 (* The domains-backend comparison, shared by the forked-child and inline
    paths below: [`Domains] at several widths must match the sequential
-   reference bit-for-bit, plain and supervised, and once domains have
-   run, [`Fork] must be retired from [capabilities] yet still answer
-   correctly through its degraded in-process path. *)
+   reference bit-for-bit, and once domains have run, [`Fork] must be
+   retired from [capabilities] yet still answer correctly through its
+   degraded in-process path. *)
 let domains_identity_check () : (unit, string) result =
   let rng = Random.State.make [| 0xd0a1 |] in
   let tasks = Array.init 64 (fun _ -> Random.State.float rng 2.0 -. 1.0) in
   let f x = sin (x *. 12.9898) *. 43758.5453 in
-  let seq =
+  let bits pool =
     Array.map Int64.bits_of_float
-      (Gp.Parmap.run (Gp.Parmap.pool ~backend:`Seq ()) ~fallback:nan f tasks)
+      (run_values ~fallback:nan pool f tasks)
   in
+  let seq = bits (Gp.Parmap.pool ~backend:`Seq ()) in
   let check_width jobs =
     let pool = Gp.Parmap.pool ~backend:`Domains ~jobs () in
-    let par =
-      Array.map Int64.bits_of_float (Gp.Parmap.run pool ~fallback:nan f tasks)
-    in
-    if par <> seq then Error (Printf.sprintf "domains run -j%d diverges" jobs)
-    else
-      let outcomes, stats = Gp.Parmap.run_supervised pool f tasks in
-      let sup =
-        Array.map
-          (function Gp.Parmap.Ok v -> Int64.bits_of_float v | _ -> Int64.zero)
-          outcomes
-      in
-      if sup <> seq then
-        Error (Printf.sprintf "domains supervised -j%d diverges" jobs)
-      else if stats.Gp.Parmap.completed <> Array.length tasks then
-        Error (Printf.sprintf "domains -j%d lost tasks" jobs)
-      else Ok ()
+    let outcomes, stats = Gp.Parmap.run_supervised pool f tasks in
+    if Array.map Int64.bits_of_float (values ~fallback:nan outcomes) <> seq
+    then Error (Printf.sprintf "domains -j%d diverges" jobs)
+    else if stats.Gp.Parmap.completed <> Array.length tasks then
+      Error (Printf.sprintf "domains -j%d lost tasks" jobs)
+    else Ok ()
   in
   let rec widths = function
     | [] -> Ok ()
@@ -234,12 +259,7 @@ let domains_identity_check () : (unit, string) result =
     else if List.mem `Fork (Gp.Parmap.capabilities ()) then
       Error "fork still advertised after domains ran"
     else
-      let degraded =
-        Array.map Int64.bits_of_float
-          (Gp.Parmap.run
-             (Gp.Parmap.pool ~backend:`Fork ~jobs:4 ())
-             ~fallback:nan f tasks)
-      in
+      let degraded = bits (Gp.Parmap.pool ~backend:`Fork ~jobs:4 ()) in
       if degraded <> seq then Error "retired fork backend diverges"
       else begin
         (* a persistent domains handle over several batches must match
@@ -313,8 +333,9 @@ let tiny_params =
 let test_parallel_run_is_deterministic () =
   let run jobs =
     let ctx =
-      Driver.Study.create ~jobs Driver.Study.Hyperblock_study
-        [ "codrle4"; "decodrle4" ]
+      Driver.Study.create_with
+        { Driver.Study.default_config with Driver.Study.jobs }
+        Driver.Study.Hyperblock_study [ "codrle4"; "decodrle4" ]
     in
     Gp.Evolve.run ~params:tiny_params (Driver.Study.problem_of ctx)
   in
@@ -340,7 +361,9 @@ let test_parallel_run_is_deterministic () =
 let test_parallel_noisy_study_deterministic () =
   let measure jobs =
     let ctx =
-      Driver.Study.create ~jobs Driver.Study.Prefetch_study [ "015.doduc" ]
+      Driver.Study.create_with
+        { Driver.Study.default_config with Driver.Study.jobs }
+        Driver.Study.Prefetch_study [ "015.doduc" ]
     in
     Driver.Evaluator.evaluate ctx.Driver.Study.eval_train
       Prefetch.Features.baseline_genome 0
@@ -753,9 +776,9 @@ let extra_fd_kinds () =
          | _ -> None)
        (Array.to_list (Sys.readdir "/proc/self/fd")))
 
-(* Every forked worker — persistent slot or one-shot [run] child — holds
-   fds 0-2 and its own pipe ends and nothing else: not a file or socket
-   the parent has open, not another live pool's pipes. *)
+(* Every forked worker holds fds 0-2 and its own pipe ends and nothing
+   else: not a file or socket the parent has open, not another live
+   pool's pipes. *)
 let test_worker_fds () =
   if Gp.Parmap.available && Sys.file_exists "/proc/self/fd" then begin
     let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
@@ -778,17 +801,12 @@ let test_worker_fds () =
               Alcotest.(check (list string))
                 "pool worker holds its two pipes only" [ "pipe"; "pipe" ] kinds
             | _ -> Alcotest.fail "fd listing task failed")
-          outcomes;
-        Array.iter
-          (Alcotest.(check (list string))
-             "one-shot worker holds its result pipe only" [ "pipe" ])
-          (Gp.Parmap.run pool ~fallback:[ "lost" ]
-             (fun _ -> extra_fd_kinds ())
-             [| 1; 2 |]))
+          outcomes)
   end
 
 (* A fork-pool study evaluates on both datasets, so its two engines each
-   spawn a pool, the novel one after the train one; closing the study
+   spawn a pool, the novel one after the train one (the baselines' own
+   one-batch pools are already shut down by then); closing the study
    must still take milliseconds, not a grace per worker. *)
 let test_study_close_is_prompt () =
   if Gp.Parmap.available then
@@ -803,6 +821,11 @@ let test_study_close_is_prompt () =
     Fun.protect
       ~finally:(fun () -> Driver.Study.close ctx)
       (fun () ->
+        let spawns () =
+          Gp.Telemetry.Histogram.count
+            (Gp.Telemetry.histogram "parmap.pool_spawn_s")
+        in
+        let spawned_before = spawns () in
         let g = Gp.Expr.Real (Gp.Expr.Rarg 0) in
         ignore
           (Driver.Evaluator.evaluate_batch ctx.Driver.Study.eval_train [| g |]
@@ -811,8 +834,7 @@ let test_study_close_is_prompt () =
           (Driver.Evaluator.evaluate_batch ctx.Driver.Study.eval_novel [| g |]
              ~cases:[ 0; 1 ]);
         Alcotest.(check int) "both engines spawned a pool" 2
-          (Gp.Telemetry.Histogram.count
-             (Gp.Telemetry.histogram "parmap.pool_spawn_s"));
+          (spawns () - spawned_before);
         let t0 = Unix.gettimeofday () in
         Driver.Study.close ctx;
         let dt = Unix.gettimeofday () -. t0 in
@@ -823,7 +845,7 @@ let test_study_close_is_prompt () =
 
 (* --- Chunked dispatch ----------------------------------------------------- *)
 
-(* Chunk-geometry edge cases: a pinned chunk of 1 (the pre-chunking
+(* Chunk-geometry edge cases: a pinned chunk of 1 (the one-task
    reference protocol), a chunk longer than the whole batch, an uneven
    remainder, and an oversubscribed pool must all return every result,
    in canonical order, exactly once. *)
@@ -859,11 +881,10 @@ let test_chunk_boundaries () =
     check "oversubscribed" ~jobs:8 ~cmin:2 ~cmax:8 3
   end
 
-(* A straggler napping mid-batch must not stall it: the parent reassigns
-   the slow worker's unacked chunk members to idle workers, every task
-   still completes exactly once (first reply wins, so the duplicate
-   copies cannot double-report), and the wall clock is bounded by one
-   nap, not the nap times the chunk length. *)
+(* A straggler napping mid-batch must not stall it: while one worker
+   sits on the nap, the others drain the rest of the queue, every task
+   completes exactly once, and the wall clock is bounded by one nap,
+   not the nap times the chunk length. *)
 let test_straggler_slow () =
   if Gp.Parmap.available then begin
     let n = 24 in

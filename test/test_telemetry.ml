@@ -224,7 +224,9 @@ let test_pool_record () =
   if Gp.Parmap.available then
     with_memory_sink (fun records ->
         let outcomes, _ =
-          Gp.Parmap.supervised ~jobs:2 (fun x -> x + 1) (Array.init 6 Fun.id)
+          Gp.Parmap.run_supervised
+            (Gp.Parmap.pool ~backend:`Fork ~jobs:2 ())
+            (fun x -> x + 1) (Array.init 6 Fun.id)
         in
         Array.iteri
           (fun i o ->
@@ -241,6 +243,8 @@ let test_pool_record () =
         | [ p ] ->
           Alcotest.(check bool) "mode" true
             (T.member "mode" p = Some (T.String "supervised"));
+          Alcotest.(check bool) "backend" true
+            (T.member "backend" p = Some (T.String "fork"));
           Alcotest.(check bool) "tasks" true
             (T.member "tasks" p = Some (T.Int 6));
           Alcotest.(check bool) "completed" true
