@@ -102,16 +102,6 @@ let cache_dir =
                  across runs"
            ~docv:"DIR")
 
-let cache_shards =
-  Arg.(value & opt int Driver.Shardstore.default_shards
-       & info [ "cache-shards" ]
-           ~doc:"Spread the on-disk fitness cache over $(docv) append-only \
-                 shard files (1-256), each under its own lock, so \
-                 concurrent runs sharing a --cache-dir only contend when \
-                 they write the same shard.  Use the same value for every \
-                 run sharing a directory"
-           ~docv:"N")
-
 let checkpoint_dir =
   Arg.(value & opt (some string) None
        & info [ "checkpoint-dir" ]
@@ -214,9 +204,9 @@ let print_faults (f : Driver.Evaluator.fault_stats) =
 (* The single place a run's Study.config is assembled: every experiment
    command composes [config_term] and hands the record to the [_with]
    drivers. *)
-let config_of pop gens seed backend jobs cache_dir cache_shards
-    checkpoint_dir eval_timeout eval_retries no_fast_sim no_compiled_eval
-    connect : Driver.Study.config =
+let config_of pop gens seed backend jobs cache_dir checkpoint_dir
+    eval_timeout eval_retries no_fast_sim no_compiled_eval connect :
+    Driver.Study.config =
   {
     Driver.Study.default_config with
     Driver.Study.params =
@@ -229,7 +219,6 @@ let config_of pop gens seed backend jobs cache_dir cache_shards
     backend;
     jobs;
     cache_dir;
-    cache_shards;
     checkpoint_dir;
     timeout_s = eval_timeout;
     retries = eval_retries;
@@ -241,8 +230,8 @@ let config_of pop gens seed backend jobs cache_dir cache_shards
 let config_term =
   Term.(
     const config_of $ pop $ gens $ seed $ backend $ jobs $ cache_dir
-    $ cache_shards $ checkpoint_dir $ eval_timeout $ eval_retries
-    $ no_fast_sim $ no_compiled_eval $ connect)
+    $ checkpoint_dir $ eval_timeout $ eval_retries $ no_fast_sim
+    $ no_compiled_eval $ connect)
 
 (* --- list ---------------------------------------------------------------- *)
 
@@ -638,8 +627,8 @@ let chaos_cmd =
 (* --- serve: the shared evaluation daemon ------------------------------------ *)
 
 let serve_cmd =
-  let run socket backend jobs eval_timeout eval_retries cache_dir cache_shards
-      queue_cap inflight_cap idle_timeout metrics_out chaos_plan chaos_seed =
+  let run socket backend jobs eval_timeout eval_retries cache_dir queue_cap
+      inflight_cap idle_timeout metrics_out chaos_plan chaos_seed =
     setup_logs ();
     (match chaos_plan with
     | None -> ()
@@ -658,7 +647,6 @@ let serve_cmd =
         Serve.Server.socket;
         pool;
         cache_dir;
-        cache_shards;
         queue_cap;
         inflight_cap;
         idle_timeout_s = idle_timeout;
@@ -685,7 +673,6 @@ let serve_cmd =
              & info [] ~docv:"SOCK"
                  ~doc:"Unix-domain socket path to listen on")
       $ backend $ jobs $ eval_timeout $ eval_retries $ cache_dir
-      $ cache_shards
       $ Arg.(value & opt int 4096
              & info [ "queue-cap" ]
                  ~doc:"Reject evaluation batches that would push the \

@@ -1,72 +1,37 @@
 (* Compiled genome evaluation: one pass over the tree flattens it into a
-   flat, register-coded bytecode; running the program is a tight loop over
-   an int array with no constructor dispatch, no recursion, and no
-   allocation per point.
+   flat, register-coded bytecode that the batch engine below executes one
+   instruction across a whole chunk of environments at a time — no
+   constructor dispatch, no recursion and no allocation per point.
 
    Semantics are exactly [Eval]'s documented contract — protected
    division with the [div_epsilon] rule, sqrt of the absolute value,
    non-finite collapse to 0 — checked bit-for-bit by the test suite and
-   the [compiled_vs_walk] fuzz oracle.  [Rtern]/[Rcmul]/[Band]/[Bor]
-   compile to conditional jumps, so the bytecode short-circuits exactly
-   as the tree-walker does: the same subtrees are evaluated, the same
-   environment slots are read, and an out-of-range feature index (the
-   only effectful failure either evaluator can produce) raises
-   [Invalid_argument] from the same array accesses in both.
+   the [compiled_vs_walk] fuzz oracle.
+
+   The code is straight-line: [Rtern]/[Rcmul]/[Band]/[Bor] become select
+   instructions over operands that are always computed, so operator
+   dispatch is paid once per instruction per chunk instead of once per
+   node per point, and the inner loops are tight float-array walks.
+   Strictness cannot change a value: every operation is total, pure and
+   deterministic, so both arms of a select evaluate to the same floats
+   the walker would have produced had it taken them.  The engine does
+   read every feature the genome mentions, including ones the walker's
+   short-circuiting would skip; on a valid genome those reads are in
+   range, because genomes name features of the set their environments
+   are built from.
 
    Instruction encoding: fixed stride of 5 ints per instruction —
    [op; dst; a; b; c] — with unused operand slots 0.  Register files are
    split by sort: real results go to float registers, Boolean results to
-   bool registers, one fresh register per tree node (genomes are
-   parsimony-pressured small, so no register reuse is needed); the two
-   arms of a conditional both write the node's destination register
-   through a [mov].  Constants live in a float pool so the code stream
-   stays a flat int array; jump targets are absolute code-array offsets,
-   backpatched when the arm lengths are known. *)
+   bool registers.  Constants live in a float pool so the code stream
+   stays a flat int array.  Repeated [arg]/[const] leaves are
+   deduplicated (they are pure reads), which GP trees — small feature
+   sets, parsimony pressure — repeat constantly. *)
 
 let div_epsilon = Eval.div_epsilon
 
-(* Two code streams are compiled from the same tree:
-
-   - the scalar stream ([code]), with conditional jumps, drives the
-     per-env entry points and mirrors the walker's evaluation order
-     exactly — same subtrees evaluated, same env slots read;
-
-   - the strict stream ([strict]), straight-line with select
-     instructions instead of jumps, drives {!run_batch}: the batch
-     engine executes one instruction across the whole chunk of
-     environments at a time, so operator dispatch is paid once per
-     instruction per chunk instead of once per node per point, and the
-     inner loops are tight float-array walks.  Repeated [arg]/[const]
-     leaves are deduplicated (they are pure reads), which GP trees —
-     small feature sets, parsimony pressure — repeat constantly.
-     Strictness cannot change a value: every operation is total, pure
-     and deterministic, so both arms of a select evaluate to the same
-     floats the walker would have produced had it taken them. *)
-
-(* Opcodes.  Real-destination first, then Boolean-destination, then
-   control flow — [exec] dispatches on those three bands. *)
-let op_add = 0 (* dst <- protect (f a +. f b) *)
-let op_sub = 1
-let op_mul = 2
-let op_div = 3 (* protected: |f b| < eps yields f a *)
-let op_sqrt = 4 (* dst <- protect (sqrt |f a|) *)
-let op_const = 5 (* dst <- consts.(a) *)
-let op_arg = 6 (* dst <- env.real_values.(a) *)
-let op_mov = 7 (* dst <- f a *)
-let op_not = 8 (* dst <- not (p a) *)
-let op_lt = 9 (* dst <- f a < f b *)
-let op_gt = 10
-let op_eq = 11 (* dst <- |f a -. f b| < eps *)
-let op_bconst = 12 (* dst <- (a <> 0) *)
-let op_barg = 13 (* dst <- env.bool_values.(a) *)
-let op_bmov = 14 (* dst <- p a *)
-let op_jf = 15 (* if not (p a) then pc <- b *)
-let op_jt = 16 (* if p a then pc <- b *)
-let op_jmp = 17 (* pc <- a *)
-
-(* Strict-stream opcodes (separate namespace: these appear only in
-   [strict.scode]).  No jumps and no movs — conditionals become select
-   instructions over already-computed operands. *)
+(* Opcodes.  No jumps and no movs — conditionals are selects over
+   already-computed operands. *)
 let s_add = 0
 let s_sub = 1
 let s_mul = 2
@@ -85,26 +50,14 @@ let s_eq = 14
 let s_bconst = 15
 let s_barg = 16
 
-type strict = {
-  scode : int array; (* stride 5: op dst a b c, strict opcodes *)
-  sconsts : float array;
-  s_nf : int;
-  s_nb : int;
-  s_root : int;
-}
-
 type t = {
-  code : int array;
+  code : int array; (* stride 5: op dst a b c *)
   consts : float array;
   n_fregs : int;
   n_bregs : int;
   root : int; (* register holding the final result *)
   sort : [ `Real | `Bool ];
-  strict : strict; (* batch engine's straight-line form of the same tree *)
 }
-
-let sort t = t.sort
-let n_instrs t = Array.length t.code / 5
 
 (* --- Compilation --------------------------------------------------------- *)
 
@@ -147,118 +100,6 @@ let emit b op dst x y z =
   b.code.(k + 4) <- z;
   b.len <- k + 5
 
-let here b = b.len
-
-(* Emit a jump whose target is not known yet; returns the offset of the
-   operand slot to [patch] once it is. *)
-let emit_jcond b op pred =
-  emit b op 0 pred 0 0;
-  b.len - 2
-
-let emit_jmp b =
-  emit b op_jmp 0 0 0 0;
-  b.len - 3
-
-let patch b slot target = b.code.(slot) <- target
-
-let rec creal b (e : Expr.rexpr) : int =
-  match e with
-  | Expr.Radd (x, y) -> bin_r b op_add x y
-  | Expr.Rsub (x, y) -> bin_r b op_sub x y
-  | Expr.Rmul (x, y) -> bin_r b op_mul x y
-  | Expr.Rdiv (x, y) -> bin_r b op_div x y
-  | Expr.Rsqrt x ->
-    let a = creal b x in
-    let d = fresh_f b in
-    emit b op_sqrt d a 0 0;
-    d
-  | Expr.Rtern (c, x, y) ->
-    (* p ? x : y — only the taken arm runs, as in the walker *)
-    let p = cbool b c in
-    let d = fresh_f b in
-    let jelse = emit_jcond b op_jf p in
-    let rx = creal b x in
-    emit b op_mov d rx 0 0;
-    let jend = emit_jmp b in
-    patch b jelse (here b);
-    let ry = creal b y in
-    emit b op_mov d ry 0 0;
-    patch b jend (here b);
-    d
-  | Expr.Rcmul (c, x, y) ->
-    (* Table 1: Real1 * Real2 if Bool1, else Real2; Real1 only runs when
-       the predicate holds *)
-    let p = cbool b c in
-    let ry = creal b y in
-    let d = fresh_f b in
-    let jelse = emit_jcond b op_jf p in
-    let rx = creal b x in
-    emit b op_mul d rx ry 0;
-    let jend = emit_jmp b in
-    patch b jelse (here b);
-    emit b op_mov d ry 0 0;
-    patch b jend (here b);
-    d
-  | Expr.Rconst k ->
-    let i = intern_const b k in
-    let d = fresh_f b in
-    emit b op_const d i 0 0;
-    d
-  | Expr.Rarg i ->
-    let d = fresh_f b in
-    emit b op_arg d i 0 0;
-    d
-
-and bin_r b op x y =
-  let a = creal b x in
-  let a' = creal b y in
-  let d = fresh_f b in
-  emit b op d a a' 0;
-  d
-
-and cbool b (e : Expr.bexpr) : int =
-  match e with
-  | Expr.Band (x, y) ->
-    (* short-circuit: y runs only when x held *)
-    let px = cbool b x in
-    let d = fresh_b b in
-    emit b op_bmov d px 0 0;
-    let jend = emit_jcond b op_jf px in
-    let py = cbool b y in
-    emit b op_bmov d py 0 0;
-    patch b jend (here b);
-    d
-  | Expr.Bor (x, y) ->
-    let px = cbool b x in
-    let d = fresh_b b in
-    emit b op_bmov d px 0 0;
-    let jend = emit_jcond b op_jt px in
-    let py = cbool b y in
-    emit b op_bmov d py 0 0;
-    patch b jend (here b);
-    d
-  | Expr.Bnot x ->
-    let a = cbool b x in
-    let d = fresh_b b in
-    emit b op_not d a 0 0;
-    d
-  | Expr.Blt (x, y) -> bin_b b op_lt (creal b x) (creal b y)
-  | Expr.Bgt (x, y) -> bin_b b op_gt (creal b x) (creal b y)
-  | Expr.Beq (x, y) -> bin_b b op_eq (creal b x) (creal b y)
-  | Expr.Bconst k ->
-    let d = fresh_b b in
-    emit b op_bconst d (if k then 1 else 0) 0 0;
-    d
-  | Expr.Barg i ->
-    let d = fresh_b b in
-    emit b op_barg d i 0 0;
-    d
-
-and bin_b b op a a' =
-  let d = fresh_b b in
-  emit b op d a a' 0;
-  d
-
 let new_builder () =
   {
     code = Array.make 40 0;
@@ -269,15 +110,9 @@ let new_builder () =
     n_bregs = 0;
   }
 
-(* --- Strict-stream compilation ------------------------------------------- *)
-
-(* Same tree, straight-line code: conditionals become selects over
-   operands that are always computed (safe: every operation is total and
-   pure, so an untaken arm's value is well-defined and unobservable).
-   Repeated [arg]/[const] leaves are memoised into a single register —
-   pure reads, and GP trees repeat them constantly — so the batch engine
-   gathers each distinct feature once per chunk rather than once per
-   occurrence. *)
+(* One fresh virtual register per node; repeated [arg]/[const] leaves are
+   memoised into a single register so the batch engine gathers each
+   distinct feature once per chunk rather than once per occurrence. *)
 type sctx = {
   sb : builder;
   const_regs : (int64, int) Hashtbl.t;
@@ -388,7 +223,7 @@ let new_sctx () =
     bfalse_reg = -1;
   }
 
-(* Operand shape of each strict opcode, for the reallocation pass below:
+(* Operand shape of each opcode, for the reallocation pass below:
    which slots hold float registers, bool registers, or immediates
    (constant-pool / environment indices, left untouched). *)
 let s_shape op =
@@ -412,13 +247,13 @@ let s_shape op =
    the code is in dependency order, so a forward scan with a free list
    (recycling a register after its last read) shrinks the live set to
    roughly the tree depth plus the deduplicated leaves.  Reusing an
-   operand's register as the destination is safe in both engines: every
-   instruction reads its operands at lane [j] before writing lane [j]. *)
-let realloc ~(sort : [ `Real | `Bool ]) (s : strict) : strict =
-  let code = s.scode in
+   operand's register as the destination is safe: every instruction
+   reads its operands at lane [j] before writing lane [j]. *)
+let realloc (p : t) : t =
+  let code = p.code in
   let ni = Array.length code / 5 in
-  let last_f = Array.make (max 1 s.s_nf) (-1) in
-  let last_b = Array.make (max 1 s.s_nb) (-1) in
+  let last_f = Array.make (max 1 p.n_fregs) (-1) in
+  let last_b = Array.make (max 1 p.n_bregs) (-1) in
   for t = 0 to ni - 1 do
     let k = 5 * t in
     let _, ka, kb, kc = s_shape code.(k) in
@@ -433,12 +268,12 @@ let realloc ~(sort : [ `Real | `Bool ]) (s : strict) : strict =
     touch kc code.(k + 4)
   done;
   (* the result row is read after the last instruction *)
-  (match sort with
-  | `Real -> last_f.(s.s_root) <- ni
-  | `Bool -> last_b.(s.s_root) <- ni);
+  (match p.sort with
+  | `Real -> last_f.(p.root) <- ni
+  | `Bool -> last_b.(p.root) <- ni);
   let out = Array.copy code in
-  let map_f = Array.make (max 1 s.s_nf) (-1) in
-  let map_b = Array.make (max 1 s.s_nb) (-1) in
+  let map_f = Array.make (max 1 p.n_fregs) (-1) in
+  let map_b = Array.make (max 1 p.n_bregs) (-1) in
   let free_f = ref [] and free_b = ref [] in
   let nf = ref 0 and nb = ref 0 in
   let alloc free n =
@@ -494,140 +329,37 @@ let realloc ~(sort : [ `Real | `Bool ]) (s : strict) : strict =
     end
   done;
   {
-    scode = out;
-    sconsts = s.sconsts;
-    s_nf = max 1 !nf;
-    s_nb = max 1 !nb;
-    s_root =
-      (match sort with `Real -> map_f.(s.s_root) | `Bool -> map_b.(s.s_root));
+    p with
+    code = out;
+    n_fregs = max 1 !nf;
+    n_bregs = max 1 !nb;
+    root =
+      (match p.sort with `Real -> map_f.(p.root) | `Bool -> map_b.(p.root));
   }
 
-let finish_strict c ~root ~sort =
+let finish c ~root ~sort =
   let b = c.sb in
-  realloc ~sort
+  realloc
     {
-      scode = Array.sub b.code 0 b.len;
-      sconsts = Array.of_list (List.rev b.consts_rev);
-      s_nf = b.n_fregs;
-      s_nb = b.n_bregs;
-      s_root = root;
+      code = Array.sub b.code 0 b.len;
+      consts = Array.of_list (List.rev b.consts_rev);
+      n_fregs = b.n_fregs;
+      n_bregs = b.n_bregs;
+      root;
+      sort;
     }
-
-let finish b ~root ~sort ~strict =
-  {
-    code = Array.sub b.code 0 b.len;
-    consts = Array.of_list (List.rev b.consts_rev);
-    n_fregs = b.n_fregs;
-    n_bregs = b.n_bregs;
-    root;
-    sort;
-    strict;
-  }
 
 let compile_real (e : Expr.rexpr) : t =
   let c = new_sctx () in
-  let strict = finish_strict c ~root:(sreal c e) ~sort:`Real in
-  let b = new_builder () in
-  let root = creal b e in
-  finish b ~root ~sort:`Real ~strict
+  finish c ~root:(sreal c e) ~sort:`Real
 
 let compile_bool (e : Expr.bexpr) : t =
   let c = new_sctx () in
-  let strict = finish_strict c ~root:(sbool c e) ~sort:`Bool in
-  let b = new_builder () in
-  let root = cbool b e in
-  finish b ~root ~sort:`Bool ~strict
+  finish c ~root:(sbool c e) ~sort:`Bool
 
 let compile = function
   | Expr.Real e -> compile_real e
   | Expr.Bool e -> compile_bool e
-
-(* --- Execution ----------------------------------------------------------- *)
-
-(* Internal register, code and jump-target indices are in bounds by
-   construction, so those accesses are unsafe; environment reads stay
-   bounds-checked so an out-of-contract feature index raises exactly as
-   the tree-walker's [env.real_values.(i)] would. *)
-let exec (p : t) (fregs : float array) (bregs : bool array)
-    (env : Feature_set.env) : unit =
-  let code = p.code in
-  let consts = p.consts in
-  let reals = env.Feature_set.real_values in
-  let bools = env.Feature_set.bool_values in
-  let n = Array.length code in
-  (* [v -. v = 0.] is [Float.is_finite] spelled as a compare — see the
-     note above [vexec]. *)
-  let pc = ref 0 in
-  while !pc < n do
-    let k = !pc in
-    let op = Array.unsafe_get code k in
-    let dst = Array.unsafe_get code (k + 1) in
-    let a = Array.unsafe_get code (k + 2) in
-    let b = Array.unsafe_get code (k + 3) in
-    pc := k + 5;
-    if op <= op_mov then
-      Array.unsafe_set fregs dst
-        (match op with
-        | 0 (* add *) ->
-          let v = Array.unsafe_get fregs a +. Array.unsafe_get fregs b in
-          if v -. v = 0. then v else 0.
-        | 1 (* sub *) ->
-          let v = Array.unsafe_get fregs a -. Array.unsafe_get fregs b in
-          if v -. v = 0. then v else 0.
-        | 2 (* mul *) ->
-          let v = Array.unsafe_get fregs a *. Array.unsafe_get fregs b in
-          if v -. v = 0. then v else 0.
-        | 3 (* div *) ->
-          let x = Array.unsafe_get fregs a and y = Array.unsafe_get fregs b in
-          if Float.abs y < div_epsilon then x
-          else
-            let v = x /. y in
-            if v -. v = 0. then v else 0.
-        | 4 (* sqrt *) ->
-          let v = sqrt (Float.abs (Array.unsafe_get fregs a)) in
-          if v -. v = 0. then v else 0.
-        | 5 (* const *) -> Array.unsafe_get consts a
-        | 6 (* arg *) -> reals.(a)
-        | _ (* mov *) -> Array.unsafe_get fregs a)
-    else if op <= op_bmov then
-      Array.unsafe_set bregs dst
-        (match op with
-        | 8 (* not *) -> not (Array.unsafe_get bregs a)
-        | 9 (* lt *) -> Array.unsafe_get fregs a < Array.unsafe_get fregs b
-        | 10 (* gt *) -> Array.unsafe_get fregs a > Array.unsafe_get fregs b
-        | 11 (* eq *) ->
-          Float.abs (Array.unsafe_get fregs a -. Array.unsafe_get fregs b)
-          < div_epsilon
-        | 12 (* bconst *) -> a <> 0
-        | 13 (* barg *) -> bools.(a)
-        | _ (* bmov *) -> Array.unsafe_get bregs a)
-    else
-      match op with
-      | 15 (* jf *) -> if not (Array.unsafe_get bregs a) then pc := b
-      | 16 (* jt *) -> if Array.unsafe_get bregs a then pc := b
-      | _ (* jmp *) -> pc := a
-  done
-
-let op_name = function
-  | 0 -> "add"
-  | 1 -> "sub"
-  | 2 -> "mul"
-  | 3 -> "div"
-  | 4 -> "sqrt"
-  | 5 -> "const"
-  | 6 -> "arg"
-  | 7 -> "mov"
-  | 8 -> "not"
-  | 9 -> "lt"
-  | 10 -> "gt"
-  | 11 -> "eq"
-  | 12 -> "bconst"
-  | 13 -> "barg"
-  | 14 -> "bmov"
-  | 15 -> "jf"
-  | 16 -> "jt"
-  | 17 -> "jmp"
-  | n -> Printf.sprintf "?%d" n
 
 let s_op_name = function
   | 0 -> "add"
@@ -653,53 +385,25 @@ let s_op_name = function
    the DESIGN.md examples. *)
 let disasm (p : t) : string =
   let buf = Buffer.create 256 in
-  let listing name code consts nf nb root =
-    let n = Array.length code in
-    let k = ref 0 in
-    Buffer.add_string buf (Printf.sprintf "%s:\n" (fst name));
-    while !k < n do
-      let i = !k in
-      Buffer.add_string buf
-        (Printf.sprintf "%4d: %-6s dst=%d a=%d b=%d c=%d\n" i
-           ((snd name) code.(i))
-           code.(i + 1)
-           code.(i + 2)
-           code.(i + 3)
-           code.(i + 4));
-      k := i + 5
-    done;
+  let n = Array.length p.code in
+  let k = ref 0 in
+  while !k < n do
+    let i = !k in
     Buffer.add_string buf
-      (Printf.sprintf "consts=[%s] fregs=%d bregs=%d root=%d\n"
-         (String.concat ";"
-            (Array.to_list (Array.map (Printf.sprintf "%g") consts)))
-         nf nb root)
-  in
-  listing ("scalar", op_name) p.code p.consts p.n_fregs p.n_bregs p.root;
-  let s = p.strict in
-  listing ("strict", s_op_name) s.scode s.sconsts s.s_nf s.s_nb s.s_root;
+      (Printf.sprintf "%4d: %-6s dst=%d a=%d b=%d c=%d\n" i
+         (s_op_name p.code.(i))
+         p.code.(i + 1)
+         p.code.(i + 2)
+         p.code.(i + 3)
+         p.code.(i + 4));
+    k := i + 5
+  done;
+  Buffer.add_string buf
+    (Printf.sprintf "consts=[%s] fregs=%d bregs=%d root=%d\n"
+       (String.concat ";"
+          (Array.to_list (Array.map (Printf.sprintf "%g") p.consts)))
+       p.n_fregs p.n_bregs p.root);
   Buffer.contents buf
-
-let scratch (p : t) =
-  (Array.make (max 1 p.n_fregs) 0.0, Array.make (max 1 p.n_bregs) false)
-
-let run p env =
-  let fregs, bregs = scratch p in
-  exec p fregs bregs env;
-  match p.sort with
-  | `Real -> `Real fregs.(p.root)
-  | `Bool -> `Bool bregs.(p.root)
-
-let run_real p env =
-  if p.sort <> `Real then invalid_arg "Evalc.run_real: boolean program";
-  let fregs, bregs = scratch p in
-  exec p fregs bregs env;
-  fregs.(p.root)
-
-let run_bool p env =
-  if p.sort <> `Bool then invalid_arg "Evalc.run_bool: real program";
-  let fregs, bregs = scratch p in
-  exec p fregs bregs env;
-  bregs.(p.root)
 
 (* --- Batch execution ----------------------------------------------------- *)
 
@@ -708,16 +412,17 @@ let run_bool p env =
    tight loop over contiguous float slices and the dispatch cost is paid
    once per instruction per chunk instead of once per node per point.
    Register/code indices are in bounds by construction (unsafe);
-   environment reads stay bounds-checked, as in [exec]. *)
+   environment reads stay bounds-checked, so an out-of-contract feature
+   index raises [Invalid_argument] as the walker's would. *)
 (* The inner loops write [Float.is_finite] out as [v -. v = 0.] — the
    same predicate (finite iff the subtraction is an exact 0; inf gives
    nan, nan stays nan), but a compare instruction instead of a function
    call, which matters here because the compiler is not flambda and
    would not inline the stdlib function into these loops. *)
-let vexec (s : strict) (envs : Feature_set.env array) ~off ~m
+let vexec (p : t) (envs : Feature_set.env array) ~off ~m
     (f : float array) (bl : bool array) : unit =
-  let code = s.scode in
-  let consts = s.sconsts in
+  let code = p.code in
+  let consts = p.consts in
   let n = Array.length code in
   let k = ref 0 in
   while !k < n do
@@ -898,18 +603,19 @@ let vexec (s : strict) (envs : Feature_set.env array) ~off ~m
    chunks fit comfortably and amortise per-instruction dispatch. *)
 let batch_chunk = 1024
 
-let run_batch p envs =
-  if p.sort <> `Real then invalid_arg "Evalc.run_batch: boolean program";
-  let s = p.strict in
+(* The one chunk loop: [row] picks the register file holding the root,
+   whose row is copied into [out] after each chunk. *)
+let run_chunks (p : t) envs ~(row : float array -> bool array -> 'a array)
+    (out : 'a array) : 'a array =
   let total = Array.length envs in
-  let out = Array.create_float total in
   if total > 0 then begin
     let width = min batch_chunk total in
     (* uninitialised on purpose: every register row is written before it
        is read (the code is in dependency order), and [out] is fully
        overwritten below *)
-    let f = Array.create_float (max 1 (s.s_nf * width)) in
-    let bl = Array.make (max 1 (s.s_nb * width)) false in
+    let f = Array.create_float (max 1 (p.n_fregs * width)) in
+    let bl = Array.make (max 1 (p.n_bregs * width)) false in
+    let rows = row f bl in
     (* Cancellation safepoint per chunk: one check every [batch_chunk]
        environments keeps the cost invisible next to [vexec]. *)
     let tok = Cancel.current () in
@@ -917,56 +623,27 @@ let run_batch p envs =
     while !off < total do
       Cancel.check tok;
       let m = min batch_chunk (total - !off) in
-      vexec s envs ~off:!off ~m f bl;
-      let rb = s.s_root * m in
-      for j = 0 to m - 1 do
-        out.(!off + j) <- Array.unsafe_get f (rb + j)
-      done;
+      vexec p envs ~off:!off ~m f bl;
+      Array.blit rows (p.root * m) out !off m;
       off := !off + m
     done
   end;
   out
+
+let run_batch p envs =
+  if p.sort <> `Real then invalid_arg "Evalc.run_batch: boolean program";
+  run_chunks p envs ~row:(fun f _ -> f) (Array.create_float (Array.length envs))
 
 let run_batch_bool p envs =
   if p.sort <> `Bool then invalid_arg "Evalc.run_batch_bool: real program";
-  let s = p.strict in
-  let total = Array.length envs in
-  let out = Array.make total false in
-  if total > 0 then begin
-    let width = min batch_chunk total in
-    let f = Array.create_float (max 1 (s.s_nf * width)) in
-    let bl = Array.make (max 1 (s.s_nb * width)) false in
-    let tok = Cancel.current () in
-    let off = ref 0 in
-    while !off < total do
-      Cancel.check tok;
-      let m = min batch_chunk (total - !off) in
-      vexec s envs ~off:!off ~m f bl;
-      let rb = s.s_root * m in
-      for j = 0 to m - 1 do
-        out.(!off + j) <- Array.unsafe_get bl (rb + j)
-      done;
-      off := !off + m
-    done
-  end;
-  out
+  run_chunks p envs ~row:(fun _ bl -> bl) (Array.make (Array.length envs) false)
 
-let real_fn (e : Expr.rexpr) : Feature_set.env -> float =
-  let p = compile_real e in
-  let fregs, bregs = scratch p in
-  let root = p.root in
-  fun env ->
-    (* Call-grained safepoint: these closures run once per heuristic
-       decision inside loops we do not own (hyperblock formation). *)
-    Cancel.tick ();
-    exec p fregs bregs env;
-    Array.unsafe_get fregs root
+let real_batch ?(compiled = true) (e : Expr.rexpr) :
+    Feature_set.env array -> float array =
+  if compiled then run_batch (compile_real e)
+  else Array.map (fun env -> Eval.real env e)
 
-let bool_fn (e : Expr.bexpr) : Feature_set.env -> bool =
-  let p = compile_bool e in
-  let fregs, bregs = scratch p in
-  let root = p.root in
-  fun env ->
-    Cancel.tick ();
-    exec p fregs bregs env;
-    Array.unsafe_get bregs root
+let bool_batch ?(compiled = true) (e : Expr.bexpr) :
+    Feature_set.env array -> bool array =
+  if compiled then run_batch_bool (compile_bool e)
+  else Array.map (fun env -> Eval.bool env e)

@@ -1,35 +1,34 @@
-(** Compiled genome evaluation.
+(** Compiled genome evaluation: the batch engine behind every heuristic
+    decision.
 
     [compile] flattens a genome once into a flat, register-coded bytecode
     — operators pre-dispatched to integer opcodes, feature lookups
     resolved to environment slots, constants interned in a float pool —
-    so the heuristic decision points in the compiler's inner loops pay
-    array indexing instead of tree-walking.  {!Eval} remains the
-    executable reference: results are bit-identical, including the
-    [div_epsilon] protected-division rule and non-finite collapse to 0
-    (property-tested at scale and fuzzed by the [compiled_vs_walk]
-    oracle).
+    and {!run_batch} executes it one instruction across a whole
+    (cache-sized chunk of a) batch of environments at a time, so operator
+    dispatch is amortised over the batch and the inner loops are tight
+    float-array walks.  {!Eval} remains the executable reference: results
+    are bit-identical, including the [div_epsilon] protected-division
+    rule and non-finite collapse to 0 (property-tested at scale and
+    fuzzed by the [compiled_vs_walk] oracle).
 
-    Two code streams are compiled from each tree.  The scalar stream
-    drives the per-point entry points ({!run}, {!real_fn}, …):
-    [Rtern]/[Rcmul]/[Band]/[Bor] compile to conditional jumps, so it
-    short-circuits exactly as the tree-walker does — the same subtrees
-    are evaluated, the same environment slots are read, and an
-    out-of-range feature index raises [Invalid_argument] from the same
-    environment-array access in both evaluators.  The strict stream
-    drives {!run_batch}: straight-line code with select instructions,
-    executed one instruction across the whole batch at a time, with
-    repeated [arg]/[const] leaves deduplicated and registers recycled
+    The code is straight-line: conditionals compile to select
+    instructions over operands that are always computed, repeated
+    [arg]/[const] leaves are deduplicated and registers are recycled
     after their last use.  Strict evaluation cannot change a value —
-    every operation is total, pure and deterministic — so batch results
-    are bit-identical too; the only observable difference is that
-    [run_batch] reads every feature the expression mentions, including
-    ones the walker's short-circuiting would skip.
+    every operation is total, pure and deterministic — so the only
+    observable difference from the walker is that the engine reads every
+    feature the genome mentions, including ones the walker's
+    short-circuiting would skip.  That cannot raise on a valid genome:
+    {!Gen} and {!Sexp} resolve feature names against the feature set the
+    environments are built from.
 
     Compiled programs are immutable and safe to share across domains;
-    the closures returned by {!real_fn} and {!bool_fn} carry private
-    scratch registers and must not be shared between concurrently
-    running domains. *)
+    each batch call allocates its own register file.
+
+    A studied pass turns each decision into one [env array -> value
+    array] call, built by {!real_batch} or {!bool_batch}: the one place
+    that chooses between this engine and the {!Eval} walker. *)
 
 type t
 (** A compiled genome: code stream, constant pool, register counts. *)
@@ -38,45 +37,26 @@ val compile : Expr.genome -> t
 val compile_real : Expr.rexpr -> t
 val compile_bool : Expr.bexpr -> t
 
-val sort : t -> [ `Real | `Bool ]
-
 val disasm : t -> string
 (** Human-readable bytecode listing, for debugging and documentation. *)
 
-val n_instrs : t -> int
-(** Number of bytecode instructions (tree nodes plus the [mov]s and
-    jumps that wire up short-circuited conditionals). *)
-
-val run : t -> Feature_set.env -> [ `Real of float | `Bool of bool ]
-(** Mirrors {!Eval.genome}. *)
-
-val run_real : t -> Feature_set.env -> float
-(** @raise Invalid_argument on a boolean program. *)
-
-val run_bool : t -> Feature_set.env -> bool
-(** @raise Invalid_argument on a real program. *)
-
 val run_batch : t -> Feature_set.env array -> float array
 (** [run_batch p envs] evaluates one compiled real-valued genome over an
-    array of feature vectors using the strict batch engine: one
-    instruction is executed across the whole (cache-sized chunk of the)
-    batch at a time, so operator dispatch is amortised over the batch
-    and the inner loops are tight float-array walks.  Results are
-    bit-identical to [Eval.real] on every point; unlike the per-point
-    entry points, the engine is strict, so it reads every feature the
-    expression mentions even where the walker would short-circuit.
+    array of feature vectors, bit-identical to [Eval.real] on every
+    point.
     @raise Invalid_argument on a boolean program. *)
 
 val run_batch_bool : t -> Feature_set.env array -> bool array
-(** Boolean counterpart of {!run_batch}: one compiled predicate genome
-    over an array of feature vectors, bit-identical to [Eval.bool] on
+(** Boolean counterpart of {!run_batch}, bit-identical to [Eval.bool] on
     every point.
     @raise Invalid_argument on a real program. *)
 
-val real_fn : Expr.rexpr -> Feature_set.env -> float
-(** [real_fn e] compiles [e] once and returns a closure bit-identical to
-    [Eval.real _ e].  The closure owns its scratch registers: reuse it
-    freely within one domain, never concurrently from several. *)
+val real_batch :
+  ?compiled:bool -> Expr.rexpr -> Feature_set.env array -> float array
+(** [real_batch e] compiles [e] once and returns {!run_batch} over it;
+    [~compiled:false] maps the {!Eval} walker over the array point by
+    point instead, the executable reference ([--no-compiled-eval]). *)
 
-val bool_fn : Expr.bexpr -> Feature_set.env -> bool
-(** Boolean counterpart of {!real_fn}. *)
+val bool_batch :
+  ?compiled:bool -> Expr.bexpr -> Feature_set.env array -> bool array
+(** Boolean counterpart of {!real_batch}. *)

@@ -101,12 +101,12 @@ type partial = {
   cycles : int array;  (* set by [Sched] *)
 }
 
-let run_pass ~hb_config ~compiled ~machine ~(heuristics : heuristics)
+let run_pass ~compiled ~machine ~(heuristics : heuristics)
     ~(prof : Profile.Prof.t) ?decisions (st : partial) = function
-  (* Both the compiled and the walker paths batch per function: the
-     batched entry points take the same per-point interpreter when
-     [compiled] is off, so toggling [compiled_eval] compares evaluators,
-     not pass structure — and both are bit-identical anyway. *)
+  (* Every pass decides through one batch call per decision site; with
+     [compiled] off that call maps the walker point by point, so toggling
+     [compiled_eval] compares evaluators, not pass structure — and both
+     are bit-identical anyway. *)
   | Prefetch -> (
     match heuristics.pf_confidence with
     | None -> st
@@ -124,7 +124,7 @@ let run_pass ~hb_config ~compiled ~machine ~(heuristics : heuristics)
     {
       st with
       hb =
-        Hyperblock.Form.run ~config:hb_config ~compiled ?decisions ~machine
+        Hyperblock.Form.run ~compiled ?decisions ~machine
           ~prof ~priority:heuristics.hb_priority st.program;
     }
   | Regalloc ->
@@ -152,15 +152,14 @@ let run_pass ~hb_config ~compiled ~machine ~(heuristics : heuristics)
           st.program;
     }
 
-let run_passes ?(hb_config = Hyperblock.Form.default_config)
-    ?(compiled_eval = true) ?decisions ~machine ~heuristics (p : prepared)
-    passes st =
+let run_passes ?(compiled_eval = true) ?decisions ~machine ~heuristics
+    (p : prepared) passes st =
   List.fold_left
-    (run_pass ~hb_config ~compiled:compiled_eval ~machine ~heuristics
-       ~prof:p.prof ?decisions)
+    (run_pass ~compiled:compiled_eval ~machine ~heuristics ~prof:p.prof
+       ?decisions)
     st passes
 
-let run_before ?hb_config ?compiled_eval ~machine ~heuristics (p : prepared) =
+let run_before ?compiled_eval ~machine ~heuristics (p : prepared) =
   let st =
     {
       program = p.optimized;
@@ -180,10 +179,10 @@ let run_before ?hb_config ?compiled_eval ~machine ~heuristics (p : prepared) =
   match split heuristics with
   | [], _, _ -> st
   | before, _, _ ->
-    run_passes ?hb_config ?compiled_eval ~machine ~heuristics p before
+    run_passes ?compiled_eval ~machine ~heuristics p before
       { st with program = Ir.Func.copy_program p.optimized }
 
-let run_under ?hb_config ?compiled_eval ?decisions ~machine ~heuristics
+let run_under ?compiled_eval ?decisions ~machine ~heuristics
     (p : prepared) (st : partial) =
   (* A copy, stats record included, so a reused prefix is never
      touched. *)
@@ -197,14 +196,14 @@ let run_under ?hb_config ?compiled_eval ?decisions ~machine ~heuristics
   match split heuristics with
   | _, None, _ -> st
   | _, Some pass, _ ->
-    run_passes ?hb_config ?compiled_eval ?decisions ~machine ~heuristics p
+    run_passes ?compiled_eval ?decisions ~machine ~heuristics p
       [ pass ] st
 
-let run_after ?hb_config ?compiled_eval ~machine ~heuristics (p : prepared)
+let run_after ?compiled_eval ~machine ~heuristics (p : prepared)
     (st : partial) =
   let _, _, after = split heuristics in
   let st =
-    run_passes ?hb_config ?compiled_eval ~machine ~heuristics p after st
+    run_passes ?compiled_eval ~machine ~heuristics p after st
   in
   let layout = Profile.Layout.prepare st.program in
   assert (Array.length st.cycles = layout.Profile.Layout.n_blocks);
@@ -217,10 +216,10 @@ let run_after ?hb_config ?compiled_eval ~machine ~heuristics (p : prepared)
     prefetches = st.pf_stats;
   }
 
-let compile ?hb_config ?compiled_eval ~machine ~heuristics p =
-  run_before ?hb_config ?compiled_eval ~machine ~heuristics p
-  |> run_under ?hb_config ?compiled_eval ~machine ~heuristics p
-  |> run_after ?hb_config ?compiled_eval ~machine ~heuristics p
+let compile ?compiled_eval ~machine ~heuristics p =
+  run_before ?compiled_eval ~machine ~heuristics p
+  |> run_under ?compiled_eval ~machine ~heuristics p
+  |> run_after ?compiled_eval ~machine ~heuristics p
 
 let simulate ?noise ~(machine : Machine.Config.t)
     ~(dataset : Benchmarks.Bench.dataset) (p : prepared) (c : compiled) :

@@ -39,8 +39,8 @@ type compiled = {
 }
 
 val compile :
-  ?hb_config:Hyperblock.Form.config -> ?compiled_eval:bool ->
-  machine:Machine.Config.t -> heuristics:heuristics -> prepared -> compiled
+  ?compiled_eval:bool -> machine:Machine.Config.t -> heuristics:heuristics ->
+  prepared -> compiled
 (** [run_before], then [run_under], then [run_after], with nothing
     cached.  [compiled_eval] (default [true]) evaluates all four
     heuristic expressions through the {!Gp.Evalc} bytecode compiler —
@@ -75,24 +75,22 @@ type partial
     on it so far reported. *)
 
 val run_before :
-  ?hb_config:Hyperblock.Form.config -> ?compiled_eval:bool ->
-  machine:Machine.Config.t -> heuristics:heuristics -> prepared -> partial
+  ?compiled_eval:bool -> machine:Machine.Config.t -> heuristics:heuristics ->
+  prepared -> partial
 (** The passes before the pass under study (the whole pipeline when
     there is none).  The result may share the prepared program; it is
     never mutated by the later stages. *)
 
 val run_under :
-  ?hb_config:Hyperblock.Form.config -> ?compiled_eval:bool ->
-  ?decisions:Buffer.t -> machine:Machine.Config.t -> heuristics:heuristics ->
-  prepared -> partial -> partial
+  ?compiled_eval:bool -> ?decisions:Buffer.t -> machine:Machine.Config.t ->
+  heuristics:heuristics -> prepared -> partial -> partial
 (** A copy of the partial program through the pass under study, which
     appends its decisions to [decisions]; the argument is left
     untouched, so one [run_before] result serves every candidate. *)
 
 val run_after :
-  ?hb_config:Hyperblock.Form.config -> ?compiled_eval:bool ->
-  machine:Machine.Config.t -> heuristics:heuristics -> prepared -> partial ->
-  compiled
+  ?compiled_eval:bool -> machine:Machine.Config.t -> heuristics:heuristics ->
+  prepared -> partial -> compiled
 (** The passes after the pass under study, in place, then the block
     layout. *)
 

@@ -74,13 +74,9 @@ let digest_key t key case =
    for exact round-trips, sharded by digest prefix with per-shard
    locking, compaction-on-load and per-shard write degradation. *)
 
-let create ?(pool = Gp.Parmap.pool ()) ?cache_dir
-    ?(cache_shards = Shardstore.default_shards) ?remote ~fs ~scope ~case_name
-    ~eval () =
-  let store =
-    Option.map (fun dir -> Shardstore.open_store ~shards:cache_shards dir)
-      cache_dir
-  in
+let create ?(pool = Gp.Parmap.pool ()) ?cache_dir ?remote ~fs ~scope
+    ~case_name ~eval () =
+  let store = Option.map Shardstore.open_store cache_dir in
   {
     pool;
     remote;

@@ -30,8 +30,9 @@
 
     The on-disk cache is a {!Shardstore}: a content-addressed store
     under [cache_dir], keyed by a digest of (scope, case name, canonical
-    expression) and sharded by digest prefix over [cache_shards]
-    append-only files (default 16), each under its own advisory [lockf].
+    expression) and sharded by digest prefix over
+    {!Shardstore.default_shards} append-only files, each under its own
+    advisory [lockf].
     It survives across runs and is shared by any study pointing at the
     same directory; concurrent runs only contend when a batch touches
     the same shard, and each shard group goes out in one locked write,
@@ -105,14 +106,13 @@ type remote =
 val create :
   ?pool:Gp.Parmap.pool ->
   ?cache_dir:string ->
-  ?cache_shards:int ->
   ?remote:remote ->
   fs:Gp.Feature_set.t ->
   scope:string ->
   case_name:(int -> string) ->
   eval:(Gp.Expr.genome -> int -> float) ->
   unit -> t
-(** [create ~pool ~cache_dir ~cache_shards ~fs ~scope ~case_name ~eval ()]
+(** [create ~pool ~cache_dir ~fs ~scope ~case_name ~eval ()]
     builds an engine over the raw single evaluation [eval] (one
     compile-and-simulate cycle; called on the canonical genome, in a
     worker process or domain when supervised, so it must not rely on
@@ -126,9 +126,7 @@ val create :
     or hung evaluation is re-run before being abandoned) and its chunk
     bounds.  [scope] namespaces the persistent cache — include
     everything the fitness depends on besides the genome and case:
-    study, machine, dataset.  [cache_shards] (default
-    {!Shardstore.default_shards}) sets the store's shard count and only
-    matters with [cache_dir].
+    study, machine, dataset.
     Results are sanitized: non-finite or negative values score 0.  With
     one job and no [timeout_s] (or [`Seq]), evaluation is sequential
     in-process (side effects of [eval] remain observable; a raising

@@ -73,7 +73,6 @@ type config = {
   backend : Gp.Parmap.backend;
   jobs : int;
   cache_dir : string option;
-  cache_shards : int;
   checkpoint_dir : string option;
   timeout_s : float option;
   retries : int;
@@ -89,7 +88,6 @@ let default_config =
     backend = `Fork;
     jobs = 1;
     cache_dir = None;
-    cache_shards = Shardstore.default_shards;
     checkpoint_dir = None;
     timeout_s = None;
     retries = 1;
@@ -351,7 +349,6 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
   let evaluator_for baselines dataset =
     Evaluator.create ~pool
       ?cache_dir:(if remote_h = None then cfg.cache_dir else None)
-      ~cache_shards:cfg.cache_shards
       ?remote:(Option.map (fun h -> h.rh_eval dataset) remote_h)
       ~fs:(feature_set_of kind)
       ~scope:

@@ -43,9 +43,6 @@ type config = {
   backend : Gp.Parmap.backend;   (** pool flavor, default [`Fork] *)
   jobs : int;                    (** pool width, default 1 *)
   cache_dir : string option;     (** persistent fitness cache *)
-  cache_shards : int;
-      (** shard count of the fitness cache (see {!Shardstore}); default
-          {!Shardstore.default_shards}, only meaningful with [cache_dir] *)
   checkpoint_dir : string option;  (** per-generation checkpointing *)
   timeout_s : float option;
       (** per-evaluation deadline: a kill on [`Fork], cooperative with

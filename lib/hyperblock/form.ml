@@ -340,11 +340,9 @@ let new_stats () =
     paths_total = 0;
   }
 
-(* Score a region's paths with the priority function.  A scorer maps all
-   of a region's path environments to priorities at once: the compiled
-   instance is [Gp.Evalc.run_batch] over one pre-compiled program (no
-   per-path re-dispatch); the reference instance tree-walks per path. *)
-let score_region_with (scorer : Gp.Feature_set.env list -> float list)
+(* Score a region's paths with the priority function: all of a region's
+   path environments through one batch evaluation. *)
+let score_region_with (scorer : Gp.Feature_set.env array -> float array)
     (f : Ir.Func.t) (prof : Profile.Prof.t) (region : Region.t) :
     scored_path list =
   let feats = List.map (path_features f prof) region.Region.paths in
@@ -353,24 +351,16 @@ let score_region_with (scorer : Gp.Feature_set.env list -> float list)
   List.map2
     (fun (path, fe) pr -> { path; feats = fe; priority = pr })
     (List.combine region.Region.paths feats)
-    (scorer envs)
+    (Array.to_list (scorer (Array.of_list envs)))
 
-let scorer_of ~compiled (priority : Gp.Expr.rexpr) =
-  if compiled then begin
-    let prog = Gp.Evalc.compile_real priority in
-    fun envs ->
-      Array.to_list (Gp.Evalc.run_batch prog (Array.of_list envs))
-  end
-  else fun envs -> List.map (fun env -> Gp.Eval.real env priority) envs
-
-let score_region ?(compiled = true) (f : Ir.Func.t) (prof : Profile.Prof.t)
+let score_region ?compiled (f : Ir.Func.t) (prof : Profile.Prof.t)
     (priority : Gp.Expr.rexpr) (region : Region.t) : scored_path list =
-  score_region_with (scorer_of ~compiled priority) f prof region
+  score_region_with (Gp.Evalc.real_batch ?compiled priority) f prof region
 
 let run_func ?(config = default_config) ?(compiled = true) ?decisions
     ~(machine : Machine.Config.t) ~(prof : Profile.Prof.t)
     ~(priority : Gp.Expr.rexpr) (f : Ir.Func.t) (stats : stats) : unit =
-  let scorer = scorer_of ~compiled priority in
+  let scorer = Gp.Evalc.real_batch ~compiled priority in
   Option.iter
     (fun b ->
       Buffer.add_string b f.Ir.Func.fname;

@@ -37,10 +37,9 @@ val score_region :
   Ir.Func.t -> Profile.Prof.t -> Gp.Expr.rexpr -> Region.t ->
   scored_path list
 (** Evaluate the priority function on every path of a region (aggregate
-    features are shared across the region).  By default the expression is
-    compiled once through {!Gp.Evalc} and run as a batch over the region's
-    path environments; [~compiled:false] keeps the {!Gp.Eval} tree-walker,
-    the bit-identical executable reference. *)
+    features are shared across the region) with one {!Gp.Evalc.real_batch}
+    evaluation over the region's path environments: compiled (default),
+    or the bit-identical {!Gp.Eval} tree-walker with [~compiled:false]. *)
 
 val select :
   config:config -> machine:Machine.Config.t -> Ir.Func.t ->

@@ -15,46 +15,22 @@ type config = {
 
 let default_config = { prefetch_iters = 4 }
 
-type decision_fn = Analysis.candidate -> bool
-
-let baseline_decision ~machine (p : Ir.Func.program) : decision_fn =
- fun c ->
-  Gp.Eval.bool (Features.environment ~machine p c) Features.baseline_expr
-
-(* Compiled once per [decision_of_expr]; evaluated per candidate load. *)
-let decision_of_expr ?(compiled = true) ~machine (p : Ir.Func.program)
-    (e : Gp.Expr.bexpr) : decision_fn =
-  let eval =
-    if compiled then Gp.Evalc.bool_fn e else fun env -> Gp.Eval.bool env e
-  in
-  fun c -> eval (Features.environment ~machine p c)
-
-(* Vectorized form: all of a function's eligible candidates through one
-   batch evaluation. *)
+(* Vectorized confidence: all of a function's eligible candidates
+   through one batch evaluation. *)
 type decision_batch = Analysis.candidate array -> bool array
 
-let decision_batch_of_expr ?(compiled = true) ~machine (p : Ir.Func.program)
+let decision_batch_of_expr ?compiled ~machine (p : Ir.Func.program)
     (e : Gp.Expr.bexpr) : decision_batch =
-  if compiled then begin
-    let prog = Gp.Evalc.compile_bool e in
-    fun cs ->
-      Gp.Evalc.run_batch_bool prog
-        (Array.map (fun c -> Features.environment ~machine p c) cs)
-  end
-  else
-    fun cs ->
-      Array.map
-        (fun c -> Gp.Eval.bool (Features.environment ~machine p c) e)
-        cs
+  let decide = Gp.Evalc.bool_batch ?compiled e in
+  fun cs -> decide (Array.map (Features.environment ~machine p) cs)
 
 type stats = {
   candidates : int;
   inserted : int;
 }
 
-let run_with ?(config = default_config) ?decisions
-    ~(decide : Analysis.candidate array -> bool array) (p : Ir.Func.program) :
-    stats =
+let run_batched ?(config = default_config) ?decisions
+    ~(decision_batch : decision_batch) (p : Ir.Func.program) : stats =
   let candidates = ref 0 and inserted = ref 0 in
   List.iter
     (fun (f : Ir.Func.t) ->
@@ -72,7 +48,7 @@ let run_with ?(config = default_config) ?decisions
              cands)
       in
       let verdicts =
-        if Array.length eligible = 0 then [||] else decide eligible
+        if Array.length eligible = 0 then [||] else decision_batch eligible
       in
       (* The verdicts are all the pass decides: the rewrite below is a
          function of the program and them alone. *)
@@ -141,11 +117,3 @@ let run_with ?(config = default_config) ?decisions
       end)
     p.Ir.Func.funcs;
   { candidates = !candidates; inserted = !inserted }
-
-let run ?config ?decisions ~(decision : decision_fn) (p : Ir.Func.program) :
-    stats =
-  run_with ?config ?decisions ~decide:(fun cs -> Array.map decision cs) p
-
-let run_batched ?config ?decisions ~(decision_batch : decision_batch)
-    (p : Ir.Func.program) : stats =
-  run_with ?config ?decisions ~decide:decision_batch p

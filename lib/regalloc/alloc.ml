@@ -35,30 +35,17 @@ type result = {
   n_colors_used : int;
 }
 
-(* The priority function: given a feature environment for one
-   (range, block) pair, the savings for that block. *)
-type savings_fn = Gp.Feature_set.env -> float
-
-let baseline_savings : savings_fn =
- fun env -> Gp.Eval.real env Features.baseline_expr
-
-(* Compiled once per [savings_of_expr]; the allocator calls the result
-   for every (live range, block) pair. *)
-let savings_of_expr ?(compiled = true) (e : Gp.Expr.rexpr) : savings_fn =
-  if compiled then Gp.Evalc.real_fn e else fun env -> Gp.Eval.real env e
-
-(* Vectorized form: all of a function's (range, block) feature vectors
-   through one batch evaluation, instruction dispatch amortised across
-   the function instead of paid per pair. *)
+(* The priority function under study, vectorized: the savings of many
+   (range, block) feature vectors through one batch evaluation,
+   instruction dispatch amortised across the function instead of paid
+   per pair. *)
 type savings_batch = Gp.Feature_set.env array -> float array
 
-let savings_batch_of_expr ?(compiled = true) (e : Gp.Expr.rexpr) :
-    savings_batch =
-  if compiled then begin
-    let p = Gp.Evalc.compile_real e in
-    fun envs -> Gp.Evalc.run_batch p envs
-  end
-  else fun envs -> Array.map (fun env -> Gp.Eval.real env e) envs
+let savings_batch_of_expr ?compiled (e : Gp.Expr.rexpr) : savings_batch =
+  Gp.Evalc.real_batch ?compiled e
+
+(* Equation (2). *)
+let baseline_savings_batch = savings_batch_of_expr Features.baseline_expr
 
 let block_weight depth = 10.0 ** float_of_int (min depth 3)
 
@@ -144,18 +131,6 @@ let block_env (g : Ir.Cfg.t) depth (calls_per_block : int array)
   setb "in_loop" (depth.(bi) > 0);
   env
 
-(* Evaluate the priority of one range: Equation (3). *)
-let range_priority (savings : savings_fn) (g : Ir.Cfg.t) depth
-    (calls_per_block : int array) (lr : live_range) : float =
-  let n_blocks = float_of_int (List.length lr.blocks) in
-  let total =
-    List.fold_left
-      (fun acc bi ->
-        acc +. savings (block_env g depth calls_per_block lr ~n_blocks bi))
-      0.0 lr.blocks
-  in
-  total /. Float.max 1.0 n_blocks
-
 (* --- Spill code insertion ---------------------------------------------- *)
 
 let insert_spills (f : Ir.Func.t) (spilled : Ir.Types.reg list) : unit =
@@ -218,7 +193,7 @@ let insert_spills (f : Ir.Func.t) (spilled : Ir.Types.reg list) : unit =
 
 (* --- Driver ------------------------------------------------------------- *)
 
-let run_func ?(savings = baseline_savings) ?savings_batch ?decisions
+let run_func ?(savings_batch = baseline_savings_batch) ?decisions
     ~(machine : Machine.Config.t) (f : Ir.Func.t) : result =
   let g = Ir.Cfg.build f in
   let live = Liveness.compute f g in
@@ -247,41 +222,34 @@ let run_func ?(savings = baseline_savings) ?savings_batch ?decisions
   Array.iteri
     (fun i lr -> lr.degree <- List.length neighbors.(i))
     arr;
-  (match savings_batch with
-  | None ->
-    Array.iter
-      (fun lr ->
-        lr.priority <- range_priority savings g depth calls_per_block lr)
-      arr
-  | Some batch ->
-    (* Vectorized Equation (3): every (range, block) pair's feature
-       vector in range-then-block order through one batch call, then
-       per-range sums folded left in exactly [range_priority]'s
-       order — bit-identical to the pointwise path. *)
-    let envs =
-      Array.concat
-        (Array.to_list
-           (Array.map
-              (fun lr ->
-                let n_blocks = float_of_int (List.length lr.blocks) in
-                Array.of_list
-                  (List.map
-                     (block_env g depth calls_per_block lr ~n_blocks)
-                     lr.blocks))
-              arr))
-    in
-    let vals = batch envs in
-    let off = ref 0 in
-    Array.iter
-      (fun lr ->
-        let nb = List.length lr.blocks in
-        let total = ref 0.0 in
-        for j = !off to !off + nb - 1 do
-          total := !total +. vals.(j)
-        done;
-        off := !off + nb;
-        lr.priority <- !total /. Float.max 1.0 (float_of_int nb))
-      arr);
+  (* Equation (3): every (range, block) pair's feature vector in
+     range-then-block order through one batch call, then each range's
+     savings summed left to right in block order and divided by its
+     size. *)
+  let envs =
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun lr ->
+              let n_blocks = float_of_int (List.length lr.blocks) in
+              Array.of_list
+                (List.map
+                   (block_env g depth calls_per_block lr ~n_blocks)
+                   lr.blocks))
+            arr))
+  in
+  let vals = savings_batch envs in
+  let off = ref 0 in
+  Array.iter
+    (fun lr ->
+      let nb = List.length lr.blocks in
+      let total = ref 0.0 in
+      for j = !off to !off + nb - 1 do
+        total := !total +. vals.(j)
+      done;
+      off := !off + nb;
+      lr.priority <- !total /. Float.max 1.0 (float_of_int nb))
+    arr;
   (* Color in priority order. *)
   let k = machine.Machine.Config.gpr in
   let order = Array.init m Fun.id in
@@ -328,10 +296,10 @@ let run_func ?(savings = baseline_savings) ?savings_batch ?decisions
     n_colors_used = !max_color + 1;
   }
 
-let run ?savings ?savings_batch ?decisions ~machine (p : Ir.Func.program) :
+let run ?savings_batch ?decisions ~machine (p : Ir.Func.program) :
     int (* total spills *) =
   List.fold_left
     (fun acc f ->
-      let r = run_func ?savings ?savings_batch ?decisions ~machine f in
+      let r = run_func ?savings_batch ?decisions ~machine f in
       acc + List.length r.spilled)
     0 p.Ir.Func.funcs

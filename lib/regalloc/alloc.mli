@@ -33,27 +33,14 @@ val build_ranges :
 val interferes : live_range -> live_range -> bool
 (** Block-level interference: the ranges' block sets overlap. *)
 
-type savings_fn = Gp.Feature_set.env -> float
-(** The priority function under study: per-(range, block) savings. *)
-
-val baseline_savings : savings_fn
-(** Equation (2). *)
-
-val savings_of_expr : ?compiled:bool -> Gp.Expr.rexpr -> savings_fn
-(** Compiles [e] once through {!Gp.Evalc} (default); [~compiled:false]
-    keeps the {!Gp.Eval} tree-walker, the bit-identical executable
-    reference. *)
-
 type savings_batch = Gp.Feature_set.env array -> float array
-(** Vectorized savings: one call scores many (range, block) feature
-    vectors.  Passed to {!run_func} / {!run}, the allocator batches all
-    of a function's pairs through a single evaluation instead of one
-    interpreter entry per pair — same sums, same priorities, bit
-    identical to {!savings_fn}. *)
+(** The priority function under study, vectorized: per-(range, block)
+    savings for many feature vectors in one call.  {!run_func} and {!run}
+    batch all of a function's pairs through a single evaluation. *)
 
 val savings_batch_of_expr : ?compiled:bool -> Gp.Expr.rexpr -> savings_batch
-(** Batch counterpart of {!savings_of_expr}: {!Gp.Evalc.run_batch} when
-    [compiled] (default), a per-point tree walk otherwise. *)
+(** One {!Gp.Evalc.real_batch} evaluation: compiled once (default), or
+    the {!Gp.Eval} walker per pair with [~compiled:false]. *)
 
 val block_weight : int -> float
 (** Static execution-frequency estimate from loop depth (10^depth,
@@ -62,20 +49,18 @@ val block_weight : int -> float
 val insert_spills : Ir.Func.t -> Ir.Types.reg list -> unit
 
 val run_func :
-  ?savings:savings_fn ->
   ?savings_batch:savings_batch ->
   ?decisions:Buffer.t ->
   machine:Machine.Config.t ->
   Ir.Func.t ->
   result
-(** When [savings_batch] is given it supersedes [savings]: priorities
-    come from one vectorized evaluation over every (range, block) pair
-    of the function.  [decisions], when given, receives one line: the
-    function's name and its spilled registers in spill order — the
-    rewritten function is a function of the input and that line. *)
+(** Priorities come from one [savings_batch] evaluation over every
+    (range, block) pair of the function; it defaults to Equation (2)
+    through the compiled engine.  [decisions], when given, receives one
+    line: the function's name and its spilled registers in spill order
+    — the rewritten function is a function of the input and that line. *)
 
 val run :
-  ?savings:savings_fn ->
   ?savings_batch:savings_batch ->
   ?decisions:Buffer.t ->
   machine:Machine.Config.t ->

@@ -92,15 +92,8 @@ let envs_of_graph (g : Depgraph.t) : Gp.Feature_set.env array =
       setb "is_guarded" (instr.Ir.Instr.guard <> Ir.Types.p_true);
       env)
 
-let of_expr ?(compiled = true) (expr : Gp.Expr.rexpr) : fn =
-  (* Compile once per [of_expr].  The compiled instance scores a whole
-     block with one [Evalc.run_batch] call over per-instruction feature
-     vectors — instruction dispatch amortised across the block — and is
-     bit-identical to the per-point tree walk, which stays selectable
-     as the executable reference. *)
-  if compiled then begin
-    let p = Gp.Evalc.compile_real expr in
-    fun g -> Gp.Evalc.run_batch p (envs_of_graph g)
-  end
-  else
-    fun g -> Array.map (fun env -> Gp.Eval.real env expr) (envs_of_graph g)
+let of_expr ?compiled (expr : Gp.Expr.rexpr) : fn =
+  (* Compile once per [of_expr]; each block is scored with one batch
+     evaluation over its per-instruction feature vectors. *)
+  let score = Gp.Evalc.real_batch ?compiled expr in
+  fun g -> score (envs_of_graph g)

@@ -25,7 +25,7 @@ val height_above : Depgraph.t -> int array
     path from any source, excluding the node's own latency). *)
 
 val of_expr : ?compiled:bool -> Gp.Expr.rexpr -> fn
-(** [of_expr expr] compiles [expr] once through {!Gp.Evalc} (default) and
-    scores instructions by array-indexed bytecode; [~compiled:false]
-    keeps the {!Gp.Eval} tree-walker — the executable reference the
-    compiled path is bit-identical to. *)
+(** [of_expr expr] scores each block's instructions with one
+    {!Gp.Evalc.real_batch} evaluation: [expr] compiled once (default), or
+    the {!Gp.Eval} tree-walker — the executable reference the compiled
+    path is bit-identical to — with [~compiled:false]. *)

@@ -28,7 +28,6 @@ type config = {
   socket : string;
   pool : Gp.Parmap.pool;
   cache_dir : string option;
-  cache_shards : int;
   queue_cap : int;
   inflight_cap : int;
   idle_timeout_s : float option;
@@ -40,7 +39,6 @@ let default_config ~socket =
     socket;
     pool = Gp.Parmap.pool ~backend:`Fork ~jobs:2 ~retries:1 ();
     cache_dir = None;
-    cache_shards = Driver.Shardstore.default_shards;
     queue_cap = 4096;
     inflight_cap = 8;
     idle_timeout_s = None;
@@ -548,10 +546,7 @@ let run ?(stop = fun () -> false) (cfg : config) =
   let st =
     {
       cfg;
-      store =
-        Option.map
-          (fun dir -> Driver.Shardstore.open_store ~shards:cfg.cache_shards dir)
-          cfg.cache_dir;
+      store = Option.map Driver.Shardstore.open_store cfg.cache_dir;
       mem = Hashtbl.create 4096;
       clients = Hashtbl.create 16;
       queue = Queue.create ();

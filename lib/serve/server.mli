@@ -28,7 +28,6 @@ type config = {
   socket : string;  (** Unix-domain socket path to listen on *)
   pool : Gp.Parmap.pool;  (** shared worker pool shape *)
   cache_dir : string option;  (** shared persistent store; [None] = memory *)
-  cache_shards : int;
   queue_cap : int;  (** max queued evaluations, across all clients *)
   inflight_cap : int;  (** max unanswered Eval requests per client *)
   idle_timeout_s : float option;

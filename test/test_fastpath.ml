@@ -311,9 +311,11 @@ let test_study_fast_vs_slow () =
 
 (* The compiled-eval golden path: a study context with Evalc on vs off
    (the [--no-compiled-eval] tree-walker reference) must score every
-   candidate bit-identically, across two studies whose decision sites
-   route through different Evalc entry points — batch scoring in
-   hyperblock formation, per-node priorities in scheduling. *)
+   candidate bit-identically, in every study: per-block priorities in
+   scheduling, per-region scores in hyperblock formation, the Boolean
+   batch over a function's candidate loads in prefetching, and the
+   per-range fold of per-(range, block) savings in register
+   allocation. *)
 let test_study_compiled_vs_walk () =
   let cases =
     [
@@ -321,14 +323,21 @@ let test_study_compiled_vs_walk () =
         [ "(sub 0.0 lwd)"; "(add slack latency)"; "(mul critical_path 0.5)" ] );
       ( Driver.Study.Hyperblock_study, "codrle4",
         [ "(mul exec_ratio 2.0)"; "(sub num_ops dep_height)" ] );
+      ( Driver.Study.Prefetch_study, "171.swim",
+        [ "large_array"; "(gt trip_estimate 8.0)";
+          "(and large_array (not trip_known))" ] );
+      ( Driver.Study.Regalloc_study, "huff_enc",
+        [ "(sub degree uses)"; "(mul w uses)";
+          "(div (add uses defs) range_blocks)" ] );
     ]
   in
   List.iter
     (fun (kind, bench, exprs) ->
       let fs = Driver.Study.feature_set_of kind in
+      let sort = Driver.Study.sort_of kind in
       let genomes =
         Driver.Study.baseline_genome_of kind
-        :: List.map (fun s -> Gp.Expr.Real (Gp.Sexp.parse_real fs s)) exprs
+        :: List.map (Gp.Sexp.parse_genome fs ~sort) exprs
       in
       let measure ~compiled_eval =
         let cfg = { Driver.Study.default_config with compiled_eval } in

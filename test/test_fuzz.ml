@@ -234,41 +234,75 @@ let test_evaluator_nonfinite_roundtrip () =
 (* --- satellite: Eval = Eval . Simplify = Evalc at scale ------------------ *)
 
 (* One rng-stream extension of the original 1000-genome Simplify suite:
-   every genome is additionally compiled by Evalc and the bytecode must
-   agree with the tree-walker bit-for-bit — on the raw genome and on its
-   simplified form (exercising whatever shapes Simplify produces). *)
+   every genome is additionally compiled by Evalc and the batch engine of
+   its sort must agree with the tree-walker bit-for-bit on each of the
+   genome's envs — on the raw genome and on its simplified form
+   (exercising whatever shapes Simplify produces).  Then one genome of
+   each sort whose value varies across its envs runs over 2500 envs: two
+   full batch chunks and a partial one, compared env by env. *)
 let test_eval_simplify_equivalence_1000 () =
   let rng = Random.State.make [| 0xe15e; 42 |] in
-  let mismatches = ref [] in
-  for i = 0 to 999 do
-    let sort = if i mod 4 = 0 then `Bool else `Real in
-    let g = Fuzz.Genome_gen.genome rng ~sort in
+  let mismatches = ref [] and evaluations = ref 0 in
+  let show = function
+    | `Real v -> Printf.sprintf "%Lx" (bits v)
+    | `Bool b -> string_of_bool b
+  in
+  let batch g envs =
+    let p = Gp.Evalc.compile g in
+    match g with
+    | Gp.Expr.Real _ ->
+      Array.map (fun v -> show (`Real v)) (Gp.Evalc.run_batch p envs)
+    | Gp.Expr.Bool _ ->
+      Array.map (fun b -> show (`Bool b)) (Gp.Evalc.run_batch_bool p envs)
+  in
+  let check i g envs =
     let s = Gp.Simplify.genome g in
-    let cg = Gp.Evalc.compile g and cs = Gp.Evalc.compile s in
-    List.iter
-      (fun env ->
-        let show = function
-          | `Real v -> Printf.sprintf "%Lx" (bits v)
-          | `Bool b -> string_of_bool b
-        in
+    let raw = batch g envs and simplified = batch s envs in
+    Array.iteri
+      (fun k env ->
         let record tag a b sub =
+          incr evaluations;
           if a <> b then
             mismatches :=
-              Printf.sprintf "genome %d (%s): %s <> %s for %s" i tag a b
+              Printf.sprintf "genome %d env %d (%s): %s <> %s for %s" i k tag
+                a b
                 (Gp.Sexp.to_string Fuzz.Genome_gen.fs sub)
               :: !mismatches
         in
         let a = show (Gp.Eval.genome env g) in
         record "simplify" a (show (Gp.Eval.genome env s)) s;
-        record "evalc raw" a (show (Gp.Evalc.run cg env)) g;
-        record "evalc simplified" a (show (Gp.Evalc.run cs env)) s)
-      (Fuzz.Genome_gen.envs rng ~n:4)
+        record "evalc raw" a raw.(k) g;
+        record "evalc simplified" a simplified.(k) s)
+      envs
+  in
+  for i = 0 to 999 do
+    let sort = if i mod 4 = 0 then `Bool else `Real in
+    let g = Fuzz.Genome_gen.genome rng ~sort in
+    check i g (Array.of_list (Fuzz.Genome_gen.envs rng ~n:4))
   done;
+  List.iteri
+    (fun j sort ->
+      let envs = Array.of_list (Fuzz.Genome_gen.envs rng ~n:2500) in
+      (* A genome that is constant over the envs would pass with its
+         chunks' rows copied to the wrong offsets. *)
+      let rec varying tries =
+        let g = Fuzz.Genome_gen.genome rng ~sort in
+        let values =
+          List.sort_uniq compare
+            (Array.to_list
+               (Array.map (fun env -> show (Gp.Eval.genome env g)) envs))
+        in
+        if List.length values > 1 then g
+        else if tries > 1 then varying (tries - 1)
+        else Alcotest.failf "no varying genome drawn for chunked check %d" j
+      in
+      check (1000 + j) (varying 100) envs)
+    [ `Real; `Bool ];
   match !mismatches with
   | [] -> ()
   | ms ->
-    Alcotest.failf "%d/12000 evaluations diverge across Simplify/Evalc:\n%s"
-      (List.length ms)
+    Alcotest.failf "%d/%d evaluations diverge across Simplify/Evalc:\n%s"
+      (List.length ms) !evaluations
       (String.concat "\n" (List.filteri (fun i _ -> i < 5) ms))
 
 let suite =

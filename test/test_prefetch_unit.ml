@@ -117,7 +117,10 @@ let test_insertion_adds_prefetch_instrs () =
            emit(s);
            return 0; } |}
   in
-  let stats = Prefetch.Insert.run ~decision:(fun _ -> true) prog in
+  let stats =
+    Prefetch.Insert.run_batched
+      ~decision_batch:(Array.map (fun _ -> true)) prog
+  in
   Alcotest.(check int) "one insertion" 1 stats.Prefetch.Insert.inserted;
   let prefetches = ref 0 in
   Ir.Func.iter_instrs (Ir.Func.find_func prog "main") (fun _ i ->
@@ -140,9 +143,9 @@ let test_insertion_distance () =
            return 0; } |}
   in
   ignore
-    (Prefetch.Insert.run
+    (Prefetch.Insert.run_batched
        ~config:{ Prefetch.Insert.prefetch_iters = 6 }
-       ~decision:(fun _ -> true) prog);
+       ~decision_batch:(Array.map (fun _ -> true)) prog);
   let found = ref false in
   Ir.Func.iter_instrs (Ir.Func.find_func prog "main") (fun _ i ->
       match i.Ir.Instr.kind with
@@ -168,7 +171,8 @@ let test_prefetch_improves_streaming () =
   let run_with decision =
     let prog = Frontend.Minic.compile b_like_src in
     Opt.Pipeline.run ~config:Opt.Pipeline.no_unroll prog;
-    ignore (Prefetch.Insert.run ~decision prog);
+    ignore
+      (Prefetch.Insert.run_batched ~decision_batch:(Array.map decision) prog);
     let lens = Sched.List_sched.schedule_program ~config prog in
     let layout = Profile.Layout.prepare prog in
     let sc =

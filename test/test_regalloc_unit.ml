@@ -60,7 +60,8 @@ let test_equation_2_values () =
   Gp.Feature_set.set_real fs env "uses" 3.0;
   Gp.Feature_set.set_real fs env "defs" 2.0;
   Alcotest.(check (float 1e-9)) "eq 2" 80.0
-    (Regalloc.Alloc.baseline_savings env)
+    (Regalloc.Alloc.savings_batch_of_expr Regalloc.Features.baseline_expr
+       [| env |]).(0)
 
 let test_block_weight () =
   Alcotest.(check (float 1e-9)) "depth 0" 1.0 (Regalloc.Alloc.block_weight 0);
