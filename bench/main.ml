@@ -606,12 +606,9 @@ let sim_measurements p =
 
 (* Compiled genome evaluation (DESIGN.md §12): batch throughput of the
    Evalc bytecode against the Eval tree-walker on a deep expression, and
-   the domains pool against the fork pool on a heavy pure workload.  The
-   fork pool is measured FIRST: the OCaml 5 runtime forbids Unix.fork in
-   any process that ever spawned a domain, so the domains measurement
-   retires the fork backend for the rest of this process — which is also
-   why the report target runs this section last.  Returns the telemetry
-   JSON embedded in the report target. *)
+   a warm fork pool against the sequential reference on a heavy pure
+   workload.  Returns the telemetry JSON embedded in the report
+   target. *)
 let evalc_measurements () =
   let best_of n f =
     let rec go best i =
@@ -685,14 +682,12 @@ let evalc_measurements () =
   let evals = float_of_int (n_env * reps) in
   let compiled_speedup = t_walk /. t_compiled in
   let branchy_speedup = tb_walk /. tb_compiled in
-  (* pool comparison, in the regime evolution actually runs in: one
-     batch per generation against a long-lived warm pool.  Each backend
-     gets a persistent handle, pays its spawn once in an untimed warm-up
+  (* pool timing, in the regime evolution actually runs in: one batch
+     per generation against a long-lived warm pool.  The fork pool gets
+     a persistent handle, pays its spawn once in an untimed warm-up
      batch, then times steady-state batches of 512 small pure tasks —
-     small enough that per-task dispatch cost (the transports' real
-     difference: pipe syscalls and Marshal framing for fork, an
-     in-process queue for domains) is visible next to the work.  Fork
-     first: the domains leg retires the fork backend for this process. *)
+     small enough that per-task dispatch cost (pipe syscalls and Marshal
+     framing) is visible next to the work. *)
   let tasks = Array.init 512 Fun.id in
   let pool_envs = Array.sub envs 0 32 in
   let task i =
@@ -703,35 +698,30 @@ let evalc_measurements () =
     !acc
   in
   let seq_bits = Array.map (fun i -> Int64.bits_of_float (task i)) tasks in
-  let warm_pool_bits backend =
-    let pool = Gp.Parmap.pool ~backend ~jobs:4 () in
-    let h = Gp.Parmap.create pool ~f:task in
-    let bits = ref [||] in
-    let batch () =
-      let outcomes, _ = Gp.Parmap.run_batch h tasks in
-      bits :=
-        Array.map
-          (function
-            | Gp.Parmap.Ok v -> Int64.bits_of_float v
-            | _ -> Int64.bits_of_float Float.nan)
-          outcomes
-    in
-    batch () (* untimed warm-up: spawns the resident workers *);
-    let t = best_of 3 batch in
-    Gp.Parmap.shutdown h;
-    (t, !bits)
+  (* without fork, [fork_s] is 0 and nothing is compared *)
+  let t_fork, fork_bits =
+    if not Gp.Parmap.available then (0.0, seq_bits)
+    else begin
+      let h =
+        Gp.Parmap.create (Gp.Parmap.pool ~backend:`Fork ~jobs:4 ()) ~f:task
+      in
+      let bits = ref [||] in
+      let batch () =
+        let outcomes, _ = Gp.Parmap.run_batch h tasks in
+        bits :=
+          Array.map
+            (function
+              | Gp.Parmap.Ok v -> Int64.bits_of_float v
+              | _ -> Int64.bits_of_float Float.nan)
+            outcomes
+      in
+      batch () (* untimed warm-up: spawns the resident workers *);
+      let t = best_of 3 batch in
+      Gp.Parmap.shutdown h;
+      (t, !bits)
+    end
   in
-  let t_fork = ref infinity and fork_bits = ref seq_bits in
-  if List.mem `Fork (Gp.Parmap.capabilities ()) then begin
-    let t, b = warm_pool_bits `Fork in
-    t_fork := t;
-    fork_bits := b
-  end;
-  let t_domains, domains_bits = warm_pool_bits `Domains in
-  let pools_identical = !fork_bits = seq_bits && domains_bits = seq_bits in
-  let domains_over_fork =
-    if Float.is_finite !t_fork then !t_fork /. t_domains else 0.0
-  in
+  let pools_identical = fork_bits = seq_bits in
   Fmt.pr "  bytecode     : walker %.2f Meval/s, compiled %.2f (%.2fx)@."
     (evals /. t_walk /. 1e6)
     (evals /. t_compiled /. 1e6)
@@ -741,16 +731,10 @@ let evalc_measurements () =
     (evals /. tb_compiled /. 1e6)
     branchy_speedup;
   Fmt.pr "  bit-identical: %s@." (if bit_identical then "yes" else "NO!");
-  if Float.is_finite !t_fork then
-    Fmt.pr
-      "  pools (warm) : fork %.3fs/batch, domains %.3fs/batch (domains \
-       %.2fx)@."
-      !t_fork t_domains domains_over_fork
-  else
-    Fmt.pr "  pools (warm) : fork unavailable, domains %.3fs/batch@."
-      t_domains;
+  if t_fork > 0.0 then Fmt.pr "  pool (warm)  : fork %.3fs/batch@." t_fork
+  else Fmt.pr "  pool (warm)  : fork unavailable@.";
   Fmt.pr "  pool results : %s@."
-    (if pools_identical then "identical across backends" else "DIVERGENT!");
+    (if pools_identical then "identical to seq" else "DIVERGENT!");
   Gp.Telemetry.Obj
     [
       ("envs", Gp.Telemetry.Int n_env);
@@ -759,16 +743,12 @@ let evalc_measurements () =
       ("compiled_speedup", Gp.Telemetry.Float compiled_speedup);
       ("branchy_speedup", Gp.Telemetry.Float branchy_speedup);
       ("bit_identical", Gp.Telemetry.Bool bit_identical);
-      ( "fork_s",
-        Gp.Telemetry.Float (if Float.is_finite !t_fork then !t_fork else 0.0)
-      );
-      ("domains_s", Gp.Telemetry.Float t_domains);
-      ("domains_over_fork", Gp.Telemetry.Float domains_over_fork);
+      ("fork_s", Gp.Telemetry.Float t_fork);
       ("pools_identical", Gp.Telemetry.Bool pools_identical);
     ]
 
 let evalc () =
-  hr "Compiled genome evaluation: Evalc bytecode + domains/fork pools";
+  hr "Compiled genome evaluation: Evalc bytecode + warm fork pool";
   ignore (evalc_measurements ())
 
 let sim () =
@@ -784,7 +764,7 @@ let sim () =
    cache) at -j 1 and once at -j 4 with telemetry capturing every record,
    then write BENCH_metaopt.json — per-phase wall-clock timings,
    end-to-end speedups (steady-state parallel over sequential, warm cache
-   over cold, warm domains pool over warm fork pool), the one-time pool
+   over cold, chunked over single-task dispatch), the one-time pool
    startup cost, the full metric registry, and record counts.  The
    parallel figure is steady-state on purpose: generations against the
    resident warm pool, excluding the first generation's pool spawn, which
@@ -841,7 +821,6 @@ let report () =
   in
   Driver.Study.close ctx1;
   Driver.Study.close ctx4;
-  (* Fork must still be available here: the evalc phase below retires it. *)
   let startup_s = pool_startup_s 4 in
   Fmt.pr "  %-24s %8.3fs@." "pool startup (4 workers)" startup_s;
   let chunked_s, single_s, chunk_identical = chunked_dispatch_s () in
@@ -853,8 +832,6 @@ let report () =
   let ph_sim, sim_doc =
     phase "sim fast paths" (fun () -> sim_measurements p)
   in
-  (* last on purpose: the domains measurement retires the fork backend
-     for this process, and every phase above relies on fork pools *)
   Fmt.pr "  compiled evaluation:@.";
   let ph_evalc, evalc_doc =
     phase "compiled eval" (fun () -> evalc_measurements ())
@@ -876,11 +853,6 @@ let report () =
   let seconds (_, s) = s in
   let speedup num den = if den > 0.0 then num /. den else 0.0 in
   let cores = detected_cores () in
-  let domains_over_fork =
-    match Gp.Telemetry.member "domains_over_fork" evalc_doc with
-    | Some (Gp.Telemetry.Float f) -> f
-    | _ -> 0.0
-  in
   let doc =
     Gp.Telemetry.Obj
       [
@@ -922,7 +894,6 @@ let report () =
               ( "warm_cache_over_cold",
                 Gp.Telemetry.Float (speedup (seconds ph_cold) (seconds ph_warm))
               );
-              ("domains_over_fork", Gp.Telemetry.Float domains_over_fork);
               ("pool_startup_s", Gp.Telemetry.Float startup_s);
               (* adaptive chunked dispatch over the chunk = 1 reference
                  protocol, warm fork pool, micro-scale tasks — the
@@ -993,7 +964,6 @@ let report () =
             "speedups.parallel_j4_over_j1 must be a float (>= 2 cores) or \
              \"insufficient_cores\" (< 2 cores)"
       in
-      let dof = fnum "domains_over_fork" in
       let cos = fnum "chunked_over_single" in
       ignore (fnum "warm_cache_over_cold");
       ignore (fnum "pool_startup_s");
@@ -1003,7 +973,7 @@ let report () =
          fewer than 2 cores there is no parallel figure at all — the
          field is the "insufficient_cores" marker, checked above —
          because a single-core ratio would only report scheduling
-         noise.  domains_over_fork is 0 when fork is unavailable. *)
+         noise. *)
       (match par with
       | None -> ()
       | Some par ->
@@ -1015,12 +985,6 @@ let report () =
             (Printf.sprintf
                "parallel_j4_over_j1 %.2f below gate %.2f (%d cores)" par
                par_gate cores));
-      if dof > 0.0 && dof < 1.0 then
-        fail
-          (Printf.sprintf
-             "domains_over_fork %.2f below gate 1.00: warm domains pool \
-              slower than warm fork pool"
-             dof);
       (* Chunked dispatch must beat the one-task protocol on the CI
          runners; elsewhere it only has to be a real measurement (0 is
          the fork-unavailable sentinel). *)
@@ -1076,17 +1040,16 @@ let report () =
           | None -> fail ("evalc section missing key " ^ k))
         [
           "compiled_speedup"; "branchy_speedup"; "bit_identical"; "fork_s";
-          "domains_s"; "domains_over_fork"; "pools_identical";
+          "pools_identical";
         ]
     | _ -> fail "evalc not an object"));
   Fmt.pr
     "@.speedups: parallel %s steady (%d cores), warm cache %.2fx, \
-     domains/fork %.2fx, chunked dispatch %.2fx, pool startup %.3fs@."
+     chunked dispatch %.2fx, pool startup %.3fs@."
     (if cores < 2 then "n/a (insufficient cores)"
      else Printf.sprintf "%.2fx" (speedup steady_j1 steady_j4))
     cores
     (speedup (seconds ph_cold) (seconds ph_warm))
-    domains_over_fork
     (speedup single_s chunked_s)
     startup_s;
   Fmt.pr "identical evolved results across engines: %s@."

@@ -79,7 +79,7 @@ let backend_conv =
                s
                (String.concat ", "
                   (List.map Gp.Parmap.backend_name (Gp.Parmap.capabilities ())))))
-    | None -> Error (`Msg ("unknown backend " ^ s ^ " (seq|fork|domains)"))
+    | None -> Error (`Msg ("unknown backend " ^ s ^ " (seq|fork)"))
   in
   Arg.conv (parse, fun ppf b -> Fmt.string ppf (Gp.Parmap.backend_name b))
 
@@ -87,11 +87,9 @@ let backend =
   Arg.(value & opt backend_conv `Fork
        & info [ "backend" ]
            ~doc:"Worker-pool backend: $(b,fork) (processes; fault isolation \
-                 and kill-based timeouts), $(b,domains) (OCaml 5 \
-                 shared-memory domains; cooperative safepoint deadlines, \
-                 with unresponsive workers quarantined), or $(b,seq) \
-                 (sequential in-process reference; deadlines inert).  \
-                 Fitness is bit-identical across all three"
+                 and kill-based timeouts) or $(b,seq) (sequential \
+                 in-process reference; deadlines inert).  Fitness is \
+                 bit-identical across both"
            ~docv:"BACKEND")
 
 let cache_dir =
@@ -608,7 +606,7 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:
          "Deterministic fault injection: evolve a tiny study on the \
-          supervised domains pool while a seeded plan injects hangs, \
+          supervised fork pool while a seeded plan injects hangs, \
           crashes, torn cache lines and truncated checkpoints, then \
           check the result is bit-identical to a fault-free sequential \
           run (including a resume over the damaged artifacts)")

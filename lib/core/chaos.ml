@@ -13,13 +13,10 @@
    Faults split into two families:
 
    - task faults (Hang / Slow / Raise / Exit / Kill) fire inside a
-     supervised worker.  [Slow] naps in small slices and polls the
-     cancellation token between them, so a slice that outlives the
-     deadline is cancelled cooperatively — the recoverable analogue of
-     a hang.  [Hang] never polls: it exercises the quarantine path.
-     [Exit]/[Kill] take the whole process down, so they are only
-     honored where the worker is a disposable forked child; a domain
-     worker degrades them to an exception.
+     supervised forked worker.  [Slow] naps; a nap that outlives the
+     deadline is killed with its worker and retried — the recoverable
+     analogue of a hang.  [Hang] never returns: only the kill ends it.
+     [Exit]/[Kill] take the worker process down.
    - write faults (Torn_write / Truncated) fire at a writer and corrupt
      the artifact instead of the control flow: a torn cache append, a
      truncated checkpoint.  Both are recoverable by design — readers
@@ -27,8 +24,8 @@
      checks. *)
 
 type fault =
-  | Hang  (* never return, never poll: must be quarantined *)
-  | Slow of float  (* nap this long, polling the cancel token *)
+  | Hang  (* never return: must be killed *)
+  | Slow of float  (* nap this long *)
   | Raise of string  (* the task raises *)
   | Exit of int  (* forked worker exits without replying *)
   | Kill of int  (* forked worker kills itself with this signal *)
@@ -157,11 +154,11 @@ let plan_of_string ?(seed = 0) s =
     go [] parts
 
 (* A seed-driven plan of recoverable faults only: first-attempt task
-   faults that a single retry absorbs, one cooperative over-deadline
-   nap, a torn cache append and a truncated checkpoint.  Used by the
-   seeded suite of [metaopt chaos] and the chaos_vs_clean oracle, whose
-   contract is that a run injected with this plan is bit-identical to
-   the fault-free run. *)
+   faults that a single retry absorbs, one over-deadline nap, a torn
+   cache append and a truncated checkpoint.  Used by the seeded suite of
+   [metaopt chaos] and the chaos_vs_clean oracle, whose contract is that
+   a run injected with this plan is bit-identical to the fault-free
+   run. *)
 let seeded ~seed =
   (* splitmix-style mixing so nearby seeds give unrelated picks *)
   let mix s salt =
@@ -174,7 +171,7 @@ let seeded ~seed =
     rules =
       [
         (* one task naps past any reasonable deadline on its first
-           attempt: cancelled at the deadline, retried clean *)
+           attempt: killed at the deadline, retried clean *)
         {
           r_site = site_parmap_task;
           r_key = Some (mix seed 1 mod 4);
@@ -207,9 +204,9 @@ let seeded ~seed =
 
 (* --- Arming and firing --------------------------------------------------- *)
 
-(* The armed plan is read concurrently by domain workers; [Atomic] makes
-   the publication race-free.  Arm before starting the run under test,
-   disarm after. *)
+(* Arm before starting the run under test, disarm after: forked workers
+   inherit the plan armed when they spawn.  [Atomic] keeps the
+   publication race-free for any thread that reads it. *)
 let armed_plan : plan option Atomic.t = Atomic.make None
 
 let arm p = Atomic.set armed_plan (Some p)
@@ -217,10 +214,10 @@ let disarm () = Atomic.set armed_plan None
 let armed () = Atomic.get armed_plan
 
 (* Injection counters, per (site, key): how many times [fire] matched a
-   rule there.  Shared-memory only — forked children count in their own
-   copy — so they are meaningful for the domains backend and the
-   parent-side write sites; fork-based tests keep the filesystem ledger
-   below.  Guarded by a mutex: fires are rare (faults, not safepoints). *)
+   rule there.  In-process only — forked children count in their own
+   copy — so they are meaningful for the parent-side write sites;
+   fork-based tests keep the filesystem ledger below.  Guarded by a
+   mutex: fires are rare. *)
 let counts : (string * int, int) Hashtbl.t = Hashtbl.create 16
 let counts_mu = Mutex.create ()
 
@@ -258,47 +255,37 @@ let fire ~site ~key ~attempt =
 
 (* --- Acting on a fault --------------------------------------------------- *)
 
-let trigger ?(isolated = true) fault =
+let trigger fault =
   match fault with
   | Hang ->
-    (* deliberately token-blind: only SIGKILL (fork) or quarantine
-       (domains) can end this *)
+    (* only the supervisor's SIGKILL can end this *)
     while true do
       Unix.sleepf 3600.0
     done
   | Slow s ->
     let until = Unix.gettimeofday () +. s in
-    let tok = Cancel.current () in
     let rec nap () =
-      Cancel.check tok;
       let left = until -. Unix.gettimeofday () in
       if left > 0.0 then begin
-        (try Unix.sleepf (Float.min left 0.005)
-         with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+        (try Unix.sleepf left with Unix.Unix_error (Unix.EINTR, _, _) -> ());
         nap ()
       end
     in
     nap ()
   | Raise msg -> failwith msg
-  | Exit code ->
-    if isolated then Unix._exit code
-    else failwith (Printf.sprintf "chaos: exit %d (worker not isolated)" code)
+  | Exit code -> Unix._exit code
   | Kill signal ->
-    if isolated then begin
-      Unix.kill (Unix.getpid ()) signal;
-      Unix.sleepf 60.0 (* a catchable signal may take a moment to land *)
-    end
-    else failwith (Printf.sprintf "chaos: kill %d (worker not isolated)" signal)
+    Unix.kill (Unix.getpid ()) signal;
+    Unix.sleepf 60.0 (* a catchable signal may take a moment to land *)
   | Torn_write | Truncated ->
     (* write-site faults are interpreted by the writer, not here *)
     ()
 
-(* The supervised pool's task site: fire-and-trigger around one attempt.
-   [isolated] says whether the caller can absorb a process exit (forked
-   worker) or only an exception (domain worker / in-process). *)
-let task_point ~isolated ~key ~attempt =
+(* The supervised pool's task site: fire-and-trigger around one
+   attempt in a forked worker. *)
+let task_point ~key ~attempt =
   match fire ~site:site_parmap_task ~key ~attempt with
-  | Some fault -> trigger ~isolated fault
+  | Some fault -> trigger fault
   | None -> ()
 
 (* --- Filesystem attempt ledger ------------------------------------------- *)
@@ -352,10 +339,8 @@ module Ledger = struct
      number is 1-based, so "fail the first two times" is
      [fun _ n -> if n <= 2 then Some fault else None]), and otherwise
      computes [f task]. *)
-  let wrap ?(isolated = true) ~dir ~plan f task =
+  let wrap ~dir ~plan f task =
     let n = record_attempt dir task in
-    (match plan task n with
-    | Some fault -> trigger ~isolated fault
-    | None -> ());
+    (match plan task n with Some fault -> trigger fault | None -> ());
     f task
 end

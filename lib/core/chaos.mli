@@ -10,11 +10,9 @@
     be bit-identical to the fault-free run. *)
 
 type fault =
-  | Hang  (** never return, never poll the cancel token: forces either
-              SIGKILL (fork backend) or quarantine (domains backend) *)
+  | Hang  (** never return: forces the supervisor's SIGKILL *)
   | Slow of float
-      (** nap this many seconds in small slices, polling the cancel
-          token between naps — cancelled cooperatively when the nap
+      (** nap this many seconds — killed with its worker when the nap
           outlives the deadline *)
   | Raise of string  (** the task raises [Failure msg] *)
   | Exit of int  (** forked worker exits without replying *)
@@ -31,8 +29,8 @@ val fault_of_string : string -> fault option
 (** {1 Sites} *)
 
 val site_parmap_task : string
-(** ["parmap.task"] — around one task attempt in a supervised fork or
-    domains worker (key = task index, attempt = 1-based attempt). *)
+(** ["parmap.task"] — around one task attempt in a supervised forked
+    worker (key = task index, attempt = 1-based attempt). *)
 
 val site_cache_write : string
 (** ["evaluator.cache_write"] — before the evaluator's disk-cache
@@ -88,19 +86,18 @@ val fire : site:string -> key:int -> attempt:int -> fault option
 
 val fired : site:string -> key:int -> int
 (** How many times {!fire} matched at (site, key) in this process —
-    meaningful for domain workers and parent-side write sites; forked
-    children count in their own copy (use {!Ledger} there). *)
+    meaningful for parent-side write sites; forked children count in
+    their own copy (use {!Ledger} there). *)
 
 val reset_counts : unit -> unit
 
-val trigger : ?isolated:bool -> fault -> unit
-(** Act on a task fault: hang, nap (polling the cancel token), raise,
-    exit, or self-kill.  [Exit]/[Kill] are honored only when [isolated]
-    (a disposable forked child, the default); a domain worker passes
-    [~isolated:false] and gets an exception instead.  [Torn_write] and
-    [Truncated] are writer-interpreted and no-ops here. *)
+val trigger : fault -> unit
+(** Act on a task fault: hang, nap, raise, exit, or self-kill.
+    [Exit]/[Kill] end the calling process, so trigger them only in a
+    disposable forked worker.  [Torn_write] and [Truncated] are
+    writer-interpreted and no-ops here. *)
 
-val task_point : isolated:bool -> key:int -> attempt:int -> unit
+val task_point : key:int -> attempt:int -> unit
 (** {!fire} + {!trigger} at {!site_parmap_task} — the one call a
     supervised worker makes around a task attempt. *)
 
@@ -121,7 +118,6 @@ module Ledger : sig
   val attempts : string -> int -> int
 
   val wrap :
-    ?isolated:bool ->
     dir:string ->
     plan:(int -> int -> fault option) ->
     (int -> 'a) ->

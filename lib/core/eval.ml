@@ -10,44 +10,32 @@ let div_epsilon = 1e-9
 
 let protect x = if Float.is_finite x then x else 0.0
 
-let rec real_rec (env : Feature_set.env) (e : Expr.rexpr) : float =
+let rec real (env : Feature_set.env) (e : Expr.rexpr) : float =
   match e with
-  | Expr.Radd (a, b) -> protect (real_rec env a +. real_rec env b)
-  | Expr.Rsub (a, b) -> protect (real_rec env a -. real_rec env b)
-  | Expr.Rmul (a, b) -> protect (real_rec env a *. real_rec env b)
+  | Expr.Radd (a, b) -> protect (real env a +. real env b)
+  | Expr.Rsub (a, b) -> protect (real env a -. real env b)
+  | Expr.Rmul (a, b) -> protect (real env a *. real env b)
   | Expr.Rdiv (a, b) ->
-    let x = real_rec env a and y = real_rec env b in
+    let x = real env a and y = real env b in
     if Float.abs y < div_epsilon then x else protect (x /. y)
-  | Expr.Rsqrt a -> protect (sqrt (Float.abs (real_rec env a)))
-  | Expr.Rtern (c, a, b) -> if bool_rec env c then real_rec env a else real_rec env b
+  | Expr.Rsqrt a -> protect (sqrt (Float.abs (real env a)))
+  | Expr.Rtern (c, a, b) -> if bool env c then real env a else real env b
   | Expr.Rcmul (c, a, b) ->
     (* Table 1: Real1 * Real2 if Bool1, else Real2. *)
-    if bool_rec env c then protect (real_rec env a *. real_rec env b) else real_rec env b
+    if bool env c then protect (real env a *. real env b) else real env b
   | Expr.Rconst k -> k
   | Expr.Rarg i -> env.Feature_set.real_values.(i)
 
-and bool_rec (env : Feature_set.env) (e : Expr.bexpr) : bool =
+and bool (env : Feature_set.env) (e : Expr.bexpr) : bool =
   match e with
-  | Expr.Band (a, b) -> bool_rec env a && bool_rec env b
-  | Expr.Bor (a, b) -> bool_rec env a || bool_rec env b
-  | Expr.Bnot a -> not (bool_rec env a)
-  | Expr.Blt (a, b) -> real_rec env a < real_rec env b
-  | Expr.Bgt (a, b) -> real_rec env a > real_rec env b
-  | Expr.Beq (a, b) -> Float.abs (real_rec env a -. real_rec env b) < div_epsilon
+  | Expr.Band (a, b) -> bool env a && bool env b
+  | Expr.Bor (a, b) -> bool env a || bool env b
+  | Expr.Bnot a -> not (bool env a)
+  | Expr.Blt (a, b) -> real env a < real env b
+  | Expr.Bgt (a, b) -> real env a > real env b
+  | Expr.Beq (a, b) -> Float.abs (real env a -. real env b) < div_epsilon
   | Expr.Bconst k -> k
   | Expr.Barg i -> env.Feature_set.bool_values.(i)
-
-(* The public entry points are call-grained cancellation safepoints: the
-   tree-walker is invoked once per heuristic decision from loops the
-   evaluation stack does not own, so a fuel-style tick per call keeps
-   slow-path (uncompiled) runs killable without touching the recursion. *)
-let real env e =
-  Cancel.tick ();
-  real_rec env e
-
-let bool env e =
-  Cancel.tick ();
-  bool_rec env e
 
 let genome env = function
   | Expr.Real e -> `Real (real env e)

@@ -616,12 +616,8 @@ let run_chunks (p : t) envs ~(row : float array -> bool array -> 'a array)
     let f = Array.create_float (max 1 (p.n_fregs * width)) in
     let bl = Array.make (max 1 (p.n_bregs * width)) false in
     let rows = row f bl in
-    (* Cancellation safepoint per chunk: one check every [batch_chunk]
-       environments keeps the cost invisible next to [vexec]. *)
-    let tok = Cancel.current () in
     let off = ref 0 in
     while !off < total do
-      Cancel.check tok;
       let m = min batch_chunk (total - !off) in
       vexec p envs ~off:!off ~m f bl;
       Array.blit rows (p.root * m) out !off m;

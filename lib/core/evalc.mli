@@ -23,8 +23,8 @@
     {!Gen} and {!Sexp} resolve feature names against the feature set the
     environments are built from.
 
-    Compiled programs are immutable and safe to share across domains;
-    each batch call allocates its own register file.
+    Compiled programs are immutable and safe to share; each batch call
+    allocates its own register file.
 
     A studied pass turns each decision into one [env array -> value
     array] call, built by {!real_batch} or {!bool_batch}: the one place

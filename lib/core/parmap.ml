@@ -1,60 +1,27 @@
 (* A task pool for fitness evaluation behind a first-class backend API.
 
-   Three backends share one [pool] configuration record:
+   Two backends share one [pool] configuration record:
 
    - [`Seq]: in-process and sequential — the bit-identity reference.
      Exceptions isolate per task; deadlines and retries are inert.
-   - [`Fork]: pre-forked worker processes kept on pipes.  A worker stuck
-     in a tight loop or a blocking C call cannot be trusted to deliver
-     its own SIGALRM, so the parent enforces each task's deadline with
-     SIGKILL and respawns the slot.
-   - [`Domains]: [Domain.spawn]ed workers sharing the heap, so nothing is
-     marshalled.  A domain cannot be killed: deadlines are cooperative
-     ([Cancel] tokens), and a task that ignores its token past a grace
-     period gets its worker quarantined, so one runaway cannot absorb
-     the pool.
+   - [`Fork]: pre-forked worker processes kept on pipes, under one batch
+     scheduler ([run_scheduled]).  A worker stuck in a tight loop or a
+     blocking C call cannot be trusted to deliver its own SIGALRM, so
+     the parent enforces each task's deadline with SIGKILL and respawns
+     the slot. *)
 
-   Both parallel backends run under one batch scheduler
-   ([run_scheduled]) over a small private [transport] per backend.
-
-   The OCaml 5 runtime forbids [Unix.fork] once any domain has ever been
-   spawned (even after [Domain.join]).  The first domains pool therefore
-   retires [`Fork] for the rest of the process — [capabilities] reflects
-   that, and later [`Fork] requests degrade to the in-process path with
-   a warning, as on a platform without [fork].  Fork first, domains
-   after, or pick one backend per process. *)
-
-type backend = [ `Seq | `Fork | `Domains ]
+type backend = [ `Seq | `Fork ]
 
 let available = Sys.unix
 
-(* Sticky: set before the first Domain.spawn, never cleared (terminated
-   domains keep fork forbidden for the life of the process). *)
-let domains_used = ref false
-
-let fork_usable () = available && not !domains_used
-
-let warned_fork_after_domains = Atomic.make false
-
-let warn_fork_after_domains () =
-  if not (Atomic.exchange warned_fork_after_domains true) then
-    Logs.warn (fun m ->
-        m "parmap: the fork backend is retired once domains have run in \
-           this process (the runtime forbids fork after Domain.spawn); \
-           running in-process instead")
-
-let backend_name = function
-  | `Seq -> "seq"
-  | `Fork -> "fork"
-  | `Domains -> "domains"
+let backend_name = function `Seq -> "seq" | `Fork -> "fork"
 
 let backend_of_name s =
-  List.find_opt (fun b -> backend_name b = s) [ `Seq; `Fork; `Domains ]
+  List.find_opt (fun b -> backend_name b = s) [ `Seq; `Fork ]
 
-(* Domains are part of the OCaml 5 runtime and exist on every platform;
-   forking is Unix-only, and retired once a domains pool has run. *)
+(* Forking is Unix-only. *)
 let capabilities () : backend list =
-  if fork_usable () then [ `Seq; `Fork; `Domains ] else [ `Seq; `Domains ]
+  if available then [ `Seq; `Fork ] else [ `Seq ]
 
 type pool = {
   backend : backend;
@@ -89,16 +56,16 @@ let pool ?(backend = `Fork) ?(jobs = 1) ?timeout_s ?(retries = 1)
   if chunk_min < 1 then invalid_arg "Parmap.pool: chunk_min must be >= 1";
   if chunk_max < chunk_min then
     invalid_arg "Parmap.pool: chunk_max must be >= chunk_min";
-  (* Supervision limits the chosen backend cannot honor.  Both parallel
-     backends now enforce deadlines and retries; only [`Seq] runs
-     unsupervised.  [retries = 1] is the constructor default, so only a
-     value that must have been chosen deliberately is flagged. *)
+  (* Supervision limits the chosen backend cannot honor: [`Fork]
+     enforces deadlines and retries, [`Seq] runs unsupervised.
+     [retries = 1] is the constructor default, so only a value that must
+     have been chosen deliberately is flagged. *)
   let ignored_limits =
     match backend with
     | `Seq ->
       (if timeout_s <> None then [ "timeout_s" ] else [])
       @ (if retries > 1 then [ "retries" ] else [])
-    | `Fork | `Domains -> []
+    | `Fork -> []
   in
   if ignored_limits <> [] && not !warned_ignored_limits then begin
     warned_ignored_limits := true;
@@ -168,24 +135,16 @@ let close_inherited_fds keep =
 
 type 'b outcome = Ok of 'b | Crashed of string | Timed_out | Gave_up
 
-type stats = {
-  completed : int;
-  crashes : int;
-  timeouts : int;
-  retries : int;
-  quarantined : int;
-}
+type stats = { completed : int; crashes : int; timeouts : int; retries : int }
 
-let empty_stats =
-  { completed = 0; crashes = 0; timeouts = 0; retries = 0; quarantined = 0 }
+let empty_stats = { completed = 0; crashes = 0; timeouts = 0; retries = 0 }
 
 let now () = Unix.gettimeofday ()
 
 (* --- Adaptive chunk sizing ----------------------------------------------- *)
 
-(* The scheduler amortizes one round-trip (a Marshal write on the fork
-   transport, a mutex/condition handoff on the domains one) over a chunk
-   of tasks sized so a chunk is worth ~[chunk_target_ms] of work, using
+(* The scheduler amortizes one round-trip (a Marshal write down a
+   worker's pipe and the worker's wake-up) over a chunk of tasks sized so a chunk is worth ~[chunk_target_ms] of work, using
    an EWMA of observed per-task cost.  The estimate is seeded from the
    process-wide [parmap.task_s] telemetry when available, refined by
    each finished chunk's mean per-task cost (one reply gap is too noisy
@@ -243,198 +202,15 @@ let inprocess_supervised f xs =
   in
   (outcomes, { empty_stats with completed = Array.length xs - crashes; crashes })
 
-(* --- Transports ---------------------------------------------------------- *)
+(* --- Fork workers ------------------------------------------------------ *)
 
-(* What a worker reports for one member of its chunk.  [Deadline] is a
-   cooperative cancellation (domains only: a forked worker past its
-   deadline is killed, never asked). *)
-type 'b reply = Value of 'b | Raised of string | Deadline
+(* What a worker reports for one member of its chunk. *)
+type 'b reply = Value of 'b | Raised of string
 
-(* What the scheduler hears from a transport: [Reply (slot, t, r)], the
+(* What the scheduler hears from the workers: [Reply (slot, t, r)], the
    slot's next unreplied member finished at [t] with [r]; or
    [Died (slot, how)], the slot's worker is gone and already replaced. *)
 type 'b event = Reply of int * float * 'b reply | Died of int * string
-
-(* The scheduler's whole view of a backend.  A transport keeps at most
-   one chunk in flight per slot, delivers that chunk's replies in
-   member order, and replaces a worker that dies or is killed without
-   disturbing the other slots.  Queueing, chunk sizing, attempts,
-   deadlines, salvage and telemetry all belong to the scheduler. *)
-type ('a, 'b) transport = {
-  grace : float;
-      (* how long past a member's deadline the scheduler waits before
-         [kill]: 0 on fork, where the deadline is the kill *)
-  send : int -> int array -> int -> 'a array -> bool;
-      (* [send slot tasks attempt inputs] hands a chunk to an idle slot;
-         [false] when no live worker could take it *)
-  wait : float -> 'b event list;
-      (* events, blocking up to the timeout (negative: indefinitely) *)
-  kill : int -> unit;
-      (* end the slot's worker mid-chunk and put a fresh one in its place *)
-  close : unit -> unit;
-}
-
-(* --- Domains transport --------------------------------------------------- *)
-
-(* Each member runs under its own [Cancel] token carrying the deadline;
-   the evaluation stack polls it at safepoints, and a poll past the
-   deadline becomes the member's [Deadline] reply.  A task that never
-   reaches a safepoint (a blocking C call, a chaos [Hang]) is cut off at
-   deadline plus a grace of half the timeout (min 50ms): [kill] poisons
-   the worker and spawns a fresh domain in its slot.  A poisoned domain
-   is abandoned, never joined — it exits if the hung task ever returns —
-   and a domain parked in a blocking section does not obstruct the
-   runtime.
-
-   A worker takes one chunk from its mailbox and records each member's
-   reply and finishing time in the chunk, publishing them through one
-   atomic progress count.  Only the chunk's end wakes the scheduler
-   (one byte on a self-pipe): the stamps keep each deadline exact, and
-   waking it per member would only spend the cores the workers need.  A
-   slot forgets its chunk when the chunk ends or its worker is
-   quarantined, so a quarantined worker's late writes go unread. *)
-
-type ('a, 'b) dchunk = {
-  d_tasks : int array;
-  d_attempt : int;
-  d_inputs : 'a array;
-  d_results : 'b reply array;
-  d_stamps : float array;
-  d_progress : int Atomic.t; (* members whose result and stamp are set *)
-  mutable d_seen : int; (* members [wait] has reported *)
-}
-
-type ('a, 'b) dworker = {
-  mutable mail : ('a, 'b) dchunk option; (* under the transport mutex *)
-  wake : Condition.t;
-  poisoned : bool Atomic.t;
-}
-
-let dom_worker m stop note_w f timeout_s w () =
-  Telemetry.suppress_in_domain true;
-  let rec loop () =
-    Mutex.lock m;
-    while (not (!stop || Atomic.get w.poisoned)) && Option.is_none w.mail do
-      Condition.wait w.wake m
-    done;
-    let job = if !stop || Atomic.get w.poisoned then None else w.mail in
-    w.mail <- None;
-    Mutex.unlock m;
-    match job with
-    | None -> ()
-    | Some c ->
-      Array.iteri
-        (fun k task ->
-          if not (Atomic.get w.poisoned) then begin
-            (* One token per member: a chunk does not widen any single
-               task's deadline, and one timed-out member does not abort
-               the rest of its chunk. *)
-            let tok = Cancel.create ?deadline_s:timeout_s () in
-            c.d_results.(k) <-
-              (match
-                 Cancel.with_token tok (fun () ->
-                     Chaos.task_point ~isolated:false ~key:task
-                       ~attempt:(c.d_attempt + 1);
-                     f c.d_inputs.(k))
-               with
-              | v -> Value v
-              (* Only a cancelled token makes [Cancelled] a timeout; a
-                 task raising it spuriously is a crash. *)
-              | exception Cancel.Cancelled when Cancel.cancelled tok -> Deadline
-              | exception e -> Raised (Printexc.to_string e));
-            c.d_stamps.(k) <- now ();
-            Atomic.set c.d_progress (k + 1)
-          end)
-        c.d_tasks;
-      if not (Atomic.get w.poisoned) then begin
-        (try
-           ignore (retry_eintr (fun () -> Unix.write note_w (Bytes.make 1 '!') 0 1))
-         with Unix.Unix_error _ -> ());
-        loop ()
-      end
-  in
-  loop ()
-
-let domains_transport (p : pool) f =
-  let note_r, note_w = Unix.pipe () in
-  let m = Mutex.create () and stop = ref false in
-  let spawn () =
-    let w =
-      { mail = None; wake = Condition.create (); poisoned = Atomic.make false }
-    in
-    (w, Domain.spawn (dom_worker m stop note_w f p.timeout_s w))
-  in
-  domains_used := true;
-  let live = Array.init p.jobs (fun _ -> spawn ()) in
-  let inflight = Array.make p.jobs None in
-  let drain_buf = Bytes.create 512 in
-  {
-    grace =
-      (match p.timeout_s with Some t -> Float.max 0.05 (0.5 *. t) | None -> 0.0);
-    send =
-      (fun i tasks attempt inputs ->
-        let n = Array.length tasks in
-        let c =
-          {
-            d_tasks = tasks;
-            d_attempt = attempt;
-            d_inputs = inputs;
-            d_results = Array.make n Deadline;
-            d_stamps = Array.make n 0.0;
-            d_progress = Atomic.make 0;
-            d_seen = 0;
-          }
-        in
-        inflight.(i) <- Some c;
-        let w, _ = live.(i) in
-        Mutex.lock m;
-        w.mail <- Some c;
-        Condition.signal w.wake;
-        Mutex.unlock m;
-        true);
-    wait =
-      (fun tmo ->
-        (match Unix.select [ note_r ] [] [] tmo with
-        | [], _, _ -> ()
-        | _ ->
-          ignore
-            (retry_eintr (fun () ->
-                 Unix.read note_r drain_buf 0 (Bytes.length drain_buf)))
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        let events = ref [] in
-        Array.iteri
-          (fun i -> function
-            | None -> ()
-            | Some c ->
-              let upto = Atomic.get c.d_progress in
-              for k = c.d_seen to upto - 1 do
-                events := Reply (i, c.d_stamps.(k), c.d_results.(k)) :: !events
-              done;
-              c.d_seen <- upto;
-              if upto = Array.length c.d_tasks then inflight.(i) <- None)
-          inflight;
-        List.rev !events);
-    kill =
-      (fun i ->
-        let w, _ = live.(i) in
-        Mutex.lock m;
-        Atomic.set w.poisoned true;
-        Condition.signal w.wake;
-        Mutex.unlock m;
-        inflight.(i) <- None;
-        live.(i) <- spawn ());
-    close =
-      (fun () ->
-        Mutex.lock m;
-        stop := true;
-        Array.iter (fun (w, _) -> Condition.signal w.wake) live;
-        Mutex.unlock m;
-        Array.iter (fun (_, d) -> Domain.join d) live;
-        (try Unix.close note_r with Unix.Unix_error _ -> ());
-        try Unix.close note_w with Unix.Unix_error _ -> ());
-  }
-
-(* --- Fork transport ------------------------------------------------------ *)
 
 (* One pre-forked worker per slot, kept alive across batches on a pair
    of pipes: the parent marshals a [(task ids, attempt, inputs)] chunk
@@ -476,7 +252,7 @@ let fork_child_loop (type a b) (f : a -> b) rd wr =
          (fun k task ->
            let reply : b reply =
              match
-               Chaos.task_point ~isolated:true ~key:task ~attempt:(attempt + 1);
+               Chaos.task_point ~key:task ~attempt:(attempt + 1);
                f inputs.(k)
              with
              | v -> Value v
@@ -592,74 +368,86 @@ let shutdown_fork slots =
     Telemetry.incr ~by:(List.length stuck) "parmap.shutdown_kills"
   end
 
-let fork_transport (p : pool) f =
+(* The resident workers of one handle, one per slot. *)
+type ('a, 'b) workers = {
+  w_f : 'a -> 'b;
+  slots : fslot array;
+  buf : Bytes.t; (* one read's worth of reply bytes *)
+}
+
+let spawn_workers (p : pool) f =
   (* The parent writes to task pipes whose child may have died; without
      this, the resulting SIGPIPE would kill the whole run instead of
-     surfacing as an EPIPE [send] handles by respawning the slot.  Never
-     restored: writers in this codebase check their write results. *)
+     surfacing as an EPIPE [send_chunk] handles by respawning the slot.
+     Never restored: writers in this codebase check their write
+     results. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let slots = Array.init p.jobs (fun _ -> fork_spawn f) in
-  (* The worker died mid-chunk, or wrote garbage: any partial reply is
-     torn.  Reap it, respawn the slot, and say how it ended. *)
-  let died i =
-    let msg =
-      match respawn f slots i with
-      | Some (Unix.WEXITED 0) -> "worker exited before writing a result"
-      | Some status -> "worker " ^ describe_status status
-      | None -> "worker vanished"
-    in
-    Died (i, msg)
-  in
-  let buf = Bytes.create 65536 in
-  let read i =
-    let s = slots.(i) in
-    match retry_eintr (fun () -> Unix.read s.from_child buf 0 (Bytes.length buf)) with
-    | 0 -> [ died i ]
-    | k -> (
-      Buffer.add_subbytes s.pending buf 0 k;
-      (* One read may carry several member replies. *)
-      let t = now () in
-      match take_frames s with
-      | frames -> List.map (fun r -> Reply (i, t, r)) frames
-      | exception _ -> [ died i ])
-    | exception Unix.Unix_error _ -> [ died i ]
-  in
   {
-    grace = 0.0;
-    send =
-      (fun i tasks attempt inputs ->
-        let msg = Marshal.to_bytes (tasks, attempt, inputs) [] in
-        (* An idle worker may have died since its last chunk (a chaos
-           kill landing between batches, the OOM killer): respawn the
-           slot and resend, without charging the tasks an attempt. *)
-        let rec go tries =
-          match write_all slots.(i).to_child msg with
-          | () -> true
-          | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
-            ignore (respawn f slots i);
-            tries > 0 && go (tries - 1)
-        in
-        go 2);
-    wait =
-      (fun tmo ->
-        let fds = Array.to_list (Array.map (fun s -> s.from_child) slots) in
-        match Unix.select fds [] [] tmo with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-        | readable, _, _ ->
-          (* Resolve every descriptor before any respawn reuses one. *)
-          List.init (Array.length slots) Fun.id
-          |> List.filter (fun i -> List.mem slots.(i).from_child readable)
-          |> List.concat_map read);
-    kill =
-      (fun i ->
-        (try Unix.kill slots.(i).pid Sys.sigkill with Unix.Unix_error _ -> ());
-        ignore (respawn f slots i));
-    close = (fun () -> shutdown_fork slots);
+    w_f = f;
+    slots = Array.init p.jobs (fun _ -> fork_spawn f);
+    buf = Bytes.create 65536;
   }
+
+(* The worker died mid-chunk, or wrote garbage: any partial reply is
+   torn.  Reap it, respawn the slot, and say how it ended. *)
+let died w i =
+  let msg =
+    match respawn w.w_f w.slots i with
+    | Some (Unix.WEXITED 0) -> "worker exited before writing a result"
+    | Some status -> "worker " ^ describe_status status
+    | None -> "worker vanished"
+  in
+  Died (i, msg)
+
+let read_slot (w : ('a, 'b) workers) i : 'b event list =
+  let s = w.slots.(i) in
+  match
+    retry_eintr (fun () -> Unix.read s.from_child w.buf 0 (Bytes.length w.buf))
+  with
+  | 0 -> [ died w i ]
+  | k -> (
+    Buffer.add_subbytes s.pending w.buf 0 k;
+    (* One read may carry several member replies. *)
+    let t = now () in
+    match take_frames s with
+    | frames -> List.map (fun r -> Reply (i, t, r)) frames
+    | exception _ -> [ died w i ])
+  | exception Unix.Unix_error _ -> [ died w i ]
+
+(* Hand a chunk to idle slot [i]; [false] when no live worker could take
+   it.  An idle worker may have died since its last chunk (a chaos kill
+   landing between batches, the OOM killer): respawn the slot and
+   resend, without charging the tasks an attempt. *)
+let send_chunk w i tasks attempt inputs =
+  let msg = Marshal.to_bytes (tasks, attempt, inputs) [] in
+  let rec go tries =
+    match write_all w.slots.(i).to_child msg with
+    | () -> true
+    | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
+      ignore (respawn w.w_f w.slots i);
+      tries > 0 && go (tries - 1)
+  in
+  go 2
+
+(* Events, blocking up to [tmo] seconds (negative: indefinitely). *)
+let wait_events w tmo =
+  let fds = Array.to_list (Array.map (fun s -> s.from_child) w.slots) in
+  match Unix.select fds [] [] tmo with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+  | readable, _, _ ->
+    (* Resolve every descriptor before any respawn reuses one. *)
+    List.init (Array.length w.slots) Fun.id
+    |> List.filter (fun i -> List.mem w.slots.(i).from_child readable)
+    |> List.concat_map (read_slot w)
+
+(* End slot [i]'s worker mid-chunk and fork a fresh one in its place. *)
+let kill_slot w i =
+  (try Unix.kill w.slots.(i).pid Sys.sigkill with Unix.Unix_error _ -> ());
+  ignore (respawn w.w_f w.slots i)
 
 (* --- The batch scheduler -------------------------------------------------- *)
 
-(* One batch over a transport's [jobs] slots.  Tasks [0, n) are cut into
+(* One batch over the handle's [jobs] worker slots.  Tasks [0, n) are cut into
    consecutive chunks sized from the handle's cost estimate and queued
    in one ready FIFO; each idle slot takes the next chunk.  Replies come
    back in member order, and each one restarts the deadline of the next
@@ -668,11 +456,10 @@ let fork_transport (p : pool) f =
    A failed attempt is charged to that task alone: it waits out an
    exponential backoff and returns as a singleton chunk at the next
    attempt number, up to [retries].  When a chunk dies — its worker
-   exited, or the executing member passed its hard deadline (the
-   deadline itself on fork, which kills; plus the grace on domains,
-   which quarantines) — that member is charged and the never-started
-   tail is re-enqueued uncharged at the same attempt, so a seeded chaos
-   plan keyed on attempt numbers fires identically under any chunking.
+   exited, or the executing member passed its deadline and was killed —
+   that member is charged and the never-started tail is re-enqueued
+   uncharged at the same attempt, so a seeded chaos plan keyed on
+   attempt numbers fires identically under any chunking.
 
    Every unsettled task sits in exactly one place — the ready FIFO, the
    backoff list or one slot's chunk — so the batch ends with every slot
@@ -691,16 +478,16 @@ let busy sl = sl.next < Array.length sl.tasks
 
 type ('a, 'b) sched = {
   s_pool : pool;
-  s_tr : ('a, 'b) transport;
+  s_w : ('a, 'b) workers;
   mutable s_ewma : float; (* per-task cost estimate, seconds *)
 }
 
 let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
-  let p = s.s_pool and tr = s.s_tr in
+  let p = s.s_pool and w = s.s_w in
   let n = Array.length xs in
   let outcomes = Array.make n Gave_up in
   let completed = ref 0 and crashes = ref 0 and timeouts = ref 0 in
-  let retried = ref 0 and quarantined = ref 0 in
+  let retried = ref 0 in
   (* Telemetry: per-task latency and queue wait are observed from the
      parent.  [queue_wait_s] is enqueue-to-dispatch only — pool spawn
      cost lives under [parmap.pool_spawn_s] — and [task_s] is the
@@ -731,9 +518,7 @@ let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
     Array.init p.jobs (fun _ ->
         { tasks = [||]; attempt = 0; next = 0; start = 0.0; last = 0.0 })
   in
-  let limit =
-    match p.timeout_s with Some d -> d +. tr.grace | None -> infinity
-  in
+  let limit = Option.value ~default:infinity p.timeout_s in
   let fail ~task ~attempt kind =
     (match kind with
     | `Crash msg ->
@@ -789,7 +574,6 @@ let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
         decr remaining
       | Raised msg ->
         fail ~task ~attempt:sl.attempt (`Crash ("task raised: " ^ msg))
-      | Deadline -> fail ~task ~attempt:sl.attempt `Timeout
     end
   in
   (* The slot's chunk is dead: charge the executing member, re-enqueue
@@ -809,7 +593,9 @@ let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
   in
   let dispatch i (tasks, attempt, enq) =
     let t0 = now () in
-    let sent = tr.send i tasks attempt (Array.map (fun t -> xs.(t)) tasks) in
+    let sent =
+      send_chunk w i tasks attempt (Array.map (fun t -> xs.(t)) tasks)
+    in
     let t = now () in
     dispatch_s := !dispatch_s +. (t -. t0);
     if not sent then
@@ -819,11 +605,11 @@ let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
     else begin
       if tel then begin
         Telemetry.observe "parmap.chunk_size" (float_of_int (Array.length tasks));
-        let w = Float.max 0.0 (t -. enq) in
+        let q = Float.max 0.0 (t -. enq) in
         Array.iter
           (fun _ ->
-            Telemetry.Histogram.add queue_hist w;
-            Telemetry.observe "parmap.queue_wait_s" w)
+            Telemetry.Histogram.add queue_hist q;
+            Telemetry.observe "parmap.queue_wait_s" q)
           tasks
       end;
       let sl = slots.(i) in
@@ -872,21 +658,12 @@ let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
         (function
           | Reply (i, t, r) -> on_reply i t r
           | Died (i, msg) -> salvage i (`Crash msg))
-        (tr.wait tmo);
+        (wait_events w tmo);
       let t = now () in
       Array.iteri
         (fun i sl ->
           if busy sl && sl.last +. limit <= t then begin
-            if p.backend = `Domains then begin
-              incr quarantined;
-              Logs.warn (fun m ->
-                  m
-                    "parmap: task %d attempt %d ignored its deadline past the \
-                     grace period; quarantining its worker and respawning the \
-                     slot"
-                    sl.tasks.(sl.next) (sl.attempt + 1))
-            end;
-            tr.kill i;
+            kill_slot w i;
             salvage i `Timeout
           end)
         slots
@@ -897,7 +674,6 @@ let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
     Telemetry.incr ~by:!crashes "parmap.crashes";
     Telemetry.incr ~by:!timeouts "parmap.timeouts";
     Telemetry.incr ~by:!retried "parmap.retries";
-    Telemetry.incr ~by:!quarantined "parmap.quarantined";
     Telemetry.observe "parmap.dispatch_s" !dispatch_s;
     let pct h p = Telemetry.Histogram.percentile h p in
     Telemetry.emit ~kind:"pool"
@@ -910,7 +686,6 @@ let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
         ("crashes", Telemetry.Int !crashes);
         ("timeouts", Telemetry.Int !timeouts);
         ("retries", Telemetry.Int !retried);
-        ("quarantined", Telemetry.Int !quarantined);
         ("chunk_len", Telemetry.Int clen);
         ("dispatch_s", Telemetry.Float !dispatch_s);
         ("wall_s", Telemetry.Float wall);
@@ -934,7 +709,6 @@ let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
       crashes = !crashes;
       timeouts = !timeouts;
       retries = !retried;
-      quarantined = !quarantined;
     } )
 
 (* --- Persistent pool handles --------------------------------------------- *)
@@ -951,27 +725,18 @@ type ('a, 'b) handle = {
 let create pool ~f = { h_pool = pool; h_f = f; h_impl = Uninit; h_closed = false }
 
 (* Workers are spawned lazily on the first batch, not at [create]: a
-   handle for a study that never evaluates costs nothing, a [`Domains]
-   handle does not retire [`Fork] until it actually runs, and state the
+   handle for a study that never evaluates costs nothing, and state the
    workers must inherit (an armed chaos plan, the warmed caches of the
    creating process) is captured as late as possible. *)
 let init_impl h =
-  let pooled transport =
+  match h.h_pool.backend with
+  | `Fork when available ->
     let tel = Telemetry.enabled () in
     let t0 = if tel then Telemetry.now_s () else 0.0 in
-    let tr = transport h.h_pool h.h_f in
+    let w = spawn_workers h.h_pool h.h_f in
     if tel then Telemetry.observe "parmap.pool_spawn_s" (Telemetry.now_s () -. t0);
-    Pooled { s_pool = h.h_pool; s_tr = tr; s_ewma = seed_ewma () }
-  in
-  match h.h_pool.backend with
-  | `Seq -> Inproc
-  | `Domains -> pooled domains_transport
-  | `Fork ->
-    if fork_usable () then pooled fork_transport
-    else begin
-      if available then warn_fork_after_domains ();
-      Inproc
-    end
+    Pooled { s_pool = h.h_pool; s_w = w; s_ewma = seed_ewma () }
+  | `Seq | `Fork -> Inproc
 
 let run_batch h xs =
   if h.h_closed then invalid_arg "Parmap.run_batch: handle is shut down";
@@ -989,7 +754,7 @@ let shutdown h =
     h.h_closed <- true;
     (match h.h_impl with
     | Uninit | Inproc -> ()
-    | Pooled s -> s.s_tr.close ());
+    | Pooled s -> shutdown_fork s.s_w.slots);
     h.h_impl <- Uninit
   end
 

@@ -7,51 +7,27 @@
     - [`Seq] runs in-process and sequentially — the bit-identity
       reference every parallel backend is tested against.
     - [`Fork] keeps pre-forked worker processes on pipes: full fault
-      isolation (a segfaulting or [kill -9]ed worker never takes the run
-      down) and kill-based deadlines, at the cost of a [Marshal]
-      round-trip per chunk of tasks.
-    - [`Domains] keeps [Domain.spawn]ed workers in the same heap — no
-      fork, no marshalling.  A domain cannot be killed, so deadlines are
-      enforced {e cooperatively}: each task runs under a {!Cancel} token
-      which the evaluation stack polls at safepoints, and a poll past the
-      deadline becomes a timeout.  A task that ignores its token past a
-      grace period (half the timeout, min 50ms) has its worker
-      quarantined — poisoned, abandoned, its slot respawned — so hangs
-      are cut off within 1.5x the deadline even when no safepoint is
-      ever reached.  Tasks must be thread-safe (the evaluation
-      pipeline's shared caches are; see DESIGN.md §12).
+      isolation (a segfaulting, hung or [kill -9]ed worker never takes
+      the run down) and kill-based deadlines, at the cost of a
+      [Marshal] round-trip per chunk of tasks.
 
-    Both parallel backends run under one batch scheduler, so chunking,
-    retries, deadlines and telemetry behave the same on either; only
-    the way a worker is stopped differs.  For pure tasks every backend
-    produces bit-identical results at any job count: results are stored
-    by task id, and task functions receive the same inputs regardless of
-    scheduling.
+    [`Fork] runs under one batch scheduler: chunking, retries, deadlines
+    and telemetry.  For pure tasks both backends produce bit-identical
+    results at any job count: results are stored by task id, and task
+    functions receive the same inputs regardless of scheduling. *)
 
-    One runtime rule couples the two parallel backends: the OCaml 5
-    runtime forbids [Unix.fork] in any process that has ever spawned a
-    domain — even one that has since been joined.  The first [`Domains]
-    pool therefore {e retires} [`Fork] for the rest of the process:
-    {!capabilities} stops listing it and later [`Fork] requests degrade
-    to the in-process path with a one-time warning.  Fork first and
-    domains after, or pick one parallel backend per process. *)
-
-type backend = [ `Seq | `Fork | `Domains ]
+type backend = [ `Seq | `Fork ]
 
 val available : bool
-(** Whether forking is supported on this platform.  A static probe: it
-    stays [true] even after domains have retired [`Fork] for this
-    process — prefer {!capabilities}, which accounts for both.  When
-    [false], [`Fork] degrades to the in-process path. *)
+(** Whether forking is supported on this platform.  When [false],
+    [`Fork] degrades to the in-process path. *)
 
 val capabilities : unit -> backend list
-(** The backends usable {e right now}.  [`Seq] and [`Domains] are always
-    present (domains are part of the OCaml 5 runtime); [`Fork] requires
-    Unix and disappears permanently once any [`Domains] pool has run in
-    this process (see the fork-retirement rule above). *)
+(** The backends usable on this platform: [[`Seq; `Fork]] when
+    {!available}, else [[`Seq]]. *)
 
 val backend_name : backend -> string
-(** ["seq" | "fork" | "domains"]. *)
+(** ["seq" | "fork"]. *)
 
 val backend_of_name : string -> backend option
 (** Inverse of {!backend_name}. *)
@@ -62,9 +38,9 @@ type pool = private {
   backend : backend;
   jobs : int;
   timeout_s : float option;
-      (** per-task deadline; parent-enforced on [`Fork], cooperatively
-          enforced (safepoint polling + quarantine) on [`Domains] *)
-  retries : int;  (** re-runs after crash/timeout; [`Fork] and [`Domains] *)
+      (** per-task deadline, enforced from the parent with SIGKILL on
+          [`Fork] *)
+  retries : int;  (** re-runs after crash/timeout on [`Fork] *)
   backoff_s : float;  (** initial retry backoff, doubling *)
   chunk_target_ms : float;
       (** how much estimated work one dispatch round-trip should
@@ -79,12 +55,11 @@ type pool = private {
   chunk_max : int;  (** chunk-length ceiling *)
   ignored_limits : string list;
       (** supervision limits this backend cannot honor, recorded at
-          construction time and warned about once per process.  After
-          the domains supervisor, only [`Seq] populates this: a
-          [timeout_s] or a deliberate [retries > 1] configured there
-          will be silently inert at run time, and this field says so
-          up front ([retries = 1] is the constructor default and is
-          not flagged). *)
+          construction time and warned about once per process.  Only
+          [`Seq] populates this: a [timeout_s] or a deliberate
+          [retries > 1] configured there will be silently inert at run
+          time, and this field says so up front ([retries = 1] is the
+          constructor default and is not flagged). *)
 }
 
 val pool :
@@ -125,7 +100,7 @@ val retry_eintr : (unit -> 'a) -> 'a
       attempt failed — the task raised, or its worker died ([msg] says
       how).
     - [Timed_out]: [retries = 0] and the single attempt exceeded
-      [timeout_s] ([`Fork] and [`Domains]).
+      [timeout_s] ([`Fork]).
     - [Gave_up]: [retries >= 1] and every one of the [1 + retries]
       attempts failed (each attempt's crash or timeout is logged and
       counted in {!stats}). *)
@@ -134,30 +109,20 @@ type 'b outcome = Ok of 'b | Crashed of string | Timed_out | Gave_up
 (** Attempt-level telemetry for one supervised call: [completed] tasks
     returned a value; [crashes] and [timeouts] count {e attempts} (a task
     retried twice after crashing contributes 2 to [crashes]); [retries]
-    counts rescheduled attempts; [quarantined] counts domains workers
-    poisoned and respawned because their task ignored its deadline past
-    the grace period (each such attempt is also counted in [timeouts]);
-    it is always 0 outside the [`Domains] backend. *)
-type stats = {
-  completed : int;
-  crashes : int;
-  timeouts : int;
-  retries : int;
-  quarantined : int;
-}
+    counts rescheduled attempts. *)
+type stats = { completed : int; crashes : int; timeouts : int; retries : int }
 
 type ('a, 'b) handle
 (** A long-lived worker pool bound to one task function.  Creating a
     handle is free; the workers are spawned lazily on the first
-    {!run_batch} and then stay resident across batches: [`Domains]
-    keeps its spawned domains parked on their mailboxes, [`Fork] keeps
+    {!run_batch} and then stay resident across batches: [`Fork] keeps
     pre-forked workers alive on pipes (the parent marshals task chunks
     down, the child streams one reply back per member).  Warm state
     in the workers — decoded layout artifacts, simulation-cache
     entries, anything the task function memoizes — survives from batch
     to batch instead of being re-derived per call, which is what makes
-    the parallel path beat [-j1] on real workloads.  Worker death,
-    deadline kills and quarantines respawn the affected slot without
+    the parallel path beat [-j1] on real workloads.  Worker death and
+    deadline kills respawn the affected slot without
     disturbing the rest of the pool.  Handles are not thread-safe and
     {!run_batch} is not reentrant; drive one batch at a time. *)
 
@@ -168,8 +133,7 @@ val create : pool -> f:('a -> 'b) -> ('a, 'b) handle
     queue-wait histogram.  On [`Fork], [f] is captured by the workers at
     that first batch via [fork], so warm parent state (caches, an armed
     chaos plan) is inherited; task inputs and results must be
-    marshalable.  A [`Fork] handle whose first batch runs after domains
-    have retired fork degrades to the in-process path with a warning. *)
+    marshalable. *)
 
 val run_batch : ('a, 'b) handle -> 'a array -> 'b outcome array * stats
 (** [run_batch h xs] evaluates one batch on the handle's resident
@@ -190,9 +154,8 @@ val shutdown : ('a, 'b) handle -> unit
     [parmap.shutdown_kills], so a worker that misses its EOF shows up as
     a count.  (Every forked worker holds only fds 0-2 and its own two
     pipe ends, so no other worker or pool can keep its EOF from
-    arriving.)  [`Domains] workers are joined (quarantined ones stay
-    abandoned, as during a run).  Idempotent; a fresh handle must be
-    created to evaluate again. *)
+    arriving.)  Idempotent; a fresh handle must be created to evaluate
+    again. *)
 
 val run_supervised :
   pool -> ('a -> 'b) -> 'a array -> 'b outcome array * stats
@@ -207,33 +170,23 @@ val run_supervised :
     the parent — a worker that hangs past it or dies is SIGKILLed or
     reaped, its slot respawned, and the task retried up to [retries]
     times with exponential backoff starting at [backoff_s].  [f]'s side
-    effects stay in the children, even at one job.  [`Domains]: worker
-    domains run each task under a {!Cancel} token carrying the
-    deadline; the evaluation hot loops poll it at safepoints, so a
-    timed-out task raises [Cancel.Cancelled] and is retried on the same
-    schedule as [`Fork].  A task that reaches no safepoint for a grace
-    period past its deadline gets its worker quarantined and the slot
-    respawned (see {!stats.quarantined}); hangs are thus bounded by
-    1.5x the deadline.  [f]'s side effects are shared-memory — tasks
-    must be thread-safe — and a task's [Cancelled] must propagate to the
-    worker (catching it swallows the deadline).  [`Seq] (and [`Fork]
+    effects stay in the children, even at one job.  [`Seq] (and [`Fork]
     without fork support): exception isolation only, sequentially, with
     [f]'s side effects observable; deadlines and retries are inert
     there (see {!pool.ignored_limits}).
 
-    Both parallel backends share one scheduler.  Tasks are grouped into
-    consecutive chunks sized by {!pool.chunk_target_ms} and queued in
-    one FIFO; each idle worker takes the next chunk and replies member
-    by member.  Supervision stays per task: each reply restarts the
-    deadline for the next member, a failed task alone is charged and
-    retried as a singleton, and when a worker dies or is stopped
-    mid-chunk, the member it was running is charged while the members
-    it never started are re-queued uncharged at the same attempt
-    number.  Deterministic for pure [f]: outcomes depend only on [f]
+    On [`Fork], tasks are grouped into consecutive chunks sized by
+    {!pool.chunk_target_ms} and queued in one FIFO; each idle worker
+    takes the next chunk and replies member by member.  Supervision
+    stays per task: each reply restarts the deadline for the next
+    member, a failed task alone is charged and retried as a singleton,
+    and when a worker dies or is killed mid-chunk, the member it was
+    running is charged while the members it never started are re-queued
+    uncharged at the same attempt number.  Deterministic for pure [f]: outcomes depend only on [f]
     and [xs] — not on scheduling or chunk size — because results are
     reassembled in input order.
 
-    With {!Telemetry} enabled, every batch on a parallel backend emits
+    With {!Telemetry} enabled, every batch on the [`Fork] backend emits
     one [kind = "pool"] record (carrying ["backend"], ["chunk_len"] and
     ["dispatch_s"] fields) and observes per-task latency
     ([parmap.task_s], reply-to-reply within a chunk), queue wait
@@ -241,6 +194,5 @@ val run_supervised :
     is recorded separately under [parmap.pool_spawn_s] when a handle
     first populates its pool), dispatched chunk sizes
     ([parmap.chunk_size]) and per-batch dispatch overhead
-    ([parmap.dispatch_s]).  Forked workers drop the inherited sink and
-    domain workers suppress instrumentation domain-locally, so
+    ([parmap.dispatch_s]).  Forked workers drop the inherited sink, so
     worker-side records never interleave into the parent's stream. *)

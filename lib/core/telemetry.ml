@@ -430,15 +430,7 @@ let set_sink s =
     epoch := Unix.gettimeofday ()
   end
 
-(* Worker domains of the [Parmap] domains backend suppress telemetry the
-   way forked workers drop the inherited sink: domain-locally, so the
-   registry Hashtbls and the sink are only ever touched from the main
-   domain and need no locking. *)
-let suppressed_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-let suppress_in_domain b = Domain.DLS.set suppressed_key b
-let suppressed () = Domain.DLS.get suppressed_key
-
-let enabled () = !current_sink <> None && not (suppressed ())
+let enabled () = !current_sink <> None
 let set_trace b = tracing := b
 
 (* --- Entry points -------------------------------------------------------- *)
@@ -450,7 +442,7 @@ let incr ?by name = if enabled () then Counter.incr ?by (counter name)
 let observe name v = if enabled () then Histogram.add (histogram name) v
 
 let emit ~kind fields =
-  match if suppressed () then None else !current_sink with
+  match !current_sink with
   | None -> ()
   | Some sink ->
     sink.write

@@ -66,14 +66,8 @@ val set_sink : sink option -> unit
     starts near 0. *)
 
 val enabled : unit -> bool
-(** Whether a sink is installed and the calling domain is not suppressed.
-    Every instrumentation entry point is a no-op when this is [false]. *)
-
-val suppress_in_domain : bool -> unit
-(** Suppress (or restore) all instrumentation for the calling domain
-    only.  The {!Parmap} domains backend suppresses its worker domains —
-    the shared-memory analogue of a forked worker dropping the inherited
-    sink — which also keeps the registry single-domain and lock-free. *)
+(** Whether a sink is installed.  Every instrumentation entry point is a
+    no-op when this is [false]. *)
 
 val set_trace : bool -> unit
 (** When true (and a sink is installed), every {!span} additionally emits

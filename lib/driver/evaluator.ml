@@ -127,29 +127,6 @@ let canon t g =
   let cg = Gp.Simplify.genome g in
   (cg, Gp.Sexp.to_string t.fs cg)
 
-(* Like [lookup], but classifies the request and bumps the hit/miss
-   counters — used only during batch task collection, so the final
-   result-assembly pass doesn't double-count every request as a memo
-   hit. *)
-let lookup_counted t key case =
-  match Hashtbl.find_opt t.memo (key, case) with
-  | Some _ ->
-    t.h_memo <- t.h_memo + 1;
-    true
-  | None -> (
-    match
-      match t.store with
-      | Some s -> Shardstore.find s (digest_key t key case)
-      | None -> None
-    with
-    | Some v ->
-      t.h_disk <- t.h_disk + 1;
-      Hashtbl.replace t.memo (key, case) v;
-      true
-    | None ->
-      t.h_miss <- t.h_miss + 1;
-      false)
-
 let lookup t key case =
   match Hashtbl.find_opt t.memo (key, case) with
   | Some _ as hit -> hit
@@ -164,6 +141,24 @@ let lookup t key case =
       Some v
     | None -> None)
 
+(* Like [lookup], but classifies the request and bumps the hit/miss
+   counters — used only during batch task collection, so the final
+   result-assembly pass doesn't double-count every request as a memo
+   hit. *)
+let lookup_counted t key case =
+  if Hashtbl.mem t.memo (key, case) then begin
+    t.h_memo <- t.h_memo + 1;
+    true
+  end
+  else
+    match lookup t key case with
+    | Some _ ->
+      t.h_disk <- t.h_disk + 1;
+      true
+    | None ->
+      t.h_miss <- t.h_miss + 1;
+      false
+
 (* A task's worker is supervised whenever its failure would otherwise be
    invisible or fatal: any multi-worker run, or any run with a deadline.
    Plain sequential evaluation stays in-process (cheap, side effects
@@ -171,10 +166,8 @@ let lookup t key case =
    [`Seq] backend is the always-sequential reference; [`Fork] degrades to
    in-process when fork is unavailable on the platform. *)
 let supervision_on t =
-  (match t.pool.Gp.Parmap.backend with
-  | `Seq -> false
-  | `Fork -> Gp.Parmap.available
-  | `Domains -> true)
+  t.pool.Gp.Parmap.backend = `Fork
+  && Gp.Parmap.available
   && (t.pool.Gp.Parmap.jobs > 1 || t.pool.Gp.Parmap.timeout_s <> None)
 
 let evaluate_batch t genomes ~cases =

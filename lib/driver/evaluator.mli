@@ -115,18 +115,16 @@ val create :
 (** [create ~pool ~cache_dir ~fs ~scope ~case_name ~eval ()]
     builds an engine over the raw single evaluation [eval] (one
     compile-and-simulate cycle; called on the canonical genome, in a
-    worker process or domain when supervised, so it must not rely on
-    observable global mutation).  [pool] (default [Gp.Parmap.pool ()]:
-    [`Fork], one job, no deadline, one retry) is the {!Gp.Parmap.pool}
-    the engine's misses run on: its backend ([`Fork] for per-task fault
-    isolation and kill-based deadlines, [`Domains] for shared-memory
-    parallelism with cooperative deadlines and worker quarantine,
-    [`Seq] for the in-process sequential reference), its width, its
-    per-evaluation [timeout_s], its [retries] (how many times a crashed
-    or hung evaluation is re-run before being abandoned) and its chunk
-    bounds.  [scope] namespaces the persistent cache — include
-    everything the fitness depends on besides the genome and case:
-    study, machine, dataset.
+    worker process when supervised, so it must not rely on observable
+    global mutation).  [pool] (default [Gp.Parmap.pool ()]: [`Fork], one
+    job, no deadline, one retry) is the {!Gp.Parmap.pool} the engine's
+    misses run on: its backend ([`Fork] for per-task fault isolation and
+    kill-based deadlines, [`Seq] for the in-process sequential
+    reference), its width, its per-evaluation [timeout_s] and its
+    [retries] (how many times a crashed or hung evaluation is re-run
+    before being abandoned).  [scope] namespaces the persistent cache —
+    include everything the fitness depends on besides the genome and
+    case: study, machine, dataset.
     Results are sanitized: non-finite or negative values score 0.  With
     one job and no [timeout_s] (or [`Seq]), evaluation is sequential
     in-process (side effects of [eval] remain observable; a raising

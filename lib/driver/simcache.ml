@@ -52,13 +52,13 @@
    Hit rates drop but results cannot diverge, so bit-identity holds at
    any -j.
 
-   In a domains pool the tables are shared memory, so every table and
-   stats access goes through one mutex.  Compilation and simulation run
-   outside the lock; two domains racing on the same key at worst both
-   do the work (deterministically, to the same result) and the second
-   store overwrites the first with an equal value — slower, never
-   divergent.  A reused prefix is only ever copied, never mutated, so
-   domains may copy it concurrently. *)
+   Threads sharing one cache go through one mutex for every table and
+   stats access.  Compilation and simulation run outside the lock; two
+   threads racing on the same key at worst both do the work
+   (deterministically, to the same result) and the second store
+   overwrites the first with an equal value — slower, never divergent.
+   A reused prefix is only ever copied, never mutated, so threads may
+   copy it concurrently. *)
 
 type stats = {
   mutable artifact_hits : int;

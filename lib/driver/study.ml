@@ -223,6 +223,21 @@ type service = {
   svc_eval : Benchmarks.Bench.dataset -> Gp.Expr.genome -> int -> float;
 }
 
+(* The named benches, prepared for [kind].  The prefetching study
+   compiles without unrolling (ORC's prefetch phase runs on clean loop
+   nests; unrolled loops defeat the induction-variable analysis exactly
+   as they would ORC's). *)
+let prepare_benches kind bench_names =
+  let opt_config =
+    match kind with
+    | Prefetch_study -> Opt.Pipeline.no_unroll
+    | Hyperblock_study | Regalloc_study | Sched_study -> Opt.Pipeline.default
+  in
+  Array.of_list
+    (List.map
+       (fun n -> Compiler.prepare ~opt_config (Benchmarks.Registry.find n))
+       bench_names)
+
 (* Build the evaluation closure a daemon worker runs for one study
    shape: prepared benches, sequential baselines, and the exact
    [speedup_against] pipeline a local context's engines dispatch —
@@ -235,17 +250,7 @@ let service_of ?machine:machine_override ?(fast_sim = true)
     service =
   let machine = Option.value ~default:(machine_of kind) machine_override in
   let sim = Simcache.create ~enabled:fast_sim () in
-  let opt_config =
-    match kind with
-    | Prefetch_study -> Opt.Pipeline.no_unroll
-    | Hyperblock_study | Regalloc_study | Sched_study -> Opt.Pipeline.default
-  in
-  let prepared =
-    Array.of_list
-      (List.map
-         (fun n -> Compiler.prepare ~opt_config (Benchmarks.Registry.find n))
-         bench_names)
-  in
+  let prepared = prepare_benches kind bench_names in
   let base = baseline_genome_of kind in
   let baseline_for dataset =
     Array.init (Array.length prepared) (fun case ->
@@ -278,20 +283,7 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
   let machine = Option.value ~default:(machine_of kind) cfg.machine in
   let compiled_eval = cfg.compiled_eval in
   let sim = Simcache.create ~enabled:cfg.fast_sim () in
-  (* The prefetching study compiles without unrolling (ORC's prefetch
-     phase runs on clean loop nests; unrolled loops defeat the
-     induction-variable analysis exactly as they would ORC's). *)
-  let opt_config =
-    match kind with
-    | Prefetch_study -> Opt.Pipeline.no_unroll
-    | Hyperblock_study | Regalloc_study | Sched_study -> Opt.Pipeline.default
-  in
-  let prepared =
-    Array.of_list
-      (List.map
-         (fun n -> Compiler.prepare ~opt_config (Benchmarks.Registry.find n))
-         bench_names)
-  in
+  let prepared = prepare_benches kind bench_names in
   let base = baseline_genome_of kind in
   let remote_h =
     Option.map

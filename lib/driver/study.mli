@@ -45,8 +45,8 @@ type config = {
   cache_dir : string option;     (** persistent fitness cache *)
   checkpoint_dir : string option;  (** per-generation checkpointing *)
   timeout_s : float option;
-      (** per-evaluation deadline: a kill on [`Fork], cooperative with
-          quarantine on [`Domains], inert on [`Seq] *)
+      (** per-evaluation deadline: a kill on [`Fork], inert on
+          [`Seq] *)
   retries : int;                 (** re-runs of a crashed/hung task *)
   fast_sim : bool;
       (** {!Simcache} fast paths, default on; off, every candidate is

@@ -4,8 +4,7 @@
     rest on — fast vs reference interpreter, retimed cycle summary vs
     fresh simulation, cache hit vs recomputation, [Eval] vs
     [Eval . Simplify], checkpoint-resume vs straight evolution,
-    [Parmap]'s [`Seq] reference vs many jobs (fork and domains
-    backends), [Evalc] compiled bytecode vs the [Eval] tree-walker, a
+    [Parmap]'s [`Seq] reference vs the fork pool at many jobs, [Evalc] compiled bytecode vs the [Eval] tree-walker, a
     chaos-injected supervised run vs the fault-free [`Seq] -j1
     reference, a warm persistent worker pool over several batches
     vs a cold one-shot pool, chunked dispatch under a random
@@ -37,10 +36,9 @@ val names : string list
 
 val chaos_trial : ?plan:Gp.Chaos.plan -> int -> string option
 (** One chaos_vs_clean trial: evolve under [plan] (default
-    [Gp.Chaos.seeded ~seed]) on the supervised [`Domains] pool, compare
-    bit-for-bit against the fault-free [`Seq] -j1 run, then resume over
-    the faulted run's cache and checkpoint artifacts and compare again.
-    [None] on identity, [Some description] on divergence.  Runs in a
-    forked child where possible so the domains it spawns do not retire
-    the fork backend for the calling process.  Exposed for
-    [metaopt chaos], which replays plans outside a fuzz campaign. *)
+    [Gp.Chaos.seeded ~seed]) on the supervised [`Fork] pool (-j2, a 0.5s
+    deadline, 2 retries), compare bit-for-bit against the fault-free
+    [`Seq] -j1 run, then resume over the faulted run's cache and
+    checkpoint artifacts and compare again.  [None] on identity,
+    [Some description] on divergence.  Exposed for [metaopt chaos],
+    which replays plans outside a fuzz campaign. *)

@@ -145,8 +145,6 @@ type state = {
   mutable fuel : int;
   mutable out_rev : float list;
   mutable steps : int;
-  tok : Gp.Cancel.token;  (* the supervising pool's cancellation token *)
-  mutable poll : int;  (* block entries until the next token check *)
 }
 
 (* Execute one function; returns its return value. *)
@@ -178,14 +176,6 @@ let rec exec_func (st : state) (pf : Layout.pfunc) (args : float array) : float
        infinite loops still run out of fuel. *)
     st.fuel <- st.fuel - 1;
     if st.fuel <= 0 then raise Out_of_fuel;
-    (* Cancellation safepoint, identical in both engines (a decrement
-       and a compare; the token is really checked every
-       [Cancel.poll_interval] block entries). *)
-    st.poll <- st.poll - 1;
-    if st.poll <= 0 then begin
-      st.poll <- Gp.Cancel.poll_interval;
-      Gp.Cancel.check st.tok
-    end;
     st.obs.block_enter b.Layout.uid;
     let n = Array.length b.Layout.instrs in
     (* Whole-block issue count: schedule-invariant (see [result.steps]),
@@ -307,18 +297,7 @@ let rec exec_func (st : state) (pf : Layout.pfunc) (args : float array) : float
 let run_reference ?(observer = null_observer) ?(fuel = 30_000_000)
     ?(overrides = []) (layout : Layout.t) : result =
   let memory = init_memory layout overrides in
-  let st =
-    {
-      layout;
-      memory;
-      obs = observer;
-      fuel;
-      out_rev = [];
-      steps = 0;
-      tok = Gp.Cancel.current ();
-      poll = Gp.Cancel.poll_interval;
-    }
-  in
+  let st = { layout; memory; obs = observer; fuel; out_rev = []; steps = 0 } in
   let main = Layout.func layout layout.Layout.prog.Ir.Func.main in
   let ret = exec_func st main [||] in
   { output = List.rev st.out_rev; return_value = ret; steps = st.steps }
@@ -366,9 +345,7 @@ module Make (E : EVENTS) = struct
   type st = {
     mutable fuel : int;
     mutable steps : int;
-    mutable poll : int;
     mutable out_rev : float list;
-    tok : Gp.Cancel.token;
   }
 
   (* The returning activation's value, read by its caller right away. *)
@@ -730,13 +707,6 @@ module Make (E : EVENTS) = struct
       fun r ->
         st.fuel <- st.fuel - 1;
         if st.fuel <= 0 then raise Out_of_fuel;
-        (* Cancellation safepoint, same cadence and position as the
-           reference's. *)
-        st.poll <- st.poll - 1;
-        if st.poll <= 0 then begin
-          st.poll <- Gp.Cancel.poll_interval;
-          Gp.Cancel.check st.tok
-        end;
         E.block_enter ev uid;
         (* Whole-block issue count, matching the reference. *)
         st.steps <- st.steps + n;
@@ -762,15 +732,7 @@ module Make (E : EVENTS) = struct
       result =
     let memory = init_memory layout overrides in
     let main = Layout.func layout layout.Layout.prog.Ir.Func.main in
-    let st =
-      {
-        fuel;
-        steps = 0;
-        poll = Gp.Cancel.poll_interval;
-        out_rev = [];
-        tok = Gp.Cancel.current ();
-      }
-    in
+    let st = { fuel; steps = 0; out_rev = [] } in
     let ret = { value = 0.0 } in
     let fns = Array.make (Array.length layout.Layout.funcs) (fun _ -> 0.0) in
     Array.iter

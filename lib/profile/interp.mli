@@ -51,9 +51,8 @@ end
 
 (** The closure engine, instantiated for one event consumer.  Each run
     compiles the program into chains of specialised closures and
-    executes them; results, event order, fuel and step accounting, the
-    cancellation poll cadence and raised exceptions are identical to
-    {!run_reference}. *)
+    executes them; results, event order, fuel and step accounting and
+    raised exceptions are identical to {!run_reference}. *)
 module Make (E : EVENTS) : sig
   val run :
     E.t -> ?fuel:int -> ?overrides:(string * float array) list ->

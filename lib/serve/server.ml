@@ -53,8 +53,8 @@ let default_config ~socket =
    Each worker lazily builds and memoizes the service for a description
    the first time it sees it — that warm state (prepared benches,
    baselines, simulation caches) amortizing across batches is the point
-   of the daemon.  The registry is mutex-guarded for the [`Domains]
-   backend, where workers share this heap. *)
+   of the daemon.  The registry is mutex-guarded, so threads sharing
+   this heap build each service once. *)
 type wtask = {
   w_desc : Driver.Study.remote_desc;
   w_dataset : Benchmarks.Bench.dataset;

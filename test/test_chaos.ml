@@ -1,14 +1,7 @@
-(* Chaos-injection tests: the plan language round-trips, the supervised
-   domains pool survives slow, raising and hanging tasks under its
-   cooperative deadline model, the evaluator's disk cache degrades to
-   memo-only instead of dying, and a damaged checkpoint directory still
-   resumes bit-identically.
-
-   Ordering matters: this suite is registered LAST in test_main, and
-   within it every test that needs [Unix.fork] (the chaos_vs_clean
-   trial runs in a forked child) comes before the in-process domains
-   tests, because the first [Domain.spawn] retires fork for the rest of
-   the process. *)
+(* Chaos-injection tests: the plan language round-trips, a seeded chaos
+   run on the supervised fork pool is bit-identical to a clean one, the
+   evaluator's disk cache degrades to memo-only instead of dying, and a
+   damaged checkpoint directory still resumes bit-identically. *)
 
 module C = Gp.Chaos
 
@@ -105,14 +98,14 @@ let test_pool_ignored_limits () =
   Alcotest.(check (list string))
     "seq cannot honor deadlines or retries" [ "retries"; "timeout_s" ]
     (List.sort compare p.Gp.Parmap.ignored_limits);
-  let q = Gp.Parmap.pool ~backend:`Domains ~timeout_s:1.0 ~retries:3 () in
-  Alcotest.(check (list string)) "domains honors both" []
+  let q = Gp.Parmap.pool ~backend:`Fork ~timeout_s:1.0 ~retries:3 () in
+  Alcotest.(check (list string)) "fork honors both" []
     q.Gp.Parmap.ignored_limits;
   let r = Gp.Parmap.pool ~backend:`Seq () in
   Alcotest.(check (list string)) "defaults are clean" []
     r.Gp.Parmap.ignored_limits
 
-(* --- study-level bit-identity under seeded chaos (forks first) ------------ *)
+(* --- study-level bit-identity under seeded chaos -------------------------- *)
 
 let test_chaos_vs_clean () =
   match Fuzz.Oracle.chaos_trial 1 with
@@ -332,118 +325,6 @@ let test_damaged_checkpoints_resume () =
         (Gp.Telemetry.Counter.value
            (Gp.Telemetry.counter "evolve.checkpoints_skipped")))
 
-(* --- the supervised domains pool (retires fork: keep these last) ---------- *)
-
-let domains_pool ?timeout_s ?(retries = 0) ?(jobs = 2) () =
-  Gp.Parmap.pool ~backend:`Domains ~jobs ?timeout_s ~retries ~backoff_s:0.01 ()
-
-let test_domains_slow_times_out () =
-  with_dir "dom-slow" @@ fun dir ->
-  let plan t n = if t = 1 && n = 1 then Some (C.Slow 30.0) else None in
-  let f = C.Ledger.wrap ~isolated:false ~dir ~plan (fun x -> x * 10) in
-  let t0 = Unix.gettimeofday () in
-  let outcomes, stats =
-    Gp.Parmap.run_supervised (domains_pool ~timeout_s:0.3 ()) f
-      (Array.init 4 Fun.id)
-  in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  Alcotest.(check string) "cooperative deadline fired" "Timed_out"
-    (outcome_label outcomes.(1));
-  Array.iteri
-    (fun i o ->
-      if i <> 1 then
-        match o with
-        | Gp.Parmap.Ok v -> Alcotest.(check int) "neighbour value" (i * 10) v
-        | o -> Alcotest.failf "task %d: %s" i (outcome_label o))
-    outcomes;
-  Alcotest.(check int) "one timeout" 1 stats.Gp.Parmap.timeouts;
-  Alcotest.(check int) "no quarantine: the nap polled its token" 0
-    stats.Gp.Parmap.quarantined;
-  Alcotest.(check int) "single attempt" 1 (C.Ledger.attempts dir 1);
-  Alcotest.(check bool)
-    (Printf.sprintf "cut off within 2x the deadline (%.2fs)" elapsed)
-    true (elapsed < 1.5)
-
-let test_domains_slow_retry_recovers () =
-  with_dir "dom-retry" @@ fun dir ->
-  let plan t n = if t = 2 && n = 1 then Some (C.Slow 30.0) else None in
-  let f = C.Ledger.wrap ~isolated:false ~dir ~plan (fun x -> x + 100) in
-  let outcomes, stats =
-    Gp.Parmap.run_supervised
-      (domains_pool ~timeout_s:0.25 ~retries:2 ())
-      f (Array.init 5 Fun.id)
-  in
-  Array.iteri
-    (fun i o ->
-      match o with
-      | Gp.Parmap.Ok v -> Alcotest.(check int) "value" (i + 100) v
-      | o -> Alcotest.failf "task %d: %s" i (outcome_label o))
-    outcomes;
-  Alcotest.(check int) "one timed-out attempt" 1 stats.Gp.Parmap.timeouts;
-  Alcotest.(check int) "one retry" 1 stats.Gp.Parmap.retries;
-  Alcotest.(check int) "task 2 took two attempts" 2 (C.Ledger.attempts dir 2);
-  Alcotest.(check int) "task 0 took one attempt" 1 (C.Ledger.attempts dir 0)
-
-let test_domains_raise_retries () =
-  with_dir "dom-raise" @@ fun dir ->
-  let plan _ n = if n = 1 then Some (C.Raise "flaky") else None in
-  let f = C.Ledger.wrap ~isolated:false ~dir ~plan (fun x -> x * x) in
-  let outcomes, stats =
-    Gp.Parmap.run_supervised
-      (domains_pool ~retries:1 ())
-      f (Array.init 3 Fun.id)
-  in
-  Array.iteri
-    (fun i o ->
-      match o with
-      | Gp.Parmap.Ok v -> Alcotest.(check int) "value" (i * i) v
-      | o -> Alcotest.failf "task %d: %s" i (outcome_label o))
-    outcomes;
-  Alcotest.(check int) "three crashed attempts" 3 stats.Gp.Parmap.crashes;
-  Alcotest.(check int) "three retries" 3 stats.Gp.Parmap.retries;
-  Alcotest.(check int) "no timeouts" 0 stats.Gp.Parmap.timeouts
-
-let test_domains_raise_exhausts () =
-  let outcomes, stats =
-    Gp.Parmap.run_supervised
-      (domains_pool ~retries:1 ())
-      (fun _ -> failwith "always")
-      [| 0 |]
-  in
-  Alcotest.(check string) "gave up" "Gave_up" (outcome_label outcomes.(0));
-  Alcotest.(check int) "both attempts crashed" 2 stats.Gp.Parmap.crashes;
-  Alcotest.(check int) "one retry" 1 stats.Gp.Parmap.retries
-
-(* A hanging task never reaches a safepoint: the supervisor must
-   quarantine its worker, respawn the slot, and still finish every other
-   task — at one job, completion is itself the proof of respawn. *)
-let test_domains_hang_quarantined () =
-  with_dir "dom-hang" @@ fun dir ->
-  let plan t n = if t = 0 && n = 1 then Some C.Hang else None in
-  let f = C.Ledger.wrap ~isolated:false ~dir ~plan (fun x -> x + 1) in
-  let t0 = Unix.gettimeofday () in
-  let outcomes, stats =
-    Gp.Parmap.run_supervised
-      (domains_pool ~jobs:1 ~timeout_s:0.2 ~retries:1 ())
-      f (Array.init 3 Fun.id)
-  in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  Array.iteri
-    (fun i o ->
-      match o with
-      | Gp.Parmap.Ok v -> Alcotest.(check int) "value" (i + 1) v
-      | o -> Alcotest.failf "task %d: %s" i (outcome_label o))
-    outcomes;
-  Alcotest.(check int) "one worker quarantined" 1 stats.Gp.Parmap.quarantined;
-  Alcotest.(check int) "the hung attempt counts as a timeout" 1
-    stats.Gp.Parmap.timeouts;
-  Alcotest.(check int) "one retry" 1 stats.Gp.Parmap.retries;
-  Alcotest.(check int) "hung task took two attempts" 2
-    (C.Ledger.attempts dir 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "hang cut off promptly (%.2fs)" elapsed)
-    true (elapsed < 2.0)
-
 let suite =
   [
     Alcotest.test_case "plan language round-trips" `Quick test_plan_round_trip;
@@ -461,15 +342,4 @@ let suite =
       test_cache_survives_torn_append;
     Alcotest.test_case "damaged checkpoints skipped, resume identical" `Quick
       test_damaged_checkpoints_resume;
-    (* domains from here on: fork is retired for the rest of the run *)
-    Alcotest.test_case "domains: slow task times out cooperatively" `Quick
-      test_domains_slow_times_out;
-    Alcotest.test_case "domains: slow first attempt recovers" `Quick
-      test_domains_slow_retry_recovers;
-    Alcotest.test_case "domains: raising attempts retried" `Quick
-      test_domains_raise_retries;
-    Alcotest.test_case "domains: persistent failure gives up" `Quick
-      test_domains_raise_exhausts;
-    Alcotest.test_case "domains: hang quarantined, slot respawned" `Quick
-      test_domains_hang_quarantined;
   ]

@@ -86,10 +86,34 @@ let sim_sig (r : Machine.Simulate.result) =
     r.Machine.Simulate.checksum,
     r.Machine.Simulate.dynamic_instrs )
 
+exception Stopped
+
+(* Run [f] under a one-shot real-time timer whose SIGALRM handler raises
+   [Stopped] [after] seconds in: [true] when the timer stopped it. *)
+let stopped_by_timer ~after f =
+  let live = ref true in
+  let old =
+    Sys.signal Sys.sigalrm
+      (Sys.Signal_handle (fun _ -> if !live then raise Stopped))
+  in
+  let arm v =
+    ignore
+      (Unix.setitimer Unix.ITIMER_REAL
+         { Unix.it_interval = 0.0; it_value = v })
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      live := false;
+      arm 0.0;
+      Sys.set_signal Sys.sigalrm old)
+    (fun () ->
+      arm after;
+      match f () with () -> false | exception Stopped -> true)
+
 (* A run cut short must leave nothing a later query could be answered
-   from, and an evicting cache must answer like a fresh simulation.
-   codrle4 runs past one cancellation poll interval, so a cancelled run
-   really stops part-way. *)
+   from, and an evicting cache must answer like a fresh simulation.  The
+   run is stopped from outside, by a timer a quarter of the way into its
+   simulation. *)
 let test_partial_runs_never_answer () =
   let prepared = Driver.Compiler.prepare (Benchmarks.Registry.find "codrle4") in
   let machine = Machine.Config.table3 in
@@ -118,28 +142,43 @@ let test_partial_runs_never_answer () =
              ~schedule_cycles:ck.Driver.Compiler.schedule_cycles
              ck.Driver.Compiler.layout))
   in
-  let blocks = ref 0 in
-  ignore
-    (Profile.Interp.run ~overrides
-       ~observer:
-         {
-           Profile.Interp.null_observer with
-           block_enter = (fun _ -> incr blocks);
-         }
-       c.Driver.Compiler.layout);
-  Alcotest.(check bool) "the run outlasts one poll interval" true
-    (!blocks > Gp.Cancel.poll_interval);
-  let sim = Driver.Simcache.create () in
-  let tok = Gp.Cancel.create () in
-  Gp.Cancel.cancel tok;
-  Alcotest.check_raises "a cancelled simulation raises" Gp.Cancel.Cancelled
-    (fun () ->
-      Gp.Cancel.with_token tok (fun () ->
-          ignore (Driver.Simcache.simulate sim ~machine ~dataset prepared c)));
-  check "after a cancelled run, the next schedule is exact" sim 1;
+  let simulate sim () =
+    ignore (Driver.Simcache.simulate sim ~machine ~dataset prepared c)
+  in
+  (* The best of three timings of the whole call and of the simulation
+     inside it place the timer a quarter of the way into the latter. *)
+  let best f =
+    List.fold_left min infinity
+      (List.init 3 (fun _ ->
+           let t0 = Unix.gettimeofday () in
+           f ();
+           Unix.gettimeofday () -. t0))
+  in
+  let whole = best (fun () -> simulate (Driver.Simcache.create ()) ()) in
+  let engine =
+    best (fun () ->
+        ignore
+          (Machine.Simulate.summarize ~config:machine ~overrides
+             c.Driver.Compiler.layout))
+  in
+  let after = Float.max (engine /. 4.0) (whole -. (0.75 *. engine)) in
+  (* A try counts once the timer stopped a call whose simulation had
+     begun; timing noise may spoil a try, so allow a few. *)
+  let rec stop_part_way tries =
+    let sim = Driver.Simcache.create () in
+    let stopped = stopped_by_timer ~after (simulate sim) in
+    if stopped && (Driver.Simcache.stats sim).Driver.Simcache.simulations = 1
+    then sim
+    else if tries > 1 then stop_part_way (tries - 1)
+    else
+      Alcotest.failf "no timer at %.2f ms stopped a %.2f ms simulation"
+        (1000.0 *. after) (1000.0 *. engine)
+  in
+  let sim = stop_part_way 5 in
+  check "after a stopped run, the next schedule is exact" sim 1;
   let st = Driver.Simcache.stats sim in
   Alcotest.(check (list int))
-    "no summary survived the cancelled run: simulations, replays"
+    "no summary survived the stopped run: simulations, replays"
     [ 2; 0 ]
     Driver.Simcache.[ st.simulations; st.replays ];
   let tiny = Driver.Simcache.create ~max_artifacts:1 () in

@@ -26,6 +26,5 @@ let () =
       ("fastpath", Test_fastpath.suite);
       ("fuzz", Test_fuzz.suite);
       ("serve", Test_serve.suite);
-      (* last: its domains tests retire the fork backend for the process *)
       ("chaos", Test_chaos.suite);
     ]

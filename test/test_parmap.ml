@@ -1,10 +1,8 @@
-(* Tests for the task pool (fork and domains backends behind the pool
-   API) and the parallel fitness engine: result ordering, the j=1
-   fallback, failure isolation (both raising tasks and hard worker
-   crashes), pool validation and capabilities, domains bit-identity
-   against the sequential reference, the persistent cache, and
-   bit-identical determinism of a parallel evolution run against a
-   sequential one. *)
+(* Tests for the task pool (the fork backend behind the pool API) and the
+   parallel fitness engine: result ordering, the j=1 fallback, failure
+   isolation (both raising tasks and hard worker crashes), pool
+   validation and capabilities, the persistent cache, and bit-identical
+   determinism of a parallel evolution run against a sequential one. *)
 
 let squares n = Array.init n (fun i -> i * i)
 
@@ -190,137 +188,24 @@ let test_pool_validation () =
   ignore (Gp.Parmap.pool ~chunk_min:1 ~chunk_max:1 ())
 
 let test_capabilities () =
-  let caps = Gp.Parmap.capabilities () in
-  Alcotest.(check bool) "seq always present" true (List.mem `Seq caps);
-  Alcotest.(check bool) "domains always present" true (List.mem `Domains caps);
-  (* this process never spawns a domain directly (the domains tests fork
-     first), so fork capability tracks the platform probe *)
-  Alcotest.(check bool) "fork tracks availability" Gp.Parmap.available
-    (List.mem `Fork caps);
+  Alcotest.(check (list string))
+    "seq, and fork where the platform forks"
+    (if Gp.Parmap.available then [ "seq"; "fork" ] else [ "seq" ])
+    (List.map Gp.Parmap.backend_name (Gp.Parmap.capabilities ()));
   List.iter
     (fun b ->
       Alcotest.(check bool)
         (Gp.Parmap.backend_name b ^ " name round-trips")
         true
         (Gp.Parmap.backend_of_name (Gp.Parmap.backend_name b) = Some b))
-    [ `Seq; `Fork; `Domains ];
-  Alcotest.(check bool) "unknown backend name rejected" true
-    (Gp.Parmap.backend_of_name "threads" = None)
-
-(* The domains-backend comparison, shared by the forked-child and inline
-   paths below: [`Domains] at several widths must match the sequential
-   reference bit-for-bit, and once domains have run, [`Fork] must be
-   retired from [capabilities] yet still answer correctly through its
-   degraded in-process path. *)
-let domains_identity_check () : (unit, string) result =
-  let rng = Random.State.make [| 0xd0a1 |] in
-  let tasks = Array.init 64 (fun _ -> Random.State.float rng 2.0 -. 1.0) in
-  let f x = sin (x *. 12.9898) *. 43758.5453 in
-  let bits pool =
-    Array.map Int64.bits_of_float
-      (run_values ~fallback:nan pool f tasks)
-  in
-  let seq = bits (Gp.Parmap.pool ~backend:`Seq ()) in
-  let check_width jobs =
-    let pool = Gp.Parmap.pool ~backend:`Domains ~jobs () in
-    let outcomes, stats = Gp.Parmap.run_supervised pool f tasks in
-    if Array.map Int64.bits_of_float (values ~fallback:nan outcomes) <> seq
-    then Error (Printf.sprintf "domains -j%d diverges" jobs)
-    else if stats.Gp.Parmap.completed <> Array.length tasks then
-      Error (Printf.sprintf "domains -j%d lost tasks" jobs)
-    else Ok ()
-  in
-  let rec widths = function
-    | [] -> Ok ()
-    | j :: rest -> ( match check_width j with Ok () -> widths rest | e -> e)
-  in
-  match widths [ 1; 2; 3; 8 ] with
-  | Error _ as e -> e
-  | Ok () ->
-    (* domains exception isolation: a raising task is Crashed (at
-       retries = 0; the default single retry would report Gave_up, as
-       on the fork backend), others Ok *)
-    let boom = Gp.Parmap.pool ~backend:`Domains ~jobs:2 ~retries:0 () in
-    let outcomes, _ =
-      Gp.Parmap.run_supervised boom
-        (fun x -> if x = 3 then failwith "boom" else x)
-        (Array.init 6 Fun.id)
-    in
-    let isolated =
-      Array.for_all2
-        (fun i o ->
-          match o with
-          | Gp.Parmap.Ok v -> i <> 3 && v = i
-          | Gp.Parmap.Crashed _ -> i = 3
-          | _ -> false)
-        (Array.init 6 Fun.id) outcomes
-    in
-    if not isolated then Error "domains supervised isolation broken"
-    else if List.mem `Fork (Gp.Parmap.capabilities ()) then
-      Error "fork still advertised after domains ran"
-    else
-      let degraded = bits (Gp.Parmap.pool ~backend:`Fork ~jobs:4 ()) in
-      if degraded <> seq then Error "retired fork backend diverges"
-      else begin
-        (* a persistent domains handle over several batches must match
-           the sequential reference bit-for-bit too — the workers stay
-           warm between batches but the results must not know it *)
-        let pool = Gp.Parmap.pool ~backend:`Domains ~jobs:3 () in
-        let h = Gp.Parmap.create pool ~f in
-        let warm =
-          List.concat_map
-            (fun b ->
-              let outcomes, _ = Gp.Parmap.run_batch h b in
-              Array.to_list
-                (Array.map
-                   (function
-                     | Gp.Parmap.Ok v -> Int64.bits_of_float v
-                     | _ -> Int64.zero)
-                   outcomes))
-            [ Array.sub tasks 0 20; Array.sub tasks 20 20;
-              Array.sub tasks 40 24 ]
-        in
-        Gp.Parmap.shutdown h;
-        if Array.of_list warm <> seq then
-          Error "warm domains handle diverges from the sequential reference"
-        else Ok ()
-      end
-
-(* The check spawns domains, and the OCaml 5 runtime forbids Unix.fork
-   in any process that ever did — so where fork works, run it inside a
-   forked child to keep the fork backend alive for every later suite. *)
-let test_domains_bit_identity () =
-  if not Gp.Parmap.available then
-    match domains_identity_check () with
-    | Ok () -> ()
-    | Error msg -> Alcotest.fail msg
-  else begin
-    flush stdout;
-    flush stderr;
-    let r, w = Unix.pipe () in
-    match Unix.fork () with
-    | 0 ->
-      Unix.close r;
-      let result =
-        try domains_identity_check ()
-        with e -> Error ("exception: " ^ Printexc.to_string e)
-      in
-      let oc = Unix.out_channel_of_descr w in
-      Marshal.to_channel oc result [];
-      flush oc;
-      Unix._exit 0
-    | pid ->
-      Unix.close w;
-      let ic = Unix.in_channel_of_descr r in
-      let result =
-        match (Marshal.from_channel ic : (unit, string) result) with
-        | r -> r
-        | exception _ -> Error "domains child died before reporting"
-      in
-      close_in_noerr ic;
-      ignore (Gp.Parmap.retry_eintr (fun () -> Unix.waitpid [] pid));
-      (match result with Ok () -> () | Error msg -> Alcotest.fail msg)
-  end
+    [ `Seq; `Fork ];
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (Printf.sprintf "unknown backend name %S rejected" name)
+        true
+        (Gp.Parmap.backend_of_name name = None))
+    [ "threads"; "domains" ]
 
 (* --- The driver-level engine --------------------------------------------- *)
 
@@ -990,7 +875,6 @@ let suite =
     Alcotest.test_case "EINTR storm" `Quick test_eintr_storm;
     Alcotest.test_case "pool validation" `Quick test_pool_validation;
     Alcotest.test_case "capabilities" `Quick test_capabilities;
-    Alcotest.test_case "domains bit-identity" `Quick test_domains_bit_identity;
     Alcotest.test_case "parallel run deterministic" `Slow
       test_parallel_run_is_deterministic;
     Alcotest.test_case "noisy study deterministic" `Quick
