@@ -125,10 +125,11 @@ let no_fast_sim =
   Arg.(value & flag
        & info [ "no-fast-sim" ]
            ~doc:"Disable the compile and simulation fast paths (prefix \
-                 reuse and the decision tier, artifact-keyed result \
-                 sharing, cycle summaries, closure-compiled interpreter): \
-                 compile every candidate from scratch and measure it with \
-                 a fresh reference-engine simulation.  Results are \
+                 reuse, the recorded hyperblock steps and the decision \
+                 tier, artifact-keyed result sharing, cycle summaries, \
+                 closure-compiled interpreter): compile every candidate \
+                 from scratch and measure it with a fresh \
+                 reference-engine simulation.  Results are \
                  bit-identical either way; this flag only trades speed for \
                  the golden slow path")
 

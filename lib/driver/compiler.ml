@@ -102,7 +102,7 @@ type partial = {
 }
 
 let run_pass ~compiled ~machine ~(heuristics : heuristics)
-    ~(prof : Profile.Prof.t) ?decisions (st : partial) = function
+    ~(prof : Profile.Prof.t) ?decisions ?record (st : partial) = function
   (* Every pass decides through one batch call per decision site; with
      [compiled] off that call maps the walker point by point, so toggling
      [compiled_eval] compares evaluators, not pass structure — and both
@@ -124,8 +124,8 @@ let run_pass ~compiled ~machine ~(heuristics : heuristics)
     {
       st with
       hb =
-        Hyperblock.Form.run ~compiled ?decisions ~machine
-          ~prof ~priority:heuristics.hb_priority st.program;
+        Hyperblock.Form.run ~compiled ?decisions ?record ~machine ~prof
+          ~priority:heuristics.hb_priority st.program;
     }
   | Regalloc ->
     let savings_batch =
@@ -152,11 +152,11 @@ let run_pass ~compiled ~machine ~(heuristics : heuristics)
           st.program;
     }
 
-let run_passes ?(compiled_eval = true) ?decisions ~machine ~heuristics
-    (p : prepared) passes st =
+let run_passes ?(compiled_eval = true) ?decisions ?record ~machine
+    ~heuristics (p : prepared) passes st =
   List.fold_left
     (run_pass ~compiled:compiled_eval ~machine ~heuristics ~prof:p.prof
-       ?decisions)
+       ?decisions ?record)
     st passes
 
 let run_before ?compiled_eval ~machine ~heuristics (p : prepared) =
@@ -182,7 +182,7 @@ let run_before ?compiled_eval ~machine ~heuristics (p : prepared) =
     run_passes ?compiled_eval ~machine ~heuristics p before
       { st with program = Ir.Func.copy_program p.optimized }
 
-let run_under ?compiled_eval ?decisions ~machine ~heuristics
+let run_under ?compiled_eval ?decisions ?record ~machine ~heuristics
     (p : prepared) (st : partial) =
   (* A copy, stats record included, so a reused prefix is never
      touched. *)
@@ -196,8 +196,17 @@ let run_under ?compiled_eval ?decisions ~machine ~heuristics
   match split heuristics with
   | _, None, _ -> st
   | _, Some pass, _ ->
-    run_passes ?compiled_eval ?decisions ~machine ~heuristics p
+    run_passes ?compiled_eval ?decisions ?record ~machine ~heuristics p
       [ pass ] st
+
+(* Only hyperblock formation records its steps. *)
+let walk_under ?(compiled_eval = true) ~machine ~heuristics ~step
+    (st : partial) =
+  match pass_under_study heuristics with
+  | Some Hyperblock ->
+    Hyperblock.Form.walk ~compiled:compiled_eval ~machine
+      ~priority:heuristics.hb_priority ~step st.program
+  | _ -> None
 
 let run_after ?compiled_eval ~machine ~heuristics (p : prepared)
     (st : partial) =

@@ -82,11 +82,24 @@ val run_before :
     never mutated by the later stages. *)
 
 val run_under :
-  ?compiled_eval:bool -> ?decisions:Buffer.t -> machine:Machine.Config.t ->
-  heuristics:heuristics -> prepared -> partial -> partial
+  ?compiled_eval:bool -> ?decisions:Buffer.t ->
+  ?record:(string -> string -> Hyperblock.Form.step -> unit) ->
+  machine:Machine.Config.t -> heuristics:heuristics -> prepared -> partial ->
+  partial
 (** A copy of the partial program through the pass under study, which
     appends its decisions to [decisions]; the argument is left
-    untouched, so one [run_before] result serves every candidate. *)
+    untouched, so one [run_before] result serves every candidate.
+    Hyperblock formation also tells [record] every step it takes
+    ({!Hyperblock.Form.run}). *)
+
+val walk_under :
+  ?compiled_eval:bool -> machine:Machine.Config.t -> heuristics:heuristics ->
+  step:(string -> string -> Hyperblock.Form.step option) -> partial ->
+  string option
+(** The decisions [run_under] would append, from recorded steps alone
+    ({!Hyperblock.Form.walk}): nothing is copied, discovered, extracted
+    or converted.  [None] unless hyperblock formation is the pass under
+    study and [step] holds every step it would take. *)
 
 val run_after :
   ?compiled_eval:bool -> machine:Machine.Config.t -> heuristics:heuristics ->

@@ -1,11 +1,23 @@
-(* Decision-keyed compilation, artifact-keyed simulation sharing and
-   cycle summaries.
+(* Recorded decision steps, decision-keyed compilation, artifact-keyed
+   simulation sharing and cycle summaries.
 
    Small mutations of a priority function usually make the very same
    decisions and compile to the very same artifact, so most of the
    evaluator's time recompiles and re-simulates programs it has already
-   measured.  Three stacked fast paths exploit that without ever
+   measured.  Four stacked fast paths exploit that without ever
    changing a measured value:
+
+   - recorded steps: with hyperblock formation under study, each
+     function's formation is a sequence of steps, and the region a step
+     attempts is a function of the prefix, the function and the
+     decision lines it has written so far.  Every live run records its
+     steps (Hyperblock.Form.run ~record) in a table keyed by exactly
+     that, and a later candidate first walks the table
+     (Compiler.walk_under), deciding each recorded view with its own
+     priority function.  A complete walk yields the decision text
+     without copying the program, discovering regions, extracting
+     features or if-converting; a missing step falls back to the live
+     pass, which records as it goes.
 
    - the decision tier: a study varies one heuristic slot.  The passes
      before that slot's pass see the same program for every candidate,
@@ -41,14 +53,16 @@
    Keys are conservative: any textual difference in the canonical
    program, in the order of event-emitting instructions or in a pass's
    reported decisions produces a different key and a full compile and
-   simulation.  Noise is *never* stored — callers layer the per-genome
-   jitter on top (Simulate.jittered).
+   simulation, and a step key differing in any byte of the decision
+   lines so far is a missing step.  Noise is *never* stored — callers
+   layer the per-genome jitter on top (Simulate.jittered).
 
    In a forked worker pool the tables fill in the parent and are
-   inherited read-only through fork; worker-side inserts (prefixes and
-   decision entries included) die with the worker.  Baselines measured
-   by pool children reach the parent as [entry] values ([measure],
-   [adopt]), summaries included, before the persistent workers fork.
+   inherited read-only through fork; worker-side inserts (prefixes,
+   steps and decision entries included) die with the worker.  Baselines
+   measured by pool children reach the parent as [entry] values
+   ([measure], [adopt]), summaries included, before the persistent
+   workers fork.
    Hit rates drop but results cannot diverge, so bit-identity holds at
    any -j.
 
@@ -66,6 +80,8 @@ type stats = {
                                    tier, a subset of [artifact_hits] *)
   mutable replays : int;  (* answers retimed from a stored summary *)
   mutable simulations : int;  (* full interpreter runs *)
+  mutable step_hits : int;  (* candidates whose decisions came from
+                               recorded steps *)
 }
 
 (* The passes before the pass under study, run once for one prepared
@@ -100,6 +116,8 @@ type t = {
   artifacts : (string, entry) Hashtbl.t;
   summaries : (string, Machine.Simulate.summary) Hashtbl.t;
   decided : (string, decided) Hashtbl.t;
+  steps : (string, Hyperblock.Form.step) Hashtbl.t;
+      (* by prefix id, function name and its decision lines so far *)
   prefixes : (string, prefix list) Hashtbl.t;
       (* by bench name, newest first, at most two *)
   mutable prefixes_built : int;  (* the next prefix id *)
@@ -118,10 +136,17 @@ let create ?(enabled = true) ?(max_artifacts = 8192) () =
     artifacts = Hashtbl.create 256;
     summaries = Hashtbl.create 256;
     decided = Hashtbl.create 256;
+    steps = Hashtbl.create 256;
     prefixes = Hashtbl.create 16;
     prefixes_built = 0;
     stats =
-      { artifact_hits = 0; decision_hits = 0; replays = 0; simulations = 0 };
+      {
+        artifact_hits = 0;
+        decision_hits = 0;
+        replays = 0;
+        simulations = 0;
+        step_hits = 0;
+      };
     lock = Mutex.create ();
   }
 
@@ -343,23 +368,49 @@ let measure t ?(compiled_eval = true) ~machine ~heuristics ~dataset
            Compiler.compile ~compiled_eval ~machine ~heuristics p))
   else begin
     let pre = prefix t ~compiled_eval ~machine ~heuristics p in
-    let decisions = Buffer.create 256 in
-    let st =
+    let under ?decisions ?record () =
       compile (fun () ->
-          Compiler.run_under ~compiled_eval ~decisions ~machine ~heuristics p
-            pre.partial)
+          Compiler.run_under ~compiled_eval ?decisions ?record ~machine
+            ~heuristics p pre.partial)
     in
-    let finish () =
+    let after st =
       compile (fun () ->
           Compiler.run_after ~compiled_eval ~machine ~heuristics p st)
     in
     if not (Compiler.decided heuristics) then
-      simulate_entry t ~machine ~dataset p (finish ())
+      simulate_entry t ~machine ~dataset p (after (under ()))
     else begin
+      let step_key fname lines =
+        String.concat "" [ string_of_int pre.id; ":"; fname; ":\n"; lines ]
+      in
+      let record fname lines step =
+        locked t (fun () -> store t t.steps (step_key fname lines) step)
+      in
+      let walked =
+        compile (fun () ->
+            Compiler.walk_under ~compiled_eval ~machine ~heuristics
+              ~step:(fun fname lines ->
+                locked t (fun () ->
+                    Hashtbl.find_opt t.steps (step_key fname lines)))
+              pre.partial)
+      in
+      (* The pass under study runs, recording its steps, when the walk
+         misses one; after a complete walk it runs only if the artifact
+         must be built. *)
+      let decisions, st =
+        match walked with
+        | Some text ->
+          locked t (fun () -> t.stats.step_hits <- t.stats.step_hits + 1);
+          Gp.Telemetry.incr "evaluator.step_hits";
+          (text, lazy (under ()))
+        | None ->
+          let b = Buffer.create 256 in
+          let st = under ~decisions:b ~record () in
+          (Buffer.contents b, Lazy.from_val st)
+      in
+      let finish () = after (Lazy.force st) in
       let key =
-        Digest.to_hex
-          (Digest.string
-             (string_of_int pre.id ^ ":" ^ Buffer.contents decisions))
+        Digest.to_hex (Digest.string (string_of_int pre.id ^ ":" ^ decisions))
       in
       let e =
         match locked t (fun () -> Hashtbl.find_opt t.decided key) with

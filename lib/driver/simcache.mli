@@ -1,5 +1,5 @@
-(** Decision-keyed compilation, artifact-keyed simulation sharing and
-    cycle summaries.
+(** Recorded decision steps, decision-keyed compilation, artifact-keyed
+    simulation sharing and cycle summaries.
 
     Most candidate heuristics make decisions, and compile to artifacts,
     the run has already measured.  {!measure} runs the passes before
@@ -7,11 +7,15 @@
     from a copy; when the later passes are a pure function of that
     pass's decisions ({!Compiler.decided}), a decision tier maps the
     decisions to the artifact's program digest and schedule lengths, so
-    a repeat is answered without running the later passes.  Below it,
-    this cache keys noise-free simulation results on a digest of
-    everything cycle-relevant (canonical transformed program,
-    event-instruction order, bench + dataset, machine config, schedule
-    lengths) so identical artifacts share one simulation.  Every
+    a repeat is answered without running the later passes.  With
+    hyperblock formation under study, the decisions themselves come
+    from the formation steps earlier candidates recorded, when every
+    step is there ({!Compiler.walk_under}), so a tier hit compiles
+    nothing at all.  Below it, this cache keys noise-free simulation
+    results on a digest of everything cycle-relevant (canonical
+    transformed program, event-instruction order, bench + dataset,
+    machine config, schedule lengths) so identical artifacts share one
+    simulation.  Every
     simulation also keeps its run's cycle summary
     ({!Machine.Simulate.summarize}) under the same digest minus the
     schedule lengths, so a further artifact that differs only in
@@ -30,6 +34,9 @@ type stats = {
           [artifact_hits] *)
   mutable replays : int;  (** answers retimed from a stored summary *)
   mutable simulations : int;  (** full interpreter runs *)
+  mutable step_hits : int;
+      (** candidates whose decisions came from recorded steps, without
+          running the pass under study to find them *)
 }
 
 type t
@@ -42,9 +49,9 @@ val create : ?enabled:bool -> ?max_artifacts:int -> unit -> t
 (** [enabled = false] turns every {!measure} into a compile from
     scratch and every {!simulate} into a fresh reference-engine
     simulation — the golden slow path the fast paths are tested against.
-    Table sizes are bounded: the artifacts, the summaries and the
-    decision tier each reset at [max_artifacts] (default 8192), and each
-    bench keeps at most two prefixes. *)
+    Table sizes are bounded: the artifacts, the summaries, the decision
+    tier and the recorded steps each reset at [max_artifacts] (default
+    8192), and each bench keeps at most two prefixes. *)
 
 val stats : t -> stats
 
@@ -61,12 +68,13 @@ val measure :
   t -> ?compiled_eval:bool -> machine:Machine.Config.t ->
   heuristics:Compiler.heuristics -> dataset:Benchmarks.Bench.dataset ->
   Compiler.prepared -> Machine.Simulate.result * entry option
-(** Compile and measure through the decision tier: the result {!simulate}
-    gives on {!Compiler.compile}'s artifact (what runs when disabled),
-    and the entry the table now holds for the artifact ([None] when
-    disabled), for another table to {!adopt}.  Records the compile work
-    in [study.compile_s] spans; a decision-tier artifact hit also bumps
-    [evaluator.decision_hits]. *)
+(** Compile and measure through the recorded steps and the decision
+    tier: the result {!simulate} gives on {!Compiler.compile}'s artifact
+    (what runs when disabled), and the entry the table now holds for the
+    artifact ([None] when disabled), for another table to {!adopt}.
+    Records the compile work in [study.compile_s] spans; decisions found
+    from recorded steps bump [evaluator.step_hits], and a decision-tier
+    artifact hit bumps [evaluator.decision_hits]. *)
 
 val adopt : t -> entry -> unit
 (** Insert an entry measured elsewhere — a forked pool child — as if

@@ -489,6 +489,8 @@ let emit_run_summary ~driver ~kind ~benches ~ctx ~elapsed_s ~evaluations
           Gp.Telemetry.Int (Simcache.stats ctx.sim).Simcache.artifact_hits );
         ( "decision_hits",
           Gp.Telemetry.Int (Simcache.stats ctx.sim).Simcache.decision_hits );
+        ( "step_hits",
+          Gp.Telemetry.Int (Simcache.stats ctx.sim).Simcache.step_hits );
         ("replayed", Gp.Telemetry.Int (Simcache.stats ctx.sim).Simcache.replays);
         ( "simulations",
           Gp.Telemetry.Int (Simcache.stats ctx.sim).Simcache.simulations );

@@ -144,8 +144,9 @@ val create_with : config -> kind -> string list -> context
     its worker is killed, retried, and ultimately scored 0 without
     poisoning the persistent cache.
     [fast_sim] (default true) enables the {!Simcache} fast paths —
-    prefix reuse and the decision tier in compilation, artifact-keyed
-    result sharing, cycle summaries, and the closure-compiled interpreter;
+    prefix reuse, the recorded hyperblock steps and the decision tier in
+    compilation, artifact-keyed result sharing, cycle summaries, and the
+    closure-compiled interpreter;
     disabling it compiles every candidate from scratch and routes every
     measurement through a fresh reference-engine simulation.
     [compiled_eval] selects {!Gp.Evalc} bytecode (default) versus the

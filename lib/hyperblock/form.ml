@@ -1,5 +1,4 @@
-(* Hyperblock formation: feature extraction, priority-driven path
-   selection, and if-conversion.
+(* Hyperblock formation in three parts: features, decide and apply.
 
    The priority function under study (baseline Equation (1) or a GP
    expression) scores each enumerated path of a region; paths are merged
@@ -7,7 +6,13 @@
    [Mahlke 96].  Selected paths are if-converted into a single predicated
    block: every merged block's instructions are guarded by a block
    predicate computed with or-form compares over the region's edges, and
-   edges leaving the selected set become predicated side exits. *)
+   edges leaving the selected set become predicated side exits.
+
+   Each step of a run attempts one region: [features] takes a view of
+   it, [decide] turns the view into the selected paths, and [convert]
+   applies them.  The view is everything [decide] reads, so a recorded
+   run's steps can be walked again under another priority function
+   ([walk]) without touching a program. *)
 
 type config = {
   limits : Region.limits;
@@ -93,6 +98,33 @@ let path_features (f : Ir.Func.t) (prof : Profile.Prof.t) (p : Region.path) :
     has_pointer_deref = !has_pointer_deref;
   }
 
+(* A view of one attempted region: its paths, their feature
+   environments and dependence heights, and the instruction count of
+   each mergeable block (every path label is one).  Plain data, so a
+   recorded view outlives the program it was taken from. *)
+type view = {
+  paths : Region.path array;
+  envs : Gp.Feature_set.env array;
+  heights : float array;
+  sizes : (Ir.Types.label * int) list;
+}
+
+let features (f : Ir.Func.t) (prof : Profile.Prof.t) (region : Region.t) :
+    view =
+  let feats = List.map (path_features f prof) region.Region.paths in
+  let sizes =
+    List.map
+      (fun l -> (l, List.length (Ir.Func.find_block f l).Ir.Func.instrs))
+      region.Region.mergeable
+  in
+  let total_ops = List.fold_left (fun acc (_, n) -> acc + n) 0 sizes in
+  {
+    paths = Array.of_list region.Region.paths;
+    envs = Array.of_list (Features.environments feats ~total_ops);
+    heights = Array.of_list (List.map (fun fe -> fe.Features.dep_height) feats);
+    sizes;
+  }
+
 (* --- Selection ---------------------------------------------------------- *)
 
 type scored_path = {
@@ -101,49 +133,71 @@ type scored_path = {
   priority : float;
 }
 
+let score_region ?compiled (f : Ir.Func.t) (prof : Profile.Prof.t)
+    (priority : Gp.Expr.rexpr) (region : Region.t) : scored_path list =
+  let priorities =
+    Gp.Evalc.real_batch ?compiled priority (features f prof region).envs
+  in
+  List.mapi
+    (fun i path ->
+      { path; feats = path_features f prof path; priority = priorities.(i) })
+    region.Region.paths
+
 let union_labels (paths : Region.path list) : Ir.Types.label list =
   List.sort_uniq compare (List.concat_map (fun p -> p.Region.labels) paths)
-
-let ops_of_labels (f : Ir.Func.t) labels =
-  List.fold_left
-    (fun acc l -> acc + List.length (Ir.Func.find_block f l).Ir.Func.instrs)
-    0 labels
 
 (* Greedy selection in priority order with an IMPACT-style resource
    estimate: the merged block's instruction count must not exceed the
    machine's issue slots over the (tallest) selected path's dependence
-   height.  The top-priority path is always taken. *)
-let select ~(config : config) ~(machine : Machine.Config.t) (f : Ir.Func.t)
-    (scored : scored_path list) : scored_path list =
+   height.  The top-priority path is always taken.  The priority
+   function is compiled once, when [decide] is applied to it. *)
+let decide ?(config = default_config) ?(compiled = true)
+    ~(machine : Machine.Config.t) ~(priority : Gp.Expr.rexpr) =
+  let score = Gp.Evalc.real_batch ~compiled priority in
   let issue = float_of_int (Machine.Config.issue_width machine) in
-  let sorted =
-    List.stable_sort (fun a b -> compare b.priority a.priority) scored
-  in
-  match sorted with
-  | [] -> []
-  | first :: _ when first.priority <= 0.0 -> []
-  | first :: rest ->
-    let threshold = config.priority_cutoff *. first.priority in
-    let rest = List.filter (fun c -> c.priority > threshold) rest in
-    let selected = ref [ first ] in
-    List.iter
-      (fun cand ->
-        if List.length !selected < config.max_selected_paths then begin
-          let tentative = cand :: !selected in
-          let ops =
-            ops_of_labels f (union_labels (List.map (fun s -> s.path) tentative))
-          in
-          let height =
-            List.fold_left
-              (fun acc s -> Float.max acc s.feats.Features.dep_height)
-              0.0 tentative
-          in
-          let budget = issue *. height *. config.resource_slack in
-          if float_of_int ops <= budget && ops <= config.max_merged_ops then
-            selected := tentative
-        end)
-      rest;
-    List.rev !selected
+  fun (v : view) : Region.path list ->
+    let pr = score v.envs in
+    let ops labels =
+      List.fold_left (fun acc l -> acc + List.assoc l v.sizes) 0 labels
+    in
+    let sorted =
+      List.stable_sort
+        (fun a b -> compare pr.(b) pr.(a))
+        (List.init (Array.length v.paths) Fun.id)
+    in
+    match sorted with
+    | [] -> []
+    | first :: _ when pr.(first) <= 0.0 -> []
+    | first :: rest ->
+      let threshold = config.priority_cutoff *. pr.(first) in
+      let rest = List.filter (fun c -> pr.(c) > threshold) rest in
+      let selected = ref [ first ] in
+      List.iter
+        (fun cand ->
+          if List.length !selected < config.max_selected_paths then begin
+            let tentative = cand :: !selected in
+            let ops =
+              ops (union_labels (List.map (Array.get v.paths) tentative))
+            in
+            let height =
+              List.fold_left
+                (fun acc i -> Float.max acc v.heights.(i))
+                0.0 tentative
+            in
+            let budget = issue *. height *. config.resource_slack in
+            if float_of_int ops <= budget && ops <= config.max_merged_ops then
+              selected := tentative
+          end)
+        rest;
+      List.rev_map (Array.get v.paths) !selected
+
+(* [convert] reads only the union of the selected labels, so that union
+   is a step's whole decision. *)
+let line selected = String.concat " " (union_labels selected)
+
+let add_line lines selected =
+  Buffer.add_string lines (line selected);
+  Buffer.add_char lines '\n'
 
 (* --- If-conversion ------------------------------------------------------ *)
 
@@ -340,77 +394,81 @@ let new_stats () =
     paths_total = 0;
   }
 
-(* Score a region's paths with the priority function: all of a region's
-   path environments through one batch evaluation. *)
-let score_region_with (scorer : Gp.Feature_set.env array -> float array)
-    (f : Ir.Func.t) (prof : Profile.Prof.t) (region : Region.t) :
-    scored_path list =
-  let feats = List.map (path_features f prof) region.Region.paths in
-  let total_ops = ops_of_labels f region.Region.mergeable in
-  let envs = Features.environments feats ~total_ops in
-  List.map2
-    (fun (path, fe) pr -> { path; feats = fe; priority = pr })
-    (List.combine region.Region.paths feats)
-    (Array.to_list (scorer (Array.of_list envs)))
+type step = Attempt of view | Done
 
-let score_region ?compiled (f : Ir.Func.t) (prof : Profile.Prof.t)
-    (priority : Gp.Expr.rexpr) (region : Region.t) : scored_path list =
-  score_region_with (Gp.Evalc.real_batch ?compiled priority) f prof region
-
-let run_func ?(config = default_config) ?(compiled = true) ?decisions
-    ~(machine : Machine.Config.t) ~(prof : Profile.Prof.t)
-    ~(priority : Gp.Expr.rexpr) (f : Ir.Func.t) (stats : stats) : unit =
-  let scorer = Gp.Evalc.real_batch ~compiled priority in
-  Option.iter
-    (fun b ->
-      Buffer.add_string b f.Ir.Func.fname;
-      Buffer.add_string b ":\n")
-    decisions;
-  (* Regions are re-discovered after each conversion; entries already
-     attempted are skipped. *)
+(* One function's steps; [lines] accumulates its decision lines.
+   Regions are re-discovered after each conversion (a step that merged
+   nothing leaves the function, hence its regions, unchanged); entries
+   already attempted are skipped. *)
+let run_func ~config ~decide ?record ~prof (f : Ir.Func.t) stats lines =
+  let record step =
+    Option.iter (fun r -> r f.Ir.Func.fname (Buffer.contents lines) step) record
+  in
   let attempted = Hashtbl.create 16 in
-  let continue_ = ref true in
-  while !continue_ do
-    let regions = Region.discover ~limits:config.limits f in
-    let candidate =
+  let discover () = Region.discover ~limits:config.limits f in
+  let rec loop regions =
+    match
       List.find_opt
         (fun (r : Region.t) -> not (Hashtbl.mem attempted r.Region.entry))
         regions
-    in
-    match candidate with
-    | None -> continue_ := false
+    with
+    | None -> record Done
     | Some region ->
       Hashtbl.replace attempted region.Region.entry ();
       stats.regions_seen <- stats.regions_seen + 1;
       stats.paths_total <- stats.paths_total + List.length region.Region.paths;
-      let scored = score_region_with scorer f prof region in
-      let selected = select ~config ~machine f scored in
-      (* [convert] reads only the union of the selected labels, so that
-         union is the region's whole decision. *)
-      Option.iter
-        (fun b ->
-          Buffer.add_string b
-            (String.concat " "
-               (union_labels (List.map (fun s -> s.path) selected)));
-          Buffer.add_char b '\n')
-        decisions;
-      let merged =
-        convert f region (List.map (fun s -> s.path) selected)
-      in
+      let v = features f prof region in
+      record (Attempt v);
+      let selected = decide v in
+      add_line lines selected;
+      let merged = convert f region selected in
       if merged > 0 then begin
         stats.regions_formed <- stats.regions_formed + 1;
         stats.blocks_merged <- stats.blocks_merged + merged;
-        stats.paths_selected <- stats.paths_selected + List.length selected
+        stats.paths_selected <- stats.paths_selected + List.length selected;
+        loop (discover ())
       end
-  done
+      else loop regions
+  in
+  loop (discover ())
 
-let run ?(config = default_config) ?(compiled = true) ?decisions ~machine
-    ~prof ~priority (p : Ir.Func.program) : stats =
+let add_function_lines b fname lines =
+  Buffer.add_string b fname;
+  Buffer.add_string b ":\n";
+  Buffer.add_buffer b lines
+
+let run ?(config = default_config) ?(compiled = true) ?decisions ?record
+    ~machine ~prof ~priority (p : Ir.Func.program) : stats =
   let stats = new_stats () in
+  let decide = decide ~config ~compiled ~machine ~priority in
   List.iter
     (fun f ->
-      run_func ~config ~compiled ?decisions ~machine ~prof ~priority f stats;
+      let lines = Buffer.create 64 in
+      run_func ~config ~decide ?record ~prof f stats lines;
+      Option.iter (fun b -> add_function_lines b f.Ir.Func.fname lines)
+        decisions;
       Opt.Simplify_cfg.remove_unreachable f;
       Ir.Func.renumber f)
     p.Ir.Func.funcs;
   stats
+
+let walk ?(config = default_config) ?(compiled = true) ~machine ~priority
+    ~step (p : Ir.Func.program) : string option =
+  let decide = decide ~config ~compiled ~machine ~priority in
+  let text = Buffer.create 256 in
+  let rec steps fname lines =
+    match step fname (Buffer.contents lines) with
+    | None -> false
+    | Some Done ->
+      add_function_lines text fname lines;
+      true
+    | Some (Attempt v) ->
+      add_line lines (decide v);
+      steps fname lines
+  in
+  if
+    List.for_all
+      (fun (f : Ir.Func.t) -> steps f.Ir.Func.fname (Buffer.create 64))
+      p.Ir.Func.funcs
+  then Some (Buffer.contents text)
+  else None

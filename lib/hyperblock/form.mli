@@ -1,12 +1,24 @@
-(** Hyperblock formation: feature extraction, priority-driven path
-    selection, and if-conversion [Mahlke 96].
+(** Hyperblock formation: features, decide and apply [Mahlke 96].
 
     The priority function under study — Equation (1) or a GP expression —
     scores each enumerated path; paths are merged in priority order until
     the estimated machine resources are consumed.  Selected paths are
     if-converted into one predicated block; edges leaving the selected
     set become predicated side exits; merged blocks still reachable from
-    outside keep their original copies (tail duplication). *)
+    outside keep their original copies (tail duplication).
+
+    A run is a sequence of steps per function.  Each step attempts one
+    region in three parts:
+    - {b features}: {!features} takes a {!view} of the region, which
+      holds everything the decision reads;
+    - {b decide}: {!decide}, compiled once per run, turns the view into
+      the selected paths, whose sorted label union is the step's
+      decision;
+    - {b apply}: {!convert} if-converts them.
+    {!run} can report every step it takes, and {!walk} replays recorded
+    steps under another priority function to the decision text {!run}
+    would write, with no program copy, region discovery, feature
+    extraction or conversion. *)
 
 type config = {
   limits : Region.limits;
@@ -26,6 +38,14 @@ val path_features :
   Ir.Func.t -> Profile.Prof.t -> Region.path -> Features.path_features
 (** Table 4 features of one path, from static analysis and the profile. *)
 
+type view
+(** Everything {!decide} reads about one attempted region: its paths,
+    their feature environments and dependence heights, and the
+    instruction count of each mergeable block (every path label is one).
+    Plain data, independent of the program it was taken from. *)
+
+val features : Ir.Func.t -> Profile.Prof.t -> Region.t -> view
+
 type scored_path = {
   path : Region.path;
   feats : Features.path_features;
@@ -41,12 +61,15 @@ val score_region :
     evaluation over the region's path environments: compiled (default),
     or the bit-identical {!Gp.Eval} tree-walker with [~compiled:false]. *)
 
-val select :
-  config:config -> machine:Machine.Config.t -> Ir.Func.t ->
-  scored_path list -> scored_path list
-(** Greedy selection in priority order under the cutoff and the
-    IMPACT-style resource estimate; the top path is always taken (when
-    its priority is positive). *)
+val decide :
+  ?config:config -> ?compiled:bool -> machine:Machine.Config.t ->
+  priority:Gp.Expr.rexpr -> view -> Region.path list
+(** [decide ~machine ~priority] compiles the priority function once and
+    returns the selection: one batch evaluation over the view's
+    environments, then greedy selection in priority order under the
+    cutoff and the IMPACT-style resource estimate.  The top path is
+    always taken when its priority is positive; with none positive,
+    nothing is. *)
 
 val convert : Ir.Func.t -> Region.t -> Region.path list -> int
 (** If-convert the selected paths into the region entry; returns the
@@ -60,8 +83,13 @@ type stats = {
   mutable paths_total : int;
 }
 
+type step =
+  | Attempt of view  (** the next attempted region *)
+  | Done  (** no region left to attempt in this function *)
+
 val run :
   ?config:config -> ?compiled:bool -> ?decisions:Buffer.t ->
+  ?record:(string -> string -> step -> unit) ->
   machine:Machine.Config.t -> prof:Profile.Prof.t ->
   priority:Gp.Expr.rexpr -> Ir.Func.program -> stats
 (** Form hyperblocks over every function, re-discovering regions after
@@ -69,6 +97,23 @@ val run :
     selects the {!Gp.Evalc} path (default) versus the {!Gp.Eval}
     tree-walker for priority evaluation; see {!score_region}.
     [decisions], when given, receives the pass's decisions: per
-    function, in program order, one line per attempted region with the
-    sorted labels of its selected paths.  The formed program is a
-    function of the input program, the profile and these lines. *)
+    function, in program order, the function's name and a colon on one
+    line, then one line per attempted region: the sorted union of its
+    selected paths' labels, space-separated, which is all {!convert}
+    reads of them.  The formed program is a function of the input
+    program, the profile and these lines.
+    [record fname lines step], when given, is told every step: function
+    [fname], having written decision text [lines] so far (each line
+    newline-terminated), takes [step].  The step is a function of the
+    input function, the profile, [config] and [lines]. *)
+
+val walk :
+  ?config:config -> ?compiled:bool -> machine:Machine.Config.t ->
+  priority:Gp.Expr.rexpr -> step:(string -> string -> step option) ->
+  Ir.Func.program -> string option
+(** [walk ~step p] is the decision text [run ~decisions] would write for
+    [p] under the same arguments, built from recorded steps alone:
+    [step fname lines] returns
+    what [record] was told for that function and text, and only the
+    program's function names are read.  [None] as soon as a step is
+    missing. *)

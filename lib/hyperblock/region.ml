@@ -128,7 +128,7 @@ let discover ?(limits = default_limits) (f : Ir.Func.t) : t list =
   else begin
     let ipdom = Ir.Cfg.postdominators g in
     let loops = Ir.Cfg.loops g in
-    let loop_depth = Ir.Cfg.loop_depth g in
+    let loop_depth = Ir.Cfg.loop_depth g loops in
     let innermost l =
       not
         (List.exists

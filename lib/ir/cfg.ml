@@ -210,11 +210,10 @@ let loops g =
       { header = h; body; back_edges = edges } :: acc)
     by_header []
 
-(* Loop-nesting depth per block (0 = not in any loop). *)
-let loop_depth g =
-  let n = n_blocks g in
-  let depth = Array.make n 0 in
+(* Loop-nesting depth per block (0 = not in any loop), from [loops g]. *)
+let loop_depth g loops =
+  let depth = Array.make (n_blocks g) 0 in
   List.iter
     (fun l -> List.iter (fun b -> depth.(b) <- depth.(b) + 1) l.body)
-    (loops g);
+    loops;
   depth

@@ -40,5 +40,7 @@ type loop = {
 val loops : t -> loop list
 (** Natural loops derived from back edges, grouped by header. *)
 
-val loop_depth : t -> int array
-(** Nesting depth per block; 0 = not in any loop. *)
+val loop_depth : t -> loop list -> int array
+(** Nesting depth per block given the graph's {!loops}, so a caller that
+    already has them pays for no second loop discovery; 0 = not in any
+    loop. *)

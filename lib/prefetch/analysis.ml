@@ -239,7 +239,7 @@ let trip_estimate func_defs (header : Ir.Func.block) (ivs : induction list) :
 let candidates (f : Ir.Func.t) : candidate list =
   let g = Ir.Cfg.build f in
   let loops = Ir.Cfg.loops g in
-  let depth = Ir.Cfg.loop_depth g in
+  let depth = Ir.Cfg.loop_depth g loops in
   let func_defs = unique_defs f.Ir.Func.blocks in
   List.concat_map
     (fun (l : Ir.Cfg.loop) ->

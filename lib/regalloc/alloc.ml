@@ -197,7 +197,7 @@ let run_func ?(savings_batch = baseline_savings_batch) ?decisions
     ~(machine : Machine.Config.t) (f : Ir.Func.t) : result =
   let g = Ir.Cfg.build f in
   let live = Liveness.compute f g in
-  let depth = Ir.Cfg.loop_depth g in
+  let depth = Ir.Cfg.loop_depth g (Ir.Cfg.loops g) in
   let n = Ir.Cfg.n_blocks g in
   let calls_per_block =
     Array.init n (fun bi ->

@@ -1,8 +1,9 @@
 (* Golden equivalence suite for the simulation fast paths.
 
    The invariant under test: the closure-compiled engine (fused with the
-   timing model or driving an observer), retimed cycle summaries and
-   artifact-keyed result sharing produce bit-identical cycles,
+   timing model or driving an observer), retimed cycle summaries,
+   artifact-keyed result sharing and decisions walked from recorded
+   hyperblock formation steps produce bit-identical cycles,
    checksums, dynamic counts, cache statistics and event streams to the
    reference tree-walking interpreter, across all four studies. *)
 
@@ -262,11 +263,51 @@ let golden_genomes kind =
       Gp.Expr.Bool (Gp.Expr.Band (b, b));
     ])
 
+let hb_priority = function
+  | Gp.Expr.Real e -> e
+  | Gp.Expr.Bool _ -> invalid_arg "hb_priority: a Boolean genome"
+
+(* Every golden hyperblock genome's walk over the steps all of them
+   recorded is the decision text its own live formation run writes. *)
+let check_walks benches genomes =
+  let machine = Driver.Study.machine_of Driver.Study.Hyperblock_study in
+  List.iter
+    (fun bench ->
+      let p = prepare_for Driver.Study.Hyperblock_study bench in
+      let prof = p.Driver.Compiler.prof in
+      let steps = Hashtbl.create 64 in
+      let live =
+        List.map
+          (fun g ->
+            let decisions = Buffer.create 256 in
+            ignore
+              (Hyperblock.Form.run ~decisions
+                 ~record:(fun fname lines step ->
+                   Hashtbl.replace steps (fname, lines) step)
+                 ~machine ~prof ~priority:(hb_priority g)
+                 (Ir.Func.copy_program p.Driver.Compiler.optimized));
+            Buffer.contents decisions)
+          genomes
+      in
+      List.iteri
+        (fun gi (g, text) ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "hyperblock genome %d on %s: walked decisions" gi
+               bench)
+            (Some text)
+            (Hyperblock.Form.walk ~machine ~priority:(hb_priority g)
+               ~step:(fun fname lines -> Hashtbl.find_opt steps (fname, lines))
+               p.Driver.Compiler.optimized))
+        (List.combine genomes live))
+    benches
+
 (* A whole study context with fast paths on vs off: identical fitness
    for every study's golden genomes on every case and both datasets.
    The train pass fills the decision tier, so the same-decision pair's
    second genome is a decision hit and the novel pass reaches the tier
-   with no artifact for its dataset yet. *)
+   with no artifact for its dataset yet; in the hyperblock study the
+   recorded steps must answer too, and every genome's walk must write
+   its live run's decisions. *)
 let test_study_fast_vs_slow () =
   List.iter
     (fun (kind, benches) ->
@@ -295,18 +336,24 @@ let test_study_fast_vs_slow () =
                    genomes))
             Benchmarks.Bench.[ Train; Novel ]
         in
-        if fast_sim then
+        if fast_sim then begin
+          let st = Driver.Simcache.stats ctx.Driver.Study.sim in
           Alcotest.(check bool)
             (Driver.Study.kind_name kind ^ ": the decision tier answered")
             true
-            ((Driver.Simcache.stats ctx.Driver.Study.sim)
-               .Driver.Simcache.decision_hits > 0);
+            (st.Driver.Simcache.decision_hits > 0);
+          if kind = Driver.Study.Hyperblock_study then
+            Alcotest.(check bool)
+              "hyperblock: recorded steps answered" true
+              (st.Driver.Simcache.step_hits > 0)
+        end;
         values
       in
       let fast = measure ~fast_sim:true and slow = measure ~fast_sim:false in
       List.iter2
         (fun (name, f) (_, s) -> check_bits name f s)
-        fast slow)
+        fast slow;
+      if kind = Driver.Study.Hyperblock_study then check_walks benches genomes)
     study_cases
 
 (* The compiled-eval golden path: a study context with Evalc on vs off
@@ -359,14 +406,16 @@ let test_study_compiled_vs_walk () =
 
 (* Two different genomes that induce the same compilation decisions must
    share one simulation (the artifact hit), the second of them without
-   running the passes after the one under study (the decision hit), and
-   a genome whose decisions equal the baseline's scores speedup exactly
-   1.0 off the baseline's artifact without simulating. *)
+   running the passes after the one under study (the decision hit) and,
+   in the hyperblock study, without running formation either (the step
+   hit), and a genome whose decisions equal the baseline's scores
+   speedup exactly 1.0 off the baseline's artifact without simulating. *)
 let test_artifact_collision () =
   let stats ctx = Driver.Simcache.stats ctx.Driver.Study.sim in
   (* Measure [first] then [second] on train; [second] must be a decision
-     hit, hence an artifact hit.  Returns both speedups and the
-     simulation cache's stats with the simulations the pair ran. *)
+     hit, hence an artifact hit, and a step hit in the hyperblock study.
+     Returns both speedups and the simulation cache's stats with the
+     simulations the pair ran. *)
   let pair kind bench first second =
     let ctx =
       Driver.Study.create_with Driver.Study.default_config kind [ bench ]
@@ -377,13 +426,16 @@ let test_artifact_collision () =
     let st = stats ctx in
     let sims = st.Driver.Simcache.simulations in
     let s1 = speedup first in
-    let hits = Driver.Simcache.[ st.decision_hits; st.artifact_hits ] in
+    let hits =
+      Driver.Simcache.[ st.decision_hits; st.artifact_hits; st.step_hits ]
+    in
     let s2 = speedup second in
+    let step = if kind = Driver.Study.Hyperblock_study then 1 else 0 in
     Alcotest.(check (list int))
       (Driver.Study.kind_name kind
-     ^ ": the second genome is a decision hit and an artifact hit")
-      (List.map succ hits)
-      Driver.Simcache.[ st.decision_hits; st.artifact_hits ];
+     ^ ": the second genome's decision, artifact and step hits")
+      (List.map2 ( + ) [ 1; 1; step ] hits)
+      Driver.Simcache.[ st.decision_hits; st.artifact_hits; st.step_hits ];
     (s1, s2, st, st.Driver.Simcache.simulations - sims)
   in
   let real kind s =
@@ -428,6 +480,91 @@ let test_artifact_collision () =
       ~case:0 ~dataset:Benchmarks.Bench.Train
   in
   check_bits "baseline-equal artifact scores exactly 1.0" 1.0 s_lwd
+
+(* [Simcache.measure] = a fresh compile and reference simulation. *)
+let check_measure sim name ~machine ~heuristics ~dataset p =
+  let c = Driver.Compiler.compile ~machine ~heuristics p in
+  check_result name
+    (fst (Driver.Simcache.measure sim ~machine ~heuristics ~dataset p))
+    (Machine.Simulate.run ~engine:`Reference ~config:machine
+       ~schedule_cycles:c.Driver.Compiler.schedule_cycles
+       ~overrides:(Benchmarks.Bench.overrides p.Driver.Compiler.bench dataset)
+       c.Driver.Compiler.layout)
+
+let hb_heuristics s =
+  Driver.Study.heuristics_with Driver.Study.Hyperblock_study
+    (Gp.Expr.Real
+       (Gp.Sexp.parse_real Hyperblock.Features.feature_set s))
+
+(* The recorded steps' edge cases, each bit-identical to the slow path:
+   a candidate whose every step is recorded but whose decision vector
+   is new misses the tier and compiles; one prefix's steps never answer
+   another's functions of the same name; and a cache bounded at two
+   entries a table (the steps reset mid-run) still measures every
+   golden genome right. *)
+let test_recorded_steps () =
+  let machine = Driver.Study.machine_of Driver.Study.Hyperblock_study in
+  let train = Benchmarks.Bench.Train in
+  let counts sim =
+    let st = Driver.Simcache.stats sim in
+    Driver.Simcache.[ st.step_hits; st.decision_hits ]
+  in
+  (* epic's quantize attempts regions of at most 5 ops and its main,
+     along exec_ratio's decisions, regions of at least 8: the third
+     genome decides quantize like the second and main like the first,
+     so every step it takes is recorded, in a combination never
+     compiled. *)
+  let epic = prepare_for Driver.Study.Hyperblock_study "epic" in
+  let sim = Driver.Simcache.create () in
+  List.iter
+    (fun s ->
+      check_measure sim s ~machine ~heuristics:(hb_heuristics s)
+        ~dataset:train epic)
+    [ "exec_ratio"; "(sub 0.0 exec_ratio)" ];
+  let before = counts sim in
+  let mixed = "(tern (lt total_ops 6.0) (sub 0.0 exec_ratio) exec_ratio)" in
+  check_measure sim "recorded steps, new decisions" ~machine
+    ~heuristics:(hb_heuristics mixed) ~dataset:train epic;
+  Alcotest.(check (list int))
+    "walked, then missed the tier: step hits, decision hits"
+    (List.map2 ( + ) [ 1; 0 ] before)
+    (counts sim);
+  (* codrle4 and rawcaudio each have one function, main. *)
+  let codrle4 = prepare_for Driver.Study.Hyperblock_study "codrle4"
+  and rawcaudio = prepare_for Driver.Study.Hyperblock_study "rawcaudio" in
+  let sim = Driver.Simcache.create () in
+  let measure name s p =
+    check_measure sim name ~machine ~heuristics:(hb_heuristics s)
+      ~dataset:train p
+  in
+  measure "codrle4" "exec_ratio" codrle4;
+  measure "rawcaudio after codrle4" "exec_ratio" rawcaudio;
+  Alcotest.(check int)
+    "codrle4's steps do not answer rawcaudio" 0
+    (Driver.Simcache.stats sim).Driver.Simcache.step_hits;
+  measure "rawcaudio, same decisions" "(mul exec_ratio 2.0)" rawcaudio;
+  Alcotest.(check int)
+    "rawcaudio's own steps do" 1
+    (Driver.Simcache.stats sim).Driver.Simcache.step_hits;
+  let sim = Driver.Simcache.create ~max_artifacts:2 () in
+  let genomes = golden_genomes Driver.Study.Hyperblock_study in
+  List.iter
+    (fun dataset ->
+      List.iter
+        (fun p ->
+          List.iteri
+            (fun gi g ->
+              check_measure sim
+                (Printf.sprintf "bounded at 2: genome %d on %s" gi
+                   p.Driver.Compiler.bench.Benchmarks.Bench.name)
+                ~machine
+                ~heuristics:
+                  (Driver.Study.heuristics_with Driver.Study.Hyperblock_study
+                     g)
+                ~dataset p)
+            genomes)
+        [ codrle4; rawcaudio; epic ])
+    Benchmarks.Bench.[ Train; Novel ]
 
 (* A known trace key under a new schedule is answered from its stored
    summary from its second sighting on, a repeated schedule from the
@@ -600,6 +737,8 @@ let suite =
       test_study_compiled_vs_walk;
     Alcotest.test_case "artifact collision shares one simulation" `Slow
       test_artifact_collision;
+    Alcotest.test_case "recorded hyperblock steps: edge cases" `Slow
+      test_recorded_steps;
     Alcotest.test_case "simcache retimes a known trace key" `Slow
       test_simcache_retimes_known_key;
     Alcotest.test_case "fork baselines reach the parent's simcache" `Slow

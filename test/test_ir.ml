@@ -104,7 +104,7 @@ let test_loops () =
   let g = Ir.Cfg.build f in
   let loops = Ir.Cfg.loops g in
   Alcotest.(check int) "two loops" 2 (List.length loops);
-  let depth = Ir.Cfg.loop_depth g in
+  let depth = Ir.Cfg.loop_depth g loops in
   let i l = Ir.Cfg.index_of g l in
   Alcotest.(check int) "entry depth 0" 0 depth.(i "entry");
   Alcotest.(check int) "header depth 1" 1 depth.(i "header");
