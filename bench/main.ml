@@ -1145,24 +1145,6 @@ let micro () =
         ols)
     tests
 
-(* --- fuzz: differential-oracle campaign as a bench target ---------- *)
-
-let fuzz_target () =
-  let count =
-    match Sys.getenv_opt "METAOPT_FUZZ_COUNT" with
-    | Some s -> (try int_of_string s with _ -> 100)
-    | None -> 100
-  in
-  let seed =
-    match Sys.getenv_opt "METAOPT_FUZZ_SEED" with
-    | Some s -> (try int_of_string s with _ -> 0)
-    | None -> 0
-  in
-  Fmt.pr "differential fuzzing campaign (seed %d, count %d)@." seed count;
-  let summary = Fuzz.run ~seed ~count () in
-  Fmt.pr "%a" Fuzz.pp_summary summary;
-  if Fuzz.divergences summary > 0 then exit 1
-
 (* ------------------------------------------------------------------ *)
 
 let all_figures =
@@ -1172,7 +1154,7 @@ let all_figures =
     ("fig12", fig12); ("fig13", fig13); ("fig14", fig14); ("fig15", fig15);
     ("fig16", fig16); ("ext-sched", ext_sched); ("ablations", ablations);
     ("par", par); ("ckpt", ckpt); ("sim", sim); ("evalc", evalc);
-    ("report", report); ("micro", micro); ("fuzz", fuzz_target);
+    ("report", report); ("micro", micro);
   ]
 
 let () =

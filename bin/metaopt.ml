@@ -44,15 +44,19 @@ let gens =
 let seed =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"GP random seed")
 
-(* Reject a zero or negative worker count at parse time: the old
-   behaviour (silent clamping to sequential) hid misconfigured runs. *)
+(* Reject a worker count no pool accepts at parse time: zero or
+   negative (silent clamping to sequential hid misconfigured runs), or
+   above [Gp.Parmap.max_jobs] (a typo such as -j 40000 would fork that
+   many workers). *)
 let jobs_conv =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
+    | Some n when n >= 1 && n <= Gp.Parmap.max_jobs -> Ok n
     | Some n ->
       Error
-        (`Msg (Printf.sprintf "jobs must be a positive worker count (got %d)" n))
+        (`Msg
+          (Printf.sprintf "jobs must be a worker count in 1..%d (got %d)"
+             Gp.Parmap.max_jobs n))
     | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
   in
   Arg.conv (parse, Fmt.int)
@@ -60,8 +64,11 @@ let jobs_conv =
 let jobs =
   Arg.(value & opt jobs_conv 1
        & info [ "j"; "jobs" ]
-           ~doc:"Evaluate candidates on $(docv) parallel workers \
-                 (1 = sequential); must be positive"
+           ~doc:
+             (Printf.sprintf
+                "Evaluate candidates on $(docv) parallel workers \
+                 (1 = sequential); must be in 1..%d"
+                Gp.Parmap.max_jobs)
            ~docv:"N")
 
 (* Pool backend, checked against this platform's capabilities at parse
@@ -553,7 +560,10 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
-         "Differential fuzzing: random programs and genomes through the           eleven redundancy oracles (engine, replay, cache, simplify,           checkpoint, parmap, compiled_vs_walk, chaos_vs_clean,           warm_vs_cold, chunked_vs_seq, served_vs_local)")
+         "Differential fuzzing: random programs and genomes through the \
+          nine redundancy oracles (engine, replay, cache, simplify, \
+          checkpoint, parmap, compiled_vs_walk, chaos_vs_clean, \
+          served_vs_local)")
     Term.(
       const run
       $ Arg.(value & opt int 0 & info [ "seed" ] ~doc:"campaign base seed")

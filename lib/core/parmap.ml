@@ -28,31 +28,26 @@ type pool = {
   jobs : int;
   timeout_s : float option;
   retries : int;
-  backoff_s : float;
-  chunk_target_ms : float;
   chunk_min : int;
   chunk_max : int;
   ignored_limits : string list;
 }
 
+let max_jobs = 256
+
 let warned_ignored_limits = ref false
 
 let pool ?(backend = `Fork) ?(jobs = 1) ?timeout_s ?(retries = 1)
-    ?(backoff_s = 0.05) ?(chunk_target_ms = 2.0) ?(chunk_min = 1)
-    ?(chunk_max = 64) () =
-  if jobs < 1 then
+    ?(chunk_min = 1) ?(chunk_max = 64) () =
+  if jobs < 1 || jobs > max_jobs then
     invalid_arg
-      (Printf.sprintf
-         "Parmap.pool: jobs must be a positive worker count (got %d)" jobs);
+      (Printf.sprintf "Parmap.pool: jobs must be in 1..%d (got %d)" max_jobs
+         jobs);
   (match timeout_s with
   | Some t when (not (Float.is_finite t)) || t <= 0.0 ->
     invalid_arg "Parmap.pool: timeout_s must be a positive number of seconds"
   | _ -> ());
   if retries < 0 then invalid_arg "Parmap.pool: retries must be >= 0";
-  if (not (Float.is_finite backoff_s)) || backoff_s < 0.0 then
-    invalid_arg "Parmap.pool: backoff_s must be >= 0";
-  if (not (Float.is_finite chunk_target_ms)) || chunk_target_ms <= 0.0 then
-    invalid_arg "Parmap.pool: chunk_target_ms must be a positive number";
   if chunk_min < 1 then invalid_arg "Parmap.pool: chunk_min must be >= 1";
   if chunk_max < chunk_min then
     invalid_arg "Parmap.pool: chunk_max must be >= chunk_min";
@@ -76,17 +71,7 @@ let pool ?(backend = `Fork) ?(jobs = 1) ?timeout_s ?(retries = 1)
            ignored"
           (String.concat "/" ignored_limits))
   end;
-  {
-    backend;
-    jobs;
-    timeout_s;
-    retries;
-    backoff_s;
-    chunk_target_ms;
-    chunk_min;
-    chunk_max;
-    ignored_limits;
-  }
+  { backend; jobs; timeout_s; retries; chunk_min; chunk_max; ignored_limits }
 
 (* Every blocking syscall goes through here: a signal delivered while the
    parent is reaping or draining (SIGCHLD, a profiler's SIGPROF, an
@@ -144,24 +129,21 @@ let now () = Unix.gettimeofday ()
 (* --- Adaptive chunk sizing ----------------------------------------------- *)
 
 (* The scheduler amortizes one round-trip (a Marshal write down a
-   worker's pipe and the worker's wake-up) over a chunk of tasks sized so a chunk is worth ~[chunk_target_ms] of work, using
-   an EWMA of observed per-task cost.  The estimate is seeded from the
-   process-wide [parmap.task_s] telemetry when available, refined by
-   each finished chunk's mean per-task cost (one reply gap is too noisy
-   a sample: a single slow wake-up would shrink the next chunks
-   several-fold), and kept per handle as the workload drifts.  With no
-   estimate at all the first batch runs at [chunk_min] — the default,
-   1, is exactly the one-task protocol and the [`Seq]-compatible
-   reference. *)
+   worker's pipe and the worker's wake-up) over a chunk of tasks sized
+   so a chunk is worth ~[chunk_target_s] of work, using an EWMA of
+   observed per-task cost.  Each handle's estimate starts empty and is
+   refined by each finished chunk's mean per-task cost (one reply gap is
+   too noisy a sample: a single slow wake-up would shrink the next
+   chunks several-fold), so the schedule depends only on the handle's
+   own batches, never on whether telemetry is on.  With no estimate yet
+   the first batch runs at [chunk_min] — the default, 1, is exactly the
+   one-task protocol and the [`Seq]-compatible reference. *)
 
-let seed_ewma () =
-  if Telemetry.enabled () then begin
-    let h = Telemetry.histogram "parmap.task_s" in
-    if Telemetry.Histogram.count h > 0 then
-      Telemetry.Histogram.percentile h 50.0
-    else 0.0
-  end
-  else 0.0
+let chunk_target_s = 0.002
+
+(* A failed attempt's first retry waits this long; each later one
+   doubles it. *)
+let backoff_s = 0.05
 
 let ewma_update cur sample =
   if (not (Float.is_finite sample)) || sample <= 0.0 then cur
@@ -172,9 +154,10 @@ let ewma_update cur sample =
    estimate clamped to the pool's floor/ceiling, then capped so the
    batch still splits into at least [jobs] chunks — a floor above that
    cap would serialize the whole batch onto one worker. *)
-let chunk_length ~target_s ~cmin ~cmax ~jobs ~ewma ~tasks =
+let chunk_length ~cmin ~cmax ~jobs ~ewma ~tasks =
   let base =
-    if ewma > 0.0 then int_of_float (Float.round (target_s /. ewma)) else cmin
+    if ewma > 0.0 then int_of_float (Float.round (chunk_target_s /. ewma))
+    else cmin
   in
   let c = max cmin (min base cmax) in
   let cap = max 1 ((tasks + jobs - 1) / jobs) in
@@ -501,10 +484,9 @@ let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
   let task_hist = Telemetry.Histogram.create () in
   let queue_hist = Telemetry.Histogram.create () in
   let busy_s = ref 0.0 and dispatch_s = ref 0.0 in
-  if s.s_ewma <= 0.0 then s.s_ewma <- seed_ewma ();
   let clen =
-    chunk_length ~target_s:(p.chunk_target_ms /. 1000.0) ~cmin:p.chunk_min
-      ~cmax:p.chunk_max ~jobs:p.jobs ~ewma:s.s_ewma ~tasks:n
+    chunk_length ~cmin:p.chunk_min ~cmax:p.chunk_max ~jobs:p.jobs
+      ~ewma:s.s_ewma ~tasks:n
   in
   (* Chunks awaiting dispatch, stamped with the time they became ready;
      failed attempts wait out their backoff in [delayed], soonest
@@ -533,7 +515,7 @@ let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
             (Option.value ~default:0.0 p.timeout_s)));
     if attempt < p.retries then begin
       incr retried;
-      let delay = p.backoff_s *. (2.0 ** float_of_int attempt) in
+      let delay = backoff_s *. (2.0 ** float_of_int attempt) in
       delayed :=
         List.merge compare [ (now () +. delay, task, attempt + 1) ] !delayed
     end
@@ -735,7 +717,7 @@ let init_impl h =
     let t0 = if tel then Telemetry.now_s () else 0.0 in
     let w = spawn_workers h.h_pool h.h_f in
     if tel then Telemetry.observe "parmap.pool_spawn_s" (Telemetry.now_s () -. t0);
-    Pooled { s_pool = h.h_pool; s_w = w; s_ewma = seed_ewma () }
+    Pooled { s_pool = h.h_pool; s_w = w; s_ewma = 0.0 }
   | `Seq | `Fork -> Inproc
 
 let run_batch h xs =

@@ -33,25 +33,24 @@ val backend_of_name : string -> backend option
 (** Inverse of {!backend_name}. *)
 
 (** The one configuration record every pool entry point, [Evaluator],
-    [Study] and the CLI share. *)
+    [Study] and the CLI share.  Two scheduling values are constants, not
+    fields: a failed attempt's retry backoff starts at 0.05s and
+    doubles, and the scheduler groups tasks into chunks of about 2ms of
+    estimated work, using an EWMA of observed per-task cost that each
+    handle starts empty and refines as its chunks finish — so the
+    schedule never depends on whether {!Telemetry} is on. *)
 type pool = private {
   backend : backend;
-  jobs : int;
+  jobs : int;  (** pool width, [1..]{!max_jobs} *)
   timeout_s : float option;
       (** per-task deadline, enforced from the parent with SIGKILL on
           [`Fork] *)
   retries : int;  (** re-runs after crash/timeout on [`Fork] *)
-  backoff_s : float;  (** initial retry backoff, doubling *)
-  chunk_target_ms : float;
-      (** how much estimated work one dispatch round-trip should
-          amortize: the scheduler groups tasks into chunks of
-          ~[chunk_target_ms] milliseconds, using an EWMA of observed
-          per-task cost (seeded from [parmap.task_s] telemetry when
-          available, refined as each chunk finishes) *)
   chunk_min : int;
-      (** chunk-length floor.  The default, 1, makes an unseeded first
-          batch dispatch single tasks — exactly the one-task protocol
-          and the [-j1]-compatible reference. *)
+      (** chunk-length floor.  The default, 1, makes a handle's first
+          batch, which has no cost estimate yet, dispatch single tasks
+          — exactly the one-task protocol and the [-j1]-compatible
+          reference. *)
   chunk_max : int;  (** chunk-length ceiling *)
   ignored_limits : string list;
       (** supervision limits this backend cannot honor, recorded at
@@ -62,23 +61,24 @@ type pool = private {
           constructor default and is not flagged). *)
 }
 
+val max_jobs : int
+(** 256: the widest pool {!pool} accepts.  A wider one is a typo, not a
+    machine: each job is a forked worker process. *)
+
 val pool :
   ?backend:backend ->
   ?jobs:int ->
   ?timeout_s:float ->
   ?retries:int ->
-  ?backoff_s:float ->
-  ?chunk_target_ms:float ->
   ?chunk_min:int ->
   ?chunk_max:int ->
   unit ->
   pool
 (** Validating constructor (defaults: [`Fork], 1 job, no timeout, 1
-    retry, 0.05s backoff, 2ms chunk target, chunk bounds [1, 64]).
-    Rejects [jobs < 1] — a zero or negative worker count is a
+    retry, chunk bounds [1, 64]).  Rejects [jobs] outside
+    [1..]{!max_jobs} — a zero or negative worker count is a
     configuration error, not a request for sequential execution — as
-    well as non-positive [timeout_s], negative [retries], negative
-    [backoff_s], non-positive or non-finite [chunk_target_ms],
+    well as non-positive [timeout_s], negative [retries],
     [chunk_min < 1] and [chunk_max < chunk_min].  Force
     [~chunk_min:1 ~chunk_max:1] to pin the one-task protocol (useful
     when tasks are so coarse or so variable that any grouping risks
@@ -169,14 +169,15 @@ val run_supervised :
     deadline of [timeout_s] seconds per task, checked and enforced from
     the parent — a worker that hangs past it or dies is SIGKILLed or
     reaped, its slot respawned, and the task retried up to [retries]
-    times with exponential backoff starting at [backoff_s].  [f]'s side
+    times with exponential backoff starting at 0.05s.  [f]'s side
     effects stay in the children, even at one job.  [`Seq] (and [`Fork]
     without fork support): exception isolation only, sequentially, with
     [f]'s side effects observable; deadlines and retries are inert
     there (see {!pool.ignored_limits}).
 
-    On [`Fork], tasks are grouped into consecutive chunks sized by
-    {!pool.chunk_target_ms} and queued in one FIFO; each idle worker
+    On [`Fork], tasks are grouped into consecutive chunks of about 2ms
+    of estimated work, clamped to [[chunk_min, chunk_max]] (see
+    {!type:pool}), and queued in one FIFO; each idle worker
     takes the next chunk and replies member by member.  Supervision
     stays per task: each reply restarts the deadline for the next
     member, a failed task alone is charged and retried as a singleton,

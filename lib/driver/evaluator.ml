@@ -11,8 +11,6 @@ type fault_stats = {
   retried : int;
 }
 
-let no_faults = { crashed = 0; timed_out = 0; gave_up = 0; retried = 0 }
-
 let merge_faults a b =
   {
     crashed = a.crashed + b.crashed;
@@ -41,10 +39,11 @@ type t = {
   eval : Gp.Expr.genome -> int -> float;
   memo : (string * int, float) Hashtbl.t;   (* (canonical key, case) *)
   store : Shardstore.t option;              (* sharded digest -> fitness *)
-  (* The persistent worker pool, spawned lazily on the first supervised
-     batch and reused for the engine's lifetime — the warm state its
-     workers accumulate (decoded layouts, simulation caches) is the
-     whole point of keeping it alive between batches. *)
+  (* The pool handle every local batch runs on, created on the first
+     batch and reused for the engine's lifetime: on a supervised engine
+     its forked workers keep warm state (decoded layouts, simulation
+     caches) between batches, which is the whole point of keeping it
+     alive. *)
   mutable handle :
     (Gp.Expr.genome * string * int, float) Gp.Parmap.handle option;
   mutable evaluations : int;
@@ -96,9 +95,6 @@ let create ?(pool = Gp.Parmap.pool ()) ?cache_dir ?remote ~fs ~scope
     h_disk = 0;
     h_miss = 0;
   }
-
-let jobs t = t.pool.Gp.Parmap.jobs
-let backend t = t.pool.Gp.Parmap.backend
 
 let faults t =
   {
@@ -161,14 +157,26 @@ let lookup_counted t key case =
 
 (* A task's worker is supervised whenever its failure would otherwise be
    invisible or fatal: any multi-worker run, or any run with a deadline.
-   Plain sequential evaluation stays in-process (cheap, side effects
-   observable — tests rely on it) with exception isolation only.  The
-   [`Seq] backend is the always-sequential reference; [`Fork] degrades to
-   in-process when fork is unavailable on the platform. *)
+   Plain sequential evaluation runs on a [`Seq] handle instead —
+   in-process (cheap, side effects observable — tests rely on it) with
+   exception isolation only.  The [`Seq] backend is the
+   always-sequential reference; [`Fork] degrades to in-process when fork
+   is unavailable on the platform. *)
 let supervision_on t =
   t.pool.Gp.Parmap.backend = `Fork
   && Gp.Parmap.available
   && (t.pool.Gp.Parmap.jobs > 1 || t.pool.Gp.Parmap.timeout_s <> None)
+
+let handle t =
+  match t.handle with
+  | Some h -> h
+  | None ->
+    let pool =
+      if supervision_on t then t.pool else Gp.Parmap.pool ~backend:`Seq ()
+    in
+    let h = Gp.Parmap.create pool ~f:(fun (cg, _, case) -> t.eval cg case) in
+    t.handle <- Some h;
+    h
 
 let evaluate_batch t genomes ~cases =
   let tel = Gp.Telemetry.enabled () in
@@ -253,28 +261,9 @@ let evaluate_batch t genomes ~cases =
     record_outcomes outcomes
   | Some _ -> ()
   | None ->
-  if supervision_on t then begin
-    let handle =
-      match t.handle with
-      | Some h -> h
-      | None ->
-        let h =
-          Gp.Parmap.create t.pool ~f:(fun (cg, _, case) -> t.eval cg case)
-        in
-        t.handle <- Some h;
-        h
-    in
-    let outcomes, stats = Gp.Parmap.run_batch handle tasks in
+    let outcomes, stats = Gp.Parmap.run_batch (handle t) tasks in
     t.f_retried <- t.f_retried + stats.Gp.Parmap.retries;
-    record_outcomes outcomes
-  end
-  else
-    Array.iter
-      (fun ((cg, _, case) as task) ->
-        match t.eval cg case with
-        | v -> record_ok task v
-        | exception e -> record_fault task (`Crashed (Printexc.to_string e)))
-      tasks);
+    record_outcomes outcomes);
   if !entries <> [] then
     Option.iter (fun s -> Shardstore.append s (List.rev !entries)) t.store;
   if tel then begin

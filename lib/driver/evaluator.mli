@@ -8,15 +8,15 @@
       share one compile;
     + (key, case) pairs already known to the in-memory memo or the
       optional on-disk cache are answered without compiling;
-    + the remaining unique tasks fan out over a persistent
-      {!Gp.Parmap.handle} on the engine's pool — supervised whenever
-      the pool has more than one job or a [timeout_s].  The handle is
-      created on the first supervised batch and its workers then stay
-      resident for the engine's lifetime, keeping warm state (decoded
-      layout artifacts, simulation-cache entries) between batches; a
-      worker that crashes or exceeds the wall-clock deadline has its
-      slot respawned and the task retried (exponential backoff) without
-      disturbing the rest of the pool;
+    + the remaining unique tasks run on one persistent
+      {!Gp.Parmap.handle}, created on the first batch: the engine's
+      pool whenever it is supervised ([`Fork] with more than one job or
+      a [timeout_s]), else a [`Seq] handle, in-process.  A supervised
+      handle's workers stay resident for the engine's lifetime, keeping
+      warm state (decoded layout artifacts, simulation-cache entries)
+      between batches; a worker that crashes or exceeds the wall-clock
+      deadline has its slot respawned and the task retried (exponential
+      backoff) without disturbing the rest of the pool;
     + fresh results are folded back into both caches.
 
     The fault model separates candidate failures from infrastructure
@@ -31,7 +31,7 @@
     The on-disk cache is a {!Shardstore}: a content-addressed store
     under [cache_dir], keyed by a digest of (scope, case name, canonical
     expression) and sharded by digest prefix over
-    {!Shardstore.default_shards} append-only files, each under its own
+    {!Shardstore.shards} append-only files, each under its own
     advisory [lockf].
     It survives across runs and is shared by any study pointing at the
     same directory; concurrent runs only contend when a batch touches
@@ -44,9 +44,7 @@
     an [evaluator.cache_write_errors] telemetry count, no further
     appends to that shard ({!disk_degraded}) — the other shards keep
     persisting, and never an abort — a full disk must not kill a
-    week-long campaign.  The pre-shard single-file cache
-    (fitness-cache.tsv) is still read on open, so old cache directories
-    keep serving hits.
+    week-long campaign.
 
     With {!Gp.Telemetry} enabled, every batch emits one [kind = "cache"]
     record (memo/disk hit counts, misses, hit rate, evaluations, faults,
@@ -66,7 +64,6 @@ type fault_stats = {
   retried : int;
 }
 
-val no_faults : fault_stats
 val merge_faults : fault_stats -> fault_stats -> fault_stats
 
 (** Request-level cache classification accumulated over this engine's
@@ -126,17 +123,14 @@ val create :
     include everything the fitness depends on besides the genome and
     case: study, machine, dataset.
     Results are sanitized: non-finite or negative values score 0.  With
-    one job and no [timeout_s] (or [`Seq]), evaluation is sequential
-    in-process (side effects of [eval] remain observable; a raising
-    [eval] is recorded as a crash fault).
+    one job and no [timeout_s] (or [`Seq]), evaluation runs on a
+    [`Seq] handle, sequential and in-process (side effects of [eval]
+    remain observable; a raising [eval] is recorded as a crash
+    fault).
     With [remote] (see {!type:remote}), misses are shipped to the
     dispatcher instead of any local pool — [eval] is then never called
     and no worker pool is spawned; the memo and hit accounting work
     unchanged. *)
-
-val jobs : t -> int
-
-val backend : t -> Gp.Parmap.backend
 
 val faults : t -> fault_stats
 (** Fault counters accumulated over this engine's lifetime. *)
@@ -156,6 +150,6 @@ val evolve_evaluator : t -> Gp.Evolve.evaluator
 (** The engine as an {!Gp.Evolve.evaluator}, for {!Gp.Evolve.problem}. *)
 
 val shutdown : t -> unit
-(** Tear down the engine's persistent worker pool, if one was spawned
-    (see {!Gp.Parmap.shutdown}).  Idempotent; a later supervised batch
-    spawns a fresh pool.  Caches and counters are unaffected. *)
+(** Tear down the engine's pool handle and its workers, if any were
+    spawned (see {!Gp.Parmap.shutdown}).  Idempotent; a later batch
+    creates a fresh handle.  Caches and counters are unaffected. *)

@@ -1,20 +1,17 @@
 (* A content-addressed fitness store sharded by digest prefix.
 
-   The evaluator's disk cache used to be one append-only file under one
-   advisory lock, so every study sharing a --cache-dir serialized every
-   batch append on that single lockf.  This module splits the store into
-   [shards] append-only files (shard-00.tsv .. shard-0f.tsv by default),
-   each under its own per-shard lockf: writers touching disjoint shards
-   never contend, and a shard whose filesystem fails degrades alone
-   instead of silencing the whole store.
+   The store is [shards] (16) append-only files, shard-00.tsv ..
+   shard-0f.tsv, each under its own per-shard lockf: writers touching
+   disjoint shards never contend, and a shard whose filesystem fails
+   degrades alone instead of silencing the whole store.
 
-   Layout is unchanged per line — "digest value\n", 32-hex-char digest,
-   hex float — so lines are exact round-trips and strict validation can
-   reject torn writes.  A digest's shard is its first byte (two hex
-   chars) mod [shards], a pure function of content, so any process with
-   the same shard count finds entries where any other left them.  The
-   legacy single-file cache (fitness-cache.tsv) is still read on open,
-   read-only, so stores written by older runs keep serving hits.
+   One line per entry — "digest value\n", 32-hex-char digest, hex float
+   — so lines are exact round-trips and strict validation can reject
+   torn writes.  A digest's shard is its first byte (two hex chars) mod
+   16, a pure function of content, so any process finds entries where
+   any other left them.  Only these 16 files are read: any other file in
+   the directory is ignored, and an entry held nowhere else is
+   recomputed, never answered wrongly.
 
    Compaction happens on load: a shard whose file contains malformed
    lines (torn by a killed writer) or superseded duplicate digests is
@@ -26,7 +23,6 @@
 
 type t = {
   dir : string;
-  shards : int;
   tbl : (string, float) Hashtbl.t; (* digest -> fitness, all shards merged *)
   degraded : bool array; (* per shard, sticky for the store's lifetime *)
   mutable appends : int; (* 1-based per-shard-write counter; chaos-site key *)
@@ -34,15 +30,13 @@ type t = {
   mutable write_errors : int;
 }
 
-let default_shards = 16
+let shards = 16
 
 let shard_file t i = Filename.concat t.dir (Printf.sprintf "shard-%02x.tsv" i)
 
-let legacy_file dir = Filename.concat dir "fitness-cache.tsv"
-
-(* Strict line validation, identical to the legacy loader's: the digest
-   must be exactly the 32 lowercase hex characters [Digest.to_hex]
-   produces and the value must parse to a finite float. *)
+(* Strict line validation: the digest must be exactly the 32 lowercase
+   hex characters [Digest.to_hex] produces and the value must parse to a
+   finite float. *)
 let is_hex_digest s =
   String.length s = 32
   && String.for_all
@@ -65,7 +59,7 @@ let hex_val c =
   if c >= '0' && c <= '9' then Char.code c - Char.code '0'
   else Char.code c - Char.code 'a' + 10
 
-let shard_of t digest = ((hex_val digest.[0] * 16) + hex_val digest.[1]) mod t.shards
+let shard_of digest = ((hex_val digest.[0] * 16) + hex_val digest.[1]) mod shards
 
 let render entries =
   let buf = Buffer.create 256 in
@@ -100,7 +94,8 @@ let lock_exclusive fd =
    or superseded lines.  The whole pass runs under the shard's exclusive
    lock so a concurrent appender can neither tear our read nor lose an
    append between our read and the rewrite. *)
-let load_shard_path t path =
+let load_shard t i =
+  let path = shard_file t i in
   match
     retry_eintr (fun () -> Unix.openfile path [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0)
   with
@@ -154,46 +149,12 @@ let load_shard_path t path =
                 path !malformed !dups !lines)
         end)
 
-(* The legacy single-file store is only ever read (shared lock), never
-   compacted or appended: new results go to the shards. *)
-let load_legacy t =
-  let path = legacy_file t.dir in
-  match
-    retry_eintr (fun () ->
-        Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0)
-  with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    (try retry_eintr (fun () -> Unix.lockf fd Unix.F_RLOCK 0)
-     with Unix.Unix_error _ -> ());
-    let ic = Unix.in_channel_of_descr fd in
-    let malformed = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         if line <> "" then
-           match parse_line line with
-           | Some (digest, v) -> Hashtbl.replace t.tbl digest v
-           | None -> incr malformed
-       done
-     with End_of_file -> ());
-    if !malformed > 0 then
-      Logs.warn (fun m ->
-          m "fitness cache %s: skipped %d malformed line%s" path !malformed
-            (if !malformed = 1 then "" else "s"));
-    close_in ic
-
-let open_store ?(shards = default_shards) dir =
-  if shards < 1 || shards > 256 then
-    invalid_arg
-      (Printf.sprintf "Shardstore.open_store: shards must be in 1..256 (got %d)"
-         shards);
+let open_store dir =
   (try if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
    with Unix.Unix_error _ -> ());
   let t =
     {
       dir;
-      shards;
       tbl = Hashtbl.create 1024;
       degraded = Array.make shards false;
       appends = 0;
@@ -201,25 +162,9 @@ let open_store ?(shards = default_shards) dir =
       write_errors = 0;
     }
   in
-  load_legacy t;
   for i = 0 to shards - 1 do
-    load_shard_path t (shard_file t i)
+    load_shard t i
   done;
-  (* Shard files left by a run with a larger shard count sit above this
-     store's addressing range; load them too so their entries keep
-     serving hits (new appends of those digests land in range). *)
-  Array.iter
-    (fun f ->
-      if
-        String.length f = 12
-        && String.sub f 0 6 = "shard-"
-        && Filename.check_suffix f ".tsv"
-      then
-        match int_of_string_opt ("0x" ^ String.sub f 6 2) with
-        | Some i when i >= shards ->
-          load_shard_path t (Filename.concat dir f)
-        | _ -> ())
-    (try Sys.readdir dir with Sys_error _ -> [||]);
   if t.evictions > 0 then
     Gp.Telemetry.incr ~by:t.evictions "evaluator.cache_evictions";
   t
@@ -228,13 +173,9 @@ let find t digest = Hashtbl.find_opt t.tbl digest
 
 let mem_any_degraded t = Array.exists Fun.id t.degraded
 
-let all_degraded t = Array.for_all Fun.id t.degraded
-
 let evictions t = t.evictions
 
 let write_errors t = t.write_errors
-
-let shards t = t.shards
 
 let degrade t i reason =
   t.degraded.(i) <- true;
@@ -341,11 +282,11 @@ let append t entries =
       entries
   in
   if entries <> [] then begin
-    let groups = Array.make t.shards [] in
+    let groups = Array.make shards [] in
     List.iter
       (fun ((digest, v) as e) ->
         Hashtbl.replace t.tbl digest v;
-        let i = shard_of t digest in
+        let i = shard_of digest in
         groups.(i) <- e :: groups.(i))
       entries;
     Array.iteri (fun i g -> append_shard t i (List.rev g)) groups

@@ -2,16 +2,17 @@
     sharded by digest prefix.
 
     One {!open_store} per cache directory: entries ("digest value"
-    lines, hex floats for exact round-trips) are spread over [shards]
-    append-only files by the first byte of their digest, each file under
-    its own advisory [lockf].  Concurrent studies sharing a --cache-dir
-    therefore only contend when they touch the same shard, and a shard
-    whose filesystem fails (ENOSPC, a revoked mount) degrades alone —
-    the other shards keep persisting.
+    lines, hex floats for exact round-trips) are spread over the
+    {!shards} append-only files [shard-00.tsv] .. [shard-0f.tsv] by the
+    first byte of their digest, each file under its own advisory
+    [lockf].  Concurrent studies sharing a --cache-dir therefore only
+    contend when they touch the same shard, and a shard whose filesystem
+    fails (ENOSPC, a revoked mount) degrades alone — the other shards
+    keep persisting.
 
-    Opening the store loads every shard plus the legacy single-file
-    cache (fitness-cache.tsv, read-only) into one in-memory table, and
-    {e compacts} any shard holding torn or superseded lines: the shard
+    Opening the store loads those files, and no others, into one
+    in-memory table, and {e compacts} any shard holding torn or
+    superseded lines: the shard
     is rewritten in place under its exclusive lock (truncate + rewrite,
     never rename, so a concurrent appender cannot be stranded on an
     unlinked inode) and every dropped line is counted as an eviction
@@ -34,17 +35,12 @@
 
 type t
 
-val default_shards : int
-(** 16. *)
+val shards : int
+(** 16: the number of shard files, part of the store's addressing. *)
 
-val open_store : ?shards:int -> string -> t
-(** [open_store ~shards dir] creates [dir] if needed, loads legacy +
-    shard files, and compacts damaged shards.  The shard count is part
-    of the store's addressing: open a directory with the same count it
-    was written with, or entries land in (and are looked up from) the
-    wrong shard files — they are still found on load, which reads every
-    shard, but append-time dedup across counts is not attempted.
-    @raise Invalid_argument unless [1 <= shards <= 256]. *)
+val open_store : string -> t
+(** [open_store dir] creates [dir] if needed, loads the shard files and
+    compacts damaged ones. *)
 
 val find : t -> string -> float option
 (** Lookup by 32-hex-char digest in the merged in-memory table. *)
@@ -56,24 +52,14 @@ val append : t -> (string * float) list -> unit
     are silently dropped; the entries still enter the in-memory table,
     so the running process keeps its hits either way. *)
 
-val shard_of : t -> string -> int
-(** The shard index a digest lives in (pure function of content). *)
+val shard_of : string -> int
+(** The shard index a digest lives in: its first byte mod {!shards}. *)
 
 val shard_file : t -> int -> string
 (** The path of shard [i]'s file. *)
 
-val legacy_file : string -> string
-(** [legacy_file dir] is the pre-shard single-file cache path
-    ([dir/fitness-cache.tsv]); read on open, never written. *)
-
-val shards : t -> int
-(** The configured shard count. *)
-
 val mem_any_degraded : t -> bool
 (** Whether at least one shard has stopped persisting (sticky). *)
-
-val all_degraded : t -> bool
-(** Whether every shard has stopped persisting. *)
 
 val evictions : t -> int
 (** Lines dropped by compaction on load. *)

@@ -238,40 +238,76 @@ let prepare_benches kind bench_names =
        (fun n -> Compiler.prepare ~opt_config (Benchmarks.Registry.find n))
        bench_names)
 
-(* Build the evaluation closure a daemon worker runs for one study
-   shape: prepared benches, sequential baselines, and the exact
-   [speedup_against] pipeline a local context's engines dispatch —
+(* What every evaluation of one study shape shares, built in one place
+   for a local context and a daemon's service alike: the prepared
+   benches, the baseline (cycles, checksum) per case on both datasets,
+   and the [speedup_against] closure over them.
+
+   The baselines (cheap, one genome) run across [pool] like any other
+   batch when one is given and there is more than one case; a failed
+   cell is then recomputed in-process because baselines must exist.
+   Otherwise they run in-process.  A forked child's simulation table
+   dies with it, so each cell carries its artifact entry back for this
+   table, which a context's persistent evaluation workers then
+   inherit. *)
+let build ?pool ~machine ~fast_sim ~compiled_eval kind bench_names =
+  let sim = Simcache.create ~enabled:fast_sim () in
+  let prepared = prepare_benches kind bench_names in
+  let base = baseline_genome_of kind in
+  let baseline_for dataset =
+    let measure case =
+      run_entry ~compiled_eval ~kind ~machine ~prepared ~sim base ~case
+        ~dataset
+    in
+    let cases = Array.init (Array.length prepared) Fun.id in
+    let cells =
+      match pool with
+      | Some pool when Array.length cases > 1 ->
+        Array.map2
+          (fun case -> function
+            | Gp.Parmap.Ok cell -> cell
+            | Gp.Parmap.Crashed _ | Gp.Parmap.Timed_out | Gp.Parmap.Gave_up ->
+              measure case)
+          cases
+          (fst (Gp.Parmap.run_supervised pool measure cases))
+      | _ -> Array.map measure cases
+    in
+    Array.map
+      (fun (cell, entry) ->
+        Option.iter (Simcache.adopt sim) entry;
+        cell)
+      cells
+  in
+  let baseline_train = baseline_for Benchmarks.Bench.Train in
+  let baseline_novel = baseline_for Benchmarks.Bench.Novel in
+  let speedup dataset g case =
+    let baselines =
+      match dataset with
+      | Benchmarks.Bench.Train -> baseline_train
+      | Benchmarks.Bench.Novel -> baseline_novel
+    in
+    speedup_against ~compiled_eval ~kind ~machine ~prepared ~sim ~baselines g
+      ~case ~dataset
+  in
+  (sim, prepared, baseline_train, baseline_novel, speedup)
+
+(* The evaluation closure a daemon worker runs for one study shape —
    called with the client's canonical genome, never re-canonicalized, so
    a served result is bit-identical to the local one.  Baselines here
-   are sequential: the caller IS a pool worker (or lazily building in
+   run in-process: the caller IS a pool worker (or lazily building in
    the daemon parent) and must not nest pools. *)
 let service_of ?machine:machine_override ?(fast_sim = true)
     ?(compiled_eval = true) (kind : kind) (bench_names : string list) :
     service =
   let machine = Option.value ~default:(machine_of kind) machine_override in
-  let sim = Simcache.create ~enabled:fast_sim () in
-  let prepared = prepare_benches kind bench_names in
-  let base = baseline_genome_of kind in
-  let baseline_for dataset =
-    Array.init (Array.length prepared) (fun case ->
-        run_raw ~compiled_eval ~kind ~machine ~prepared ~sim base ~case
-          ~dataset)
+  let _, prepared, _, _, speedup =
+    build ~machine ~fast_sim ~compiled_eval kind bench_names
   in
-  let baseline_train = baseline_for Benchmarks.Bench.Train in
-  let baseline_novel = baseline_for Benchmarks.Bench.Novel in
   {
     svc_n_cases = Array.length prepared;
     svc_case_name =
       (fun i -> prepared.(i).Compiler.bench.Benchmarks.Bench.name);
-    svc_eval =
-      (fun dataset g case ->
-        let baselines =
-          match dataset with
-          | Benchmarks.Bench.Train -> baseline_train
-          | Benchmarks.Bench.Novel -> baseline_novel
-        in
-        speedup_against ~compiled_eval ~kind ~machine ~prepared ~sim
-          ~baselines g ~case ~dataset);
+    svc_eval = speedup;
   }
 
 let service_of_desc (d : remote_desc) =
@@ -282,9 +318,6 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
     context =
   let machine = Option.value ~default:(machine_of kind) cfg.machine in
   let compiled_eval = cfg.compiled_eval in
-  let sim = Simcache.create ~enabled:cfg.fast_sim () in
-  let prepared = prepare_benches kind bench_names in
-  let base = baseline_genome_of kind in
   let remote_h =
     Option.map
       (fun socket ->
@@ -298,47 +331,20 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
           })
       cfg.remote
   in
-  (* One pool shape for the whole context: the baselines below and both
-     dataset evaluators. *)
+  (* One pool shape for the whole context: the baselines and both
+     dataset evaluators.  With one job, and in served mode, where this
+     process does no candidate evaluation, the baselines run in-process
+     rather than spinning up workers just for them. *)
   let pool =
     Gp.Parmap.pool ~backend:cfg.backend ~jobs:cfg.jobs ?timeout_s:cfg.timeout_s
       ~retries:cfg.retries ()
   in
-  let baseline_for dataset =
-    let measure case =
-      run_entry ~compiled_eval ~kind ~machine ~prepared ~sim base ~case
-        ~dataset
-    in
-    let cases = Array.init (Array.length prepared) Fun.id in
-    (* Across the pool at -jN like any other batch; a failed cell is
-       recomputed in-process because baselines must exist.  With one
-       job or one case, and in served mode, where this process does no
-       candidate evaluation, the baselines (cheap, one genome) run
-       in-process rather than spinning up workers just for them.  A
-       forked child's simulation table dies with it, so each cell
-       carries its artifact entry back for the parent's table, which
-       the persistent evaluation workers then inherit. *)
-    let cells =
-      if Option.is_some remote_h || cfg.jobs = 1 || Array.length cases < 2
-      then Array.map measure cases
-      else
-        Array.map2
-          (fun case -> function
-            | Gp.Parmap.Ok cell -> cell
-            | Gp.Parmap.Crashed _ | Gp.Parmap.Timed_out | Gp.Parmap.Gave_up ->
-              measure case)
-          cases
-          (fst (Gp.Parmap.run_supervised pool measure cases))
-    in
-    Array.map
-      (fun (cell, entry) ->
-        Option.iter (Simcache.adopt sim) entry;
-        cell)
-      cells
+  let sim, prepared, baseline_train, baseline_novel, speedup =
+    build
+      ?pool:(if remote_h = None && cfg.jobs > 1 then Some pool else None)
+      ~machine ~fast_sim:cfg.fast_sim ~compiled_eval kind bench_names
   in
-  let baseline_train = baseline_for Benchmarks.Bench.Train in
-  let baseline_novel = baseline_for Benchmarks.Bench.Novel in
-  let evaluator_for baselines dataset =
+  let evaluator_for dataset =
     Evaluator.create ~pool
       ?cache_dir:(if remote_h = None then cfg.cache_dir else None)
       ?remote:(Option.map (fun h -> h.rh_eval dataset) remote_h)
@@ -348,10 +354,7 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
            machine.Machine.Config.name (dataset_name dataset))
       ~case_name:(fun i ->
         prepared.(i).Compiler.bench.Benchmarks.Bench.name)
-      ~eval:(fun g case ->
-        speedup_against ~compiled_eval ~kind ~machine ~prepared ~sim
-          ~baselines g ~case ~dataset)
-      ()
+      ~eval:(speedup dataset) ()
   in
   {
     kind;
@@ -360,15 +363,11 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
     prepared;
     baseline_train;
     baseline_novel;
-    eval_train = evaluator_for baseline_train Benchmarks.Bench.Train;
-    eval_novel = evaluator_for baseline_novel Benchmarks.Bench.Novel;
+    eval_train = evaluator_for Benchmarks.Bench.Train;
+    eval_novel = evaluator_for Benchmarks.Bench.Novel;
     sim;
     remote = remote_h;
   }
-
-let evaluator_of (ctx : context) = function
-  | Benchmarks.Bench.Train -> ctx.eval_train
-  | Benchmarks.Bench.Novel -> ctx.eval_novel
 
 let faults (ctx : context) =
   Evaluator.merge_faults

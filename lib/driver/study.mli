@@ -105,9 +105,10 @@ type service = {
 val service_of :
   ?machine:Machine.Config.t -> ?fast_sim:bool -> ?compiled_eval:bool ->
   kind -> string list -> service
-(** Prepare the benchmarks, compute sequential baselines on both
+(** Prepare the benchmarks, compute in-process baselines on both
     datasets, and return the exact evaluation pipeline a local context's
-    engines would dispatch.  Genomes passed to [svc_eval] must already be
+    engines would dispatch — {!create_with} builds its own through the
+    same code.  Genomes passed to [svc_eval] must already be
     canonical (the client canonicalized before digesting); they are
     evaluated as given.  Safe to call lazily inside a pool worker — it
     spawns no pools of its own. *)
@@ -152,8 +153,6 @@ val create_with : config -> kind -> string list -> context
     [compiled_eval] selects {!Gp.Evalc} bytecode (default) versus the
     {!Gp.Eval} tree-walker for heuristic expressions.  Results are
     bit-identical across all of these switches. *)
-
-val evaluator_of : context -> Benchmarks.Bench.dataset -> Evaluator.t
 
 val faults : context -> Evaluator.fault_stats
 (** Combined fault counters of both dataset evaluators. *)

@@ -1,18 +1,18 @@
-(** The eleven differential oracles.
+(** The nine differential oracles.
 
     Each oracle runs one seeded trial of a redundancy the repo's results
     rest on — fast vs reference interpreter, retimed cycle summary vs
     fresh simulation, cache hit vs recomputation, [Eval] vs
     [Eval . Simplify], checkpoint-resume vs straight evolution,
-    [Parmap]'s [`Seq] reference vs the fork pool at many jobs, [Evalc] compiled bytecode vs the [Eval] tree-walker, a
-    chaos-injected supervised run vs the fault-free [`Seq] -j1
-    reference, a warm persistent worker pool over several batches
-    vs a cold one-shot pool, chunked dispatch under a random
-    chunk floor/ceiling with a napping straggler (the rest of the pool
-    draining the queue meanwhile) vs the [`Seq] reference, and a study
-    evaluated against a [metaopt serve] daemon (with a worker kill
-    injected in the daemon on odd seeds) vs the same study on a local
-    pool — comparing every float through [Int64.bits_of_float].
+    [Parmap]'s [`Seq] reference vs one warm fork pool over several
+    batches (random width and chunk floor/ceiling, chunk lengths driven
+    by the handle's cost estimate, a napping straggler while the rest
+    of the pool drains the queue), [Evalc] compiled bytecode vs the
+    [Eval] tree-walker, a chaos-injected supervised run vs the
+    fault-free [`Seq] -j1 reference, and a study evaluated against a
+    [metaopt serve] daemon (with a worker kill injected in the daemon
+    on odd seeds) vs the same study on a local pool — comparing every
+    float through [Int64.bits_of_float].
     Failures come back as a replayable report with a greedily shrunk
     counterexample. *)
 
@@ -28,8 +28,7 @@ type t = {
 
 val all : t list
 (** engine, replay, cache, simplify, checkpoint, parmap,
-    compiled_vs_walk, chaos_vs_clean, warm_vs_cold, chunked_vs_seq,
-    served_vs_local. *)
+    compiled_vs_walk, chaos_vs_clean, served_vs_local. *)
 
 val find : string -> t option
 val names : string list

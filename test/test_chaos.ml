@@ -171,7 +171,7 @@ let test_cache_degrades_on_enospc () =
         Gp.Sexp.to_string Fuzz.Genome_gen.fs (Gp.Simplify.genome genome)
       in
       let shard case =
-        Driver.Shardstore.shard_of store
+        Driver.Shardstore.shard_of
           (Digest.to_hex
              (Digest.string
                 (Printf.sprintf "chaos/cache\x00case%d\x00%s" case key)))

@@ -46,8 +46,8 @@ let read_lines path =
 
 (* --- The supervised pool -------------------------------------------------- *)
 
-let fork_pool ?(jobs = jobs) ?timeout_s ?retries ?backoff_s () =
-  Gp.Parmap.pool ~backend:`Fork ~jobs ?timeout_s ?retries ?backoff_s ()
+let fork_pool ?(jobs = jobs) ?timeout_s ?retries () =
+  Gp.Parmap.pool ~backend:`Fork ~jobs ?timeout_s ?retries ()
 
 let test_all_ok () =
   let outcomes, stats =
@@ -83,7 +83,7 @@ let hang_retry_recovers ?nap () =
       let f = FI.wrap ~dir ~plan (fun x -> x + 100) in
       let outcomes, stats =
         Gp.Parmap.run_supervised
-          (fork_pool ~timeout_s:0.3 ~retries:2 ~backoff_s:0.01 ())
+          (fork_pool ~timeout_s:0.3 ~retries:2 ())
           f (Array.init 6 Fun.id)
       in
       Array.iteri
@@ -102,7 +102,7 @@ let test_hang_exhausts_retries () =
       let f = FI.wrap ~dir ~plan:(fun _ _ -> Some FI.Hang) (fun x -> x) in
       let outcomes, stats =
         Gp.Parmap.run_supervised
-          (fork_pool ~jobs:1 ~timeout_s:0.2 ~retries:1 ~backoff_s:0.01 ())
+          (fork_pool ~jobs:1 ~timeout_s:0.2 ~retries:1 ())
           f [| 0 |]
       in
       check_outcome "abandoned" "Gave_up" outcomes.(0);
@@ -166,7 +166,7 @@ let test_fail_first_n_then_ok () =
       let f = FI.wrap ~dir ~plan (fun x -> x + 7) in
       let outcomes, stats =
         Gp.Parmap.run_supervised
-          (fork_pool ~jobs:1 ~timeout_s:10.0 ~retries:2 ~backoff_s:0.01 ())
+          (fork_pool ~jobs:1 ~timeout_s:10.0 ~retries:2 ())
           f [| 5 |]
       in
       (match outcomes.(0) with

@@ -161,31 +161,33 @@ let test_pool_validation () =
   expect_invalid "timeout_s < 0" (fun () ->
       Gp.Parmap.pool ~timeout_s:(-1.0) ());
   expect_invalid "retries < 0" (fun () -> Gp.Parmap.pool ~retries:(-1) ());
-  expect_invalid "backoff_s < 0" (fun () -> Gp.Parmap.pool ~backoff_s:(-0.1) ());
   expect_invalid "chunk_min = 0" (fun () -> Gp.Parmap.pool ~chunk_min:0 ());
   expect_invalid "chunk_min < 0" (fun () -> Gp.Parmap.pool ~chunk_min:(-2) ());
   expect_invalid "chunk_max < chunk_min" (fun () ->
       Gp.Parmap.pool ~chunk_min:4 ~chunk_max:2 ());
-  expect_invalid "chunk_target_ms = 0" (fun () ->
-      Gp.Parmap.pool ~chunk_target_ms:0.0 ());
-  expect_invalid "chunk_target_ms < 0" (fun () ->
-      Gp.Parmap.pool ~chunk_target_ms:(-1.0) ());
-  expect_invalid "chunk_target_ms nan" (fun () ->
-      Gp.Parmap.pool ~chunk_target_ms:nan ());
   let p =
-    Gp.Parmap.pool ~backend:`Seq ~jobs:3 ~retries:2 ~chunk_target_ms:5.0
-      ~chunk_min:2 ~chunk_max:32 ()
+    Gp.Parmap.pool ~backend:`Seq ~jobs:3 ~retries:2 ~chunk_min:2 ~chunk_max:32
+      ()
   in
   Alcotest.(check int) "valid pool keeps jobs" 3 p.Gp.Parmap.jobs;
   Alcotest.(check int) "valid pool keeps retries" 2 p.Gp.Parmap.retries;
-  Alcotest.(check (float 0.0)) "valid pool keeps chunk target" 5.0
-    p.Gp.Parmap.chunk_target_ms;
   Alcotest.(check int) "valid pool keeps chunk floor" 2 p.Gp.Parmap.chunk_min;
   Alcotest.(check int) "valid pool keeps chunk ceiling" 32
     p.Gp.Parmap.chunk_max;
   (* a pinned chunk of one is the one-task reference protocol and must
      be accepted *)
   ignore (Gp.Parmap.pool ~chunk_min:1 ~chunk_max:1 ())
+
+(* A worker count no machine can use is a typo: the constructor rejects
+   it before anything forks.  Only pool records are built here — no
+   handle, no batch — so no test ever starts workers at these widths. *)
+let test_jobs_ceiling () =
+  Alcotest.(check int) "the ceiling" 256 Gp.Parmap.max_jobs;
+  (match Gp.Parmap.pool ~jobs:257 () with
+  | _ -> Alcotest.fail "jobs = 257 was accepted"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "jobs = 256 accepted" 256
+    (Gp.Parmap.pool ~jobs:256 ()).Gp.Parmap.jobs
 
 let test_capabilities () =
   Alcotest.(check (list string))
@@ -323,8 +325,6 @@ let test_disk_cache_roundtrip () =
         (Driver.Evaluator.evaluations e2);
       Alcotest.(check int) "entries persisted in shard files" 2
         (List.length (store_lines dir));
-      Alcotest.(check bool) "legacy single file never written" false
-        (Sys.file_exists (Driver.Shardstore.legacy_file dir));
       (* A different scope misses. *)
       let e3 =
         Driver.Evaluator.create ~cache_dir:dir
@@ -369,9 +369,7 @@ let test_corrupted_cache_lines () =
       (* Corrupt every shard file holding an entry with every malformed
          flavour the reader must survive: free text, a short digest,
          non-hex, a non-finite value, an unparsable value, binary junk,
-         an empty line, and a truncated final line with no newline.  Also
-         drop in a legacy single-file cache of pure garbage — it must be
-         skipped (with a warning), never compacted. *)
+         an empty line, and a truncated final line with no newline. *)
       let damage file =
         let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
         output_string oc "this is not a cache line\n";
@@ -387,9 +385,6 @@ let test_corrupted_cache_lines () =
       let damaged = store_files dir in
       Alcotest.(check bool) "entries were persisted" true (damaged <> []);
       List.iter damage damaged;
-      let legacy = Driver.Shardstore.legacy_file dir in
-      damage legacy;
-      let legacy_size = (Unix.stat legacy).Unix.st_size in
       (* A fresh engine over the damaged store loads without raising and
          still serves the two intact entries from disk. *)
       let e2 = mk () in
@@ -418,9 +413,7 @@ let test_corrupted_cache_lines () =
             (read_lines file))
         damaged;
       Alcotest.(check int) "compacted shards hold the intact entries" 2
-        (List.length (store_lines dir));
-      Alcotest.(check int) "legacy file untouched" legacy_size
-        (Unix.stat legacy).Unix.st_size)
+        (List.length (store_lines dir)))
 
 (* Two concurrent runs appending to one shared --cache-dir: the advisory
    [lockf] plus single-write appends must keep every line whole.  Each
@@ -589,9 +582,11 @@ let test_handle_shutdown_semantics () =
 (* --- Worker descriptors and shutdown ------------------------------------- *)
 
 let with_telemetry f =
-  let sink, _ = Gp.Telemetry.memory_sink () in
+  let sink, records = Gp.Telemetry.memory_sink () in
   Gp.Telemetry.set_sink (Some sink);
-  Fun.protect ~finally:(fun () -> Gp.Telemetry.set_sink None) f
+  Fun.protect
+    ~finally:(fun () -> Gp.Telemetry.set_sink None)
+    (fun () -> f records)
 
 let shutdown_kills () =
   Gp.Telemetry.Counter.value (Gp.Telemetry.counter "parmap.shutdown_kills")
@@ -603,7 +598,7 @@ let shutdown_kills () =
    (every A worker left through its own EOF path), with B unaffected. *)
 let test_shutdown_beside_live_pool () =
   if Gp.Parmap.available then
-    with_telemetry @@ fun () ->
+    with_telemetry @@ fun _ ->
     let pool = Gp.Parmap.pool ~backend:`Fork ~jobs:2 ~chunk_max:1 () in
     let a = Gp.Parmap.create pool ~f:(fun _ -> Unix.getpid ()) in
     let b = Gp.Parmap.create pool ~f:(fun x -> x * 2) in
@@ -695,7 +690,7 @@ let test_worker_fds () =
    must still take milliseconds, not a grace per worker. *)
 let test_study_close_is_prompt () =
   if Gp.Parmap.available then
-    with_telemetry @@ fun () ->
+    with_telemetry @@ fun _ ->
     let cfg =
       { Driver.Study.default_config with Driver.Study.backend = `Fork; jobs = 2 }
     in
@@ -765,6 +760,32 @@ let test_chunk_boundaries () =
     check "uneven remainder" ~jobs:3 ~cmin:4 ~cmax:4 10;
     check "oversubscribed" ~jobs:8 ~cmin:2 ~cmax:8 3
   end
+
+(* A handle's first batch has no cost estimate, whatever the process's
+   telemetry holds: a 1us [parmap.task_s] sample recorded before the
+   handle exists must not turn the first 40-task batch into chunks of
+   20.  The chunk stays at the floor, so turning metrics on never
+   changes the schedule. *)
+let test_first_batch_ignores_telemetry () =
+  if Gp.Parmap.available then
+    with_telemetry @@ fun records ->
+    Gp.Telemetry.observe "parmap.task_s" 1e-6;
+    let h =
+      Gp.Parmap.create (Gp.Parmap.pool ~backend:`Fork ~jobs:2 ()) ~f:succ
+    in
+    Fun.protect ~finally:(fun () -> Gp.Parmap.shutdown h) @@ fun () ->
+    let _, stats = Gp.Parmap.run_batch h (Array.init 40 Fun.id) in
+    Alcotest.(check int) "every task completed" 40 stats.Gp.Parmap.completed;
+    match
+      List.filter
+        (fun r ->
+          Gp.Telemetry.member "kind" r = Some (Gp.Telemetry.String "pool"))
+        (records ())
+    with
+    | [ r ] ->
+      Alcotest.(check bool) "chunk_len is the floor" true
+        (Gp.Telemetry.member "chunk_len" r = Some (Gp.Telemetry.Int 1))
+    | rs -> Alcotest.failf "expected one pool record, got %d" (List.length rs)
 
 (* A straggler napping mid-batch must not stall it: while one worker
    sits on the nap, the others drain the rest of the queue, every task
@@ -874,6 +895,7 @@ let suite =
     Alcotest.test_case "worker crash -> fallback" `Quick test_worker_crash;
     Alcotest.test_case "EINTR storm" `Quick test_eintr_storm;
     Alcotest.test_case "pool validation" `Quick test_pool_validation;
+    Alcotest.test_case "worker-count ceiling" `Quick test_jobs_ceiling;
     Alcotest.test_case "capabilities" `Quick test_capabilities;
     Alcotest.test_case "parallel run deterministic" `Slow
       test_parallel_run_is_deterministic;
@@ -897,6 +919,8 @@ let suite =
     Alcotest.test_case "fork study closes promptly" `Quick
       test_study_close_is_prompt;
     Alcotest.test_case "chunk boundaries" `Quick test_chunk_boundaries;
+    Alcotest.test_case "first batch ignores telemetry" `Quick
+      test_first_batch_ignores_telemetry;
     Alcotest.test_case "straggler: slow worker" `Quick test_straggler_slow;
     Alcotest.test_case "straggler: hang mid-chunk" `Quick test_straggler_hang;
   ]

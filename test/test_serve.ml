@@ -480,7 +480,7 @@ let test_oracle_registered () =
   Alcotest.(check bool)
     "served_vs_local is registered" true
     (Fuzz.Oracle.find "served_vs_local" <> None);
-  Alcotest.(check int) "eleven oracles" 11 (List.length Fuzz.Oracle.names)
+  Alcotest.(check int) "nine oracles" 9 (List.length Fuzz.Oracle.names)
 
 let suite =
   [

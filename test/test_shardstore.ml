@@ -1,8 +1,7 @@
 (* Tests for the sharded fitness store underneath the evaluator's disk
    cache: digest addressing, per-shard locking under concurrent writers
    (on disjoint shards and on one colliding shard), compaction of
-   damaged shards and its idempotence, legacy single-file reading, and
-   parameter validation. *)
+   damaged shards and its idempotence, and which files a store reads. *)
 
 module S = Driver.Shardstore
 
@@ -50,15 +49,17 @@ let whole_line line =
 let test_addressing () =
   with_dir "addr" @@ fun dir ->
   let s = S.open_store dir in
-  Alcotest.(check int) "default shard count" 16 (S.shards s);
-  (* first-byte addressing: at 16 shards, prefix i lands in shard i *)
+  Alcotest.(check int) "shard count" 16 S.shards;
+  (* first-byte addressing: prefix i lands in shard i *)
   for i = 0 to 15 do
     Alcotest.(check int)
       (Printf.sprintf "prefix %02x" i)
       i
-      (S.shard_of s (digest_in i 7))
+      (S.shard_of (digest_in i 7))
   done;
-  Alcotest.(check int) "prefix wraps mod shards" 0 (S.shard_of s (digest_in 16 7));
+  Alcotest.(check int) "prefix wraps mod shards" 0 (S.shard_of (digest_in 16 7));
+  Alcotest.(check int) "ff wraps to the last shard" 15
+    (S.shard_of (digest_in 0xff 0));
   (* one entry per shard: each shard file holds exactly its line, and
      awkward values round-trip exactly through the hex-float rendering *)
   let value i = 1.0 +. (Float.of_int i /. 3.0) in
@@ -74,13 +75,7 @@ let test_addressing () =
       (Printf.sprintf "entry %d round-trips" i)
       (value i)
       (Option.get (S.find s2 (digest_in i i)))
-  done;
-  (* a different shard count moves entries but still finds them on load
-     (load reads every shard file) *)
-  let s4 = S.open_store ~shards:4 dir in
-  Alcotest.(check int) "ff at 4 shards" 3 (S.shard_of s4 (digest_in 0xff 0));
-  Alcotest.(check (float 0.0)) "entries survive a count change" (value 9)
-    (Option.get (S.find s4 (digest_in 9 9)))
+  done
 
 (* Two forked writers on the same store.  [spread = false] sends both
    writers to one shard (every append contends on that shard's lock);
@@ -183,28 +178,6 @@ let test_compaction_idempotent () =
     (read_lines (S.shard_file s2 5));
   Alcotest.(check (float 0.0)) "still served after reload" 9.0
     (Option.get (S.find s2 d_dup))
-
-let test_legacy_read () =
-  with_dir "legacy" @@ fun dir ->
-  Unix.mkdir dir 0o755;
-  let legacy = S.legacy_file dir in
-  let d_old = digest_in 3 42 in
-  let oc = open_out legacy in
-  Printf.fprintf oc "%s %h\n" d_old 4.25;
-  output_string oc "not a cache line\n";
-  close_out oc;
-  let before = read_lines legacy in
-  let s = S.open_store dir in
-  Alcotest.(check (float 0.0)) "legacy entry served" 4.25
-    (Option.get (S.find s d_old));
-  (* legacy damage is skipped, never compacted, and appends go to the
-     shards — the legacy file stays byte-identical *)
-  Alcotest.(check int) "legacy damage is not an eviction" 0 (S.evictions s);
-  S.append s [ (digest_in 3 43, 1.5) ];
-  Alcotest.(check (list string)) "legacy file untouched" before
-    (read_lines legacy);
-  Alcotest.(check int) "append went to the shard" 1
-    (List.length (read_lines (S.shard_file s 3)))
 
 (* Regression: a signal landing while an append blocks in lockf (or
    mid-write) used to raise Unix_error (EINTR, ...) out of the append
@@ -333,18 +306,41 @@ let test_lock_eintr_injected () =
   let s2 = S.open_store dir in
   Alcotest.(check int) "reload evicts nothing" 0 (S.evictions s2)
 
+(* A store reads its 16 shard files and nothing else: a pre-shard
+   fitness-cache.tsv or a shard-XX.tsv above shard-0f.tsv in the same
+   directory is neither loaded nor touched, so an entry held only there
+   is a miss (recomputed by the evaluator), never a wrong answer. *)
 let test_validation () =
   with_dir "valid" @@ fun dir ->
-  let expect_invalid name f =
-    match f () with
-    | (_ : S.t) -> Alcotest.failf "%s: expected Invalid_argument" name
-    | exception Invalid_argument _ -> ()
+  Unix.mkdir dir 0o755;
+  let d_legacy = digest_in 3 42 and d_high = digest_in 0x13 7 in
+  let stray name digest =
+    let path = Filename.concat dir name in
+    let oc = open_out path in
+    Printf.fprintf oc "%s %h\n" digest 4.25;
+    output_string oc "not a cache line\n";
+    close_out oc;
+    (path, read_lines path)
   in
-  expect_invalid "shards = 0" (fun () -> S.open_store ~shards:0 dir);
-  expect_invalid "shards = 257" (fun () -> S.open_store ~shards:257 dir);
-  let s = S.open_store ~shards:256 dir in
-  Alcotest.(check int) "256 shards accepted" 256 (S.shards s);
-  Alcotest.(check bool) "healthy" false (S.mem_any_degraded s)
+  let strays =
+    [ stray "fitness-cache.tsv" d_legacy; stray "shard-13.tsv" d_high ]
+  in
+  let s = S.open_store dir in
+  Alcotest.(check bool) "healthy" false (S.mem_any_degraded s);
+  Alcotest.(check bool) "pre-shard file not read" true
+    (S.find s d_legacy = None);
+  Alcotest.(check bool) "above-range shard not read" true
+    (S.find s d_high = None);
+  Alcotest.(check int) "stray damage is not an eviction" 0 (S.evictions s);
+  S.append s [ (d_legacy, 1.5); (d_high, 2.5) ];
+  List.iter
+    (fun (path, before) ->
+      Alcotest.(check (list string))
+        (Filename.basename path ^ " untouched")
+        before (read_lines path))
+    strays;
+  Alcotest.(check (float 0.0)) "recomputed entry persisted in range" 2.5
+    (Option.get (S.find (S.open_store dir) d_high))
 
 let suite =
   [
@@ -355,7 +351,6 @@ let suite =
       test_concurrent_colliding;
     Alcotest.test_case "compaction idempotent" `Quick
       test_compaction_idempotent;
-    Alcotest.test_case "legacy single-file read" `Quick test_legacy_read;
     Alcotest.test_case "EINTR storm during contended append" `Quick
       test_eintr_storm_append;
     Alcotest.test_case "persistent lock failure skips the append" `Quick
