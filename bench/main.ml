@@ -314,53 +314,6 @@ let pool_startup_s jobs =
     dt
   end
 
-(* Chunked dispatch vs the pre-chunking one-task protocol: the same
-   micro-task batch through a warm fork pool with adaptive chunking
-   (the default) and with the chunk pinned to 1.  The tasks cost tens
-   of microseconds — the regime where the per-dispatch Marshal
-   round-trip dominated before chunking — so this is the figure the
-   adaptive dispatcher exists to move, and it does not need spare
-   cores: fewer round-trips win even on one.  Returns (chunked seconds,
-   single-task seconds, bit-identical results). *)
-let chunked_dispatch_s () =
-  if not (List.mem `Fork (Gp.Parmap.capabilities ())) then (0.0, 0.0, true)
-  else begin
-    let n = 2048 in
-    let tasks = Array.init n (fun i -> float_of_int i /. float_of_int n) in
-    let f x =
-      let acc = ref x in
-      for _ = 1 to 400 do
-        acc := sin !acc +. x
-      done;
-      !acc
-    in
-    let time pool =
-      let h = Gp.Parmap.create pool ~f in
-      (* warm the workers and the cost estimate before timing *)
-      ignore (Gp.Parmap.run_batch h (Array.sub tasks 0 64));
-      let t = Unix.gettimeofday () in
-      let outcomes, _ = Gp.Parmap.run_batch h tasks in
-      let dt = Unix.gettimeofday () -. t in
-      Gp.Parmap.shutdown h;
-      let bits =
-        Array.map
-          (function
-            | Gp.Parmap.Ok v -> Int64.bits_of_float v
-            | _ -> Int64.zero)
-          outcomes
-      in
-      (dt, bits)
-    in
-    let single_s, single_bits =
-      time
-        (Gp.Parmap.pool ~backend:`Fork ~jobs:2 ~chunk_min:1 ~chunk_max:1 ())
-    in
-    let chunked_s, chunked_bits =
-      time (Gp.Parmap.pool ~backend:`Fork ~jobs:2 ())
-    in
-    (chunked_s, single_s, chunked_bits = single_bits)
-  end
-
 (* Mean steady-state seconds per generation from a run's generation
    completion stamps: the first generation — which pays the one-time
    pool spawn and the initial population's compiles — is excluded, so
@@ -764,14 +717,14 @@ let sim () =
    cache) at -j 1 and once at -j 4 with telemetry capturing every record,
    then write BENCH_metaopt.json — per-phase wall-clock timings,
    end-to-end speedups (steady-state parallel over sequential, warm cache
-   over cold, chunked over single-task dispatch), the one-time pool
-   startup cost, the full metric registry, and record counts.  The
-   parallel figure is steady-state on purpose: generations against the
-   resident warm pool, excluding the first generation's pool spawn, which
-   is reported separately as pool_startup_s.  The file is re-read and
-   schema-validated — including core-count-aware speedup gates — before
-   the target reports success, so CI can fail on a malformed or regressed
-   report rather than archiving garbage. *)
+   over cold), the one-time pool startup cost, the full metric registry,
+   and record counts.  The parallel figure is steady-state on purpose:
+   generations against the resident warm pool, excluding the first
+   generation's pool spawn, which is reported separately as
+   pool_startup_s.  The file is re-read and schema-validated — including
+   core-count-aware speedup gates — before the target reports success,
+   so CI can fail on a malformed or regressed report rather than
+   archiving garbage. *)
 let report () =
   hr "Observability report: phase timings + speedups -> BENCH_metaopt.json";
   let out =
@@ -823,11 +776,6 @@ let report () =
   Driver.Study.close ctx4;
   let startup_s = pool_startup_s 4 in
   Fmt.pr "  %-24s %8.3fs@." "pool startup (4 workers)" startup_s;
-  let chunked_s, single_s, chunk_identical = chunked_dispatch_s () in
-  if not chunk_identical then
-    failwith "chunked dispatch diverged from the single-task protocol";
-  Fmt.pr "  %-24s %8.3fs (single-task protocol: %.3fs)@." "chunked dispatch"
-    chunked_s single_s;
   Fmt.pr "  simulation fast paths:@.";
   let ph_sim, sim_doc =
     phase "sim fast paths" (fun () -> sim_measurements p)
@@ -895,12 +843,6 @@ let report () =
                 Gp.Telemetry.Float (speedup (seconds ph_cold) (seconds ph_warm))
               );
               ("pool_startup_s", Gp.Telemetry.Float startup_s);
-              (* adaptive chunked dispatch over the chunk = 1 reference
-                 protocol, warm fork pool, micro-scale tasks — the
-                 dispatch-overhead figure, meaningful at any core
-                 count *)
-              ( "chunked_over_single",
-                Gp.Telemetry.Float (speedup single_s chunked_s) );
             ] );
         ("identical_results", Gp.Telemetry.Bool identical);
         ("sim", sim_doc);
@@ -964,7 +906,6 @@ let report () =
             "speedups.parallel_j4_over_j1 must be a float (>= 2 cores) or \
              \"insufficient_cores\" (< 2 cores)"
       in
-      let cos = fnum "chunked_over_single" in
       ignore (fnum "warm_cache_over_cold");
       ignore (fnum "pool_startup_s");
       (* Speedup gates, scaled to the cores this container actually has:
@@ -984,16 +925,7 @@ let report () =
           fail
             (Printf.sprintf
                "parallel_j4_over_j1 %.2f below gate %.2f (%d cores)" par
-               par_gate cores));
-      (* Chunked dispatch must beat the one-task protocol on the CI
-         runners; elsewhere it only has to be a real measurement (0 is
-         the fork-unavailable sentinel). *)
-      if cores >= 4 && cos > 0.0 && cos < 1.0 then
-        fail
-          (Printf.sprintf
-             "chunked_over_single %.2f below gate 1.00: adaptive chunking \
-              slower than single-task dispatch"
-             cos)
+               par_gate cores))
     | _ -> fail "speedups not an object");
     (match require "config" with
     | Gp.Telemetry.Obj _ as c ->
@@ -1002,8 +934,8 @@ let report () =
       | _ -> fail "config.detected_cores missing or < 1")
     | _ -> fail "config not an object");
     ignore (require "records");
-    (* The chunked-dispatch instrumentation must have registered: chunk
-       sizes, per-batch dispatch spans and queue waits as histograms. *)
+    (* The pool instrumentation must have registered: per-batch
+       dispatch spans and queue waits as histograms. *)
     (match require "telemetry" with
     | Gp.Telemetry.Obj _ as t ->
       (match Gp.Telemetry.member "histograms" t with
@@ -1012,7 +944,7 @@ let report () =
           (fun k ->
             if Gp.Telemetry.member k h = None then
               fail ("telemetry.histograms missing " ^ k))
-          [ "parmap.chunk_size"; "parmap.dispatch_s"; "parmap.queue_wait_s" ]
+          [ "parmap.dispatch_s"; "parmap.queue_wait_s" ]
       | _ -> fail "telemetry.histograms missing");
       (match Gp.Telemetry.member "counters" t with
       | Some (Gp.Telemetry.Obj _) -> ()
@@ -1044,13 +976,12 @@ let report () =
         ]
     | _ -> fail "evalc not an object"));
   Fmt.pr
-    "@.speedups: parallel %s steady (%d cores), warm cache %.2fx, \
-     chunked dispatch %.2fx, pool startup %.3fs@."
+    "@.speedups: parallel %s steady (%d cores), warm cache %.2fx, pool \
+     startup %.3fs@."
     (if cores < 2 then "n/a (insufficient cores)"
      else Printf.sprintf "%.2fx" (speedup steady_j1 steady_j4))
     cores
     (speedup (seconds ph_cold) (seconds ph_warm))
-    (speedup single_s chunked_s)
     startup_s;
   Fmt.pr "identical evolved results across engines: %s@."
     (if identical then "yes" else "NO!");

@@ -28,8 +28,6 @@ type pool = {
   jobs : int;
   timeout_s : float option;
   retries : int;
-  chunk_min : int;
-  chunk_max : int;
   ignored_limits : string list;
 }
 
@@ -37,8 +35,7 @@ let max_jobs = 256
 
 let warned_ignored_limits = ref false
 
-let pool ?(backend = `Fork) ?(jobs = 1) ?timeout_s ?(retries = 1)
-    ?(chunk_min = 1) ?(chunk_max = 64) () =
+let pool ?(backend = `Fork) ?(jobs = 1) ?timeout_s ?(retries = 1) () =
   if jobs < 1 || jobs > max_jobs then
     invalid_arg
       (Printf.sprintf "Parmap.pool: jobs must be in 1..%d (got %d)" max_jobs
@@ -48,9 +45,6 @@ let pool ?(backend = `Fork) ?(jobs = 1) ?timeout_s ?(retries = 1)
     invalid_arg "Parmap.pool: timeout_s must be a positive number of seconds"
   | _ -> ());
   if retries < 0 then invalid_arg "Parmap.pool: retries must be >= 0";
-  if chunk_min < 1 then invalid_arg "Parmap.pool: chunk_min must be >= 1";
-  if chunk_max < chunk_min then
-    invalid_arg "Parmap.pool: chunk_max must be >= chunk_min";
   (* Supervision limits the chosen backend cannot honor: [`Fork]
      enforces deadlines and retries, [`Seq] runs unsupervised.
      [retries = 1] is the constructor default, so only a value that must
@@ -71,7 +65,7 @@ let pool ?(backend = `Fork) ?(jobs = 1) ?timeout_s ?(retries = 1)
            ignored"
           (String.concat "/" ignored_limits))
   end;
-  { backend; jobs; timeout_s; retries; chunk_min; chunk_max; ignored_limits }
+  { backend; jobs; timeout_s; retries; ignored_limits }
 
 (* Every blocking syscall goes through here: a signal delivered while the
    parent is reaping or draining (SIGCHLD, a profiler's SIGPROF, an
@@ -126,47 +120,9 @@ let empty_stats = { completed = 0; crashes = 0; timeouts = 0; retries = 0 }
 
 let now () = Unix.gettimeofday ()
 
-(* --- Adaptive chunk sizing ----------------------------------------------- *)
-
-(* The scheduler amortizes one round-trip (a Marshal write down a
-   worker's pipe and the worker's wake-up) over a chunk of tasks sized
-   so a chunk is worth ~[chunk_target_s] of work, using an EWMA of
-   observed per-task cost.  Each handle's estimate starts empty and is
-   refined by each finished chunk's mean per-task cost (one reply gap is
-   too noisy a sample: a single slow wake-up would shrink the next
-   chunks several-fold), so the schedule depends only on the handle's
-   own batches, never on whether telemetry is on.  With no estimate yet
-   the first batch runs at [chunk_min] — the default, 1, is exactly the
-   one-task protocol and the [`Seq]-compatible reference. *)
-
-let chunk_target_s = 0.002
-
 (* A failed attempt's first retry waits this long; each later one
    doubles it. *)
 let backoff_s = 0.05
-
-let ewma_update cur sample =
-  if (not (Float.is_finite sample)) || sample <= 0.0 then cur
-  else if cur <= 0.0 then sample
-  else (0.7 *. cur) +. (0.3 *. sample)
-
-(* Chunk length for a batch of [tasks] over [jobs] workers: the adaptive
-   estimate clamped to the pool's floor/ceiling, then capped so the
-   batch still splits into at least [jobs] chunks — a floor above that
-   cap would serialize the whole batch onto one worker. *)
-let chunk_length ~cmin ~cmax ~jobs ~ewma ~tasks =
-  let base =
-    if ewma > 0.0 then int_of_float (Float.round (chunk_target_s /. ewma))
-    else cmin
-  in
-  let c = max cmin (min base cmax) in
-  let cap = max 1 ((tasks + jobs - 1) / jobs) in
-  max 1 (min c cap)
-
-(* Task ids [0, n) as consecutive chunks of at most [len]. *)
-let partition_chunks n len =
-  List.init ((n + len - 1) / len) (fun c ->
-      Array.init (min len (n - (c * len))) (fun k -> (c * len) + k))
 
 (* No fork (or [`Seq] requested): in-process evaluation.  Exceptions
    still isolate per task, but hangs cannot be interrupted and retries
@@ -187,23 +143,21 @@ let inprocess_supervised f xs =
 
 (* --- Fork workers ------------------------------------------------------ *)
 
-(* What a worker reports for one member of its chunk. *)
+(* What a worker reports for its task. *)
 type 'b reply = Value of 'b | Raised of string
 
 (* What the scheduler hears from the workers: [Reply (slot, t, r)], the
-   slot's next unreplied member finished at [t] with [r]; or
-   [Died (slot, how)], the slot's worker is gone and already replaced. *)
+   slot's task finished at [t] with [r]; or [Died (slot, how)], the
+   slot's worker is gone and already replaced. *)
 type 'b event = Reply of int * float * 'b reply | Died of int * string
 
 (* One pre-forked worker per slot, kept alive across batches on a pair
-   of pipes: the parent marshals a [(task ids, attempt, inputs)] chunk
-   down the task pipe, the child streams back one flushed [reply] per
-   member and blocks reading the next chunk, so the parent sees progress
-   (and restarts the deadline) per task, not per chunk.  A worker that
-   dies, or that the scheduler kills at a deadline, is reaped and its
-   slot respawned without disturbing the rest of the pool: warm state in
-   the surviving children (decoded layouts, simulation caches) stays
-   resident. *)
+   of pipes: the parent marshals one [(task id, attempt, input)] down
+   the task pipe, the child writes back one flushed [reply] and blocks
+   reading the next task.  A worker that dies, or that the scheduler
+   kills at a deadline, is reaped and its slot respawned without
+   disturbing the rest of the pool: warm state in the surviving children
+   (decoded layouts, simulation caches) stays resident. *)
 type fslot = {
   pid : int;
   to_child : Unix.file_descr;
@@ -228,22 +182,17 @@ let fork_child_loop (type a b) (f : a -> b) rd wr =
   let oc = Unix.out_channel_of_descr wr in
   (try
      while true do
-       let (tasks, attempt, inputs) : int array * int * a array =
-         Marshal.from_channel ic
+       let (task, attempt, input) : int * int * a = Marshal.from_channel ic in
+       let reply : b reply =
+         match
+           Chaos.task_point ~key:task ~attempt:(attempt + 1);
+           f input
+         with
+         | v -> Value v
+         | exception e -> Raised (Printexc.to_string e)
        in
-       Array.iteri
-         (fun k task ->
-           let reply : b reply =
-             match
-               Chaos.task_point ~key:task ~attempt:(attempt + 1);
-               f inputs.(k)
-             with
-             | v -> Value v
-             | exception e -> Raised (Printexc.to_string e)
-           in
-           Marshal.to_channel oc reply [];
-           flush oc)
-         tasks
+       Marshal.to_channel oc reply [];
+       flush oc
      done
    with _ -> ());
   Unix._exit 0
@@ -361,7 +310,7 @@ type ('a, 'b) workers = {
 let spawn_workers (p : pool) f =
   (* The parent writes to task pipes whose child may have died; without
      this, the resulting SIGPIPE would kill the whole run instead of
-     surfacing as an EPIPE [send_chunk] handles by respawning the slot.
+     surfacing as an EPIPE [send_task] handles by respawning the slot.
      Never restored: writers in this codebase check their write
      results. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -371,7 +320,7 @@ let spawn_workers (p : pool) f =
     buf = Bytes.create 65536;
   }
 
-(* The worker died mid-chunk, or wrote garbage: any partial reply is
+(* The worker died mid-task, or wrote garbage: any partial reply is
    torn.  Reap it, respawn the slot, and say how it ended. *)
 let died w i =
   let msg =
@@ -390,19 +339,18 @@ let read_slot (w : ('a, 'b) workers) i : 'b event list =
   | 0 -> [ died w i ]
   | k -> (
     Buffer.add_subbytes s.pending w.buf 0 k;
-    (* One read may carry several member replies. *)
     let t = now () in
     match take_frames s with
     | frames -> List.map (fun r -> Reply (i, t, r)) frames
     | exception _ -> [ died w i ])
   | exception Unix.Unix_error _ -> [ died w i ]
 
-(* Hand a chunk to idle slot [i]; [false] when no live worker could take
-   it.  An idle worker may have died since its last chunk (a chaos kill
+(* Hand a task to idle slot [i]; [false] when no live worker could take
+   it.  An idle worker may have died since its last task (a chaos kill
    landing between batches, the OOM killer): respawn the slot and
-   resend, without charging the tasks an attempt. *)
-let send_chunk w i tasks attempt inputs =
-  let msg = Marshal.to_bytes (tasks, attempt, inputs) [] in
+   resend, without charging the task an attempt. *)
+let send_task w i task attempt input =
+  let msg = Marshal.to_bytes (task, attempt, input) [] in
   let rec go tries =
     match write_all w.slots.(i).to_child msg with
     | () -> true
@@ -423,83 +371,56 @@ let wait_events w tmo =
     |> List.filter (fun i -> List.mem w.slots.(i).from_child readable)
     |> List.concat_map (read_slot w)
 
-(* End slot [i]'s worker mid-chunk and fork a fresh one in its place. *)
+(* End slot [i]'s worker mid-task and fork a fresh one in its place. *)
 let kill_slot w i =
   (try Unix.kill w.slots.(i).pid Sys.sigkill with Unix.Unix_error _ -> ());
   ignore (respawn w.w_f w.slots i)
 
 (* --- The batch scheduler -------------------------------------------------- *)
 
-(* One batch over the handle's [jobs] worker slots.  Tasks [0, n) are cut into
-   consecutive chunks sized from the handle's cost estimate and queued
-   in one ready FIFO; each idle slot takes the next chunk.  Replies come
-   back in member order, and each one restarts the deadline of the next
-   member: a chunk never widens any one task's deadline.
+(* One batch over the handle's [jobs] worker slots.  Tasks [0, n) are
+   queued in one ready FIFO; each idle slot takes the next task, and the
+   task's deadline runs from its own dispatch.
 
-   A failed attempt is charged to that task alone: it waits out an
-   exponential backoff and returns as a singleton chunk at the next
-   attempt number, up to [retries].  When a chunk dies — its worker
-   exited, or the executing member passed its deadline and was killed —
-   that member is charged and the never-started tail is re-enqueued
-   uncharged at the same attempt, so a seeded chaos plan keyed on
-   attempt numbers fires identically under any chunking.
+   A failed attempt — the task raised, its worker exited, or it passed
+   its deadline and was killed — is charged to that task alone: it waits
+   out an exponential backoff and returns to the FIFO at the next
+   attempt number, up to [retries].
 
    Every unsettled task sits in exactly one place — the ready FIFO, the
-   backoff list or one slot's chunk — so the batch ends with every slot
-   idle, and outcomes are stored by task id: for pure tasks the result
-   depends neither on scheduling nor on chunk size. *)
+   backoff list or one slot — so the batch ends with every slot idle,
+   and outcomes are stored by task id: for pure tasks the result does
+   not depend on scheduling. *)
 
-type inflight = {
-  mutable tasks : int array;
-  mutable attempt : int; (* 0-based; a chunk is all one attempt *)
-  mutable next : int; (* members replied so far: the executing member *)
-  mutable start : float; (* dispatch time, absolute *)
-  mutable last : float; (* dispatch or latest event time, absolute *)
-}
+(* The task a slot is running: its id, its 0-based attempt and when it
+   was dispatched. *)
+type inflight = { task : int; attempt : int; sent : float }
 
-let busy sl = sl.next < Array.length sl.tasks
-
-type ('a, 'b) sched = {
-  s_pool : pool;
-  s_w : ('a, 'b) workers;
-  mutable s_ewma : float; (* per-task cost estimate, seconds *)
-}
-
-let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
-  let p = s.s_pool and w = s.s_w in
+let run_scheduled (p : pool) (w : ('a, 'b) workers) (xs : 'a array) =
   let n = Array.length xs in
   let outcomes = Array.make n Gave_up in
   let completed = ref 0 and crashes = ref 0 and timeouts = ref 0 in
   let retried = ref 0 in
   (* Telemetry: per-task latency and queue wait are observed from the
      parent.  [queue_wait_s] is enqueue-to-dispatch only — pool spawn
-     cost lives under [parmap.pool_spawn_s] — and [task_s] is the
-     event-to-event wall clock within a chunk (dispatch-to-first-reply
-     for its head).  The clock itself is read unconditionally: the
-     chunk-size EWMA needs the samples whether or not telemetry records
-     them, and chunking cannot change a task's value, only when it is
-     computed. *)
+     cost lives under [parmap.pool_spawn_s] — and [task_s] is
+     dispatch-to-reply. *)
   let tel = Telemetry.enabled () in
   let t_start = if tel then Telemetry.now_s () else 0.0 in
   let task_hist = Telemetry.Histogram.create () in
   let queue_hist = Telemetry.Histogram.create () in
   let busy_s = ref 0.0 and dispatch_s = ref 0.0 in
-  let clen =
-    chunk_length ~cmin:p.chunk_min ~cmax:p.chunk_max ~jobs:p.jobs
-      ~ewma:s.s_ewma ~tasks:n
-  in
-  (* Chunks awaiting dispatch, stamped with the time they became ready;
+  (* Tasks awaiting dispatch, stamped with the time they became ready;
      failed attempts wait out their backoff in [delayed], soonest
      first. *)
-  let ready : (int array * int * float) Queue.t = Queue.create () in
+  let ready : (int * int * float) Queue.t = Queue.create () in
   let enq0 = now () in
-  List.iter (fun c -> Queue.add (c, 0, enq0) ready) (partition_chunks n clen);
+  for task = 0 to n - 1 do
+    Queue.add (task, 0, enq0) ready
+  done;
   let delayed = ref [] in
   let remaining = ref n in
-  let slots =
-    Array.init p.jobs (fun _ ->
-        { tasks = [||]; attempt = 0; next = 0; start = 0.0; last = 0.0 })
-  in
+  let slots : inflight option array = Array.make p.jobs None in
   let limit = Option.value ~default:infinity p.timeout_s in
   let fail ~task ~attempt kind =
     (match kind with
@@ -527,79 +448,50 @@ let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
       decr remaining
     end
   in
-  (* A member of the slot's chunk ended at [t]: move the slot's clock on,
-     and once the chunk is over ([ran] members), feed its mean per-task
-     cost to the EWMA. *)
-  let note_event ?ran sl t =
-    let d = Float.max 0.0 (t -. sl.last) in
-    sl.last <- t;
+  (* Free slot [i], whose task ended at [t], and return what it ran. *)
+  let take i t =
+    let r = slots.(i) in
+    slots.(i) <- None;
     Option.iter
-      (fun ran ->
-        s.s_ewma <- ewma_update s.s_ewma ((t -. sl.start) /. float_of_int ran))
-      ran;
-    if tel then begin
-      Telemetry.Histogram.add task_hist d;
-      Telemetry.observe "parmap.task_s" d;
-      busy_s := !busy_s +. d
-    end
+      (fun r ->
+        if tel then begin
+          let d = Float.max 0.0 (t -. r.sent) in
+          Telemetry.Histogram.add task_hist d;
+          Telemetry.observe "parmap.task_s" d;
+          busy_s := !busy_s +. d
+        end)
+      r;
+    r
   in
-  let on_reply i t r =
-    let sl = slots.(i) in
-    if busy sl then begin
-      let task = sl.tasks.(sl.next) in
-      sl.next <- sl.next + 1;
-      note_event ?ran:(if busy sl then None else Some sl.next) sl t;
-      match r with
-      | Value v ->
-        outcomes.(task) <- Ok v;
-        incr completed;
-        decr remaining
-      | Raised msg ->
-        fail ~task ~attempt:sl.attempt (`Crash ("task raised: " ^ msg))
-    end
+  let on_reply i t reply =
+    match (take i t, reply) with
+    | None, _ -> ()
+    | Some r, Value v ->
+      outcomes.(r.task) <- Ok v;
+      incr completed;
+      decr remaining
+    | Some r, Raised msg ->
+      fail ~task:r.task ~attempt:r.attempt (`Crash ("task raised: " ^ msg))
   in
-  (* The slot's chunk is dead: charge the executing member, re-enqueue
-     the never-started tail uncharged. *)
+  (* The slot's worker is gone: charge its task. *)
   let salvage i kind =
-    let sl = slots.(i) in
-    if busy sl then begin
-      note_event ~ran:(sl.next + 1) sl (now ());
-      let enq = now () in
-      Array.iteri
-        (fun k task ->
-          if k = sl.next then fail ~task ~attempt:sl.attempt kind
-          else if k > sl.next then Queue.add ([| task |], sl.attempt, enq) ready)
-        sl.tasks;
-      sl.next <- Array.length sl.tasks
-    end
+    Option.iter
+      (fun r -> fail ~task:r.task ~attempt:r.attempt kind)
+      (take i (now ()))
   in
-  let dispatch i (tasks, attempt, enq) =
+  let dispatch i (task, attempt, enq) =
     let t0 = now () in
-    let sent =
-      send_chunk w i tasks attempt (Array.map (fun t -> xs.(t)) tasks)
-    in
+    let sent = send_task w i task attempt xs.(task) in
     let t = now () in
     dispatch_s := !dispatch_s +. (t -. t0);
-    if not sent then
-      Array.iter
-        (fun task -> fail ~task ~attempt (`Crash "worker unavailable"))
-        tasks
+    if not sent then fail ~task ~attempt (`Crash "worker unavailable")
     else begin
       if tel then begin
-        Telemetry.observe "parmap.chunk_size" (float_of_int (Array.length tasks));
         let q = Float.max 0.0 (t -. enq) in
-        Array.iter
-          (fun _ ->
-            Telemetry.Histogram.add queue_hist q;
-            Telemetry.observe "parmap.queue_wait_s" q)
-          tasks
+        Telemetry.Histogram.add queue_hist q;
+        Telemetry.observe "parmap.queue_wait_s" q
       end;
-      let sl = slots.(i) in
-      sl.tasks <- tasks;
-      sl.attempt <- attempt;
-      sl.next <- 0;
-      sl.start <- t;
-      sl.last <- t
+      slots.(i) <- Some { task; attempt; sent = t }
     end
   in
   while !remaining > 0 do
@@ -608,27 +500,26 @@ let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
       match !delayed with
       | (wake, task, attempt) :: rest when wake <= t ->
         delayed := rest;
-        Queue.add ([| task |], attempt, now ()) ready;
+        Queue.add (task, attempt, now ()) ready;
         promote ()
       | _ -> ()
     in
     promote ();
     Array.iteri
       (fun i sl ->
-        if (not (busy sl)) && not (Queue.is_empty ready) then
+        if sl = None && not (Queue.is_empty ready) then
           dispatch i (Queue.pop ready))
       slots;
     (* Sleep until an event, the nearest hard deadline or the nearest
        retry wake-up — or not at all if an idle slot could not take the
-       next ready chunk. *)
+       next ready task. *)
     let until =
-      if
-        (not (Queue.is_empty ready))
-        && Array.exists (fun sl -> not (busy sl)) slots
-      then 0.0
+      if (not (Queue.is_empty ready)) && Array.mem None slots then 0.0
       else
         Array.fold_left
-          (fun acc sl -> if busy sl then Float.min acc (sl.last +. limit) else acc)
+          (fun acc -> function
+            | Some r -> Float.min acc (r.sent +. limit)
+            | None -> acc)
           (match !delayed with (wake, _, _) :: _ -> wake | [] -> infinity)
           slots
     in
@@ -643,11 +534,11 @@ let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
         (wait_events w tmo);
       let t = now () in
       Array.iteri
-        (fun i sl ->
-          if busy sl && sl.last +. limit <= t then begin
+        (fun i -> function
+          | Some r when r.sent +. limit <= t ->
             kill_slot w i;
             salvage i `Timeout
-          end)
+          | _ -> ())
         slots
     end
   done;
@@ -668,7 +559,6 @@ let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
         ("crashes", Telemetry.Int !crashes);
         ("timeouts", Telemetry.Int !timeouts);
         ("retries", Telemetry.Int !retried);
-        ("chunk_len", Telemetry.Int clen);
         ("dispatch_s", Telemetry.Float !dispatch_s);
         ("wall_s", Telemetry.Float wall);
         ("busy_s", Telemetry.Float !busy_s);
@@ -695,7 +585,7 @@ let run_scheduled (s : ('a, 'b) sched) (xs : 'a array) =
 
 (* --- Persistent pool handles --------------------------------------------- *)
 
-type ('a, 'b) impl = Uninit | Inproc | Pooled of ('a, 'b) sched
+type ('a, 'b) impl = Uninit | Inproc | Pooled of ('a, 'b) workers
 
 type ('a, 'b) handle = {
   h_pool : pool;
@@ -717,7 +607,7 @@ let init_impl h =
     let t0 = if tel then Telemetry.now_s () else 0.0 in
     let w = spawn_workers h.h_pool h.h_f in
     if tel then Telemetry.observe "parmap.pool_spawn_s" (Telemetry.now_s () -. t0);
-    Pooled { s_pool = h.h_pool; s_w = w; s_ewma = 0.0 }
+    Pooled w
   | `Seq | `Fork -> Inproc
 
 let run_batch h xs =
@@ -728,7 +618,7 @@ let run_batch h xs =
     match h.h_impl with
     | Uninit -> assert false
     | Inproc -> inprocess_supervised h.h_f xs
-    | Pooled s -> run_scheduled s xs
+    | Pooled w -> run_scheduled h.h_pool w xs
   end
 
 let shutdown h =
@@ -736,7 +626,7 @@ let shutdown h =
     h.h_closed <- true;
     (match h.h_impl with
     | Uninit | Inproc -> ()
-    | Pooled s -> shutdown_fork s.s_w.slots);
+    | Pooled w -> shutdown_fork w.slots);
     h.h_impl <- Uninit
   end
 

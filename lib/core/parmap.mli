@@ -9,9 +9,9 @@
     - [`Fork] keeps pre-forked worker processes on pipes: full fault
       isolation (a segfaulting, hung or [kill -9]ed worker never takes
       the run down) and kill-based deadlines, at the cost of a
-      [Marshal] round-trip per chunk of tasks.
+      [Marshal] round-trip per task.
 
-    [`Fork] runs under one batch scheduler: chunking, retries, deadlines
+    [`Fork] runs under one batch scheduler: dispatch, retries, deadlines
     and telemetry.  For pure tasks both backends produce bit-identical
     results at any job count: results are stored by task id, and task
     functions receive the same inputs regardless of scheduling. *)
@@ -33,12 +33,8 @@ val backend_of_name : string -> backend option
 (** Inverse of {!backend_name}. *)
 
 (** The one configuration record every pool entry point, [Evaluator],
-    [Study] and the CLI share.  Two scheduling values are constants, not
-    fields: a failed attempt's retry backoff starts at 0.05s and
-    doubles, and the scheduler groups tasks into chunks of about 2ms of
-    estimated work, using an EWMA of observed per-task cost that each
-    handle starts empty and refines as its chunks finish — so the
-    schedule never depends on whether {!Telemetry} is on. *)
+    [Study] and the CLI share.  A failed attempt's retry backoff is a
+    constant, not a field: it starts at 0.05s and doubles. *)
 type pool = private {
   backend : backend;
   jobs : int;  (** pool width, [1..]{!max_jobs} *)
@@ -46,12 +42,6 @@ type pool = private {
       (** per-task deadline, enforced from the parent with SIGKILL on
           [`Fork] *)
   retries : int;  (** re-runs after crash/timeout on [`Fork] *)
-  chunk_min : int;
-      (** chunk-length floor.  The default, 1, makes a handle's first
-          batch, which has no cost estimate yet, dispatch single tasks
-          — exactly the one-task protocol and the [-j1]-compatible
-          reference. *)
-  chunk_max : int;  (** chunk-length ceiling *)
   ignored_limits : string list;
       (** supervision limits this backend cannot honor, recorded at
           construction time and warned about once per process.  Only
@@ -70,19 +60,13 @@ val pool :
   ?jobs:int ->
   ?timeout_s:float ->
   ?retries:int ->
-  ?chunk_min:int ->
-  ?chunk_max:int ->
   unit ->
   pool
 (** Validating constructor (defaults: [`Fork], 1 job, no timeout, 1
-    retry, chunk bounds [1, 64]).  Rejects [jobs] outside
-    [1..]{!max_jobs} — a zero or negative worker count is a
-    configuration error, not a request for sequential execution — as
-    well as non-positive [timeout_s], negative [retries],
-    [chunk_min < 1] and [chunk_max < chunk_min].  Force
-    [~chunk_min:1 ~chunk_max:1] to pin the one-task protocol (useful
-    when tasks are so coarse or so variable that any grouping risks
-    leaving one worker holding a long tail).
+    retry).  Rejects [jobs] outside [1..]{!max_jobs} — a zero or
+    negative worker count is a configuration error, not a request for
+    sequential execution — as well as non-positive [timeout_s] and
+    negative [retries].
     @raise Invalid_argument on any of the above. *)
 
 val retry_eintr : (unit -> 'a) -> 'a
@@ -116,8 +100,8 @@ type ('a, 'b) handle
 (** A long-lived worker pool bound to one task function.  Creating a
     handle is free; the workers are spawned lazily on the first
     {!run_batch} and then stay resident across batches: [`Fork] keeps
-    pre-forked workers alive on pipes (the parent marshals task chunks
-    down, the child streams one reply back per member).  Warm state
+    pre-forked workers alive on pipes (the parent marshals one task
+    down, the child writes one reply back).  Warm state
     in the workers — decoded layout artifacts, simulation-cache
     entries, anything the task function memoizes — survives from batch
     to batch instead of being re-derived per call, which is what makes
@@ -175,25 +159,18 @@ val run_supervised :
     [f]'s side effects observable; deadlines and retries are inert
     there (see {!pool.ignored_limits}).
 
-    On [`Fork], tasks are grouped into consecutive chunks of about 2ms
-    of estimated work, clamped to [[chunk_min, chunk_max]] (see
-    {!type:pool}), and queued in one FIFO; each idle worker
-    takes the next chunk and replies member by member.  Supervision
-    stays per task: each reply restarts the deadline for the next
-    member, a failed task alone is charged and retried as a singleton,
-    and when a worker dies or is killed mid-chunk, the member it was
-    running is charged while the members it never started are re-queued
-    uncharged at the same attempt number.  Deterministic for pure [f]: outcomes depend only on [f]
-    and [xs] — not on scheduling or chunk size — because results are
-    reassembled in input order.
+    On [`Fork], tasks are queued in one FIFO and each idle worker takes
+    the next one; a task's deadline runs from its own dispatch, and a
+    failed task alone is charged and re-queued after its backoff.
+    Deterministic for pure [f]: outcomes depend only on [f] and [xs] —
+    not on scheduling — because results are reassembled in input order.
 
     With {!Telemetry} enabled, every batch on the [`Fork] backend emits
-    one [kind = "pool"] record (carrying ["backend"], ["chunk_len"] and
-    ["dispatch_s"] fields) and observes per-task latency
-    ([parmap.task_s], reply-to-reply within a chunk), queue wait
-    ([parmap.queue_wait_s], enqueue-to-dispatch only — worker spawn cost
-    is recorded separately under [parmap.pool_spawn_s] when a handle
-    first populates its pool), dispatched chunk sizes
-    ([parmap.chunk_size]) and per-batch dispatch overhead
-    ([parmap.dispatch_s]).  Forked workers drop the inherited sink, so
-    worker-side records never interleave into the parent's stream. *)
+    one [kind = "pool"] record (carrying ["backend"] and ["dispatch_s"]
+    fields) and observes per-task latency ([parmap.task_s],
+    dispatch-to-reply), queue wait ([parmap.queue_wait_s],
+    enqueue-to-dispatch only — worker spawn cost is recorded separately
+    under [parmap.pool_spawn_s] when a handle first populates its pool)
+    and per-batch dispatch overhead ([parmap.dispatch_s]).  Forked
+    workers drop the inherited sink, so worker-side records never
+    interleave into the parent's stream. *)

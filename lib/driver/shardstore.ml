@@ -37,7 +37,7 @@ let shard_file t i = Filename.concat t.dir (Printf.sprintf "shard-%02x.tsv" i)
 (* Strict line validation: the digest must be exactly the 32 lowercase
    hex characters [Digest.to_hex] produces and the value must parse to a
    finite float. *)
-let is_hex_digest s =
+let is_digest s =
   String.length s = 32
   && String.for_all
        (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))
@@ -49,7 +49,7 @@ let parse_line line =
   | Some i ->
     let digest = String.sub line 0 i in
     let value = String.sub line (i + 1) (String.length line - i - 1) in
-    if not (is_hex_digest digest) then None
+    if not (is_digest digest) then None
     else (
       match float_of_string_opt value with
       | Some v when Float.is_finite v -> Some (digest, v)
@@ -265,14 +265,23 @@ let append_shard t i entries =
     | Sys_error msg -> degrade t i msg
   end
 
-(* Entries arrive pre-validated for finiteness by the evaluator's write
-   path; the filter here keeps the store self-defending no matter who
-   calls it.  Grouping preserves first-seen order within each shard. *)
+(* Entries arrive pre-validated by the evaluator's write path and the
+   serve daemon; the filter here keeps the store self-defending no
+   matter who calls it: a line that would not load back (a malformed
+   digest, which could also carry a forged line, or a non-finite value)
+   is never written.  Grouping preserves first-seen order within each
+   shard. *)
 let append t entries =
   let entries =
     List.filter
       (fun (digest, v) ->
-        if Float.is_finite v then true
+        if not (is_digest digest) then begin
+          Logs.warn (fun m ->
+              m "fitness cache: refusing to persist malformed digest %S"
+                digest);
+          false
+        end
+        else if Float.is_finite v then true
         else begin
           Logs.warn (fun m ->
               m "fitness cache: refusing to persist non-finite value %h for %s"

@@ -42,13 +42,18 @@ val open_store : string -> t
 (** [open_store dir] creates [dir] if needed, loads the shard files and
     compacts damaged ones. *)
 
+val is_digest : string -> bool
+(** Whether a string is a store key: exactly the 32 lowercase hex
+    characters [Digest.to_hex] produces. *)
+
 val find : t -> string -> float option
 (** Lookup by 32-hex-char digest in the merged in-memory table. *)
 
 val append : t -> (string * float) list -> unit
 (** Persist a batch: entries are grouped by shard and each group is
-    appended under its shard's exclusive lock in one write.  Non-finite
-    values are refused (warned, skipped).  Appends to a degraded shard
+    appended under its shard's exclusive lock in one write.  Entries
+    whose digest fails {!is_digest} and non-finite values are refused
+    (warned, skipped, kept out of the table).  Appends to a degraded shard
     are silently dropped; the entries still enter the in-memory table,
     so the running process keeps its hits either way. *)
 

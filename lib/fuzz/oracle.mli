@@ -5,9 +5,8 @@
     fresh simulation, cache hit vs recomputation, [Eval] vs
     [Eval . Simplify], checkpoint-resume vs straight evolution,
     [Parmap]'s [`Seq] reference vs one warm fork pool over several
-    batches (random width and chunk floor/ceiling, chunk lengths driven
-    by the handle's cost estimate, a napping straggler while the rest
-    of the pool drains the queue), [Evalc] compiled bytecode vs the
+    batches (random width, a napping straggler while the rest of the
+    pool drains the queue), [Evalc] compiled bytecode vs the
     [Eval] tree-walker, a chaos-injected supervised run vs the
     fault-free [`Seq] -j1 reference, and a study evaluated against a
     [metaopt serve] daemon (with a worker kill injected in the daemon

@@ -24,7 +24,9 @@ val max_hello_frame : int
 type task = {
   t_digest : string;
       (** the client-computed persistent store key; the daemon serves
-          and stores by this digest without recomputing it *)
+          and stores by this digest without recomputing it, and answers
+          a request carrying one that is not 32 lowercase hex characters
+          with [Server_error] *)
   t_genome : Gp.Expr.genome;  (** canonical; evaluated exactly as sent *)
   t_case : int;
 }

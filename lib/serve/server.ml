@@ -235,10 +235,22 @@ let handle_eval st c ~req ~study ~dataset ~(tasks : Protocol.task array) =
     Gp.Telemetry.incr "serve.rejected";
     enqueue_response c (Protocol.Rejected { req; reason })
   in
+  let malformed =
+    Array.exists
+      (fun (t : Protocol.task) ->
+        not (Driver.Shardstore.is_digest t.Protocol.t_digest))
+      tasks
+  in
   match Hashtbl.find_opt st.study_descs study with
   | None ->
     enqueue_response c
       (Protocol.Server_error (Printf.sprintf "unknown study id %d" study))
+  | Some _ when malformed ->
+    (* A digest is a store key and goes into the store verbatim: refuse
+       the whole request before anything is queued. *)
+    enqueue_response c
+      (Protocol.Server_error
+         "malformed digest: not 32 lowercase hex characters")
   | Some desc ->
     if c.c_inflight >= st.cfg.inflight_cap then reject Protocol.Inflight_cap
     else begin

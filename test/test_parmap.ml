@@ -70,10 +70,9 @@ let test_exception_isolation () =
   check "fork j=4" (fork_pool ~retries:0 4)
 
 (* A worker that dies outright (SIGKILL mid-task) costs only the task it
-   was running: that task is [Crashed] (retries off), the members of its
-   chunk it never started are re-queued and run elsewhere, and every
-   other task comes back — the paper's "crashed compile gets fitness 0"
-   rule at the process level. *)
+   was running: that task is [Crashed] (retries off), and every other
+   task comes back — the paper's "crashed compile gets fitness 0" rule
+   at the process level. *)
 let test_worker_crash () =
   let f x =
     if x = 5 then Unix.kill (Unix.getpid ()) Sys.sigkill;
@@ -161,22 +160,9 @@ let test_pool_validation () =
   expect_invalid "timeout_s < 0" (fun () ->
       Gp.Parmap.pool ~timeout_s:(-1.0) ());
   expect_invalid "retries < 0" (fun () -> Gp.Parmap.pool ~retries:(-1) ());
-  expect_invalid "chunk_min = 0" (fun () -> Gp.Parmap.pool ~chunk_min:0 ());
-  expect_invalid "chunk_min < 0" (fun () -> Gp.Parmap.pool ~chunk_min:(-2) ());
-  expect_invalid "chunk_max < chunk_min" (fun () ->
-      Gp.Parmap.pool ~chunk_min:4 ~chunk_max:2 ());
-  let p =
-    Gp.Parmap.pool ~backend:`Seq ~jobs:3 ~retries:2 ~chunk_min:2 ~chunk_max:32
-      ()
-  in
+  let p = Gp.Parmap.pool ~backend:`Seq ~jobs:3 ~retries:2 () in
   Alcotest.(check int) "valid pool keeps jobs" 3 p.Gp.Parmap.jobs;
-  Alcotest.(check int) "valid pool keeps retries" 2 p.Gp.Parmap.retries;
-  Alcotest.(check int) "valid pool keeps chunk floor" 2 p.Gp.Parmap.chunk_min;
-  Alcotest.(check int) "valid pool keeps chunk ceiling" 32
-    p.Gp.Parmap.chunk_max;
-  (* a pinned chunk of one is the one-task reference protocol and must
-     be accepted *)
-  ignore (Gp.Parmap.pool ~chunk_min:1 ~chunk_max:1 ())
+  Alcotest.(check int) "valid pool keeps retries" 2 p.Gp.Parmap.retries
 
 (* A worker count no machine can use is a typo: the constructor rejects
    it before anything forks.  Only pool records are built here — no
@@ -599,7 +585,7 @@ let shutdown_kills () =
 let test_shutdown_beside_live_pool () =
   if Gp.Parmap.available then
     with_telemetry @@ fun _ ->
-    let pool = Gp.Parmap.pool ~backend:`Fork ~jobs:2 ~chunk_max:1 () in
+    let pool = Gp.Parmap.pool ~backend:`Fork ~jobs:2 () in
     let a = Gp.Parmap.create pool ~f:(fun _ -> Unix.getpid ()) in
     let b = Gp.Parmap.create pool ~f:(fun x -> x * 2) in
     Fun.protect
@@ -723,74 +709,11 @@ let test_study_close_is_prompt () =
           true (dt < 0.2);
         Alcotest.(check int) "no worker needed a SIGKILL" 0 (shutdown_kills ()))
 
-(* --- Chunked dispatch ----------------------------------------------------- *)
-
-(* Chunk-geometry edge cases: a pinned chunk of 1 (the one-task
-   reference protocol), a chunk longer than the whole batch, an uneven
-   remainder, and an oversubscribed pool must all return every result,
-   in canonical order, exactly once. *)
-let test_chunk_boundaries () =
-  if Gp.Parmap.available then begin
-    let f x = (x * 3) + 1 in
-    let check name ~jobs ~cmin ~cmax n =
-      let pool =
-        Gp.Parmap.pool ~backend:`Fork ~jobs ~retries:0 ~chunk_min:cmin
-          ~chunk_max:cmax ()
-      in
-      let xs = Array.init n Fun.id in
-      let h = Gp.Parmap.create pool ~f in
-      Fun.protect
-        ~finally:(fun () -> Gp.Parmap.shutdown h)
-        (fun () ->
-          let outcomes, stats = Gp.Parmap.run_batch h xs in
-          Alcotest.(check int)
-            (name ^ ": every task completed exactly once")
-            n stats.Gp.Parmap.completed;
-          Array.iteri
-            (fun i o ->
-              match o with
-              | Gp.Parmap.Ok v ->
-                Alcotest.(check int) (Printf.sprintf "%s: task %d" name i)
-                  (f i) v
-              | _ -> Alcotest.failf "%s: task %d not Ok" name i)
-            outcomes)
-    in
-    check "chunk pinned to 1" ~jobs:2 ~cmin:1 ~cmax:1 10;
-    check "chunk longer than the batch" ~jobs:2 ~cmin:16 ~cmax:16 5;
-    check "uneven remainder" ~jobs:3 ~cmin:4 ~cmax:4 10;
-    check "oversubscribed" ~jobs:8 ~cmin:2 ~cmax:8 3
-  end
-
-(* A handle's first batch has no cost estimate, whatever the process's
-   telemetry holds: a 1us [parmap.task_s] sample recorded before the
-   handle exists must not turn the first 40-task batch into chunks of
-   20.  The chunk stays at the floor, so turning metrics on never
-   changes the schedule. *)
-let test_first_batch_ignores_telemetry () =
-  if Gp.Parmap.available then
-    with_telemetry @@ fun records ->
-    Gp.Telemetry.observe "parmap.task_s" 1e-6;
-    let h =
-      Gp.Parmap.create (Gp.Parmap.pool ~backend:`Fork ~jobs:2 ()) ~f:succ
-    in
-    Fun.protect ~finally:(fun () -> Gp.Parmap.shutdown h) @@ fun () ->
-    let _, stats = Gp.Parmap.run_batch h (Array.init 40 Fun.id) in
-    Alcotest.(check int) "every task completed" 40 stats.Gp.Parmap.completed;
-    match
-      List.filter
-        (fun r ->
-          Gp.Telemetry.member "kind" r = Some (Gp.Telemetry.String "pool"))
-        (records ())
-    with
-    | [ r ] ->
-      Alcotest.(check bool) "chunk_len is the floor" true
-        (Gp.Telemetry.member "chunk_len" r = Some (Gp.Telemetry.Int 1))
-    | rs -> Alcotest.failf "expected one pool record, got %d" (List.length rs)
+(* --- Stragglers ------------------------------------------------------------ *)
 
 (* A straggler napping mid-batch must not stall it: while one worker
    sits on the nap, the others drain the rest of the queue, every task
-   completes exactly once, and the wall clock is bounded by one nap,
-   not the nap times the chunk length. *)
+   completes exactly once, and the wall clock stays bounded. *)
 let test_straggler_slow () =
   if Gp.Parmap.available then begin
     let n = 24 in
@@ -808,10 +731,7 @@ let test_straggler_slow () =
           ];
       }
     in
-    let pool =
-      Gp.Parmap.pool ~backend:`Fork ~jobs:2 ~retries:0 ~chunk_min:4
-        ~chunk_max:8 ()
-    in
+    let pool = Gp.Parmap.pool ~backend:`Fork ~jobs:2 ~retries:0 () in
     let h = Gp.Parmap.create pool ~f:(fun x -> x * x) in
     Fun.protect
       ~finally:(fun () ->
@@ -836,9 +756,9 @@ let test_straggler_slow () =
           true (wall < 10.0))
   end
 
-(* A worker hanging mid-chunk is killed at the deadline: only the hung
-   task times out, the rest of its chunk is re-run elsewhere, and the
-   batch ends in bounded time with no task lost or duplicated. *)
+(* A worker hanging on its task is killed at the deadline: only the hung
+   task times out, the other worker drains the rest of the queue, and
+   the batch ends in bounded time with no task lost or duplicated. *)
 let test_straggler_hang () =
   if Gp.Parmap.available then begin
     let n = 12 in
@@ -857,8 +777,7 @@ let test_straggler_hang () =
       }
     in
     let pool =
-      Gp.Parmap.pool ~backend:`Fork ~jobs:2 ~timeout_s:0.4 ~retries:0
-        ~chunk_min:3 ~chunk_max:6 ()
+      Gp.Parmap.pool ~backend:`Fork ~jobs:2 ~timeout_s:0.4 ~retries:0 ()
     in
     let h = Gp.Parmap.create pool ~f:(fun x -> x + 100) in
     Fun.protect
@@ -918,9 +837,6 @@ let suite =
       test_worker_fds;
     Alcotest.test_case "fork study closes promptly" `Quick
       test_study_close_is_prompt;
-    Alcotest.test_case "chunk boundaries" `Quick test_chunk_boundaries;
-    Alcotest.test_case "first batch ignores telemetry" `Quick
-      test_first_batch_ignores_telemetry;
     Alcotest.test_case "straggler: slow worker" `Quick test_straggler_slow;
-    Alcotest.test_case "straggler: hang mid-chunk" `Quick test_straggler_hang;
+    Alcotest.test_case "straggler: hung worker" `Quick test_straggler_hang;
   ]

@@ -474,6 +474,61 @@ let test_stale_socket () =
         Unix.close fd)
   end
 
+(* --- malformed digests ------------------------------------------------------- *)
+
+(* A client's digest becomes a store key verbatim, so the daemon refuses
+   any request carrying one that is not 32 lowercase hex characters with
+   [Server_error], queueing nothing — not even the request's valid tasks.
+   An empty digest used to kill the daemon in the store's shard lookup;
+   one carrying a newline used to write a forged line the store then
+   loaded as an answer for a digest no one evaluated.  The daemon keeps
+   serving, and its store holds only what it evaluated. *)
+let test_malformed_digests () =
+  if have_fork then
+    with_dir "digest" @@ fun dir ->
+    let cache = Filename.concat dir "cache" in
+    let forged = dg 0x77 ^ " 0x1.8p+1\n" ^ dg 0x78 in
+    with_daemon ~dir
+      ~configure:(fun c -> { c with Serve.Server.cache_dir = Some cache })
+      (fun ~socket ~pid ->
+        let fd = connect socket in
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        @@ fun () ->
+        let study = open_study fd in
+        List.iteri
+          (fun req bad ->
+            P.send_request fd
+              (P.Eval
+                 {
+                   req;
+                   study;
+                   dataset = Benchmarks.Bench.Train;
+                   tasks = [| task (dg 0x79); task bad |];
+                 });
+            match P.read_response fd with
+            | P.Server_error _ -> ()
+            | _ -> Alcotest.failf "malformed digest %S was not refused" bad
+            | exception End_of_file ->
+              Alcotest.failf "daemon dropped the connection on digest %S" bad)
+          [ ""; forged ];
+        let r = eval_ok fd ~req:9 ~study [ dg 0x7a ] in
+        Alcotest.(check int) "a valid request is still answered" 1
+          (Array.length r);
+        stop_daemon ~socket ~pid);
+    let s = Driver.Shardstore.open_store cache in
+    Alcotest.(check int) "no evictions on reload" 0
+      (Driver.Shardstore.evictions s);
+    List.iter
+      (fun d ->
+        Alcotest.(check bool)
+          (Printf.sprintf "store holds nothing for %s" d)
+          true
+          (Driver.Shardstore.find s d = None))
+      [ dg 0x77; dg 0x78; dg 0x79 ];
+    Alcotest.(check bool) "the valid request was persisted" true
+      (Driver.Shardstore.find s (dg 0x7a) <> None)
+
 (* --- oracle registration ---------------------------------------------------- *)
 
 let test_oracle_registered () =
@@ -491,6 +546,8 @@ let suite =
     Alcotest.test_case "stale and live sockets" `Slow test_stale_socket;
     Alcotest.test_case "pruned client sees EOF" `Slow
       test_pruned_client_sees_eof;
+    Alcotest.test_case "malformed digests refused" `Slow
+      test_malformed_digests;
     Alcotest.test_case "served_vs_local oracle registered" `Quick
       test_oracle_registered;
   ]

@@ -342,6 +342,41 @@ let test_validation () =
   Alcotest.(check (float 0.0)) "recomputed entry persisted in range" 2.5
     (Option.get (S.find (S.open_store dir) d_high))
 
+(* An append refuses every entry that would not load back — a malformed
+   digest (empty, short, upper-case, or carrying a forged second line)
+   or a non-finite value — and keeps the rest: the store reloads with no
+   evictions, and nothing the refused entries spelled out is found. *)
+let test_refused_append () =
+  with_dir "refuse" @@ fun dir ->
+  let s = S.open_store dir in
+  let good = digest_in 5 1 and forged_key = digest_in 5 2 in
+  let forged = good ^ " 0x1.8p+1\n" ^ forged_key in
+  S.append s
+    [
+      ("", 1.0);
+      (forged, 2.0);
+      (String.sub good 0 31, 3.0);
+      (String.uppercase_ascii (digest_in 0xab 3), 4.0);
+      (digest_in 5 4, nan);
+      (good, 5.0);
+    ];
+  Alcotest.(check int) "no write errors" 0 (S.write_errors s);
+  let check_store name s =
+    Alcotest.(check (option (float 0.0))) (name ^ ": valid entry kept")
+      (Some 5.0) (S.find s good);
+    Alcotest.(check (option (float 0.0))) (name ^ ": no forged entry") None
+      (S.find s forged_key);
+    Alcotest.(check (option (float 0.0))) (name ^ ": malformed key absent")
+      None (S.find s forged)
+  in
+  check_store "open" s;
+  let s2 = S.open_store dir in
+  Alcotest.(check int) "reload evicts nothing" 0 (S.evictions s2);
+  check_store "reloaded" s2;
+  Alcotest.(check (list string)) "one line written"
+    [ Printf.sprintf "%s %h" good 5.0 ]
+    (read_lines (S.shard_file s2 5))
+
 let suite =
   [
     Alcotest.test_case "digest addressing" `Quick test_addressing;
@@ -358,4 +393,5 @@ let suite =
     Alcotest.test_case "injected lock EINTR is retried" `Quick
       test_lock_eintr_injected;
     Alcotest.test_case "validation" `Quick test_validation;
+    Alcotest.test_case "refused append" `Quick test_refused_append;
   ]
