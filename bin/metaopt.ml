@@ -102,7 +102,8 @@ let backend =
 let cache_dir =
   Arg.(value & opt (some string) None
        & info [ "cache-dir" ]
-           ~doc:"Persist the fitness cache in $(docv) so identical \
+           ~doc:"Persist the fitness cache and each study's baselines in \
+                 $(docv), creating it and its parents, so identical \
                  (heuristic, benchmark, dataset) evaluations are reused \
                  across runs"
            ~docv:"DIR")
@@ -110,7 +111,8 @@ let cache_dir =
 let checkpoint_dir =
   Arg.(value & opt (some string) None
        & info [ "checkpoint-dir" ]
-           ~doc:"Write a checkpoint to $(docv) after every generation and \
+           ~doc:"Write a checkpoint to $(docv), creating it and its \
+                 parents, after every generation and \
                  resume from the newest valid one, so an interrupted run \
                  loses at most one generation"
            ~docv:"DIR")

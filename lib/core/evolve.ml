@@ -154,8 +154,7 @@ let checkpoint_file dir gen =
   Filename.concat dir (Printf.sprintf "gen-%05d.ckpt" gen)
 
 let write_checkpoint dir ck =
-  (try if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-   with Unix.Unix_error _ -> ());
+  Dirs.mkdir_p dir;
   let final = checkpoint_file dir ck.ck_next_gen in
   let tmp = final ^ ".tmp" in
   match open_out_bin tmp with

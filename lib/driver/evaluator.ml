@@ -65,17 +65,19 @@ let sanitize v = if Float.is_finite v && v > 0.0 then v else 0.0
 (* The persistent key folds in everything fitness depends on besides the
    expression itself: the caller's scope (study, machine, dataset) and the
    case's benchmark name. *)
+let store_key ~scope ~case_name key =
+  Digest.to_hex (Digest.string (scope ^ "\x00" ^ case_name ^ "\x00" ^ key))
+
 let digest_key t key case =
-  Digest.to_hex
-    (Digest.string (t.scope ^ "\x00" ^ t.case_name case ^ "\x00" ^ key))
+  store_key ~scope:t.scope ~case_name:(t.case_name case) key
 
 (* Persistence lives in {!Shardstore}: "digest value" lines, hex floats
    for exact round-trips, sharded by digest prefix with per-shard
-   locking, compaction-on-load and per-shard write degradation. *)
+   locking, compaction-on-load and per-shard write degradation.  The
+   handle is the caller's: a study context opens one and shares it. *)
 
-let create ?(pool = Gp.Parmap.pool ()) ?cache_dir ?remote ~fs ~scope
-    ~case_name ~eval () =
-  let store = Option.map Shardstore.open_store cache_dir in
+let create ?(pool = Gp.Parmap.pool ()) ?store ?remote ~fs ~scope ~case_name
+    ~eval () =
   {
     pool;
     remote;

@@ -29,8 +29,8 @@
     poison future runs.  Only real results increment {!evaluations}.
 
     The on-disk cache is a {!Shardstore}: a content-addressed store
-    under [cache_dir], keyed by a digest of (scope, case name, canonical
-    expression) and sharded by digest prefix over
+    keyed by a digest of (scope, case name, canonical expression)
+    ({!store_key}) and sharded by digest prefix over
     {!Shardstore.shards} append-only files, each under its own
     advisory [lockf].
     It survives across runs and is shared by any study pointing at the
@@ -100,16 +100,23 @@ type remote =
     contract).  Non-[Ok] outcomes are recorded as infrastructure faults
     exactly as a local pool's would be. *)
 
+val store_key : scope:string -> case_name:string -> string -> string
+(** [store_key ~scope ~case_name key] is the store digest of [key] on
+    the case named [case_name] under [scope]: what an engine created
+    with that [scope] reads and writes for a canonical genome key.
+    {!Study} files each context's baselines under the same digests with
+    reserved keys that no canonical genome key can equal. *)
+
 val create :
   ?pool:Gp.Parmap.pool ->
-  ?cache_dir:string ->
+  ?store:Shardstore.t ->
   ?remote:remote ->
   fs:Gp.Feature_set.t ->
   scope:string ->
   case_name:(int -> string) ->
   eval:(Gp.Expr.genome -> int -> float) ->
   unit -> t
-(** [create ~pool ~cache_dir ~fs ~scope ~case_name ~eval ()]
+(** [create ~pool ~store ~fs ~scope ~case_name ~eval ()]
     builds an engine over the raw single evaluation [eval] (one
     compile-and-simulate cycle; called on the canonical genome, in a
     worker process when supervised, so it must not rely on observable
@@ -119,9 +126,12 @@ val create :
     kill-based deadlines, [`Seq] for the in-process sequential
     reference), its width, its per-evaluation [timeout_s] and its
     [retries] (how many times a crashed or hung evaluation is re-run
-    before being abandoned).  [scope] namespaces the persistent cache —
-    include everything the fitness depends on besides the genome and
-    case: study, machine, dataset.
+    before being abandoned).  [store] is the persistent cache, an open
+    {!Shardstore} handle the caller owns and may share: a study context
+    opens one per [--cache-dir] and hands it to both dataset engines
+    and its baselines.  [scope] namespaces that store — include
+    everything the fitness depends on besides the genome and case:
+    study, machine, dataset.
     Results are sanitized: non-finite or negative values score 0.  With
     one job and no [timeout_s] (or [`Seq]), evaluation runs on a
     [`Seq] handle, sequential and in-process (side effects of [eval]

@@ -14,7 +14,8 @@
    recomputed, never answered wrongly.
 
    Compaction happens on load: a shard whose file contains malformed
-   lines (torn by a killed writer) or superseded duplicate digests is
+   lines (torn by a killed writer, including any text after the last
+   newline) or superseded duplicate digests is
    rewritten in place under its exclusive lock — truncate and rewrite
    through the same descriptor, never rename, so a concurrent appender
    holding the path cannot be left appending to an unlinked inode.
@@ -111,20 +112,31 @@ let load_shard t i =
         let lines = ref 0 in
         let malformed = ref 0 in
         let dups = ref 0 in
-        (try
-           while true do
-             let line = input_line ic in
-             if line <> "" then begin
-               incr lines;
-               match parse_line line with
-               | Some (digest, v) ->
-                 if Hashtbl.mem local digest then incr dups
-                 else order := digest :: !order;
-                 Hashtbl.replace local digest v (* last write wins *)
-               | None -> incr malformed
-             end
-           done
-         with End_of_file -> ());
+        (* Every append ends its lines with a newline, so text after the
+           last one is a torn write however well it parses: a hex float
+           cut short can still read as a finite, wrong value. *)
+        let text = In_channel.input_all ic in
+        let body, tail =
+          match String.rindex_opt text '\n' with
+          | Some i -> (String.sub text 0 i, String.length text - i - 1)
+          | None -> ("", String.length text)
+        in
+        if tail > 0 then begin
+          incr lines;
+          incr malformed
+        end;
+        List.iter
+          (fun line ->
+            if line <> "" then begin
+              incr lines;
+              match parse_line line with
+              | Some (digest, v) ->
+                if Hashtbl.mem local digest then incr dups
+                else order := digest :: !order;
+                Hashtbl.replace local digest v (* last write wins *)
+              | None -> incr malformed
+            end)
+          (String.split_on_char '\n' body);
         Hashtbl.iter (fun d v -> Hashtbl.replace t.tbl d v) local;
         (* Rewriting without the lock could drop a concurrent writer's
            append between our read and the truncate; an unlocked load
@@ -150,8 +162,7 @@ let load_shard t i =
         end)
 
 let open_store dir =
-  (try if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-   with Unix.Unix_error _ -> ());
+  Gp.Dirs.mkdir_p dir;
   let t =
     {
       dir;

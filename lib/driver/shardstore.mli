@@ -1,18 +1,24 @@
 (** The evaluator's persistent fitness store, content-addressed and
     sharded by digest prefix.
 
-    One {!open_store} per cache directory: entries ("digest value"
-    lines, hex floats for exact round-trips) are spread over the
-    {!shards} append-only files [shard-00.tsv] .. [shard-0f.tsv] by the
-    first byte of their digest, each file under its own advisory
-    [lockf].  Concurrent studies sharing a --cache-dir therefore only
-    contend when they touch the same shard, and a shard whose filesystem
-    fails (ENOSPC, a revoked mount) degrades alone — the other shards
-    keep persisting.
+    Open one handle per cache directory and share it: a study context
+    opens one and hands it to its baselines and both dataset
+    evaluators, so each shard loads once.  The store holds fitness and,
+    beside it, each context's baselines (the cycles, and the output
+    checksum as two exact 32-bit halves) under reserved keys that no
+    canonical genome key can equal; to the store both are plain
+    entries.  Entries ("digest value" lines, hex floats for exact
+    round-trips) are spread over the {!shards} append-only files
+    [shard-00.tsv] .. [shard-0f.tsv] by the first byte of their digest,
+    each file under its own advisory [lockf].  Concurrent studies
+    sharing a --cache-dir therefore only contend when they touch the
+    same shard, and a shard whose filesystem fails (ENOSPC, a revoked
+    mount) degrades alone — the other shards keep persisting.
 
-    Opening the store loads those files, and no others, into one
-    in-memory table, and {e compacts} any shard holding torn or
-    superseded lines: the shard
+    Opening the store creates the directory and any missing parents,
+    loads those files, and no others, into one in-memory table, and
+    {e compacts} any shard holding torn or superseded lines (text after
+    a shard's last newline is torn, however well it parses): the shard
     is rewritten in place under its exclusive lock (truncate + rewrite,
     never rename, so a concurrent appender cannot be stranded on an
     unlinked inode) and every dropped line is counted as an eviction
@@ -39,8 +45,10 @@ val shards : int
 (** 16: the number of shard files, part of the store's addressing. *)
 
 val open_store : string -> t
-(** [open_store dir] creates [dir] if needed, loads the shard files and
-    compacts damaged ones. *)
+(** [open_store dir] creates [dir] and its missing parents if needed
+    ({!Gp.Dirs.mkdir_p}), loads the shard files and compacts damaged
+    ones.  A directory that cannot be created leaves every shard to
+    degrade, with a warning, on its first append. *)
 
 val is_digest : string -> bool
 (** Whether a string is a store key: exactly the 32 lowercase hex

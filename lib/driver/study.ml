@@ -8,8 +8,8 @@
    heuristic on the training dataset.
 
    All candidate evaluation is routed through the batch Evaluator engine:
-   one engine per (context, dataset), sharing the context's jobs and
-   cache-dir settings, so evolution, the final measurements and
+   one engine per (context, dataset), sharing the context's pool and
+   store handle, so evolution, the final measurements and
    cross-validation all benefit from the same canonicalization, caching
    and process pool. *)
 
@@ -143,6 +143,10 @@ type context = {
   (* Baseline results per (case, dataset): cycles and output checksum. *)
   baseline_train : (float * int) array;
   baseline_novel : (float * int) array;
+  (* Of the 2n baselines, how many the store answered and how many were
+     compiled and simulated. *)
+  baselines_loaded : int;
+  baselines_measured : int;
   eval_train : Evaluator.t;
   eval_novel : Evaluator.t;
   sim : Simcache.t;
@@ -238,48 +242,115 @@ let prepare_benches kind bench_names =
        (fun n -> Compiler.prepare ~opt_config (Benchmarks.Registry.find n))
        bench_names)
 
+(* The evaluators' store namespace: everything a fitness depends on
+   besides the genome and the bench. *)
+let scope_of kind (machine : Machine.Config.t) dataset =
+  Printf.sprintf "%s/%s/%s" (kind_name kind) machine.Machine.Config.name
+    (dataset_name dataset)
+
+(* A context's baselines live in its store beside fitness: under the
+   evaluators' scope and the bench name ([Evaluator.store_key]), with
+   three reserved keys.  [Gp.Sexp.to_string] prints either one atom,
+   which holds no space, or a list, which starts with '(', so these keys
+   are never a canonical genome key and a baseline digest never equals
+   a fitness digest.  The values are exact: the cycles as the store's
+   hex float (prefetch baselines carry their noise jitter) and the
+   63-bit checksum as two 32-bit halves, each exact in a float. *)
+let baseline_keys =
+  [ "baseline cycles"; "baseline checksum-hi"; "baseline checksum-lo" ]
+
+let baseline_entries ~scope ~case_name (cycles, sum) =
+  List.map2
+    (fun key v -> (Evaluator.store_key ~scope ~case_name key, v))
+    baseline_keys
+    [ cycles; float_of_int (sum asr 32); float_of_int (sum land 0xffff_ffff) ]
+
+(* A stored baseline, or [None] when any part is missing or is not a
+   value [baseline_entries] writes: a miss, to be measured and appended
+   again. *)
+let find_baseline store ~scope ~case_name =
+  let part key =
+    Shardstore.find store (Evaluator.store_key ~scope ~case_name key)
+  in
+  let int_in lo hi v = Float.is_integer v && lo <= v && v < hi in
+  match List.map part baseline_keys with
+  | [ Some cycles; Some hi; Some lo ]
+    when int_in (-0x1p30) 0x1p30 hi && int_in 0.0 0x1p32 lo ->
+    Some (cycles, (int_of_float hi lsl 32) lor int_of_float lo)
+  | _ -> None
+
 (* What every evaluation of one study shape shares, built in one place
    for a local context and a daemon's service alike: the prepared
    benches, the baseline (cycles, checksum) per case on both datasets,
    and the [speedup_against] closure over them.
 
-   The baselines (cheap, one genome) run across [pool] like any other
-   batch when one is given and there is more than one case; a failed
-   cell is then recomputed in-process because baselines must exist.
-   Otherwise they run in-process.  A forked child's simulation table
-   dies with it, so each cell carries its artifact entry back for this
-   table, which a context's persistent evaluation workers then
-   inherit. *)
-let build ?pool ~machine ~fast_sim ~compiled_eval kind bench_names =
+   With a [store], each baseline is first looked up there, and only the
+   misses are measured; they are appended in one [Shardstore.append],
+   so a context over a store that holds its baselines compiles and
+   simulates nothing here.  The misses (cheap, one genome) run across
+   [pool] like any other batch when one is given and more than one case
+   of a dataset misses; a failed cell is then recomputed in-process
+   because baselines must exist.  Otherwise they run in-process.  A
+   forked child's simulation table dies with it, so each cell carries
+   its artifact entry back for this table, which a context's persistent
+   evaluation workers then inherit. *)
+let build ?pool ?store ~machine ~fast_sim ~compiled_eval kind bench_names =
   let sim = Simcache.create ~enabled:fast_sim () in
   let prepared = prepare_benches kind bench_names in
   let base = baseline_genome_of kind in
+  let case_name i = prepared.(i).Compiler.bench.Benchmarks.Bench.name in
+  let fresh = ref [] in
   let baseline_for dataset =
+    let scope = scope_of kind machine dataset in
+    let stored =
+      Array.init (Array.length prepared) (fun case ->
+          Option.bind store (fun s ->
+              find_baseline s ~scope ~case_name:(case_name case)))
+    in
     let measure case =
       run_entry ~compiled_eval ~kind ~machine ~prepared ~sim base ~case
         ~dataset
     in
-    let cases = Array.init (Array.length prepared) Fun.id in
+    let misses =
+      Array.of_list
+        (List.filter
+           (fun case -> stored.(case) = None)
+           (List.init (Array.length prepared) Fun.id))
+    in
     let cells =
       match pool with
-      | Some pool when Array.length cases > 1 ->
+      | Some pool when Array.length misses > 1 ->
         Array.map2
           (fun case -> function
             | Gp.Parmap.Ok cell -> cell
             | Gp.Parmap.Crashed _ | Gp.Parmap.Timed_out | Gp.Parmap.Gave_up ->
               measure case)
-          cases
-          (fst (Gp.Parmap.run_supervised pool measure cases))
-      | _ -> Array.map measure cases
+          misses
+          (fst (Gp.Parmap.run_supervised pool measure misses))
+      | _ -> Array.map measure misses
     in
-    Array.map
-      (fun (cell, entry) ->
+    Array.iter2
+      (fun case (cell, entry) ->
         Option.iter (Simcache.adopt sim) entry;
-        cell)
-      cells
+        stored.(case) <- Some cell;
+        fresh := (scope, case_name case, cell) :: !fresh)
+      misses cells;
+    Array.map Option.get stored
   in
   let baseline_train = baseline_for Benchmarks.Bench.Train in
   let baseline_novel = baseline_for Benchmarks.Bench.Novel in
+  let measured = List.length !fresh in
+  Option.iter
+    (fun s ->
+      Shardstore.append s
+        (List.concat_map
+           (fun (scope, case_name, cell) ->
+             baseline_entries ~scope ~case_name cell)
+           (List.rev !fresh)))
+    store;
+  Gp.Telemetry.incr ~by:measured "study.baselines_measured";
+  Gp.Telemetry.incr ~by:((2 * Array.length prepared) - measured)
+    "study.baselines_loaded";
   let speedup dataset g case =
     let baselines =
       match dataset with
@@ -289,7 +360,7 @@ let build ?pool ~machine ~fast_sim ~compiled_eval kind bench_names =
     speedup_against ~compiled_eval ~kind ~machine ~prepared ~sim ~baselines g
       ~case ~dataset
   in
-  (sim, prepared, baseline_train, baseline_novel, speedup)
+  (sim, prepared, baseline_train, baseline_novel, measured, speedup)
 
 (* The evaluation closure a daemon worker runs for one study shape —
    called with the client's canonical genome, never re-canonicalized, so
@@ -300,7 +371,7 @@ let service_of ?machine:machine_override ?(fast_sim = true)
     ?(compiled_eval = true) (kind : kind) (bench_names : string list) :
     service =
   let machine = Option.value ~default:(machine_of kind) machine_override in
-  let _, prepared, _, _, speedup =
+  let _, prepared, _, _, _, speedup =
     build ~machine ~fast_sim ~compiled_eval kind bench_names
   in
   {
@@ -339,19 +410,23 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
     Gp.Parmap.pool ~backend:cfg.backend ~jobs:cfg.jobs ?timeout_s:cfg.timeout_s
       ~retries:cfg.retries ()
   in
-  let sim, prepared, baseline_train, baseline_novel, speedup =
+  (* One store handle for the whole context too: the baselines and both
+     dataset evaluators read and append through it, so its shards load
+     once.  Served, the daemon owns the store. *)
+  let store =
+    if remote_h = None then Option.map Shardstore.open_store cfg.cache_dir
+    else None
+  in
+  let sim, prepared, baseline_train, baseline_novel, measured, speedup =
     build
       ?pool:(if remote_h = None && cfg.jobs > 1 then Some pool else None)
-      ~machine ~fast_sim:cfg.fast_sim ~compiled_eval kind bench_names
+      ?store ~machine ~fast_sim:cfg.fast_sim ~compiled_eval kind bench_names
   in
   let evaluator_for dataset =
-    Evaluator.create ~pool
-      ?cache_dir:(if remote_h = None then cfg.cache_dir else None)
+    Evaluator.create ~pool ?store
       ?remote:(Option.map (fun h -> h.rh_eval dataset) remote_h)
       ~fs:(feature_set_of kind)
-      ~scope:
-        (Printf.sprintf "%s/%s/%s" (kind_name kind)
-           machine.Machine.Config.name (dataset_name dataset))
+      ~scope:(scope_of kind machine dataset)
       ~case_name:(fun i ->
         prepared.(i).Compiler.bench.Benchmarks.Bench.name)
       ~eval:(speedup dataset) ()
@@ -363,6 +438,8 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
     prepared;
     baseline_train;
     baseline_novel;
+    baselines_loaded = (2 * Array.length prepared) - measured;
+    baselines_measured = measured;
     eval_train = evaluator_for Benchmarks.Bench.Train;
     eval_novel = evaluator_for Benchmarks.Bench.Novel;
     sim;
@@ -465,6 +542,8 @@ let emit_run_summary ~driver ~kind ~benches ~ctx ~elapsed_s ~evaluations
             (List.map (fun b -> Gp.Telemetry.String b) benches) );
         ("elapsed_s", Gp.Telemetry.Float elapsed_s);
         ("evaluations", Gp.Telemetry.Int evaluations);
+        ("baselines_loaded", Gp.Telemetry.Int ctx.baselines_loaded);
+        ("baselines_measured", Gp.Telemetry.Int ctx.baselines_measured);
         ("memo_hits", Gp.Telemetry.Int cs.Evaluator.memo_hits);
         ("disk_hits", Gp.Telemetry.Int cs.Evaluator.disk_hits);
         ("misses", Gp.Telemetry.Int cs.Evaluator.misses);

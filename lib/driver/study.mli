@@ -42,7 +42,9 @@ type config = {
   machine : Machine.Config.t option;  (** [None] = the study's default *)
   backend : Gp.Parmap.backend;   (** pool flavor, default [`Fork] *)
   jobs : int;                    (** pool width, default 1 *)
-  cache_dir : string option;     (** persistent fitness cache *)
+  cache_dir : string option;
+      (** persistent store of fitness and baselines, opened once per
+          context *)
   checkpoint_dir : string option;  (** per-generation checkpointing *)
   timeout_s : float option;
       (** per-evaluation deadline: a kill on [`Fork], inert on
@@ -123,6 +125,9 @@ type context = {
   prepared : Compiler.prepared array;
   baseline_train : (float * int) array;  (** cycles, checksum per case *)
   baseline_novel : (float * int) array;
+  baselines_loaded : int;
+      (** baselines (of 2 per bench) the context's store answered *)
+  baselines_measured : int;  (** baselines compiled and simulated *)
   eval_train : Evaluator.t;  (** cached batch engine, training dataset *)
   eval_novel : Evaluator.t;  (** cached batch engine, novel dataset *)
   sim : Simcache.t;  (** shared artifact/summary simulation cache *)
@@ -130,13 +135,21 @@ type context = {
 }
 
 val create_with : config -> kind -> string list -> context
-(** Prepare the named benchmarks, compile + simulate the baseline on both
-    datasets, and build one cached batch evaluator per dataset.  One
-    {!Gp.Parmap.pool} is built from [backend], [jobs], [timeout_s] and
-    [retries] and shared by the baselines and both evaluators: at [-jN]
-    the baselines run as one supervised batch per dataset (a failed cell
-    is recomputed in-process); with one job or one benchmark, and in
-    served mode, they run in-process.  Each evaluator keeps a persistent worker pool alive
+(** Prepare the named benchmarks, find or measure the baseline on both
+    datasets, and build one cached batch evaluator per dataset.  With
+    [cache_dir], the directory is opened once ({!Shardstore.open_store})
+    and that one handle serves the baselines and both evaluators: each
+    baseline (cycles and output checksum, per dataset and bench) is
+    looked up in the store first, only the misses are compiled and
+    simulated, and they are appended in one write — so a context over a
+    store that holds its baselines simulates nothing here
+    ([baselines_loaded], [baselines_measured]).  Served contexts open no
+    store.  One {!Gp.Parmap.pool} is built from [backend], [jobs],
+    [timeout_s] and [retries] and shared by the baselines and both
+    evaluators: at [-jN] the baselines a dataset misses run as one
+    supervised batch (a failed cell is recomputed in-process); with one
+    job or one miss, and in served mode, they run in-process.  Each
+    evaluator keeps a persistent worker pool alive
     across its batches (spawned lazily on first use); callers that
     build a context directly own its lifetime and should {!close} it —
     the [_with] experiment drivers below do so on every exit path.
@@ -192,7 +205,8 @@ val specialize_with :
     evolution loop (see {!Gp.Evolve.run}).  With {!Gp.Telemetry} enabled,
     emits one [kind = "run_summary"] record (evaluations, cache hit
     counts, fault counters, elapsed seconds, best expression) at the end
-    of the run, as does {!evolve_general_with}. *)
+    of the run, as does {!evolve_general_with}; it also carries the
+    context's [baselines_loaded] and [baselines_measured]. *)
 
 type general = {
   best : Gp.Expr.genome;

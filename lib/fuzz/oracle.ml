@@ -430,8 +430,8 @@ let evaluator_diverges seed (genomes : Gp.Expr.genome array) : string option =
     | `Real v -> v
     | `Bool b -> if b then 1.0 else 0.5
   in
-  let mk ?cache_dir () =
-    Driver.Evaluator.create ?cache_dir ~fs ~scope:"fuzz"
+  let mk ?store () =
+    Driver.Evaluator.create ?store ~fs ~scope:"fuzz"
       ~case_name:string_of_int ~eval ()
   in
   let cases = [ 0; 1; 2 ] in
@@ -443,11 +443,11 @@ let evaluator_diverges seed (genomes : Gp.Expr.genome array) : string option =
   in
   let dir = fresh_dir "evcache" seed in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let ev_w = mk ~cache_dir:dir () in
+  let ev_w = mk ~store:(Driver.Shardstore.open_store dir) () in
   let written =
     rows_sig (Driver.Evaluator.evaluate_batch ev_w genomes ~cases)
   in
-  let ev_r = mk ~cache_dir:dir () in
+  let ev_r = mk ~store:(Driver.Shardstore.open_store dir) () in
   let from_disk =
     rows_sig (Driver.Evaluator.evaluate_batch ev_r genomes ~cases)
   in
@@ -814,8 +814,9 @@ let chaos_trial ?plan seed : string option =
   in
   let params = { Gp.Params.tiny with Gp.Params.rng_seed = 9000 + seed } in
   let run_leg ?cache_dir ?checkpoint_dir pool =
+    let store = Option.map Driver.Shardstore.open_store cache_dir in
     let ev =
-      Driver.Evaluator.create ~pool ?cache_dir ~fs:Genome_gen.fs
+      Driver.Evaluator.create ~pool ?store ~fs:Genome_gen.fs
         ~scope:"chaos" ~case_name:string_of_int ~eval ()
     in
     let problem =

@@ -150,7 +150,8 @@ let count_lines path =
 let mk_cache_evaluator ?(eval = fun _ case -> float_of_int (case + 1)) dir =
   Driver.Evaluator.create
     ~pool:(Gp.Parmap.pool ~backend:`Seq ())
-    ~cache_dir:dir ~fs:Fuzz.Genome_gen.fs ~scope:"chaos/cache"
+    ~store:(Driver.Shardstore.open_store dir)
+    ~fs:Fuzz.Genome_gen.fs ~scope:"chaos/cache"
     ~case_name:(fun i -> "case" ^ string_of_int i)
     ~eval ()
 

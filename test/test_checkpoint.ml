@@ -82,6 +82,40 @@ let test_resume_after_complete () =
       Alcotest.(check bool) "the re-run evaluated less" true
         (second.Gp.Evolve.evaluations <= first.Gp.Evolve.evaluations))
 
+(* [--checkpoint-dir] under parents that do not exist yet: the writer
+   creates them, so an interrupted run still resumes. *)
+let test_checkpoint_dir_parents_created () =
+  with_dir "parents" (fun dir ->
+      let parent = Filename.concat dir "a" in
+      let nested = Filename.concat parent "b" in
+      let remove () =
+        if Sys.file_exists nested then begin
+          Array.iter
+            (fun f -> Sys.remove (Filename.concat nested f))
+            (Sys.readdir nested);
+          Unix.rmdir nested
+        end;
+        if Sys.file_exists parent then Unix.rmdir parent
+      in
+      Fun.protect ~finally:remove (fun () ->
+          let straight = Gp.Evolve.run ~params (Test_gp.synthetic_problem ()) in
+          (try
+             ignore
+               (Gp.Evolve.run ~params ~checkpoint_dir:nested
+                  ~on_generation:(abort_at 3)
+                  (Test_gp.synthetic_problem ()))
+           with Abort -> ());
+          Alcotest.(check bool) "checkpoints were written" true
+            (Sys.file_exists nested
+            && Array.exists
+                 (fun f -> Filename.check_suffix f ".ckpt")
+                 (Sys.readdir nested));
+          let resumed =
+            Gp.Evolve.run ~params ~checkpoint_dir:nested
+              (Test_gp.synthetic_problem ())
+          in
+          check_same_result "resumed under created parents" straight resumed))
+
 (* The loader walks newest-first: trashing the newest checkpoint costs
    at most one generation of recomputation, never the run. *)
 let test_corrupt_checkpoint_skipped () =
@@ -200,4 +234,6 @@ let suite =
       test_dss_state_checkpointed;
     Alcotest.test_case "study-level checkpoint resume" `Slow
       test_study_checkpoint_resume;
+    Alcotest.test_case "checkpoint dir parents created" `Quick
+      test_checkpoint_dir_parents_created;
   ]

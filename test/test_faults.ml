@@ -217,7 +217,8 @@ let test_evaluator_fault_split () =
       let e =
         Driver.Evaluator.create
           ~pool:(fork_pool ~jobs:1 ~timeout_s:0.25 ~retries:1 ())
-          ~cache_dir ~fs:Hyperblock.Features.feature_set ~scope:"faults/scope"
+          ~store:(Driver.Shardstore.open_store cache_dir)
+          ~fs:Hyperblock.Features.feature_set ~scope:"faults/scope"
           ~case_name:(fun i -> "case" ^ string_of_int i)
           ~eval ()
       in
@@ -255,7 +256,8 @@ let test_evaluator_fault_split () =
          case — proof the Gave_up never poisoned the persistent cache. *)
       let recomputed = ref 0 in
       let e2 =
-        Driver.Evaluator.create ~cache_dir
+        Driver.Evaluator.create
+          ~store:(Driver.Shardstore.open_store cache_dir)
           ~fs:Hyperblock.Features.feature_set ~scope:"faults/scope"
           ~case_name:(fun i -> "case" ^ string_of_int i)
           ~eval:(fun _ _ ->

@@ -231,7 +231,8 @@ let test_evaluator_nonfinite_roundtrip () =
     | `Bool _ -> 0.0
   in
   let mk () =
-    Driver.Evaluator.create ~cache_dir:dir ~fs ~scope:"nonfinite-test"
+    Driver.Evaluator.create ~store:(Driver.Shardstore.open_store dir) ~fs
+      ~scope:"nonfinite-test"
       ~case_name:string_of_int ~eval ()
   in
   let a = Driver.Evaluator.evaluate_batch (mk ()) genomes ~cases:[ 0 ] in

@@ -282,7 +282,7 @@ let test_disk_cache_roundtrip () =
   in
   let count = ref 0 in
   let mk () =
-    Driver.Evaluator.create ~cache_dir:dir
+    Driver.Evaluator.create ~store:(Driver.Shardstore.open_store dir)
       ~fs:Hyperblock.Features.feature_set ~scope:"test/scope"
       ~case_name:(fun i -> "case" ^ string_of_int i)
       ~eval:(fun _ c ->
@@ -313,7 +313,7 @@ let test_disk_cache_roundtrip () =
         (List.length (store_lines dir));
       (* A different scope misses. *)
       let e3 =
-        Driver.Evaluator.create ~cache_dir:dir
+        Driver.Evaluator.create ~store:(Driver.Shardstore.open_store dir)
           ~fs:Hyperblock.Features.feature_set ~scope:"other/scope"
           ~case_name:(fun i -> "case" ^ string_of_int i)
           ~eval:(fun _ c ->
@@ -337,7 +337,7 @@ let test_corrupted_cache_lines () =
   in
   let count = ref 0 in
   let mk () =
-    Driver.Evaluator.create ~cache_dir:dir
+    Driver.Evaluator.create ~store:(Driver.Shardstore.open_store dir)
       ~fs:Hyperblock.Features.feature_set ~scope:"corrupt/scope"
       ~case_name:(fun i -> "case" ^ string_of_int i)
       ~eval:(fun _ c ->
@@ -417,7 +417,7 @@ let test_concurrent_cache_writers () =
       (fun () ->
         let g = Hyperblock.Baseline.genome in
         let engine scope eval =
-          Driver.Evaluator.create ~cache_dir:dir
+          Driver.Evaluator.create ~store:(Driver.Shardstore.open_store dir)
             ~fs:Hyperblock.Features.feature_set ~scope
             ~case_name:(fun i -> "case" ^ string_of_int i)
             ~eval ()

@@ -377,6 +377,208 @@ let test_refused_append () =
     [ Printf.sprintf "%s %h" good 5.0 ]
     (read_lines (S.shard_file s2 5))
 
+(* A torn append that ends the file mid-line can still parse: a hex
+   float cut short reads as a finite, wrong value.  Text after the last
+   newline is therefore evicted, never served. *)
+let test_unterminated_tail_evicted () =
+  with_dir "tail" @@ fun dir ->
+  let s = S.open_store dir in
+  let d_keep = digest_in 3 1 and d_torn = digest_in 3 2 in
+  let oc = open_out (S.shard_file s 3) in
+  Printf.fprintf oc "%s %h\n" d_keep 2.5;
+  (* "0x1.9a2b3cp+18" cut after "0x1.9a2b": 1.6, were it parsed *)
+  Printf.fprintf oc "%s 0x1.9a2b" d_torn;
+  close_out oc;
+  let s1 = S.open_store dir in
+  Alcotest.(check int) "the tail is evicted" 1 (S.evictions s1);
+  Alcotest.(check (option (float 0.0))) "the keeper is served" (Some 2.5)
+    (S.find s1 d_keep);
+  Alcotest.(check (option (float 0.0))) "the torn value is not" None
+    (S.find s1 d_torn);
+  Alcotest.(check (list string)) "compacted to the whole line"
+    [ Printf.sprintf "%s %h" d_keep 2.5 ]
+    (read_lines (S.shard_file s1 3))
+
+(* --- Persisted baselines ---------------------------------------------- *)
+
+let store_lines dir =
+  if not (Sys.file_exists dir) then []
+  else
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.concat_map (fun f -> read_lines (Filename.concat dir f))
+
+let stored_cfg ?(backend = `Seq) ?(jobs = 1) dir =
+  { Driver.Study.default_config with
+    Driver.Study.backend; jobs; cache_dir = Some dir }
+
+let with_context cfg kind benches f =
+  let ctx = Driver.Study.create_with cfg kind benches in
+  Fun.protect ~finally:(fun () -> Driver.Study.close ctx) (fun () -> f ctx)
+
+(* Baselines as exact bits: cycles as their float bits, then checksums. *)
+let baseline_bits (ctx : Driver.Study.context) =
+  List.map
+    (fun (c, sum) -> (Int64.bits_of_float c, sum))
+    (Array.to_list ctx.baseline_train @ Array.to_list ctx.baseline_novel)
+
+let check_baselines name expected (ctx : Driver.Study.context) =
+  Alcotest.(check (list (pair int64 int))) (name ^ ": baselines bit-equal")
+    expected (baseline_bits ctx)
+
+let check_counts name ~loaded ~measured (ctx : Driver.Study.context) =
+  Alcotest.(check (pair int int)) (name ^ ": baselines loaded, measured")
+    (loaded, measured)
+    (ctx.baselines_loaded, ctx.baselines_measured)
+
+let prefetch_benches = [ "015.doduc"; "101.tomcatv" ]
+
+(* A context over a store that holds its baselines measures none of
+   them: no simulation, no summary answer, no artifact hit.  Prefetch
+   baselines carry noise jitter, so this also pins the exact encoding. *)
+let test_warm_context_simulates_nothing () =
+  with_dir "warm" @@ fun dir ->
+  let cfg = stored_cfg dir in
+  let kind = Driver.Study.Prefetch_study in
+  let cold =
+    with_context cfg kind prefetch_benches (fun ctx ->
+        check_counts "cold" ~loaded:0 ~measured:4 ctx;
+        baseline_bits ctx)
+  in
+  Alcotest.(check int) "three parts per baseline" 12
+    (List.length (store_lines dir));
+  with_context cfg kind prefetch_benches (fun ctx ->
+      check_counts "warm" ~loaded:4 ~measured:0 ctx;
+      check_baselines "warm" cold ctx;
+      let st = Driver.Simcache.stats ctx.sim in
+      Alcotest.(check (list int)) "warm: simulations, replays, artifact hits"
+        [ 0; 0; 0 ]
+        Driver.Simcache.[ st.simulations; st.replays; st.artifact_hits ]);
+  (* The same short evolution without a store, over the warm baselines,
+     and over a fully warm store prints the same study. *)
+  let params =
+    { Gp.Params.tiny with Gp.Params.population_size = 6; generations = 2 }
+  in
+  let evolve cfg =
+    let g =
+      Driver.Study.evolve_general_with { cfg with Driver.Study.params } kind
+        prefetch_benches
+    in
+    ( g.Driver.Study.best_expr,
+      List.map
+        (fun (s : Gp.Evolve.generation_stats) ->
+          (s.gen, Int64.bits_of_float s.best_fitness, s.best_expr))
+        g.history,
+      List.map
+        (fun (b, t, n) -> (b, Int64.bits_of_float t, Int64.bits_of_float n))
+        g.train_rows )
+  in
+  let study =
+    Alcotest.(
+      triple string
+        (list (triple int int64 string))
+        (list (triple string int64 int64)))
+  in
+  let reference = evolve Driver.Study.default_config in
+  Alcotest.check study "baselines from the store" reference (evolve cfg);
+  Alcotest.check study "everything from the store" reference (evolve cfg)
+
+(* Dropping one part of one baseline, or tearing it, makes that one
+   baseline a miss: it alone is measured again, bit-equal, and appended
+   again, so the next context loads every baseline. *)
+let test_damaged_baseline_remeasured () =
+  with_dir "damaged" @@ fun dir ->
+  let cfg = stored_cfg dir in
+  let kind = Driver.Study.Prefetch_study in
+  let cold = with_context cfg kind prefetch_benches baseline_bits in
+  let shard =
+    List.find
+      (fun f -> read_lines f <> [])
+      (List.init S.shards (S.shard_file (S.open_store dir)))
+  in
+  let rewrite f =
+    let lines = read_lines shard in
+    Out_channel.with_open_bin shard (fun oc -> output_string oc (f lines))
+  in
+  let remeasured name =
+    with_context cfg kind prefetch_benches (fun ctx ->
+        check_counts name ~loaded:3 ~measured:1 ctx;
+        check_baselines name cold ctx);
+    with_context cfg kind prefetch_benches (fun ctx ->
+        check_counts (name ^ ", reloaded") ~loaded:4 ~measured:0 ctx;
+        check_baselines (name ^ ", reloaded") cold ctx)
+  in
+  let whole lines = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+  (* deleted: the shard's first line *)
+  rewrite (fun lines -> whole (List.tl lines));
+  remeasured "deleted";
+  (* torn: the shard's last line cut mid-value, with no newline *)
+  rewrite (fun lines ->
+      match List.rev lines with
+      | last :: rest ->
+        whole (List.rev rest)
+        ^ String.sub last 0 (33 + ((String.length last - 33) / 2))
+      | [] -> Alcotest.fail "empty shard");
+  remeasured "torn"
+
+(* Kinds never share baselines: a sched context over a directory a
+   hyperblock context filled, over the same bench, measures its own. *)
+let test_baselines_scoped_by_kind () =
+  with_dir "kinds" @@ fun dir ->
+  let cfg = stored_cfg dir in
+  let benches = [ "codrle4" ] in
+  let hb = Driver.Study.Hyperblock_study and sched = Driver.Study.Sched_study in
+  with_context cfg hb benches (check_counts "hyperblock" ~loaded:0 ~measured:2);
+  let reference =
+    with_context Driver.Study.default_config sched benches baseline_bits
+  in
+  with_context cfg sched benches (fun ctx ->
+      check_counts "sched" ~loaded:0 ~measured:2 ctx;
+      check_baselines "sched" reference ctx;
+      Alcotest.(check bool) "sched simulated its own" true
+        ((Driver.Simcache.stats ctx.sim).simulations > 0));
+  with_context cfg hb benches
+    (check_counts "hyperblock, warm" ~loaded:2 ~measured:0);
+  with_context cfg sched benches
+    (check_counts "sched, warm" ~loaded:2 ~measured:0)
+
+(* A cold context on the fork pool at -j2 persists exactly what a -j1
+   one does. *)
+let test_fork_baselines_persisted () =
+  if List.mem `Fork (Gp.Parmap.capabilities ()) then
+    with_dir "fork" @@ fun dir ->
+    let seq_dir = Filename.concat dir "seq"
+    and fork_dir = Filename.concat dir "fork" in
+    let kind = Driver.Study.Sched_study
+    and benches = [ "codrle4"; "huff_dec" ] in
+    let seq = with_context (stored_cfg seq_dir) kind benches baseline_bits in
+    with_context (stored_cfg ~backend:`Fork ~jobs:2 fork_dir) kind benches
+      (fun ctx ->
+        check_counts "fork" ~loaded:0 ~measured:4 ctx;
+        check_baselines "fork" seq ctx);
+    Alcotest.(check (list string)) "same lines on disk"
+      (List.sort compare (store_lines seq_dir))
+      (List.sort compare (store_lines fork_dir));
+    with_context (stored_cfg fork_dir) kind benches (fun ctx ->
+        check_counts "warm over the fork store" ~loaded:4 ~measured:0 ctx;
+        check_baselines "warm over the fork store" seq ctx)
+
+(* [--cache-dir] under parents that do not exist yet: the store creates
+   them and persists, rather than warning on every shard. *)
+let test_cache_dir_parents_created () =
+  with_dir "parents" @@ fun dir ->
+  let nested = Filename.concat dir (Filename.concat "a" "b") in
+  let cfg =
+    { (stored_cfg nested) with
+      Driver.Study.params =
+        { Gp.Params.tiny with Gp.Params.population_size = 4; generations = 1 } }
+  in
+  ignore
+    (Driver.Study.specialize_with cfg Driver.Study.Hyperblock_study "codrle4");
+  Alcotest.(check bool) "fitness and baselines persisted" true
+    (List.length (store_lines nested) > 6);
+  with_context cfg Driver.Study.Hyperblock_study [ "codrle4" ]
+    (check_counts "rerun" ~loaded:2 ~measured:0)
+
 let suite =
   [
     Alcotest.test_case "digest addressing" `Quick test_addressing;
@@ -394,4 +596,16 @@ let suite =
       test_lock_eintr_injected;
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "refused append" `Quick test_refused_append;
+    Alcotest.test_case "unterminated tail evicted" `Quick
+      test_unterminated_tail_evicted;
+    Alcotest.test_case "warm context simulates nothing" `Slow
+      test_warm_context_simulates_nothing;
+    Alcotest.test_case "damaged baseline re-measured" `Slow
+      test_damaged_baseline_remeasured;
+    Alcotest.test_case "baselines scoped by kind" `Slow
+      test_baselines_scoped_by_kind;
+    Alcotest.test_case "fork baselines persisted" `Slow
+      test_fork_baselines_persisted;
+    Alcotest.test_case "cache dir parents created" `Slow
+      test_cache_dir_parents_created;
   ]
