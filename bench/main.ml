@@ -15,7 +15,6 @@
    Usage:
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- fig4 fig5    # specific figures
-     dune exec bench/main.exe -- par          # parallel-engine comparison
      dune exec bench/main.exe -- sim          # simulation fast paths
      dune exec bench/main.exe -- evalc        # compiled eval + pool backends
      dune exec bench/main.exe -- report       # BENCH_metaopt.json report
@@ -322,107 +321,6 @@ let steady_gen_s stamps =
   let a = Array.of_list (List.rev stamps) in
   let n = Array.length a in
   if n >= 2 then (a.(n - 1) -. a.(0)) /. float_of_int (n - 1) else 0.0
-
-(* The parallel, cached fitness engine: the same small evolve_general run
-   at -j 1 and -j 4 must produce identical evolved results for the same
-   seed.  The headline figure is the steady-state per-generation ratio —
-   generations on the resident warm pool, excluding the first — next to
-   the one-time pool startup cost; it scales with the core count (the
-   container running this may be single-core, in which case forking buys
-   nothing and the steady ratio honestly reports ~1x). *)
-let par () =
-  hr "Parallel fitness engine: evolve_general at -j 1 vs -j 4";
-  Fmt.pr "same seed, identical results required; steady-state speedup \
-          scales with cores@.";
-  Fmt.pr "(detected cores: %d)@.@." (detected_cores ());
-  let p =
-    { params with Gp.Params.population_size = min 24 params.Gp.Params.population_size;
-      generations = min 6 params.Gp.Params.generations }
-  in
-  let benches = [ "codrle4"; "decodrle4"; "rawcaudio"; "huff_enc" ] in
-  let timed j =
-    let stamps = ref [] in
-    let t0 = Unix.gettimeofday () in
-    let g =
-      Driver.Study.evolve_general_with
-        ~on_generation:(fun _ -> stamps := Unix.gettimeofday () :: !stamps)
-        { config with Driver.Study.params = p; jobs = j }
-        Driver.Study.Hyperblock_study benches
-    in
-    let total = Unix.gettimeofday () -. t0 in
-    (total, steady_gen_s !stamps, g)
-  in
-  let t1, s1, g1 = timed 1 in
-  let t4, s4, g4 = timed 4 in
-  let same =
-    g1.Driver.Study.best_expr = g4.Driver.Study.best_expr
-    && List.for_all2
-         (fun (n1, tr1, no1) (n2, tr2, no2) ->
-           n1 = n2 && tr1 = tr2 && no1 = no2)
-         g1.Driver.Study.train_rows g4.Driver.Study.train_rows
-  in
-  Fmt.pr "-j 1: %6.2fs total, %6.3fs/gen steady@." t1 s1;
-  Fmt.pr "-j 4: %6.2fs total, %6.3fs/gen steady   steady speedup %.2fx@." t4
-    s4
-    (if s4 > 0.0 then s1 /. s4 else 0.0);
-  Fmt.pr "pool startup (4 warm fork workers, one-time): %.3fs@."
-    (pool_startup_s 4);
-  Fmt.pr "identical evolved results: %s@." (if same then "yes" else "NO!");
-  Fmt.pr "best: %s@." g1.Driver.Study.best_expr
-
-(* Checkpoint/resume smoke: run a small specialization with a checkpoint
-   directory, kill it mid-run (an on_generation callback that raises),
-   resume from the newest checkpoint, and require the resumed result to be
-   identical to an uninterrupted run with the same seed.  Also reports the
-   per-generation checkpoint write cost. *)
-let ckpt () =
-  hr "Checkpoint/resume: interrupted specialization must resume identically";
-  let p =
-    { params with Gp.Params.population_size = min 24 params.Gp.Params.population_size;
-      generations = min 6 params.Gp.Params.generations }
-  in
-  let fresh_dir tag =
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "metaopt-bench-%s-%d" tag (Unix.getpid ()))
-    in
-    (try
-       if Sys.file_exists d then
-         Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d)
-     with Sys_error _ -> ());
-    d
-  in
-  let cfg = { config with Driver.Study.params = p } in
-  let t0 = Unix.gettimeofday () in
-  let straight =
-    Driver.Study.specialize_with cfg Driver.Study.Hyperblock_study "rawcaudio"
-  in
-  let t_straight = Unix.gettimeofday () -. t0 in
-  let dir = fresh_dir "ckpt" in
-  let resumable = { cfg with Driver.Study.checkpoint_dir = Some dir } in
-  let halfway = p.Gp.Params.generations / 2 in
-  let t1 = Unix.gettimeofday () in
-  (try
-     ignore
-       (Driver.Study.specialize_with
-          ~on_generation:(fun (s : Gp.Evolve.generation_stats) ->
-            if s.Gp.Evolve.gen = halfway then failwith "simulated crash")
-          resumable Driver.Study.Hyperblock_study "rawcaudio")
-   with Failure _ -> ());
-  let resumed =
-    Driver.Study.specialize_with resumable Driver.Study.Hyperblock_study
-      "rawcaudio"
-  in
-  let t_ckpt = Unix.gettimeofday () -. t1 in
-  let same =
-    straight.Driver.Study.best_expr = resumed.Driver.Study.best_expr
-    && straight.Driver.Study.train_speedup = resumed.Driver.Study.train_speedup
-    && straight.Driver.Study.novel_speedup = resumed.Driver.Study.novel_speedup
-  in
-  Fmt.pr "uninterrupted run       : %6.2fs@." t_straight;
-  Fmt.pr "killed at gen %d + resume: %6.2fs@." halfway t_ckpt;
-  Fmt.pr "identical evolved result : %s@." (if same then "yes" else "NO!");
-  Fmt.pr "best: %s@." straight.Driver.Study.best_expr
 
 (* Simulation fast paths (DESIGN.md §10): simulation throughput of the
    reference vs the closure engine, the speedup of answering from a
@@ -1084,7 +982,7 @@ let all_figures =
     ("fig8", fig8); ("fig9", fig9); ("fig10", fig10); ("fig11", fig11);
     ("fig12", fig12); ("fig13", fig13); ("fig14", fig14); ("fig15", fig15);
     ("fig16", fig16); ("ext-sched", ext_sched); ("ablations", ablations);
-    ("par", par); ("ckpt", ckpt); ("sim", sim); ("evalc", evalc);
+    ("sim", sim); ("evalc", evalc);
     ("report", report); ("micro", micro);
   ]
 

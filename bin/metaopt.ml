@@ -588,7 +588,7 @@ let chaos_cmd =
       match plan with
       | None -> None
       | Some spec -> (
-        match Gp.Chaos.plan_of_string ~seed spec with
+        match Gp.Chaos.plan_of_string spec with
         | Ok p -> Some p
         | Error msg ->
           Fmt.epr "bad --plan: %s@." msg;
@@ -639,12 +639,12 @@ let chaos_cmd =
 
 let serve_cmd =
   let run socket backend jobs eval_timeout eval_retries cache_dir queue_cap
-      inflight_cap idle_timeout metrics_out chaos_plan chaos_seed =
+      inflight_cap idle_timeout metrics_out chaos_plan =
     setup_logs ();
     (match chaos_plan with
     | None -> ()
     | Some spec -> (
-      match Gp.Chaos.plan_of_string ~seed:chaos_seed spec with
+      match Gp.Chaos.plan_of_string spec with
       | Ok p -> Gp.Chaos.arm p
       | Error msg ->
         Fmt.epr "bad --chaos-plan: %s@." msg;
@@ -710,9 +710,7 @@ let serve_cmd =
                  ~doc:"Arm a deterministic fault plan in the daemon \
                        (same syntax as $(b,metaopt chaos --plan)), for \
                        testing served evaluation under injected faults"
-                 ~docv:"PLAN")
-      $ Arg.(value & opt int 0
-             & info [ "chaos-seed" ] ~doc:"seed for --chaos-plan"))
+                 ~docv:"PLAN"))
 
 (* --------------------------------------------------------------------------- *)
 

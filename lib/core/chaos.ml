@@ -1,9 +1,9 @@
 (* Deterministic fault injection, promoted from the test harness into a
    first-class subsystem.
 
-   A [plan] is a seed-stamped list of rules; each rule names an
-   instrumented site, optionally a key (task index, append number,
-   generation) and a 1-based attempt, and the fault to inject there.
+   A [plan] is a list of rules; each rule names an instrumented site,
+   optionally a key (task index, append number, generation) and a
+   1-based attempt, and the fault to inject there.
    Sites in the supervised pool, the evaluator's disk cache and the
    checkpoint writer ask [fire] on every pass; with no plan armed the
    query is one atomic load.  Everything is deterministic: the same
@@ -84,7 +84,7 @@ type rule = {
   r_fault : fault;
 }
 
-type plan = { seed : int; rules : rule list }
+type plan = { rules : rule list }
 
 let rule_to_string r =
   Printf.sprintf "%s%s%s=%s" r.r_site
@@ -138,14 +138,14 @@ let rule_of_string s =
                site (String.concat ", " sites))
         else Ok { r_site = site; r_key; r_attempt; r_fault = fault }))
 
-let plan_of_string ?(seed = 0) s =
+let plan_of_string s =
   let parts =
     List.filter (fun p -> p <> "") (String.split_on_char ',' s)
   in
   if parts = [] then Error "chaos plan: no rules"
   else
     let rec go acc = function
-      | [] -> Ok { seed; rules = List.rev acc }
+      | [] -> Ok { rules = List.rev acc }
       | p :: rest -> (
         match rule_of_string (String.trim p) with
         | Ok r -> go (r :: acc) rest
@@ -167,7 +167,6 @@ let seeded ~seed =
     z lxor (z lsr 13)
   in
   {
-    seed;
     rules =
       [
         (* one task naps past any reasonable deadline on its first

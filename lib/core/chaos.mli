@@ -59,13 +59,13 @@ type rule = {
   r_fault : fault;
 }
 
-type plan = { seed : int; rules : rule list }
+type plan = { rules : rule list }
 
 val plan_to_string : plan -> string
 (** Rules as [SITE[:KEY][@ATTEMPT]=FAULT], comma-joined — the syntax of
     [metaopt chaos --plan]. *)
 
-val plan_of_string : ?seed:int -> string -> (plan, string) result
+val plan_of_string : string -> (plan, string) result
 
 val seeded : seed:int -> plan
 (** The deterministic recoverable plan for [seed]: a first-attempt

@@ -14,8 +14,9 @@
 
 (** A batch fitness engine.  Implementations are expected to memoize per
     (canonical genome, case) — each evaluation costs a compile-and-simulate
-    cycle — and to return sanitized values: finite, non-negative, with any
-    failure scoring 0 (the paper's "wrong output gets fitness 0" rule). *)
+    cycle — and to return values through {!sanitize}: finite,
+    non-negative, with any failure scoring 0 (the paper's "wrong output
+    gets fitness 0" rule). *)
 type evaluator = {
   evaluate_batch : Expr.genome array -> cases:int list -> float array array;
       (** [evaluate_batch pop ~cases] returns one row per genome, one
@@ -23,6 +24,10 @@ type evaluator = {
   evaluations : unit -> int;
       (** Cumulative count of non-memoized evaluations performed. *)
 }
+
+val sanitize : float -> float
+(** The result policy every evaluator applies: non-finite or
+    non-positive fitness scores 0. *)
 
 val evaluator_of_fn : (Expr.genome -> int -> float) -> evaluator
 (** A sequential, memoizing evaluator over a per-(genome, case) fitness

@@ -28,7 +28,6 @@ type pool = {
   jobs : int;
   timeout_s : float option;
   retries : int;
-  ignored_limits : string list;
 }
 
 let max_jobs = 256
@@ -65,7 +64,7 @@ let pool ?(backend = `Fork) ?(jobs = 1) ?timeout_s ?(retries = 1) () =
            ignored"
           (String.concat "/" ignored_limits))
   end;
-  { backend; jobs; timeout_s; retries; ignored_limits }
+  { backend; jobs; timeout_s; retries }
 
 (* Every blocking syscall goes through here: a signal delivered while the
    parent is reaping or draining (SIGCHLD, a profiler's SIGPROF, an
@@ -76,6 +75,13 @@ let rec retry_eintr f =
   match f () with
   | v -> v
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> retry_eintr f
+
+let write_all fd b =
+  let len = Bytes.length b in
+  let off = ref 0 in
+  while !off < len do
+    off := !off + retry_eintr (fun () -> Unix.write fd b !off (len - !off))
+  done
 
 let describe_status = function
   | Unix.WEXITED c -> Printf.sprintf "exited with code %d" c
@@ -164,13 +170,6 @@ type fslot = {
   from_child : Unix.file_descr;
   pending : Buffer.t; (* reply bytes short of a whole frame *)
 }
-
-let write_all fd b =
-  let len = Bytes.length b in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + retry_eintr (fun () -> Unix.write fd b !off (len - !off))
-  done
 
 let wait_status pid =
   match retry_eintr (fun () -> Unix.waitpid [] pid) with

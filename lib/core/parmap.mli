@@ -42,13 +42,6 @@ type pool = private {
       (** per-task deadline, enforced from the parent with SIGKILL on
           [`Fork] *)
   retries : int;  (** re-runs after crash/timeout on [`Fork] *)
-  ignored_limits : string list;
-      (** supervision limits this backend cannot honor, recorded at
-          construction time and warned about once per process.  Only
-          [`Seq] populates this: a [timeout_s] or a deliberate
-          [retries > 1] configured there will be silently inert at run
-          time, and this field says so up front ([retries = 1] is the
-          constructor default and is not flagged). *)
 }
 
 val max_jobs : int
@@ -66,7 +59,10 @@ val pool :
     retry).  Rejects [jobs] outside [1..]{!max_jobs} — a zero or
     negative worker count is a configuration error, not a request for
     sequential execution — as well as non-positive [timeout_s] and
-    negative [retries].
+    negative [retries].  [`Seq] runs unsupervised, so a [timeout_s] or
+    a deliberate [retries > 1] given with it is inert, and the first
+    such pool in a process logs one warning saying so ([retries = 1] is
+    the default and is not flagged).
     @raise Invalid_argument on any of the above. *)
 
 val retry_eintr : (unit -> 'a) -> 'a
@@ -76,6 +72,12 @@ val retry_eintr : (unit -> 'a) -> 'a
     delivered mid-call — SIGCHLD, an interval timer, a profiler — cannot
     misreport a healthy worker as lost.  Exported because callers doing
     their own [waitpid]/[read] around a pool need the same discipline. *)
+
+val write_all : Unix.file_descr -> bytes -> unit
+(** [write_all fd b] writes all of [b] to [fd], continuing after short
+    writes and restarting interrupted ones ({!retry_eintr}).  The pool's
+    task frames, the serve protocol's frames and the fitness store's
+    appends all go out through it. *)
 
 (** The outcome of one supervised task.
 
@@ -157,7 +159,7 @@ val run_supervised :
     effects stay in the children, even at one job.  [`Seq] (and [`Fork]
     without fork support): exception isolation only, sequentially, with
     [f]'s side effects observable; deadlines and retries are inert
-    there (see {!pool.ignored_limits}).
+    there (see {!val:pool}).
 
     On [`Fork], tasks are queued in one FIFO and each idle worker takes
     the next one; a task's deadline runs from its own dispatch, and a

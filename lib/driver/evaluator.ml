@@ -60,7 +60,7 @@ type t = {
 
 type cache_stats = { memo_hits : int; disk_hits : int; misses : int }
 
-let sanitize v = if Float.is_finite v && v > 0.0 then v else 0.0
+let sanitize = Gp.Evolve.sanitize
 
 (* The persistent key folds in everything fitness depends on besides the
    expression itself: the caller's scope (study, machine, dataset) and the

@@ -84,9 +84,9 @@ val total_faults : fault_stats -> int
 (** [crashed + timed_out + gave_up] (retries are attempts, not tasks). *)
 
 val sanitize : float -> float
-(** The engine's result policy: non-finite or non-positive fitness
-    scores 0.  Exposed so the serve daemon stores exactly what a local
-    engine would. *)
+(** The engine's result policy, {!Gp.Evolve.sanitize}: non-finite or
+    non-positive fitness scores 0.  Exposed so the serve daemon stores
+    exactly what a local engine would. *)
 
 type remote =
   (string * Gp.Expr.genome * int) array -> float Gp.Parmap.outcome array
@@ -131,7 +131,10 @@ val create :
     opens one per [--cache-dir] and hands it to both dataset engines
     and its baselines.  [scope] namespaces that store — include
     everything the fitness depends on besides the genome and case:
-    study, machine, dataset.
+    study, machine, dataset.  [case_name] names each case in store keys
+    and fault warnings, so it must tell apart any two cases whose
+    fitness can differ: a study with per-case noise names the case's
+    index as well as its bench.
     Results are sanitized: non-finite or negative values score 0.  With
     one job and no [timeout_s] (or [`Seq]), evaluation runs on a
     [`Seq] handle, sequential and in-process (side effects of [eval]

@@ -75,12 +75,6 @@ let render entries =
    retryable non-event, not a reason to degrade a shard. *)
 let retry_eintr = Gp.Parmap.retry_eintr
 
-let write_fully fd b len =
-  let off = ref 0 in
-  while !off < len do
-    off := !off + retry_eintr (fun () -> Unix.write fd b !off (len - !off))
-  done
-
 (* Take the shard's exclusive lock, restarting interrupted waits.
    [Ok ()] means the lock is held; [Error e] is a persistent failure
    (ENOLCK and friends) and the caller must not touch the file —
@@ -151,7 +145,7 @@ let load_shard t i =
           (try
              retry_eintr (fun () -> Unix.ftruncate fd 0);
              ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-             write_fully fd b (Bytes.length b)
+             Gp.Parmap.write_all fd b
            with Unix.Unix_error _ -> ());
           t.evictions <- t.evictions + !malformed + !dups;
           Logs.warn (fun m ->
@@ -263,14 +257,13 @@ let append_shard t i entries =
           | Error e -> skip_unlocked t i e
           | Ok () ->
             let b = render entries in
-            let len = Bytes.length b in
             (* A chaos-injected torn write persists only half the group,
                cut mid-line — the recoverable corruption compaction must
                evict on the next open. *)
-            let len =
-              match fault with Some Gp.Chaos.Torn_write -> len / 2 | _ -> len
-            in
-            write_fully fd b len)
+            Gp.Parmap.write_all fd
+              (match fault with
+              | Some Gp.Chaos.Torn_write -> Bytes.sub b 0 (Bytes.length b / 2)
+              | _ -> b))
     with
     | Unix.Unix_error (e, _, _) -> degrade t i (Unix.error_message e)
     | Sys_error msg -> degrade t i msg

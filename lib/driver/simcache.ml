@@ -1,10 +1,10 @@
-(* Recorded decision steps, decision-keyed compilation, artifact-keyed
-   simulation sharing and cycle summaries.
+(* Recorded decision steps, decision-keyed compilation and one table of
+   measured runs.
 
    Small mutations of a priority function usually make the very same
    decisions and compile to the very same artifact, so most of the
    evaluator's time recompiles and re-simulates programs it has already
-   measured.  Four stacked fast paths exploit that without ever
+   measured.  Three stacked fast paths exploit that without ever
    changing a measured value:
 
    - recorded steps: with hyperblock formation under study, each
@@ -26,29 +26,29 @@
      When the passes after it are a pure function of the decisions it
      reports (Compiler.decided), a table maps the prefix's id and those
      decisions to the artifact's program digest and schedule lengths.
-     A candidate whose decisions were seen before rebuilds both keys
+     A candidate whose decisions were seen before rebuilds its run key
      below from that entry, without running the later passes or
      printing its program.
 
-   - artifact sharing: the digest of everything cycle-relevant — the
-     canonical transformed program, the dynamic-event instruction order,
-     bench + dataset, machine config and schedule lengths — keys a table
-     of finished (noise-free) simulation results.  Genomes that compile
-     to the same artifact share one simulation; a candidate whose
-     artifact equals the baseline's hits the baseline's entry and scores
-     speedup exactly 1.0 without simulating.
-
-   - cycle summaries: the summary key drops the schedule lengths, i.e.
-     it identifies runs whose dynamic *event stream* on one machine is
-     provably identical even though their timing differs (the scheduling
-     study: pure intra-block permutations that keep every event-emitting
-     instruction in the same relative order).  Every simulation keeps
-     its run's summary — block-entry counts plus the schedule-independent
-     remainder (Simulate.summarize) — and a later artifact miss with the
-     same summary key is answered by a dot product with its schedule
-     lengths (Simulate.retime), exact by construction.  The machine is
-     part of the key because the remainder depends on cache geometry
-     and penalties.
+   - measured runs: the run key — bench + dataset, the canonical
+     transformed program with its dynamic-event instruction order, and
+     the machine config — identifies runs whose dynamic *event stream*
+     is provably identical even though their timing may differ (the
+     scheduling study: pure intra-block permutations that keep every
+     event-emitting instruction in the same relative order).  The
+     machine is part of the key because the remainder below depends on
+     cache geometry and penalties.  An entry holds the run's cycle
+     summary — block-entry counts plus the schedule-independent
+     remainder (Simulate.summarize) — the schedule lengths it was
+     simulated under and its noise-free result under them.  A lookup
+     under the stored lengths shares that result outright (an artifact
+     hit: genomes that compile to the same artifact share one
+     simulation, and a candidate whose artifact equals the baseline's
+     scores speedup exactly 1.0 without simulating).  Under other
+     lengths the summary is retimed by a dot product (Simulate.retime),
+     exact by construction, and the stored run is kept, so the first
+     schedule stays an artifact hit.  A new key is simulated and
+     stored.
 
    Keys are conservative: any textual difference in the canonical
    program, in the order of event-emitting instructions or in a pass's
@@ -61,18 +61,17 @@
    inherited read-only through fork; worker-side inserts (prefixes,
    steps and decision entries included) die with the worker.  Baselines
    measured by pool children reach the parent as [entry] values
-   ([measure], [adopt]), summaries included, before the persistent
-   workers fork.
+   ([measure], [adopt]) before the persistent workers fork.
    Hit rates drop but results cannot diverge, so bit-identity holds at
    any -j.
 
    Threads sharing one cache go through one mutex for every table and
    stats access.  Compilation and simulation run outside the lock; two
    threads racing on the same key at worst both do the work
-   (deterministically, to the same result) and the second store
-   overwrites the first with an equal value — slower, never divergent.
-   A reused prefix is only ever copied, never mutated, so threads may
-   copy it concurrently. *)
+   (deterministically, to the same summary) and the second store
+   replaces the first with a run of that summary — slower, never
+   divergent.  A reused prefix is only ever copied, never mutated, so
+   threads may copy it concurrently. *)
 
 type stats = {
   mutable artifact_hits : int;
@@ -97,24 +96,22 @@ type prefix = {
   partial : Compiler.partial;
 }
 
-(* A decision-tier entry: enough to rebuild the summary and artifact keys
-   of the artifact on any dataset, about a kilobyte. *)
+(* A decision-tier entry: enough to rebuild the run key of the artifact
+   on any dataset and to tell a hit from a replay, about a kilobyte. *)
 type decided = { program : string; schedule : int array }
 
-(* One artifact's keys, noise-free result and cycle summary, as the
-   tables hold it. *)
+(* One measured run, as the run table holds it. *)
 type entry = {
-  summary_key : string;
-  artifact_key : string;
+  key : string;  (* [run_key] *)
   summary : Machine.Simulate.summary;
-  result : Machine.Simulate.result;
+  schedule : int array;  (* the lengths it was simulated under *)
+  result : Machine.Simulate.result;  (* noise-free, under [schedule] *)
 }
 
 type t = {
   enabled : bool;
   max_artifacts : int;  (* bounds every table below but [prefixes] *)
-  artifacts : (string, entry) Hashtbl.t;
-  summaries : (string, Machine.Simulate.summary) Hashtbl.t;
+  runs : (string, entry) Hashtbl.t;
   decided : (string, decided) Hashtbl.t;
   steps : (string, Hyperblock.Form.step) Hashtbl.t;
       (* by prefix id, function name and its decision lines so far *)
@@ -133,8 +130,7 @@ let create ?(enabled = true) ?(max_artifacts = 8192) () =
   {
     enabled;
     max_artifacts;
-    artifacts = Hashtbl.create 256;
-    summaries = Hashtbl.create 256;
+    runs = Hashtbl.create 256;
     decided = Hashtbl.create 256;
     steps = Hashtbl.create 256;
     prefixes = Hashtbl.create 16;
@@ -205,27 +201,16 @@ let program_digest (prog : Ir.Func.program) : string =
   Format.pp_print_flush ppf ();
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* The trace key: the bench + dataset prefix on a program digest. *)
-let trace_key ~bench ~dataset program =
+(* The run key: bench + dataset, a program digest and the marshalled
+   machine.  Same key => same cycle summary. *)
+let run_key ~bench ~dataset ~(machine : Machine.Config.t) program =
   Digest.to_hex
     (Digest.string
-       (String.concat "" [ bench; "/"; dataset_tag dataset; "\n"; program ]))
-
-(* The machine on top: same summary key => same cycle summary. *)
-let summary_key ~(machine : Machine.Config.t) (tk : string) : string =
-  Digest.to_hex (Digest.string (tk ^ Marshal.to_string machine []))
-
-(* The schedule lengths on top of that: same artifact key => same
-   noise-free simulation result. *)
-let artifact_key (sk : string) (schedule_cycles : int array) : string =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf sk;
-  Array.iter
-    (fun len ->
-      Buffer.add_string buf (string_of_int len);
-      Buffer.add_char buf ',')
-    schedule_cycles;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+       (String.concat ""
+          [
+            bench; "/"; dataset_tag dataset; "\n"; program;
+            Marshal.to_string machine [];
+          ]))
 
 (* Crude but bounded: a full table restarts. *)
 let store t tbl key v =
@@ -233,50 +218,43 @@ let store t tbl key v =
   Hashtbl.replace tbl key v
 
 (* One noise-free measurement on [dataset] of the artifact whose program
-   digests to [program] and schedules to [schedule_cycles]: a shared
-   result, else its run's summary retimed, else a full simulation of
-   [compiled ()], which is forced only then.  [decided] marks keys the
-   decision tier supplied. *)
+   digests to [program] and schedules to [schedule_cycles], with the
+   run the table holds for it: the stored result under the stored
+   lengths, else the stored summary retimed, else a full simulation of
+   [compiled ()], which is forced only then and stored.  [decided] marks
+   keys the decision tier supplied. *)
 let simulate_artifact t ~machine ~dataset (p : Compiler.prepared) ~program
     ~schedule_cycles ~(compiled : unit -> Compiler.compiled) ~decided =
-  let sk =
-    summary_key ~machine
-      (trace_key ~bench:p.Compiler.bench.Benchmarks.Bench.name ~dataset
-         program)
+  let key =
+    run_key ~bench:p.Compiler.bench.Benchmarks.Bench.name ~dataset ~machine
+      program
   in
-  let ak = artifact_key sk schedule_cycles in
   (* One locked lookup classifies the call; the expensive work then runs
      unlocked on the hashed-out values. *)
   let hit =
     locked t (fun () ->
-        match Hashtbl.find_opt t.artifacts ak with
-        | Some e ->
+        match Hashtbl.find_opt t.runs key with
+        | Some e when e.schedule = schedule_cycles ->
           t.stats.artifact_hits <- t.stats.artifact_hits + 1;
           if decided then t.stats.decision_hits <- t.stats.decision_hits + 1;
           `Artifact e
-        | None -> (
-          match Hashtbl.find_opt t.summaries sk with
-          | Some s ->
-            t.stats.replays <- t.stats.replays + 1;
-            `Summary s
-          | None ->
-            t.stats.simulations <- t.stats.simulations + 1;
-            `Simulate))
+        | Some e ->
+          t.stats.replays <- t.stats.replays + 1;
+          `Replay e
+        | None ->
+          t.stats.simulations <- t.stats.simulations + 1;
+          `Simulate)
   in
   match hit with
   | `Artifact e ->
     Gp.Telemetry.incr "evaluator.artifact_hits";
     if decided then Gp.Telemetry.incr "evaluator.decision_hits";
-    e
-  | `Summary summary ->
+    (e.result, Some e)
+  | `Replay e ->
     Gp.Telemetry.incr "study.replayed";
-    let result =
-      Gp.Telemetry.span "study.replay_s" (fun () ->
-          Machine.Simulate.retime ~schedule_cycles summary)
-    in
-    let e = { summary_key = sk; artifact_key = ak; summary; result } in
-    locked t (fun () -> store t t.artifacts ak e);
-    e
+    ( Gp.Telemetry.span "study.replay_s" (fun () ->
+          Machine.Simulate.retime ~schedule_cycles e.summary),
+      Some e )
   | `Simulate ->
     let c = compiled () in
     let overrides = Benchmarks.Bench.overrides p.Compiler.bench dataset in
@@ -288,11 +266,9 @@ let simulate_artifact t ~machine ~dataset (p : Compiler.prepared) ~program
           in
           (s, Machine.Simulate.retime ~schedule_cycles s))
     in
-    let e = { summary_key = sk; artifact_key = ak; summary; result } in
-    locked t (fun () ->
-        store t t.summaries sk summary;
-        store t t.artifacts ak e);
-    e
+    let e = { key; summary; schedule = schedule_cycles; result } in
+    locked t (fun () -> store t t.runs key e);
+    (result, Some e)
 
 (* One noise-free measurement of a compiled artifact, through the fast
    paths when enabled; with [enabled = false] every call is a fresh
@@ -307,16 +283,12 @@ let simulate_entry (t : t) ~(machine : Machine.Config.t)
             ~overrides:(Benchmarks.Bench.overrides p.Compiler.bench dataset)
             c.Compiler.layout),
       None )
-  else begin
-    let e =
-      simulate_artifact t ~machine ~dataset p
-        ~program:(program_digest c.Compiler.prog)
-        ~schedule_cycles:c.Compiler.schedule_cycles
-        ~compiled:(fun () -> c)
-        ~decided:false
-    in
-    (e.result, Some e)
-  end
+  else
+    simulate_artifact t ~machine ~dataset p
+      ~program:(program_digest c.Compiler.prog)
+      ~schedule_cycles:c.Compiler.schedule_cycles
+      ~compiled:(fun () -> c)
+      ~decided:false
 
 let simulate t ~machine ~dataset p c =
   fst (simulate_entry t ~machine ~dataset p c)
@@ -412,31 +384,25 @@ let measure t ?(compiled_eval = true) ~machine ~heuristics ~dataset
       let key =
         Digest.to_hex (Digest.string (string_of_int pre.id ^ ":" ^ decisions))
       in
-      let e =
-        match locked t (fun () -> Hashtbl.find_opt t.decided key) with
-        | Some d ->
-          simulate_artifact t ~machine ~dataset p ~program:d.program
-            ~schedule_cycles:d.schedule ~compiled:finish ~decided:true
-        | None ->
-          let c = finish () in
-          let program = program_digest c.Compiler.prog in
-          let measured =
-            simulate_artifact t ~machine ~dataset p ~program
-              ~schedule_cycles:c.Compiler.schedule_cycles
-              ~compiled:(fun () -> c)
-              ~decided:false
-          in
-          locked t (fun () ->
-              store t t.decided key
-                { program; schedule = c.Compiler.schedule_cycles });
-          measured
-      in
-      (e.result, Some e)
+      match locked t (fun () -> Hashtbl.find_opt t.decided key) with
+      | Some d ->
+        simulate_artifact t ~machine ~dataset p ~program:d.program
+          ~schedule_cycles:d.schedule ~compiled:finish ~decided:true
+      | None ->
+        let c = finish () in
+        let program = program_digest c.Compiler.prog in
+        let measured =
+          simulate_artifact t ~machine ~dataset p ~program
+            ~schedule_cycles:c.Compiler.schedule_cycles
+            ~compiled:(fun () -> c)
+            ~decided:false
+        in
+        locked t (fun () ->
+            store t t.decided key
+              { program; schedule = c.Compiler.schedule_cycles });
+        measured
     end
   end
 
 let adopt t (e : entry) =
-  if t.enabled then
-    locked t (fun () ->
-        store t t.summaries e.summary_key e.summary;
-        store t t.artifacts e.artifact_key e)
+  if t.enabled then locked t (fun () -> store t t.runs e.key e)

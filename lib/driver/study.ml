@@ -243,13 +243,21 @@ let prepare_benches kind bench_names =
        bench_names)
 
 (* The evaluators' store namespace: everything a fitness depends on
-   besides the genome and the bench. *)
+   besides the genome and the case. *)
 let scope_of kind (machine : Machine.Config.t) dataset =
   Printf.sprintf "%s/%s/%s" (kind_name kind) machine.Machine.Config.name
     (dataset_name dataset)
 
+(* A case's name in store keys: its bench name, and in a study with
+   noise its index too, since [noise_rng_of] draws the jitter per
+   (genome, index).  Noise-free values depend on the bench alone, so
+   their stores stay shared across bench lists. *)
+let store_case_name kind (prepared : Compiler.prepared array) i =
+  let name = prepared.(i).Compiler.bench.Benchmarks.Bench.name in
+  if noise_of kind = None then name else Printf.sprintf "%s#%d" name i
+
 (* A context's baselines live in its store beside fitness: under the
-   evaluators' scope and the bench name ([Evaluator.store_key]), with
+   evaluators' scope and case name ([Evaluator.store_key]), with
    three reserved keys.  [Gp.Sexp.to_string] prints either one atom,
    which holds no space, or a list, which starts with '(', so these keys
    are never a canonical genome key and a baseline digest never equals
@@ -292,13 +300,13 @@ let find_baseline store ~scope ~case_name =
    of a dataset misses; a failed cell is then recomputed in-process
    because baselines must exist.  Otherwise they run in-process.  A
    forked child's simulation table dies with it, so each cell carries
-   its artifact entry back for this table, which a context's persistent
+   its run's entry back for this table, which a context's persistent
    evaluation workers then inherit. *)
 let build ?pool ?store ~machine ~fast_sim ~compiled_eval kind bench_names =
   let sim = Simcache.create ~enabled:fast_sim () in
   let prepared = prepare_benches kind bench_names in
   let base = baseline_genome_of kind in
-  let case_name i = prepared.(i).Compiler.bench.Benchmarks.Bench.name in
+  let case_name = store_case_name kind prepared in
   let fresh = ref [] in
   let baseline_for dataset =
     let scope = scope_of kind machine dataset in
@@ -427,8 +435,7 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
       ?remote:(Option.map (fun h -> h.rh_eval dataset) remote_h)
       ~fs:(feature_set_of kind)
       ~scope:(scope_of kind machine dataset)
-      ~case_name:(fun i ->
-        prepared.(i).Compiler.bench.Benchmarks.Bench.name)
+      ~case_name:(store_case_name kind prepared)
       ~eval:(speedup dataset) ()
   in
   {

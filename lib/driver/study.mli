@@ -130,7 +130,7 @@ type context = {
   baselines_measured : int;  (** baselines compiled and simulated *)
   eval_train : Evaluator.t;  (** cached batch engine, training dataset *)
   eval_novel : Evaluator.t;  (** cached batch engine, novel dataset *)
-  sim : Simcache.t;  (** shared artifact/summary simulation cache *)
+  sim : Simcache.t;  (** shared simulation cache: steps, tier, runs *)
   remote : remote_handle option;  (** the served connection, if any *)
 }
 
@@ -140,7 +140,9 @@ val create_with : config -> kind -> string list -> context
     [cache_dir], the directory is opened once ({!Shardstore.open_store})
     and that one handle serves the baselines and both evaluators: each
     baseline (cycles and output checksum, per dataset and bench) is
-    looked up in the store first, only the misses are compiled and
+    looked up in the store first — fitness and baselines are keyed by
+    bench name, and in the prefetch study, whose noise is drawn per
+    case index, by the index too — only the misses are compiled and
     simulated, and they are appended in one write — so a context over a
     store that holds its baselines simulates nothing here
     ([baselines_loaded], [baselines_measured]).  Served contexts open no
@@ -159,8 +161,8 @@ val create_with : config -> kind -> string list -> context
     poisoning the persistent cache.
     [fast_sim] (default true) enables the {!Simcache} fast paths —
     prefix reuse, the recorded hyperblock steps and the decision tier in
-    compilation, artifact-keyed result sharing, cycle summaries, and the
-    closure-compiled interpreter;
+    compilation, the table of measured runs (shared results and retimed
+    cycle summaries), and the closure-compiled interpreter;
     disabling it compiles every candidate from scratch and routes every
     measurement through a fresh reference-engine simulation.
     [compiled_eval] selects {!Gp.Evalc} bytecode (default) versus the

@@ -264,7 +264,7 @@ let replay_diverges ctx (p : Minic_gen.prog) : string option =
    confuse with the first's.  Each must equal a fresh simulation of a
    fresh [Compiler.compile] under the same heuristics.  Then two more
    schedules go through [Simcache.simulate] (the sched study's pattern:
-   a known trace key under a new schedule is answered from its stored
+   a known run key under a new schedule is answered from its stored
    summary). *)
 let simcache_diverges ctx (p : Minic_gen.prog) : string option =
   let bench, prepared, c1 = compile_prog ctx p in
@@ -278,7 +278,7 @@ let simcache_diverges ctx (p : Minic_gen.prog) : string option =
       ~heuristics:{ ctx.heur with Driver.Compiler.sched_priority = g }
       prepared
   in
-  (* c2's program re-timed: its trace key, a new artifact *)
+  (* c2's program re-timed: its run key under a new schedule *)
   let c3 =
     {
       c2 with
@@ -337,10 +337,11 @@ let simcache_diverges ctx (p : Minic_gen.prog) : string option =
           (Driver.Simcache.measure sim ~machine:ctx.machine ~heuristics
              ~dataset:Benchmarks.Bench.Train prepared))
   in
-  (* order matters: the first [staged] call populates the artifact table,
-     the summaries and the decision tier, which the next two consult; c2
-     retimes c1's summary when it shares c1's trace key (else it
-     simulates and stores its own), and c3 always retimes c2's *)
+  (* order matters: the first [staged] call populates the run table and
+     the decision tier, which the next two consult; c2 retimes c1's
+     summary when it shares c1's run key (else it simulates and stores
+     its own run), and c3 always retimes the summary c2's run key
+     holds *)
   let step tag a b =
     if a = b then None
     else
@@ -368,9 +369,11 @@ let simcache_diverges ctx (p : Minic_gen.prog) : string option =
   >>= fun () -> step "artifact hit" (cached c1) (fresh c1)
   >>= fun () ->
   step "second schedule (summary or simulation)" (cached c2) (fresh c2)
-  >>= fun () -> step "second schedule artifact hit" (cached c2) (fresh c2)
+  >>= fun () ->
+  step "second schedule again (summary or artifact hit)" (cached c2)
+    (fresh c2)
   >>= fun () -> step "third schedule (summary)" (cached c3) (fresh c3)
-  >>= fun () -> step "third schedule artifact hit" (cached c3) (fresh c3)
+  >>= fun () -> step "third schedule again (summary)" (cached c3) (fresh c3)
 
 let describe_prog ctx p =
   String.concat "\n" (ctx_detail ctx @ [ Minic_gen.source p ])
@@ -691,8 +694,7 @@ let parmap_diverges seed (g : Gp.Expr.genome) : string option =
   let expect = List.map (seq_reference f) batches in
   let plan =
     {
-      Gp.Chaos.seed;
-      rules =
+      Gp.Chaos.rules =
         [
           {
             Gp.Chaos.r_site = Gp.Chaos.site_parmap_task;
@@ -975,8 +977,7 @@ let served_vs_local_trial seed : string option =
        if chaos_in_daemon then
          Gp.Chaos.arm
            {
-             Gp.Chaos.seed;
-             rules =
+             Gp.Chaos.rules =
                [
                  {
                    Gp.Chaos.r_site = Gp.Chaos.site_parmap_task;

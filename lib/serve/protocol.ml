@@ -61,14 +61,7 @@ let decode_len header off =
     failwith (Printf.sprintf "serve: bad frame length %d" len)
   else len
 
-let write_fully fd b =
-  let len = Bytes.length b in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + retry_eintr (fun () -> Unix.write fd b !off (len - !off))
-  done
-
-let write_frame fd payload = write_fully fd (frame payload)
+let write_frame fd payload = Gp.Parmap.write_all fd (frame payload)
 
 let read_fully fd n =
   let b = Bytes.create n in

@@ -24,13 +24,12 @@ let test_plan_round_trip () =
     "parmap.task:3@1=hang,parmap.task=slow:0.5,evaluator.cache_write:2=torn,"
     ^ "evolve.checkpoint_write@2=truncate,parmap.task:0=raise:boom"
   in
-  (match C.plan_of_string ~seed:7 spec with
+  (match C.plan_of_string spec with
   | Error e -> Alcotest.failf "spec rejected: %s" e
   | Ok p ->
-    Alcotest.(check int) "seed carried" 7 p.C.seed;
     Alcotest.(check int) "five rules" 5 (List.length p.C.rules);
     Alcotest.(check string) "round trip" spec (C.plan_to_string p);
-    (match C.plan_of_string ~seed:7 (C.plan_to_string p) with
+    (match C.plan_of_string (C.plan_to_string p) with
     | Ok p2 -> Alcotest.(check string) "idempotent"
                  (C.plan_to_string p) (C.plan_to_string p2)
     | Error e -> Alcotest.failf "re-parse rejected: %s" e));
@@ -91,19 +90,27 @@ let test_fire_matching () =
     (Option.map C.fault_to_string
        (C.fire ~site:C.site_parmap_task ~key:3 ~attempt:1))
 
-(* --- satellite: pools announce the limits they cannot honor --------------- *)
+(* --- satellite: seq pools leave supervision limits inert ------------------ *)
 
-let test_pool_ignored_limits () =
-  let p = Gp.Parmap.pool ~backend:`Seq ~timeout_s:1.0 ~retries:3 () in
+(* [`Seq] runs unsupervised: a deadline and retries given to it change
+   nothing (the pool logs one warning about them), so a task past its
+   deadline still completes and a raising task runs once. *)
+let test_seq_pool_limits_inert () =
+  let p = Gp.Parmap.pool ~backend:`Seq ~timeout_s:0.01 ~retries:3 () in
+  let calls = ref 0 in
+  let outcomes, stats =
+    Gp.Parmap.run_supervised p
+      (fun i ->
+        incr calls;
+        if i = 0 then Unix.sleepf 0.05 else failwith "boom";
+        i)
+      [| 0; 1 |]
+  in
   Alcotest.(check (list string))
-    "seq cannot honor deadlines or retries" [ "retries"; "timeout_s" ]
-    (List.sort compare p.Gp.Parmap.ignored_limits);
-  let q = Gp.Parmap.pool ~backend:`Fork ~timeout_s:1.0 ~retries:3 () in
-  Alcotest.(check (list string)) "fork honors both" []
-    q.Gp.Parmap.ignored_limits;
-  let r = Gp.Parmap.pool ~backend:`Seq () in
-  Alcotest.(check (list string)) "defaults are clean" []
-    r.Gp.Parmap.ignored_limits
+    "past its deadline: Ok; raising: Crashed" [ "Ok"; "Crashed" ]
+    (Array.to_list (Array.map outcome_label outcomes));
+  Alcotest.(check (pair int int)) "no retry: calls, retries" (2, 0)
+    (!calls, stats.Gp.Parmap.retries)
 
 (* --- study-level bit-identity under seeded chaos -------------------------- *)
 
@@ -333,8 +340,8 @@ let suite =
       test_seeded_plans_deterministic;
     Alcotest.test_case "fire: first match wins, counted" `Quick
       test_fire_matching;
-    Alcotest.test_case "pool records ignored limits" `Quick
-      test_pool_ignored_limits;
+    Alcotest.test_case "seq pool leaves limits inert" `Quick
+      test_seq_pool_limits_inert;
     Alcotest.test_case "chaos run bit-identical to clean run" `Slow
       test_chaos_vs_clean;
     Alcotest.test_case "cache degrades to memo-only on ENOSPC" `Quick

@@ -566,10 +566,11 @@ let test_recorded_steps () =
         [ codrle4; rawcaudio; epic ])
     Benchmarks.Bench.[ Train; Novel ]
 
-(* A known trace key under a new schedule is answered from its stored
-   summary from its second sighting on, a repeated schedule from the
-   artifact table, and the same program on another machine by a fresh
-   simulation — each answer bit-identical to a fresh simulation. *)
+(* A known run key under a new schedule is answered from its stored
+   summary, the schedule it was first simulated under from the stored
+   result (an artifact hit, which later schedules do not replace), and
+   the same program on another machine by a fresh simulation — each
+   answer bit-identical to a fresh simulation. *)
 let test_simcache_retimes_known_key () =
   let kind = Driver.Study.Sched_study in
   let p = prepare_for kind "codrle4" in
@@ -602,12 +603,13 @@ let test_simcache_retimes_known_key () =
     ~hits:1;
   step "third schedule retimes" (reschedule 2) ~simulations:1 ~replays:2
     ~hits:1;
-  step "second schedule again" (reschedule 1) ~simulations:1 ~replays:2
-    ~hits:2;
+  step "second schedule again" (reschedule 1) ~simulations:1 ~replays:3
+    ~hits:1;
+  step "first schedule still hits" c1 ~simulations:1 ~replays:3 ~hits:2;
   (* The remainder depends on cache geometry and penalties, so another
      machine never retimes this machine's summary. *)
   step "another machine simulates" ~machine:Machine.Config.itanium1 c1
-    ~simulations:2 ~replays:2 ~hits:2
+    ~simulations:2 ~replays:3 ~hits:2
 
 (* At --backend fork -jN the baselines run in pool children; their
    artifacts must still reach the parent's table, so a candidate that

@@ -188,7 +188,8 @@ let test_partial_runs_never_answer () =
     [ 0; 1; 2; 1 ];
   let st = Driver.Simcache.stats tiny in
   Alcotest.(check (list int))
-    "the summary outlives evicted artifacts: simulations, replays" [ 1; 3 ]
+    "later schedules retime the one stored run: simulations, replays"
+    [ 1; 3 ]
     Driver.Simcache.[ st.simulations; st.replays ]
 
 (* --- satellite: evaluator disk cache vs non-finite values ---------------- *)

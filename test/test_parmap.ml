@@ -719,8 +719,7 @@ let test_straggler_slow () =
     let n = 24 in
     let plan =
       {
-        Gp.Chaos.seed = 0;
-        rules =
+        Gp.Chaos.rules =
           [
             {
               Gp.Chaos.r_site = Gp.Chaos.site_parmap_task;
@@ -764,8 +763,7 @@ let test_straggler_hang () =
     let n = 12 in
     let plan =
       {
-        Gp.Chaos.seed = 0;
-        rules =
+        Gp.Chaos.rules =
           [
             {
               Gp.Chaos.r_site = Gp.Chaos.site_parmap_task;

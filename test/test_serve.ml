@@ -62,7 +62,7 @@ let fork_daemon ~dir ?(configure = fun c -> c) ?chaos_plan () =
     (try
        (match chaos_plan with
        | Some spec -> (
-         match Gp.Chaos.plan_of_string ~seed:0 spec with
+         match Gp.Chaos.plan_of_string spec with
          | Ok p -> Gp.Chaos.arm p
          | Error msg -> failwith msg)
        | None -> ());

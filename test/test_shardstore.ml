@@ -250,7 +250,7 @@ let test_eintr_storm_append () =
   end
 
 let arm_plan spec =
-  match Gp.Chaos.plan_of_string ~seed:0 spec with
+  match Gp.Chaos.plan_of_string spec with
   | Ok plan -> Gp.Chaos.arm plan
   | Error e -> Alcotest.failf "bad chaos plan %S: %s" spec e
 
@@ -432,6 +432,31 @@ let check_counts name ~loaded ~measured (ctx : Driver.Study.context) =
 
 let prefetch_benches = [ "015.doduc"; "101.tomcatv" ]
 
+(* A short evolution's printed study as exact bits: the best
+   expression, each generation and each bench's train and novel rows. *)
+let short_evolve cfg kind benches =
+  let params =
+    { Gp.Params.tiny with Gp.Params.population_size = 6; generations = 2 }
+  in
+  let g =
+    Driver.Study.evolve_general_with { cfg with Driver.Study.params } kind
+      benches
+  in
+  ( g.Driver.Study.best_expr,
+    List.map
+      (fun (s : Gp.Evolve.generation_stats) ->
+        (s.gen, Int64.bits_of_float s.best_fitness, s.best_expr))
+      g.history,
+    List.map
+      (fun (b, t, n) -> (b, Int64.bits_of_float t, Int64.bits_of_float n))
+      g.train_rows )
+
+let study =
+  Alcotest.(
+    triple string
+      (list (triple int int64 string))
+      (list (triple string int64 int64)))
+
 (* A context over a store that holds its baselines measures none of
    them: no simulation, no summary answer, no artifact hit.  Prefetch
    baselines carry noise jitter, so this also pins the exact encoding. *)
@@ -455,29 +480,7 @@ let test_warm_context_simulates_nothing () =
         Driver.Simcache.[ st.simulations; st.replays; st.artifact_hits ]);
   (* The same short evolution without a store, over the warm baselines,
      and over a fully warm store prints the same study. *)
-  let params =
-    { Gp.Params.tiny with Gp.Params.population_size = 6; generations = 2 }
-  in
-  let evolve cfg =
-    let g =
-      Driver.Study.evolve_general_with { cfg with Driver.Study.params } kind
-        prefetch_benches
-    in
-    ( g.Driver.Study.best_expr,
-      List.map
-        (fun (s : Gp.Evolve.generation_stats) ->
-          (s.gen, Int64.bits_of_float s.best_fitness, s.best_expr))
-        g.history,
-      List.map
-        (fun (b, t, n) -> (b, Int64.bits_of_float t, Int64.bits_of_float n))
-        g.train_rows )
-  in
-  let study =
-    Alcotest.(
-      triple string
-        (list (triple int int64 string))
-        (list (triple string int64 int64)))
-  in
+  let evolve cfg = short_evolve cfg kind prefetch_benches in
   let reference = evolve Driver.Study.default_config in
   Alcotest.check study "baselines from the store" reference (evolve cfg);
   Alcotest.check study "everything from the store" reference (evolve cfg)
@@ -540,6 +543,37 @@ let test_baselines_scoped_by_kind () =
     (check_counts "hyperblock, warm" ~loaded:2 ~measured:0);
   with_context cfg sched benches
     (check_counts "sched, warm" ~loaded:2 ~measured:0)
+
+(* The prefetch study draws its noise per (genome, case index), so a
+   context over [101.tomcatv] alone, where it is case 0, must not read
+   what a context over [015.doduc; 101.tomcatv] stored for it as case 1:
+   over that store it gives the same baselines and the same evolution
+   as with no store. *)
+let test_noisy_store_keyed_by_index () =
+  with_dir "index" @@ fun dir ->
+  let cfg = stored_cfg dir in
+  let kind = Driver.Study.Prefetch_study and alone = [ "101.tomcatv" ] in
+  ignore (short_evolve cfg kind prefetch_benches);
+  let reference =
+    with_context Driver.Study.default_config kind alone baseline_bits
+  in
+  with_context cfg kind alone (fun ctx ->
+      check_counts "alone" ~loaded:0 ~measured:2 ctx;
+      check_baselines "alone" reference ctx);
+  Alcotest.check study "alone over the two-bench store"
+    (short_evolve Driver.Study.default_config kind alone)
+    (short_evolve cfg kind alone)
+
+(* Noise-free values depend on the bench alone, so their stores stay
+   shared across bench lists. *)
+let test_noise_free_store_shared () =
+  with_dir "shared" @@ fun dir ->
+  let cfg = stored_cfg dir in
+  let hb = Driver.Study.Hyperblock_study in
+  with_context cfg hb [ "rawcaudio"; "codrle4" ]
+    (check_counts "two benches" ~loaded:0 ~measured:4);
+  with_context cfg hb [ "codrle4" ]
+    (check_counts "codrle4 alone" ~loaded:2 ~measured:0)
 
 (* A cold context on the fork pool at -j2 persists exactly what a -j1
    one does. *)
@@ -604,6 +638,10 @@ let suite =
       test_damaged_baseline_remeasured;
     Alcotest.test_case "baselines scoped by kind" `Slow
       test_baselines_scoped_by_kind;
+    Alcotest.test_case "noisy store keyed by case index" `Slow
+      test_noisy_store_keyed_by_index;
+    Alcotest.test_case "noise-free store shared" `Slow
+      test_noise_free_store_shared;
     Alcotest.test_case "fork baselines persisted" `Slow
       test_fork_baselines_persisted;
     Alcotest.test_case "cache dir parents created" `Slow
