@@ -258,21 +258,31 @@ let list_cmd =
 
 (* --- run ----------------------------------------------------------------- *)
 
+(* One bench compiled outside a study, as [run], [ir] and [compare] do: an
+   fp bench targets the Itanium model with prefetching on and compiles
+   without unrolling, as the prefetch study does (unrolled loops defeat
+   the induction-variable analysis); any other targets Table 3.
+   Returns the bench, its machine, the prepared bench and the baseline
+   heuristics. *)
+let prepare_bench name =
+  let b = Benchmarks.Registry.find name in
+  let fp = b.Benchmarks.Bench.fp in
+  let machine, opt_config =
+    if fp then (Machine.Config.itanium1, Opt.Pipeline.no_unroll)
+    else (Machine.Config.table3, Opt.Pipeline.default)
+  in
+  ( b,
+    machine,
+    Driver.Compiler.prepare ~opt_config b,
+    Driver.Compiler.baseline ~prefetch:fp () )
+
 let run_bench name heuristics_file =
   setup_logs ();
-  let b = Benchmarks.Registry.find name in
-  let prepared = Driver.Compiler.prepare b in
-  let machine =
-    if b.Benchmarks.Bench.fp then Machine.Config.itanium1
-    else Machine.Config.table3
-  in
+  let b, machine, prepared, base = prepare_bench name in
   let heuristics =
     match heuristics_file with
-    | Some path ->
-      Driver.Heuristics_file.load
-        ~base:(Driver.Compiler.baseline ~prefetch:b.Benchmarks.Bench.fp ())
-        path
-    | None -> Driver.Compiler.baseline ~prefetch:b.Benchmarks.Bench.fp ()
+    | Some path -> Driver.Heuristics_file.load ~base path
+    | None -> base
   in
   let compiled = Driver.Compiler.compile ~machine ~heuristics prepared in
   let res =
@@ -310,8 +320,7 @@ let run_cmd =
 (* --- ir ------------------------------------------------------------------ *)
 
 let ir_bench name =
-  let b = Benchmarks.Registry.find name in
-  let prepared = Driver.Compiler.prepare b in
+  let _, _, prepared, _ = prepare_bench name in
   Fmt.pr "%a@." Ir.Func.pp_program prepared.Driver.Compiler.optimized
 
 let ir_cmd =
@@ -438,17 +447,7 @@ let evolve_cmd =
 let compare_cmd =
   let run bench hb ra pf sp =
     setup_logs ();
-    let b = Benchmarks.Registry.find bench in
-    let machine =
-      if b.Benchmarks.Bench.fp then Machine.Config.itanium1
-      else Machine.Config.table3
-    in
-    let opt_config =
-      if b.Benchmarks.Bench.fp then Opt.Pipeline.no_unroll
-      else Opt.Pipeline.default
-    in
-    let prepared = Driver.Compiler.prepare ~opt_config b in
-    let base = Driver.Compiler.baseline ~prefetch:b.Benchmarks.Bench.fp () in
+    let _, machine, prepared, base = prepare_bench bench in
     let heuristics =
       {
         Driver.Compiler.hb_priority =

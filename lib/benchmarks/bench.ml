@@ -21,4 +21,6 @@ type t = {
 
 type dataset = Train | Novel
 
+let dataset_name = function Train -> "train" | Novel -> "novel"
+
 let overrides b = function Train -> b.train | Novel -> b.novel

@@ -16,4 +16,7 @@ type t = {
 
 type dataset = Train | Novel
 
+val dataset_name : dataset -> string
+(** ["train"] or ["novel"], as store and cache keys spell a dataset. *)
+
 val overrides : t -> dataset -> (string * float array) list

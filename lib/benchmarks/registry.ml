@@ -12,9 +12,6 @@ let find (name : string) : Bench.t =
 
 let names = List.map (fun b -> b.Bench.name) all
 
-let integer_benchmarks = List.filter (fun b -> not b.Bench.fp) all
-let fp_benchmarks = List.filter (fun b -> b.Bench.fp) all
-
 (* --- Experiment suites (mirroring Figures 4-16) ------------------------ *)
 
 (* Hyperblock specialization set (Figure 4). *)

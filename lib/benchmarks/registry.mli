@@ -8,9 +8,6 @@ val find : string -> Bench.t
 
 val names : string list
 
-val integer_benchmarks : Bench.t list
-val fp_benchmarks : Bench.t list
-
 (** Figure 4 / 6 / 7 suites. *)
 
 val hyperblock_specialize : string list

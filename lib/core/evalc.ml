@@ -361,50 +361,6 @@ let compile = function
   | Expr.Real e -> compile_real e
   | Expr.Bool e -> compile_bool e
 
-let s_op_name = function
-  | 0 -> "add"
-  | 1 -> "sub"
-  | 2 -> "mul"
-  | 3 -> "div"
-  | 4 -> "sqrt"
-  | 5 -> "const"
-  | 6 -> "arg"
-  | 7 -> "tern"
-  | 8 -> "cmul"
-  | 9 -> "and"
-  | 10 -> "or"
-  | 11 -> "not"
-  | 12 -> "lt"
-  | 13 -> "gt"
-  | 14 -> "eq"
-  | 15 -> "bconst"
-  | 16 -> "barg"
-  | n -> Printf.sprintf "?%d" n
-
-(* Human-readable listing, one instruction per line — for debugging and
-   the DESIGN.md examples. *)
-let disasm (p : t) : string =
-  let buf = Buffer.create 256 in
-  let n = Array.length p.code in
-  let k = ref 0 in
-  while !k < n do
-    let i = !k in
-    Buffer.add_string buf
-      (Printf.sprintf "%4d: %-6s dst=%d a=%d b=%d c=%d\n" i
-         (s_op_name p.code.(i))
-         p.code.(i + 1)
-         p.code.(i + 2)
-         p.code.(i + 3)
-         p.code.(i + 4));
-    k := i + 5
-  done;
-  Buffer.add_string buf
-    (Printf.sprintf "consts=[%s] fregs=%d bregs=%d root=%d\n"
-       (String.concat ";"
-          (Array.to_list (Array.map (Printf.sprintf "%g") p.consts)))
-       p.n_fregs p.n_bregs p.root);
-  Buffer.contents buf
-
 (* --- Batch execution ----------------------------------------------------- *)
 
 (* One instruction across the whole chunk at a time: register files are

@@ -37,9 +37,6 @@ val compile : Expr.genome -> t
 val compile_real : Expr.rexpr -> t
 val compile_bool : Expr.bexpr -> t
 
-val disasm : t -> string
-(** Human-readable bytecode listing, for debugging and documentation. *)
-
 val run_batch : t -> Feature_set.env array -> float array
 (** [run_batch p envs] evaluates one compiled real-valued genome over an
     array of feature vectors, bit-identical to [Eval.real] on every

@@ -92,8 +92,3 @@ let features genome =
     | Bool e -> fold_features_b ~real ~bool [] e
   in
   List.sort_uniq compare occs
-
-(* --- Structural equality (used for memoization keys via printing, and for
-   detecting inbreeding in tests) ---------------------------------------- *)
-
-let equal_genome (a : genome) (b : genome) = a = b

@@ -45,6 +45,3 @@ val depth : genome -> int
 
 val features : genome -> [ `Real of int | `Bool of int ] list
 (** Sorted, deduplicated indices of the features the genome references. *)
-
-val equal_genome : genome -> genome -> bool
-(** Structural equality. *)

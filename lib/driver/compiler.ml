@@ -91,6 +91,15 @@ let decided h =
   | _, Some Sched, _ -> false
   | _, _, after -> List.for_all (is_baseline h) after
 
+(* What the pass under study decided in one function: everything the
+   passes after it read of its work. *)
+type decision =
+  | Verdicts of bool array  (* prefetch: per eligible candidate *)
+  | Regions of Ir.Types.label list list  (* hyperblock: per attempt *)
+  | Spills of Ir.Types.reg list  (* regalloc *)
+
+type decisions = (string * decision) list
+
 (* A program part-way through the pipeline, with what the passes run on
    it so far reported. *)
 type partial = {
@@ -102,7 +111,8 @@ type partial = {
 }
 
 let run_pass ~compiled ~machine ~(heuristics : heuristics)
-    ~(prof : Profile.Prof.t) ?decisions ?record (st : partial) = function
+    ~(prof : Profile.Prof.t) ?(report = fun _ _ -> ()) ?record
+    (st : partial) = function
   (* Every pass decides through one batch call per decision site; with
      [compiled] off that call maps the walker point by point, so toggling
      [compiled_eval] compares evaluators, not pass structure — and both
@@ -118,14 +128,17 @@ let run_pass ~compiled ~machine ~(heuristics : heuristics)
       {
         st with
         pf_stats =
-          Prefetch.Insert.run_batched ?decisions ~decision_batch st.program;
+          Prefetch.Insert.run_batched
+            ~report:(fun fname v -> report fname (Verdicts v))
+            ~decision_batch st.program;
       })
   | Hyperblock ->
     {
       st with
       hb =
-        Hyperblock.Form.run ~compiled ?decisions ?record ~machine ~prof
-          ~priority:heuristics.hb_priority st.program;
+        Hyperblock.Form.run ~compiled
+          ~report:(fun fname d -> report fname (Regions d))
+          ?record ~machine ~prof ~priority:heuristics.hb_priority st.program;
     }
   | Regalloc ->
     let savings_batch =
@@ -134,7 +147,9 @@ let run_pass ~compiled ~machine ~(heuristics : heuristics)
     {
       st with
       n_spills =
-        Regalloc.Alloc.run ?decisions ~savings_batch ~machine st.program;
+        Regalloc.Alloc.run
+          ~report:(fun fname d -> report fname (Spills d))
+          ~savings_batch ~machine st.program;
     }
   | Sched ->
     (* The baseline ranking skips the expression interpreter.  The
@@ -152,11 +167,11 @@ let run_pass ~compiled ~machine ~(heuristics : heuristics)
           st.program;
     }
 
-let run_passes ?(compiled_eval = true) ?decisions ?record ~machine
-    ~heuristics (p : prepared) passes st =
+let run_passes ?(compiled_eval = true) ?report ?record ~machine ~heuristics
+    (p : prepared) passes st =
   List.fold_left
     (run_pass ~compiled:compiled_eval ~machine ~heuristics ~prof:p.prof
-       ?decisions ?record)
+       ?report ?record)
     st passes
 
 let run_before ?compiled_eval ~machine ~heuristics (p : prepared) =
@@ -182,8 +197,8 @@ let run_before ?compiled_eval ~machine ~heuristics (p : prepared) =
     run_passes ?compiled_eval ~machine ~heuristics p before
       { st with program = Ir.Func.copy_program p.optimized }
 
-let run_under ?compiled_eval ?decisions ?record ~machine ~heuristics
-    (p : prepared) (st : partial) =
+let run_under ?compiled_eval ?record ~machine ~heuristics (p : prepared)
+    (st : partial) =
   (* A copy, stats record included, so a reused prefix is never
      touched. *)
   let st =
@@ -194,18 +209,25 @@ let run_under ?compiled_eval ?decisions ?record ~machine ~heuristics
     }
   in
   match split heuristics with
-  | _, None, _ -> st
+  | _, None, _ -> (st, [])
   | _, Some pass, _ ->
-    run_passes ?compiled_eval ?decisions ?record ~machine ~heuristics p
-      [ pass ] st
+    let reported = ref [] in
+    let st =
+      run_passes ?compiled_eval
+        ~report:(fun fname d -> reported := (fname, d) :: !reported)
+        ?record ~machine ~heuristics p [ pass ] st
+    in
+    (st, List.rev !reported)
 
 (* Only hyperblock formation records its steps. *)
 let walk_under ?(compiled_eval = true) ~machine ~heuristics ~step
     (st : partial) =
   match pass_under_study heuristics with
   | Some Hyperblock ->
-    Hyperblock.Form.walk ~compiled:compiled_eval ~machine
-      ~priority:heuristics.hb_priority ~step st.program
+    Option.map
+      (List.map (fun (fname, d) -> (fname, Regions d)))
+      (Hyperblock.Form.walk ~compiled:compiled_eval ~machine
+         ~priority:heuristics.hb_priority ~step st.program)
   | _ -> None
 
 let run_after ?compiled_eval ~machine ~heuristics (p : prepared)
@@ -228,6 +250,7 @@ let run_after ?compiled_eval ~machine ~heuristics (p : prepared)
 let compile ?compiled_eval ~machine ~heuristics p =
   run_before ?compiled_eval ~machine ~heuristics p
   |> run_under ?compiled_eval ~machine ~heuristics p
+  |> fst
   |> run_after ?compiled_eval ~machine ~heuristics p
 
 let simulate ?noise ~(machine : Machine.Config.t)

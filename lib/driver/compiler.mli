@@ -70,6 +70,24 @@ val decided : heuristics -> bool
     is baseline, and that pass is not [Sched] (whose decisions are the
     schedule itself, so it reports none). *)
 
+(** What the pass under study decided in one function: everything the
+    passes after it read of its work. *)
+type decision =
+  | Verdicts of bool array
+      (** prefetch: the verdict on each eligible candidate, in candidate
+          order ({!Prefetch.Insert.run_batched}) *)
+  | Regions of Ir.Types.label list list
+      (** hyperblock formation: the sorted selected labels of each
+          attempted region, in attempt order ({!Hyperblock.Form.run}) *)
+  | Spills of Ir.Types.reg list
+      (** register allocation: the spilled registers as
+          {!Regalloc.Alloc.insert_spills} takes them *)
+
+type decisions = (string * decision) list
+(** One entry per function, in program order, named by the function;
+    a function with nothing to decide has an empty one.  Plain data:
+    equal decisions are structurally equal. *)
+
 type partial
 (** A program part-way through the pipeline, with what the passes run
     on it so far reported. *)
@@ -82,21 +100,23 @@ val run_before :
     never mutated by the later stages. *)
 
 val run_under :
-  ?compiled_eval:bool -> ?decisions:Buffer.t ->
-  ?record:(string -> string -> Hyperblock.Form.step -> unit) ->
+  ?compiled_eval:bool ->
+  ?record:(string -> Ir.Types.label list list -> Hyperblock.Form.step ->
+           unit) ->
   machine:Machine.Config.t -> heuristics:heuristics -> prepared -> partial ->
-  partial
-(** A copy of the partial program through the pass under study, which
-    appends its decisions to [decisions]; the argument is left
-    untouched, so one [run_before] result serves every candidate.
-    Hyperblock formation also tells [record] every step it takes
+  partial * decisions
+(** A copy of the partial program through the pass under study, and the
+    decisions that pass reports ([[]] when there is none, and for
+    [Sched], which reports none); the argument is left untouched, so
+    one [run_before] result serves every candidate.  Hyperblock
+    formation also tells [record] every step it takes
     ({!Hyperblock.Form.run}). *)
 
 val walk_under :
   ?compiled_eval:bool -> machine:Machine.Config.t -> heuristics:heuristics ->
-  step:(string -> string -> Hyperblock.Form.step option) -> partial ->
-  string option
-(** The decisions [run_under] would append, from recorded steps alone
+  step:(string -> Ir.Types.label list list -> Hyperblock.Form.step option) ->
+  partial -> decisions option
+(** The decisions [run_under] would report, from recorded steps alone
     ({!Hyperblock.Form.walk}): nothing is copied, discovered, extracted
     or converted.  [None] unless hyperblock formation is the pass under
     study and [step] holds every step it would take. *)

@@ -6,8 +6,6 @@
    compiler's heuristic"; a `prefetch:` line of `off` disables prefetching
    entirely.  Lines starting with '#' are comments. *)
 
-let slot_names = [ "hyperblock"; "regalloc"; "prefetch"; "sched" ]
-
 exception Bad_file of string
 
 let to_lines (h : Compiler.heuristics) : string list =

@@ -5,9 +5,6 @@
 
 exception Bad_file of string
 
-val slot_names : string list
-(** ["hyperblock"; "regalloc"; "prefetch"; "sched"]. *)
-
 val save : string -> Compiler.heuristics -> unit
 
 val load : ?base:Compiler.heuristics -> string -> Compiler.heuristics

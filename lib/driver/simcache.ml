@@ -10,14 +10,14 @@
    - recorded steps: with hyperblock formation under study, each
      function's formation is a sequence of steps, and the region a step
      attempts is a function of the prefix, the function and the
-     decision lines it has written so far.  Every live run records its
-     steps (Hyperblock.Form.run ~record) in a table keyed by exactly
-     that, and a later candidate first walks the table
-     (Compiler.walk_under), deciding each recorded view with its own
-     priority function.  A complete walk yields the decision text
-     without copying the program, discovering regions, extracting
-     features or if-converting; a missing step falls back to the live
-     pass, which records as it goes.
+     decisions it has made so far.  Every live run records its steps
+     (Hyperblock.Form.run ~record) in a table keyed by exactly that,
+     and a later candidate first walks the table (Compiler.walk_under),
+     deciding each recorded view with its own priority function.  A
+     complete walk yields the decisions without copying the program,
+     discovering regions, extracting features or if-converting; a
+     missing step falls back to the live pass, which records as it
+     goes.
 
    - the decision tier: a study varies one heuristic slot.  The passes
      before that slot's pass see the same program for every candidate,
@@ -51,11 +51,12 @@
      stored.
 
    Keys are conservative: any textual difference in the canonical
-   program, in the order of event-emitting instructions or in a pass's
-   reported decisions produces a different key and a full compile and
-   simulation, and a step key differing in any byte of the decision
-   lines so far is a missing step.  Noise is *never* stored — callers
-   layer the per-genome jitter on top (Simulate.jittered).
+   program or in the order of event-emitting instructions, and any
+   difference in a pass's reported decisions, produces a different key
+   and a full compile and simulation, and a step key whose decisions so
+   far differ in any label is a missing step.  Both decision keys come
+   from one function, [key].  Noise is *never* stored — callers layer
+   the per-genome jitter on top (Simulate.jittered).
 
    In a forked worker pool the tables fill in the parent and are
    inherited read-only through fork; worker-side inserts (prefixes,
@@ -114,7 +115,7 @@ type t = {
   runs : (string, entry) Hashtbl.t;
   decided : (string, decided) Hashtbl.t;
   steps : (string, Hyperblock.Form.step) Hashtbl.t;
-      (* by prefix id, function name and its decision lines so far *)
+      (* by prefix id, function name and its decisions so far *)
   prefixes : (string, prefix list) Hashtbl.t;
       (* by bench name, newest first, at most two *)
   mutable prefixes_built : int;  (* the next prefix id *)
@@ -147,10 +148,6 @@ let create ?(enabled = true) ?(max_artifacts = 8192) () =
   }
 
 let stats t = t.stats
-
-let dataset_tag = function
-  | Benchmarks.Bench.Train -> "train"
-  | Benchmarks.Bench.Novel -> "novel"
 
 (* The canonical digest of a program's dynamic behaviour: the program
    with each block's instructions sorted by their (scheduling-invariant)
@@ -208,9 +205,16 @@ let run_key ~bench ~dataset ~(machine : Machine.Config.t) program =
     (Digest.string
        (String.concat ""
           [
-            bench; "/"; dataset_tag dataset; "\n"; program;
+            bench; "/"; Benchmarks.Bench.dataset_name dataset; "\n"; program;
             Marshal.to_string machine [];
           ]))
+
+(* The decision tier's and the step table's key: a digest of plain data
+   (a prefix id with decisions, or with a function's decisions so far).
+   Without sharing, equal values marshal to equal bytes however they
+   were built; a string key is hashed whole, where [Hashtbl.hash] would
+   read only a bounded prefix of a nested list. *)
+let key v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ])
 
 (* Crude but bounded: a full table restarts. *)
 let store t tbl key v =
@@ -340,30 +344,28 @@ let measure t ?(compiled_eval = true) ~machine ~heuristics ~dataset
            Compiler.compile ~compiled_eval ~machine ~heuristics p))
   else begin
     let pre = prefix t ~compiled_eval ~machine ~heuristics p in
-    let under ?decisions ?record () =
+    let under ?record () =
       compile (fun () ->
-          Compiler.run_under ~compiled_eval ?decisions ?record ~machine
-            ~heuristics p pre.partial)
+          Compiler.run_under ~compiled_eval ?record ~machine ~heuristics p
+            pre.partial)
     in
     let after st =
       compile (fun () ->
           Compiler.run_after ~compiled_eval ~machine ~heuristics p st)
     in
     if not (Compiler.decided heuristics) then
-      simulate_entry t ~machine ~dataset p (after (under ()))
+      simulate_entry t ~machine ~dataset p (after (fst (under ())))
     else begin
-      let step_key fname lines =
-        String.concat "" [ string_of_int pre.id; ":"; fname; ":\n"; lines ]
-      in
-      let record fname lines step =
-        locked t (fun () -> store t t.steps (step_key fname lines) step)
+      let step_key fname decided = key (pre.id, fname, decided) in
+      let record fname decided step =
+        locked t (fun () -> store t t.steps (step_key fname decided) step)
       in
       let walked =
         compile (fun () ->
             Compiler.walk_under ~compiled_eval ~machine ~heuristics
-              ~step:(fun fname lines ->
+              ~step:(fun fname decided ->
                 locked t (fun () ->
-                    Hashtbl.find_opt t.steps (step_key fname lines)))
+                    Hashtbl.find_opt t.steps (step_key fname decided)))
               pre.partial)
       in
       (* The pass under study runs, recording its steps, when the walk
@@ -371,20 +373,17 @@ let measure t ?(compiled_eval = true) ~machine ~heuristics ~dataset
          must be built. *)
       let decisions, st =
         match walked with
-        | Some text ->
+        | Some decisions ->
           locked t (fun () -> t.stats.step_hits <- t.stats.step_hits + 1);
           Gp.Telemetry.incr "evaluator.step_hits";
-          (text, lazy (under ()))
+          (decisions, lazy (fst (under ())))
         | None ->
-          let b = Buffer.create 256 in
-          let st = under ~decisions:b ~record () in
-          (Buffer.contents b, Lazy.from_val st)
+          let st, decisions = under ~record () in
+          (decisions, Lazy.from_val st)
       in
       let finish () = after (Lazy.force st) in
-      let key =
-        Digest.to_hex (Digest.string (string_of_int pre.id ^ ":" ^ decisions))
-      in
-      match locked t (fun () -> Hashtbl.find_opt t.decided key) with
+      let tier_key = key (pre.id, decisions) in
+      match locked t (fun () -> Hashtbl.find_opt t.decided tier_key) with
       | Some d ->
         simulate_artifact t ~machine ~dataset p ~program:d.program
           ~schedule_cycles:d.schedule ~compiled:finish ~decided:true
@@ -398,7 +397,7 @@ let measure t ?(compiled_eval = true) ~machine ~heuristics ~dataset
             ~decided:false
         in
         locked t (fun () ->
-            store t t.decided key
+            store t t.decided tier_key
               { program; schedule = c.Compiler.schedule_cycles });
         measured
     end

@@ -215,10 +215,6 @@ let speedup_against ?compiled_eval ~kind ~machine ~prepared ~sim ~baselines g
   else if cycles <= 0.0 then 0.0
   else base_cycles /. cycles
 
-let dataset_name = function
-  | Benchmarks.Bench.Train -> "train"
-  | Benchmarks.Bench.Novel -> "novel"
-
 (* --- Daemon-side evaluation service --------------------------------------- *)
 
 type service = {
@@ -246,7 +242,7 @@ let prepare_benches kind bench_names =
    besides the genome and the case. *)
 let scope_of kind (machine : Machine.Config.t) dataset =
   Printf.sprintf "%s/%s/%s" (kind_name kind) machine.Machine.Config.name
-    (dataset_name dataset)
+    (Benchmarks.Bench.dataset_name dataset)
 
 (* A case's name in store keys: its bench name, and in a study with
    noise its index too, since [noise_rng_of] draws the jitter per

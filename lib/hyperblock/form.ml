@@ -191,14 +191,6 @@ let decide ?(config = default_config) ?(compiled = true)
         rest;
       List.rev_map (Array.get v.paths) !selected
 
-(* [convert] reads only the union of the selected labels, so that union
-   is a step's whole decision. *)
-let line selected = String.concat " " (union_labels selected)
-
-let add_line lines selected =
-  Buffer.add_string lines (line selected);
-  Buffer.add_char lines '\n'
-
 (* --- If-conversion ------------------------------------------------------ *)
 
 (* Convert the selected sub-DAG of [region] into a single predicated block
@@ -396,79 +388,69 @@ let new_stats () =
 
 type step = Attempt of view | Done
 
-(* One function's steps; [lines] accumulates its decision lines.
-   Regions are re-discovered after each conversion (a step that merged
-   nothing leaves the function, hence its regions, unchanged); entries
-   already attempted are skipped. *)
-let run_func ~config ~decide ?record ~prof (f : Ir.Func.t) stats lines =
-  let record step =
-    Option.iter (fun r -> r f.Ir.Func.fname (Buffer.contents lines) step) record
-  in
+(* One function's steps; returns its decisions in attempt order.
+   [convert] reads only the union of the selected labels, so that union
+   is a step's whole decision.  Regions are re-discovered after each
+   conversion (a step that merged nothing leaves the function, hence its
+   regions, unchanged); entries already attempted are skipped. *)
+let run_func ~config ~decide ~record ~prof (f : Ir.Func.t) stats =
   let attempted = Hashtbl.create 16 in
   let discover () = Region.discover ~limits:config.limits f in
-  let rec loop regions =
+  let rec loop decided regions =
     match
       List.find_opt
         (fun (r : Region.t) -> not (Hashtbl.mem attempted r.Region.entry))
         regions
     with
-    | None -> record Done
+    | None ->
+      record f.Ir.Func.fname decided Done;
+      List.rev decided
     | Some region ->
       Hashtbl.replace attempted region.Region.entry ();
       stats.regions_seen <- stats.regions_seen + 1;
       stats.paths_total <- stats.paths_total + List.length region.Region.paths;
       let v = features f prof region in
-      record (Attempt v);
+      record f.Ir.Func.fname decided (Attempt v);
       let selected = decide v in
-      add_line lines selected;
+      let decided = union_labels selected :: decided in
       let merged = convert f region selected in
       if merged > 0 then begin
         stats.regions_formed <- stats.regions_formed + 1;
         stats.blocks_merged <- stats.blocks_merged + merged;
         stats.paths_selected <- stats.paths_selected + List.length selected;
-        loop (discover ())
+        loop decided (discover ())
       end
-      else loop regions
+      else loop decided regions
   in
-  loop (discover ())
+  loop [] (discover ())
 
-let add_function_lines b fname lines =
-  Buffer.add_string b fname;
-  Buffer.add_string b ":\n";
-  Buffer.add_buffer b lines
-
-let run ?(config = default_config) ?(compiled = true) ?decisions ?record
-    ~machine ~prof ~priority (p : Ir.Func.program) : stats =
+let run ?(config = default_config) ?(compiled = true)
+    ?(report = fun _ _ -> ()) ?(record = fun _ _ _ -> ()) ~machine ~prof
+    ~priority (p : Ir.Func.program) : stats =
   let stats = new_stats () in
   let decide = decide ~config ~compiled ~machine ~priority in
   List.iter
-    (fun f ->
-      let lines = Buffer.create 64 in
-      run_func ~config ~decide ?record ~prof f stats lines;
-      Option.iter (fun b -> add_function_lines b f.Ir.Func.fname lines)
-        decisions;
+    (fun (f : Ir.Func.t) ->
+      report f.Ir.Func.fname (run_func ~config ~decide ~record ~prof f stats);
       Opt.Simplify_cfg.remove_unreachable f;
       Ir.Func.renumber f)
     p.Ir.Func.funcs;
   stats
 
 let walk ?(config = default_config) ?(compiled = true) ~machine ~priority
-    ~step (p : Ir.Func.program) : string option =
+    ~step (p : Ir.Func.program) =
   let decide = decide ~config ~compiled ~machine ~priority in
-  let text = Buffer.create 256 in
-  let rec steps fname lines =
-    match step fname (Buffer.contents lines) with
-    | None -> false
-    | Some Done ->
-      add_function_lines text fname lines;
-      true
-    | Some (Attempt v) ->
-      add_line lines (decide v);
-      steps fname lines
+  let rec steps fname decided =
+    match step fname decided with
+    | None -> None
+    | Some Done -> Some (fname, List.rev decided)
+    | Some (Attempt v) -> steps fname (union_labels (decide v) :: decided)
   in
-  if
-    List.for_all
-      (fun (f : Ir.Func.t) -> steps f.Ir.Func.fname (Buffer.create 64))
-      p.Ir.Func.funcs
-  then Some (Buffer.contents text)
-  else None
+  let rec funcs acc = function
+    | [] -> Some (List.rev acc)
+    | (f : Ir.Func.t) :: rest -> (
+      match steps f.Ir.Func.fname [] with
+      | Some d -> funcs (d :: acc) rest
+      | None -> None)
+  in
+  funcs [] p.Ir.Func.funcs

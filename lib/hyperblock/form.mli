@@ -16,8 +16,8 @@
       decision;
     - {b apply}: {!convert} if-converts them.
     {!run} can report every step it takes, and {!walk} replays recorded
-    steps under another priority function to the decision text {!run}
-    would write, with no program copy, region discovery, feature
+    steps under another priority function to the decisions {!run}
+    would report, with no program copy, region discovery, feature
     extraction or conversion. *)
 
 type config = {
@@ -88,32 +88,34 @@ type step =
   | Done  (** no region left to attempt in this function *)
 
 val run :
-  ?config:config -> ?compiled:bool -> ?decisions:Buffer.t ->
-  ?record:(string -> string -> step -> unit) ->
+  ?config:config -> ?compiled:bool ->
+  ?report:(string -> Ir.Types.label list list -> unit) ->
+  ?record:(string -> Ir.Types.label list list -> step -> unit) ->
   machine:Machine.Config.t -> prof:Profile.Prof.t ->
   priority:Gp.Expr.rexpr -> Ir.Func.program -> stats
 (** Form hyperblocks over every function, re-discovering regions after
     each conversion; prunes unreachable blocks and renumbers.  [compiled]
     selects the {!Gp.Evalc} path (default) versus the {!Gp.Eval}
     tree-walker for priority evaluation; see {!score_region}.
-    [decisions], when given, receives the pass's decisions: per
-    function, in program order, the function's name and a colon on one
-    line, then one line per attempted region: the sorted union of its
-    selected paths' labels, space-separated, which is all {!convert}
-    reads of them.  The formed program is a function of the input
-    program, the profile and these lines.
-    [record fname lines step], when given, is told every step: function
-    [fname], having written decision text [lines] so far (each line
-    newline-terminated), takes [step].  The step is a function of the
-    input function, the profile, [config] and [lines]. *)
+    [report fname decided] is told the pass's decisions once per
+    function, in program order: for each attempted region, in attempt
+    order, the sorted union of its selected paths' labels, which is all
+    {!convert} reads of them (empty when no region was attempted).  The
+    formed program is a function of the input program, the profile and
+    these decisions.
+    [record fname decided step], when given, is told every step:
+    function [fname], having decided [decided] so far (newest first),
+    takes [step].  The step is a function of the input function, the
+    profile, [config] and [decided]. *)
 
 val walk :
   ?config:config -> ?compiled:bool -> machine:Machine.Config.t ->
-  priority:Gp.Expr.rexpr -> step:(string -> string -> step option) ->
-  Ir.Func.program -> string option
-(** [walk ~step p] is the decision text [run ~decisions] would write for
-    [p] under the same arguments, built from recorded steps alone:
-    [step fname lines] returns
-    what [record] was told for that function and text, and only the
-    program's function names are read.  [None] as soon as a step is
-    missing. *)
+  priority:Gp.Expr.rexpr ->
+  step:(string -> Ir.Types.label list list -> step option) ->
+  Ir.Func.program -> (string * Ir.Types.label list list) list option
+(** [walk ~step p] is every function's decisions, in program order, as
+    [run ~report] would report them for [p] under the same arguments,
+    built from recorded steps alone: [step fname decided] returns what
+    [record] was told for that function and those decisions, and only
+    the program's function names are read.  [None] as soon as a step
+    is missing. *)

@@ -44,8 +44,6 @@ let start_block b label =
   b.current <- Some { Func.blabel = label; instrs = []; term = Func.Ret None };
   b.pending <- []
 
-let in_block b = b.current <> None
-
 let emit b kind =
   match b.current with
   | None -> invalid_arg "Builder.emit: no current block"

@@ -14,8 +14,6 @@ val fresh_label : t -> string -> Types.label
 val start_block : t -> Types.label -> unit
 (** @raise Invalid_argument if the previous block was not terminated. *)
 
-val in_block : t -> bool
-
 val emit : t -> Instr.kind -> unit
 (** Append an unpredicated instruction to the current block.
     @raise Invalid_argument outside a block. *)

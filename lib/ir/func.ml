@@ -125,14 +125,6 @@ let copy f = { f with blocks = List.map copy_block f.blocks }
 
 let copy_program p = { p with funcs = List.map copy p.funcs }
 
-let max_used_reg f =
-  let m = ref 0 in
-  List.iter (fun r -> if r > !m then m := r) f.params;
-  iter_instrs f (fun _ (i : Instr.t) ->
-      (match Instr.def i.kind with Some d -> if d > !m then m := d | None -> ());
-      List.iter (fun r -> if r > !m then m := r) (Instr.uses i.kind));
-  !m
-
 let pp_terminator ppf = function
   | Jmp l -> Fmt.pf ppf "jmp %s" l
   | Br (c, l1, l2) -> Fmt.pf ppf "br %a, %s, %s" pp_operand c l1 l2

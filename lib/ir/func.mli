@@ -71,8 +71,6 @@ val copy : t -> t
 
 val copy_program : program -> program
 
-val max_used_reg : t -> reg
-
 val pp_terminator : Format.formatter -> terminator -> unit
 val pp_block : Format.formatter -> block -> unit
 val pp : Format.formatter -> t -> unit

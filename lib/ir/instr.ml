@@ -121,13 +121,6 @@ let is_impure_call = function Call (_, _, _, Impure) -> true | _ -> false
 
 let is_branch_like = function Exit _ -> true | _ -> false
 
-(* Does this instruction constitute a compiler hazard in the sense of the
-   paper (pointer dereference or side-effecting call)? *)
-let is_hazard = function
-  | Load (_, a) | Store (a, _) -> a.hazard || a.space = Unknown
-  | Call (_, _, _, Impure) -> true
-  | _ -> false
-
 (* Generic latency in cycles, used for dependence-height features and as
    the default machine latency (Table 3 of the paper). *)
 let latency = function

@@ -80,10 +80,6 @@ val is_call : kind -> bool
 val is_impure_call : kind -> bool
 val is_branch_like : kind -> bool
 
-val is_hazard : kind -> bool
-(** A compiler hazard in the paper's sense: a pointer-like dereference or
-    a side-effecting call. *)
-
 val latency : kind -> int
 (** Latency in cycles per the paper's Table 3 machine; also used for
     dependence-height features. *)

@@ -29,7 +29,7 @@ type stats = {
   inserted : int;
 }
 
-let run_batched ?(config = default_config) ?decisions
+let run_batched ?(config = default_config) ?(report = fun _ _ -> ())
     ~(decision_batch : decision_batch) (p : Ir.Func.program) : stats =
   let candidates = ref 0 and inserted = ref 0 in
   List.iter
@@ -52,15 +52,7 @@ let run_batched ?(config = default_config) ?decisions
       in
       (* The verdicts are all the pass decides: the rewrite below is a
          function of the program and them alone. *)
-      Option.iter
-        (fun b ->
-          Buffer.add_string b f.Ir.Func.fname;
-          Buffer.add_char b ':';
-          Array.iter
-            (fun v -> Buffer.add_char b (if v then '1' else '0'))
-            verdicts;
-          Buffer.add_char b '\n')
-        decisions;
+      report f.Ir.Func.fname verdicts;
       let accepted = Hashtbl.create 16 in
       Array.iteri
         (fun k (c : Analysis.candidate) ->

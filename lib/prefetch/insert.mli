@@ -31,9 +31,10 @@ type stats = {
 }
 
 val run_batched :
-  ?config:config -> ?decisions:Buffer.t -> decision_batch:decision_batch ->
-  Ir.Func.program -> stats
-(** [decisions], when given, receives the pass's decisions: one line per
-    function, in program order, with the verdict on each eligible
-    candidate in candidate order.  The rewritten program is a function
-    of the input program and these verdicts. *)
+  ?config:config -> ?report:(string -> bool array -> unit) ->
+  decision_batch:decision_batch -> Ir.Func.program -> stats
+(** [report fname verdicts] is told the pass's decisions once per
+    function, in program order: the verdict on each eligible candidate,
+    in candidate order (empty when the function has none).  The
+    rewritten program is a function of the input program and these
+    verdicts. *)

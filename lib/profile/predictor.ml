@@ -20,7 +20,3 @@ let observe (t : t) ~site ~taken : bool (* mispredicted? *) =
   t.counters.(site) <-
     (if taken then min 3 (c + 1) else max 0 (c - 1));
   mispredict
-
-let mispredict_rate t =
-  if t.branches = 0 then 0.0
-  else float_of_int t.mispredicts /. float_of_int t.branches

@@ -11,5 +11,3 @@ val create : n_sites:int -> t
 
 val observe : t -> site:int -> taken:bool -> bool
 (** Record an outcome; returns whether the prediction was wrong. *)
-
-val mispredict_rate : t -> float

@@ -193,8 +193,9 @@ let insert_spills (f : Ir.Func.t) (spilled : Ir.Types.reg list) : unit =
 
 (* --- Driver ------------------------------------------------------------- *)
 
-let run_func ?(savings_batch = baseline_savings_batch) ?decisions
-    ~(machine : Machine.Config.t) (f : Ir.Func.t) : result =
+let run_func ?(savings_batch = baseline_savings_batch)
+    ?(report = fun _ _ -> ()) ~(machine : Machine.Config.t) (f : Ir.Func.t) :
+    result =
   let g = Ir.Cfg.build f in
   let live = Liveness.compute f g in
   let depth = Ir.Cfg.loop_depth g (Ir.Cfg.loops g) in
@@ -282,13 +283,7 @@ let run_func ?(savings_batch = baseline_savings_batch) ?decisions
     order;
   (* The spill list, in order (it fixes the frame slots), is all the
      rest of the pipeline sees of this allocation. *)
-  Option.iter
-    (fun b ->
-      Buffer.add_string b f.Ir.Func.fname;
-      Buffer.add_char b ':';
-      List.iter (fun r -> Printf.bprintf b " %d" r) !spilled;
-      Buffer.add_char b '\n')
-    decisions;
+  report f.Ir.Func.fname !spilled;
   insert_spills f !spilled;
   {
     ranges = Array.to_list arr;
@@ -296,10 +291,10 @@ let run_func ?(savings_batch = baseline_savings_batch) ?decisions
     n_colors_used = !max_color + 1;
   }
 
-let run ?savings_batch ?decisions ~machine (p : Ir.Func.program) :
+let run ?savings_batch ?report ~machine (p : Ir.Func.program) :
     int (* total spills *) =
   List.fold_left
     (fun acc f ->
-      let r = run_func ?savings_batch ?decisions ~machine f in
+      let r = run_func ?savings_batch ?report ~machine f in
       acc + List.length r.spilled)
     0 p.Ir.Func.funcs

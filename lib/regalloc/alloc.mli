@@ -50,22 +50,24 @@ val insert_spills : Ir.Func.t -> Ir.Types.reg list -> unit
 
 val run_func :
   ?savings_batch:savings_batch ->
-  ?decisions:Buffer.t ->
+  ?report:(string -> Ir.Types.reg list -> unit) ->
   machine:Machine.Config.t ->
   Ir.Func.t ->
   result
 (** Priorities come from one [savings_batch] evaluation over every
     (range, block) pair of the function; it defaults to Equation (2)
-    through the compiled engine.  [decisions], when given, receives one
-    line: the function's name and its spilled registers in spill order
-    — the rewritten function is a function of the input and that line. *)
+    through the compiled engine.  [report fname spills] is told the
+    pass's decision: the spilled registers as {!insert_spills} takes
+    them, latest spilled first (the reverse of [result.spilled]; empty
+    when nothing spills).  The rewritten function is a function of the
+    input and that list. *)
 
 val run :
   ?savings_batch:savings_batch ->
-  ?decisions:Buffer.t ->
+  ?report:(string -> Ir.Types.reg list -> unit) ->
   machine:Machine.Config.t ->
   Ir.Func.program ->
   int
 (** Allocates every function; returns the total number of spilled
-    ranges.  [decisions] receives {!run_func}'s line for each function,
+    ranges.  [report] is told {!run_func}'s decision for each function,
     in program order. *)

@@ -224,9 +224,7 @@ let test_summary_equivalence () =
                   check_result
                     (Printf.sprintf "%s/%s/%s %s schedule"
                        (Driver.Study.kind_name kind) bench
-                       (match dataset with
-                       | Benchmarks.Bench.Train -> "train"
-                       | Benchmarks.Bench.Novel -> "novel")
+                       (Benchmarks.Bench.dataset_name dataset)
                        tag)
                     (Machine.Simulate.retime ~schedule_cycles summary)
                     (Machine.Simulate.run ~engine:`Reference ~config:machine
@@ -268,7 +266,7 @@ let hb_priority = function
   | Gp.Expr.Bool _ -> invalid_arg "hb_priority: a Boolean genome"
 
 (* Every golden hyperblock genome's walk over the steps all of them
-   recorded is the decision text its own live formation run writes. *)
+   recorded is the decisions its own live formation run reports. *)
 let check_walks benches genomes =
   let machine = Driver.Study.machine_of Driver.Study.Hyperblock_study in
   List.iter
@@ -279,24 +277,25 @@ let check_walks benches genomes =
       let live =
         List.map
           (fun g ->
-            let decisions = Buffer.create 256 in
+            let decided = ref [] in
             ignore
-              (Hyperblock.Form.run ~decisions
-                 ~record:(fun fname lines step ->
-                   Hashtbl.replace steps (fname, lines) step)
+              (Hyperblock.Form.run
+                 ~report:(fun fname d -> decided := (fname, d) :: !decided)
+                 ~record:(fun fname d step ->
+                   Hashtbl.replace steps (fname, d) step)
                  ~machine ~prof ~priority:(hb_priority g)
                  (Ir.Func.copy_program p.Driver.Compiler.optimized));
-            Buffer.contents decisions)
+            List.rev !decided)
           genomes
       in
       List.iteri
-        (fun gi (g, text) ->
-          Alcotest.(check (option string))
+        (fun gi (g, decided) ->
+          Alcotest.(check (option (list (pair string (list (list string))))))
             (Printf.sprintf "hyperblock genome %d on %s: walked decisions" gi
                bench)
-            (Some text)
+            (Some decided)
             (Hyperblock.Form.walk ~machine ~priority:(hb_priority g)
-               ~step:(fun fname lines -> Hashtbl.find_opt steps (fname, lines))
+               ~step:(fun fname d -> Hashtbl.find_opt steps (fname, d))
                p.Driver.Compiler.optimized))
         (List.combine genomes live))
     benches
@@ -306,8 +305,8 @@ let check_walks benches genomes =
    The train pass fills the decision tier, so the same-decision pair's
    second genome is a decision hit and the novel pass reaches the tier
    with no artifact for its dataset yet; in the hyperblock study the
-   recorded steps must answer too, and every genome's walk must write
-   its live run's decisions. *)
+   recorded steps must answer too, and every genome's walk must return
+   the decisions its live run reports. *)
 let test_study_fast_vs_slow () =
   List.iter
     (fun (kind, benches) ->
@@ -328,9 +327,7 @@ let test_study_fast_vs_slow () =
                        (fun case bench ->
                          ( Printf.sprintf "%s genome %d on %s/%s"
                              (Driver.Study.kind_name kind) gi bench
-                             (match dataset with
-                             | Benchmarks.Bench.Train -> "train"
-                             | Benchmarks.Bench.Novel -> "novel"),
+                             (Benchmarks.Bench.dataset_name dataset),
                            Driver.Study.speedup ctx g ~case ~dataset ))
                        benches)
                    genomes))
@@ -566,6 +563,113 @@ let test_recorded_steps () =
         [ codrle4; rawcaudio; epic ])
     Benchmarks.Bench.[ Train; Novel ]
 
+(* Each studied pass on epic, whose functions are quantize, emit_run
+   and main, under the golden genomes and random ones: [run_under]
+   reports one decision per function, in program order, that accounts
+   for what the pass did there (a verdict per eligible candidate, one
+   inserted prefetch per accepted one, one entry per attempted region
+   or spill), and an empty one for emit_run, which has nothing to
+   decide in any of them.  The decisions are all the later passes read
+   of the pass's work: genomes whose reported decisions are equal print
+   the same program after [run_after]. *)
+let test_typed_decisions () =
+  let open Driver.Compiler in
+  let rng = Random.State.make [| 0xdec1ded |] in
+  List.iter
+    (fun (kind, pass) ->
+      let name = Driver.Study.kind_name kind in
+      let p = prepare_for kind "epic" in
+      let machine = Driver.Study.machine_of kind in
+      let fs = Driver.Study.feature_set_of kind in
+      let funcs = p.optimized.Ir.Func.funcs in
+      let eligible (f : Ir.Func.t) =
+        List.length
+          (List.filter
+             (fun (c : Prefetch.Analysis.candidate) ->
+               match c.Prefetch.Analysis.stride with
+               | Some s -> s <> 0
+               | None -> false)
+             (Prefetch.Analysis.candidates f))
+      in
+      (* A decision's size, and the stat counting it in [compiled]. *)
+      let size = function
+        | Verdicts v -> List.length (List.filter Fun.id (Array.to_list v))
+        | Regions r -> List.length r
+        | Spills s -> List.length s
+      in
+      let counted c =
+        match pass with
+        | Prefetch -> c.prefetches.Prefetch.Insert.inserted
+        | Hyperblock -> c.hb_stats.Hyperblock.Form.regions_seen
+        | Regalloc | Sched -> c.spills
+      in
+      let runs =
+        List.filter_map
+          (fun g ->
+            let heuristics = Driver.Study.heuristics_with kind g in
+            if pass_under_study heuristics <> Some pass then None
+            else
+              let st, decisions =
+                run_under ~machine ~heuristics p
+                  (run_before ~machine ~heuristics p)
+              in
+              Some (decisions, run_after ~machine ~heuristics p st))
+          (golden_genomes kind
+          @ List.init 12 (fun _ ->
+                Gp.Gen.genome (Gp.Gen.default_config fs) rng
+                  ~sort:(Driver.Study.sort_of kind) ~full:false 3))
+      in
+      List.iteri
+        (fun i (decisions, c) ->
+          let what = Printf.sprintf "%s run %d: " name i in
+          Alcotest.(check (list string))
+            (what ^ "one decision per function, in program order")
+            (List.map (fun (f : Ir.Func.t) -> f.Ir.Func.fname) funcs)
+            (List.map fst decisions);
+          Alcotest.(check int)
+            (what ^ "decisions account for the pass's stats")
+            (counted c)
+            (List.fold_left (fun n (_, d) -> n + size d) 0 decisions);
+          List.iter2
+            (fun f (_, d) ->
+              match d with
+              | Verdicts v ->
+                Alcotest.(check int)
+                  (what ^ "a verdict per eligible candidate")
+                  (eligible f) (Array.length v)
+              | _ -> ())
+            funcs decisions;
+          Alcotest.(check bool)
+            (what ^ "emit_run decides nothing")
+            true
+            (List.mem
+               (List.assoc "emit_run" decisions)
+               [ Verdicts [||]; Regions []; Spills [] ]))
+        runs;
+      let printed c = Format.asprintf "%a" Ir.Func.pp_program c.prog in
+      let pairs = ref 0 in
+      List.iteri
+        (fun i (d, c) ->
+          List.iteri
+            (fun j (d', c') ->
+              if j > i && d = d' then begin
+                incr pairs;
+                Alcotest.(check string)
+                  (Printf.sprintf "%s runs %d and %d: equal decisions print"
+                     name i j)
+                  (printed c) (printed c')
+              end)
+            runs)
+        runs;
+      Alcotest.(check bool)
+        (name ^ ": some genomes decide alike")
+        true (!pairs > 0))
+    [
+      (Driver.Study.Prefetch_study, Prefetch);
+      (Driver.Study.Hyperblock_study, Hyperblock);
+      (Driver.Study.Regalloc_study, Regalloc);
+    ]
+
 (* A known run key under a new schedule is answered from its stored
    summary, the schedule it was first simulated under from the stored
    result (an artifact hit, which later schedules do not replace), and
@@ -741,6 +845,8 @@ let suite =
       test_artifact_collision;
     Alcotest.test_case "recorded hyperblock steps: edge cases" `Slow
       test_recorded_steps;
+    Alcotest.test_case "studied passes report typed decisions" `Quick
+      test_typed_decisions;
     Alcotest.test_case "simcache retimes a known trace key" `Slow
       test_simcache_retimes_known_key;
     Alcotest.test_case "fork baselines reach the parent's simcache" `Slow
