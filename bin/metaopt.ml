@@ -332,9 +332,8 @@ let ir_cmd =
 (* --- profile ---------------------------------------------------------------- *)
 
 let profile_bench name =
-  let b = Benchmarks.Registry.find name in
-  let prepared = Driver.Compiler.prepare b in
-  let prof = prepared.Driver.Compiler.prof in
+  let _, _, prepared, _ = prepare_bench name in
+  let prof = Lazy.force prepared.Driver.Compiler.prof in
   Fmt.pr "profile of %s on its training dataset (%d dynamic instructions)@.@."
     name prof.Profile.Prof.total_steps;
   List.iter

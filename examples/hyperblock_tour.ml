@@ -10,6 +10,7 @@ let fs = Hyperblock.Features.feature_set
 
 let show_regions (prepared : Driver.Compiler.prepared) =
   let prog = Ir.Func.copy_program prepared.Driver.Compiler.optimized in
+  let prof = Lazy.force prepared.Driver.Compiler.prof in
   List.iter
     (fun (f : Ir.Func.t) ->
       let regions = Hyperblock.Region.discover f in
@@ -27,8 +28,7 @@ let show_regions (prepared : Driver.Compiler.prepared) =
               (List.length r.Hyperblock.Region.mergeable)
               (List.length r.Hyperblock.Region.paths);
             let scored =
-              Hyperblock.Form.score_region f prepared.Driver.Compiler.prof
-                Hyperblock.Baseline.expr r
+              Hyperblock.Form.score_region f prof Hyperblock.Baseline.expr r
             in
             List.iteri
               (fun j (s : Hyperblock.Form.scored_path) ->

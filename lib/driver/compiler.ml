@@ -22,20 +22,24 @@ let baseline ?(prefetch = false) () : heuristics =
 
 (* A benchmark after the heuristic-independent work: lowering, scalar
    optimization, and profiling on the training dataset.  Shared across all
-   candidate heuristics via copy-on-compile. *)
+   candidate heuristics via copy-on-compile.  Only hyperblock formation
+   reads the profile, so its interpreter run waits for the first compile
+   that forms hyperblocks: a context whose store answers everything
+   never runs it. *)
 type prepared = {
   bench : Benchmarks.Bench.t;
   optimized : Ir.Func.program;
-  prof : Profile.Prof.t;
+  prof : Profile.Prof.t Lazy.t;
 }
 
 let prepare ?(opt_config = Opt.Pipeline.default) (bench : Benchmarks.Bench.t) :
     prepared =
   let prog = Frontend.Minic.compile bench.Benchmarks.Bench.source in
   Opt.Pipeline.run ~config:opt_config prog;
-  let layout = Profile.Layout.prepare prog in
   let prof =
-    Profile.Prof.collect ~overrides:bench.Benchmarks.Bench.train layout
+    lazy
+      (Profile.Prof.collect ~overrides:bench.Benchmarks.Bench.train
+         (Profile.Layout.prepare prog))
   in
   { bench; optimized = prog; prof }
 
@@ -111,7 +115,7 @@ type partial = {
 }
 
 let run_pass ~compiled ~machine ~(heuristics : heuristics)
-    ~(prof : Profile.Prof.t) ?(report = fun _ _ -> ()) ?record
+    ~(prof : Profile.Prof.t Lazy.t) ?(report = fun _ _ -> ()) ?record
     (st : partial) = function
   (* Every pass decides through one batch call per decision site; with
      [compiled] off that call maps the walker point by point, so toggling

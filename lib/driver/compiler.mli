@@ -23,11 +23,25 @@ val baseline : ?prefetch:bool -> unit -> heuristics
 type prepared = {
   bench : Benchmarks.Bench.t;
   optimized : Ir.Func.program;
-  prof : Profile.Prof.t;
+  prof : Profile.Prof.t Lazy.t;
+      (** the profile of [optimized] on the training dataset, collected
+          on first force: hyperblock formation forces it, so the first
+          {!compile} of the bench runs the profiling interpreter *)
 }
 
 val prepare :
   ?opt_config:Opt.Pipeline.config -> Benchmarks.Bench.t -> prepared
+(** Lowering and scalar optimization run here; profiling is deferred to
+    the first force of [prof].  A context whose every answer comes from
+    a store therefore never profiles.
+
+    Threads: [Lazy.force] raises [Lazy.Undefined] on a value another
+    thread is forcing, so a prepared bench whose profile is unforced
+    must not be shared across threads.  No library code does: the
+    threads that share a process's prepared benches are served clients,
+    whose contexts force them through their local baselines inside
+    [Study.create_with], and daemon services, which force them through
+    their in-process baselines. *)
 
 type compiled = {
   prog : Ir.Func.program;

@@ -164,17 +164,17 @@ let lookup_counted t key case =
    exception isolation only.  The [`Seq] backend is the
    always-sequential reference; [`Fork] degrades to in-process when fork
    is unavailable on the platform. *)
-let supervision_on t =
-  t.pool.Gp.Parmap.backend = `Fork
+let supervises (pool : Gp.Parmap.pool) =
+  pool.Gp.Parmap.backend = `Fork
   && Gp.Parmap.available
-  && (t.pool.Gp.Parmap.jobs > 1 || t.pool.Gp.Parmap.timeout_s <> None)
+  && (pool.Gp.Parmap.jobs > 1 || pool.Gp.Parmap.timeout_s <> None)
 
 let handle t =
   match t.handle with
   | Some h -> h
   | None ->
     let pool =
-      if supervision_on t then t.pool else Gp.Parmap.pool ~backend:`Seq ()
+      if supervises t.pool then t.pool else Gp.Parmap.pool ~backend:`Seq ()
     in
     let h = Gp.Parmap.create pool ~f:(fun (cg, _, case) -> t.eval cg case) in
     t.handle <- Some h;

@@ -145,6 +145,11 @@ val create :
     and no worker pool is spawned; the memo and hit accounting work
     unchanged. *)
 
+val supervises : Gp.Parmap.pool -> bool
+(** Whether an engine over [pool] runs its misses in supervised forked
+    workers rather than in-process: [`Fork] where fork is available,
+    with more than one job or a [timeout_s]. *)
+
 val faults : t -> fault_stats
 (** Fault counters accumulated over this engine's lifetime. *)
 

@@ -335,8 +335,16 @@ let prefix t ~compiled_eval ~machine ~heuristics (p : Compiler.prepared) =
           (match others with o :: _ -> [ e; o ] | [] -> [ e ]);
         e)
 
+(* The first compile of a bench needs its training profile; running it
+   here keeps that interpreter run out of [study.compile_s]. *)
+let profile (p : Compiler.prepared) =
+  if not (Lazy.is_val p.Compiler.prof) then
+    Gp.Telemetry.span "study.profile_s" (fun () ->
+        ignore (Lazy.force p.Compiler.prof))
+
 let measure t ?(compiled_eval = true) ~machine ~heuristics ~dataset
     (p : Compiler.prepared) =
+  profile p;
   let compile f = Gp.Telemetry.span "study.compile_s" f in
   if not t.enabled then
     simulate_entry t ~machine ~dataset p

@@ -64,6 +64,10 @@ val simulate :
     [evaluator.artifact_hits] / [study.replayed] counters and records
     [study.simulate_s] / [study.replay_s] spans. *)
 
+val profile : Compiler.prepared -> unit
+(** Force the bench's training profile ({!Compiler.prepared}) unless it
+    already is, timing the run in a [study.profile_s] span. *)
+
 val measure :
   t -> ?compiled_eval:bool -> machine:Machine.Config.t ->
   heuristics:Compiler.heuristics -> dataset:Benchmarks.Bench.dataset ->
@@ -73,7 +77,8 @@ val measure :
     (what runs when disabled), and the entry the table now holds for the
     artifact's run ([None] when disabled), for another table to
     {!adopt}.
-    Records the compile work in [study.compile_s] spans; decisions found
+    Forces the bench's profile first ({!profile}), then records the
+    compile work in [study.compile_s] spans; decisions found
     from recorded steps bump [evaluator.step_hits], and a decision-tier
     artifact hit bumps [evaluator.decision_hits]. *)
 

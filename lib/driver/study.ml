@@ -164,8 +164,9 @@ let noise_rng_of kind genome case =
     let seed = Hashtbl.hash (genome, case) in
     Some (Random.State.make [| seed |], amp)
 
-(* The compile, simulate and summary-answer spans land in the
-   [study.compile_s] / [study.simulate_s] / [study.replay_s] histograms.  In a supervised
+(* The profile, compile, simulate and summary-answer spans land in the
+   [study.profile_s] / [study.compile_s] / [study.simulate_s] /
+   [study.replay_s] histograms.  In a supervised
    (forked) pool they are recorded in the worker and die with it — the
    parent-side per-task latency from [Gp.Parmap] covers that path
    instead; the sequential path (tests, [-j 1], bench report) gets the
@@ -284,8 +285,8 @@ let find_baseline store ~scope ~case_name =
   | _ -> None
 
 (* What every evaluation of one study shape shares, built in one place
-   for a local context and a daemon's service alike: the prepared
-   benches, the baseline (cycles, checksum) per case on both datasets,
+   for a local context and a daemon's service alike over its prepared
+   benches: the baseline (cycles, checksum) per case on both datasets,
    and the [speedup_against] closure over them.
 
    With a [store], each baseline is first looked up there, and only the
@@ -298,9 +299,8 @@ let find_baseline store ~scope ~case_name =
    forked child's simulation table dies with it, so each cell carries
    its run's entry back for this table, which a context's persistent
    evaluation workers then inherit. *)
-let build ?pool ?store ~machine ~fast_sim ~compiled_eval kind bench_names =
+let build ?pool ?store ~machine ~fast_sim ~compiled_eval kind prepared =
   let sim = Simcache.create ~enabled:fast_sim () in
-  let prepared = prepare_benches kind bench_names in
   let base = baseline_genome_of kind in
   let case_name = store_case_name kind prepared in
   let fresh = ref [] in
@@ -364,7 +364,7 @@ let build ?pool ?store ~machine ~fast_sim ~compiled_eval kind bench_names =
     speedup_against ~compiled_eval ~kind ~machine ~prepared ~sim ~baselines g
       ~case ~dataset
   in
-  (sim, prepared, baseline_train, baseline_novel, measured, speedup)
+  (sim, baseline_train, baseline_novel, measured, speedup)
 
 (* The evaluation closure a daemon worker runs for one study shape —
    called with the client's canonical genome, never re-canonicalized, so
@@ -375,8 +375,9 @@ let service_of ?machine:machine_override ?(fast_sim = true)
     ?(compiled_eval = true) (kind : kind) (bench_names : string list) :
     service =
   let machine = Option.value ~default:(machine_of kind) machine_override in
-  let _, prepared, _, _, _, speedup =
-    build ~machine ~fast_sim ~compiled_eval kind bench_names
+  let prepared = prepare_benches kind bench_names in
+  let _, _, _, _, speedup =
+    build ~machine ~fast_sim ~compiled_eval kind prepared
   in
   {
     svc_n_cases = Array.length prepared;
@@ -421,10 +422,18 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
     if remote_h = None then Option.map Shardstore.open_store cfg.cache_dir
     else None
   in
-  let sim, prepared, baseline_train, baseline_novel, measured, speedup =
+  (* A profile forced in a forked worker dies with the worker.  So a
+     context that can fork profiles every bench here, before its
+     baselines or either evaluator fork, and the workers inherit the
+     profiles.  A context that runs in-process profiles a bench on its
+     first compile, and one whose store answers everything never does. *)
+  let prepared = prepare_benches kind bench_names in
+  if remote_h = None && Evaluator.supervises pool then
+    Array.iter Simcache.profile prepared;
+  let sim, baseline_train, baseline_novel, measured, speedup =
     build
       ?pool:(if remote_h = None && cfg.jobs > 1 then Some pool else None)
-      ?store ~machine ~fast_sim:cfg.fast_sim ~compiled_eval kind bench_names
+      ?store ~machine ~fast_sim:cfg.fast_sim ~compiled_eval kind prepared
   in
   let evaluator_for dataset =
     Evaluator.create ~pool ?store
@@ -554,9 +563,20 @@ let emit_run_summary ~driver ~kind ~benches ~ctx ~elapsed_s ~evaluations
         ("faults_timed_out", Gp.Telemetry.Int f.timed_out);
         ("faults_gave_up", Gp.Telemetry.Int f.gave_up);
         ("faults_retried", Gp.Telemetry.Int f.retried);
-        (* Where the sequential-path time went: heuristic-dependent
-           compilation vs full simulation vs summary answers, plus the
-           simulation-sharing counters. *)
+        (* Where the sequential-path time went: training profiles vs
+           heuristic-dependent compilation vs full simulation vs summary
+           answers, plus the simulation-sharing counters.
+           [benches_profiled] counts the benches whose profile ran in
+           this process. *)
+        ( "profile_s",
+          Gp.Telemetry.Float
+            (Gp.Telemetry.Histogram.sum (Gp.Telemetry.histogram "study.profile_s")) );
+        ( "benches_profiled",
+          Gp.Telemetry.Int
+            (Array.fold_left
+               (fun n (p : Compiler.prepared) ->
+                 if Lazy.is_val p.Compiler.prof then n + 1 else n)
+               0 ctx.prepared) );
         ( "compile_s",
           Gp.Telemetry.Float
             (Gp.Telemetry.Histogram.sum (Gp.Telemetry.histogram "study.compile_s")) );

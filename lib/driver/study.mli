@@ -146,7 +146,12 @@ val create_with : config -> kind -> string list -> context
     simulated, and they are appended in one write — so a context over a
     store that holds its baselines simulates nothing here
     ([baselines_loaded], [baselines_measured]).  Served contexts open no
-    store.  One {!Gp.Parmap.pool} is built from [backend], [jobs],
+    store.  Each bench's training profile ({!Compiler.prepared}) runs on
+    its first compile, so a context whose store answers everything never
+    profiles; the one exception is a context that can fork, which is
+    one with no [remote] whose pool {!Evaluator.supervises}: it forces
+    every profile here, before its baselines or either evaluator fork,
+    so that no worker profiles again.  One {!Gp.Parmap.pool} is built from [backend], [jobs],
     [timeout_s] and [retries] and shared by the baselines and both
     evaluators: at [-jN] the baselines a dataset misses run as one
     supervised batch (a failed cell is recomputed in-process); with one
@@ -208,7 +213,10 @@ val specialize_with :
     emits one [kind = "run_summary"] record (evaluations, cache hit
     counts, fault counters, elapsed seconds, best expression) at the end
     of the run, as does {!evolve_general_with}; it also carries the
-    context's [baselines_loaded] and [baselines_measured]. *)
+    context's [baselines_loaded] and [baselines_measured], the seconds
+    spent in training profiles ([profile_s]) and how many of the
+    context's benches were profiled in this process
+    ([benches_profiled]). *)
 
 type general = {
   best : Gp.Expr.genome;

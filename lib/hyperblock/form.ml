@@ -427,6 +427,7 @@ let run_func ~config ~decide ~record ~prof (f : Ir.Func.t) stats =
 let run ?(config = default_config) ?(compiled = true)
     ?(report = fun _ _ -> ()) ?(record = fun _ _ _ -> ()) ~machine ~prof
     ~priority (p : Ir.Func.program) : stats =
+  let prof = Lazy.force prof in
   let stats = new_stats () in
   let decide = decide ~config ~compiled ~machine ~priority in
   List.iter

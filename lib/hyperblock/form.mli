@@ -91,10 +91,12 @@ val run :
   ?config:config -> ?compiled:bool ->
   ?report:(string -> Ir.Types.label list list -> unit) ->
   ?record:(string -> Ir.Types.label list list -> step -> unit) ->
-  machine:Machine.Config.t -> prof:Profile.Prof.t ->
+  machine:Machine.Config.t -> prof:Profile.Prof.t Lazy.t ->
   priority:Gp.Expr.rexpr -> Ir.Func.program -> stats
 (** Form hyperblocks over every function, re-discovering regions after
-    each conversion; prunes unreachable blocks and renumbers.  [compiled]
+    each conversion; prunes unreachable blocks and renumbers.  [prof] is
+    forced first, so a caller may defer the profiling run until a
+    formation needs it.  [compiled]
     selects the {!Gp.Evalc} path (default) versus the {!Gp.Eval}
     tree-walker for priority evaluation; see {!score_region}.
     [report fname decided] is told the pass's decisions once per

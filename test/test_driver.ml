@@ -42,6 +42,18 @@ let test_speedup_definition () =
   Alcotest.(check (float 1e-6)) "speedup = base/cand"
     (base_cycles /. cand_cycles) s
 
+(* Only hyperblock formation reads the training profile, so preparing a
+   bench runs no profile and its first compile does. *)
+let test_profile_deferred_to_first_compile () =
+  let prepared = Driver.Compiler.prepare (Benchmarks.Registry.find "codrle4") in
+  Alcotest.(check bool) "not profiled after prepare" false
+    (Lazy.is_val prepared.Driver.Compiler.prof);
+  ignore
+    (Driver.Compiler.compile ~machine:Machine.Config.table3
+       ~heuristics:(Driver.Compiler.baseline ()) prepared);
+  Alcotest.(check bool) "profiled after one compile" true
+    (Lazy.is_val prepared.Driver.Compiler.prof)
+
 let test_sort_mismatch_rejected () =
   let bool_genome = Gp.Expr.Bool (Gp.Expr.Bconst true) in
   Alcotest.check_raises "bool genome in hyperblock study"
@@ -204,6 +216,8 @@ let suite =
     Alcotest.test_case "baseline speedup is 1.0" `Quick
       test_baseline_speedup_is_one;
     Alcotest.test_case "speedup definition" `Quick test_speedup_definition;
+    Alcotest.test_case "profile deferred to first compile" `Quick
+      test_profile_deferred_to_first_compile;
     Alcotest.test_case "genome sort mismatch rejected" `Quick
       test_sort_mismatch_rejected;
     Alcotest.test_case "prefetch noise determinism" `Quick

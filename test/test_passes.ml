@@ -89,7 +89,7 @@ let test_hyperblock_merges_diamond () =
   let prog = Frontend.Minic.compile src in
   Opt.Pipeline.run ~config:Opt.Pipeline.no_unroll prog;
   let layout = Profile.Layout.prepare prog in
-  let prof = Profile.Prof.collect layout in
+  let prof = Lazy.from_val (Profile.Prof.collect layout) in
   let before = Profile.Interp.run layout in
   let stats =
     Hyperblock.Form.run ~machine ~prof ~priority:Hyperblock.Baseline.expr prog
@@ -172,7 +172,7 @@ let test_loop_body_hyperblock_self_loop () =
   let prog = Frontend.Minic.compile src in
   Opt.Pipeline.run ~config:Opt.Pipeline.no_unroll prog;
   let layout = Profile.Layout.prepare prog in
-  let prof = Profile.Prof.collect layout in
+  let prof = Lazy.from_val (Profile.Prof.collect layout) in
   let before = Profile.Interp.run layout in
   let stats =
     Hyperblock.Form.run ~machine ~prof

@@ -432,6 +432,33 @@ let check_counts name ~loaded ~measured (ctx : Driver.Study.context) =
 
 let prefetch_benches = [ "015.doduc"; "101.tomcatv" ]
 
+(* How many of the context's benches had their training profile run. *)
+let profiled (ctx : Driver.Study.context) =
+  Array.fold_left
+    (fun n (p : Driver.Compiler.prepared) ->
+      if Lazy.is_val p.Driver.Compiler.prof then n + 1 else n)
+    0 ctx.prepared
+
+(* [f ()] under a memory sink, with its last [run_summary] record's
+   [benches_profiled] and [profile_s]. *)
+let with_profile_summary f =
+  let sink, records = Gp.Telemetry.memory_sink () in
+  Gp.Telemetry.set_sink (Some sink);
+  let v = Fun.protect ~finally:(fun () -> Gp.Telemetry.set_sink None) f in
+  let summary =
+    List.find
+      (fun r ->
+        Gp.Telemetry.member "kind" r = Some (Gp.Telemetry.String "run_summary"))
+      (List.rev (records ()))
+  in
+  let field k =
+    match Gp.Telemetry.member k summary with
+    | Some (Gp.Telemetry.Int i) -> float_of_int i
+    | Some (Gp.Telemetry.Float x) -> x
+    | _ -> Alcotest.failf "run_summary has no numeric %s" k
+  in
+  (v, int_of_float (field "benches_profiled"), field "profile_s")
+
 (* A short evolution's printed study as exact bits: the best
    expression, each generation and each bench's train and novel rows. *)
 let short_evolve cfg kind benches =
@@ -458,8 +485,9 @@ let study =
       (list (triple string int64 int64)))
 
 (* A context over a store that holds its baselines measures none of
-   them: no simulation, no summary answer, no artifact hit.  Prefetch
-   baselines carry noise jitter, so this also pins the exact encoding. *)
+   them: no simulation, no summary answer, no artifact hit, and no
+   training profile.  Prefetch baselines carry noise jitter, so this
+   also pins the exact encoding. *)
 let test_warm_context_simulates_nothing () =
   with_dir "warm" @@ fun dir ->
   let cfg = stored_cfg dir in
@@ -477,13 +505,23 @@ let test_warm_context_simulates_nothing () =
       let st = Driver.Simcache.stats ctx.sim in
       Alcotest.(check (list int)) "warm: simulations, replays, artifact hits"
         [ 0; 0; 0 ]
-        Driver.Simcache.[ st.simulations; st.replays; st.artifact_hits ]);
+        Driver.Simcache.[ st.simulations; st.replays; st.artifact_hits ];
+      Alcotest.(check int) "warm: benches profiled" 0 (profiled ctx));
   (* The same short evolution without a store, over the warm baselines,
-     and over a fully warm store prints the same study. *)
+     and over a fully warm store prints the same study; only the fully
+     warm one profiles nothing. *)
   let evolve cfg = short_evolve cfg kind prefetch_benches in
   let reference = evolve Driver.Study.default_config in
-  Alcotest.check study "baselines from the store" reference (evolve cfg);
-  Alcotest.check study "everything from the store" reference (evolve cfg)
+  let partly, n, secs = with_profile_summary (fun () -> evolve cfg) in
+  Alcotest.check study "baselines from the store" reference partly;
+  Alcotest.(check int) "baselines from the store: benches profiled" 2 n;
+  Alcotest.(check bool) "baselines from the store: profile_s > 0" true
+    (secs > 0.0);
+  let warm, n, secs = with_profile_summary (fun () -> evolve cfg) in
+  Alcotest.check study "everything from the store" reference warm;
+  Alcotest.(check (pair int (float 0.0)))
+    "everything from the store: benches profiled, profile_s" (0, 0.0)
+    (n, secs)
 
 (* Dropping one part of one baseline, or tearing it, makes that one
    baseline a miss: it alone is measured again, bit-equal, and appended
@@ -576,7 +614,9 @@ let test_noise_free_store_shared () =
     (check_counts "codrle4 alone" ~loaded:2 ~measured:0)
 
 (* A cold context on the fork pool at -j2 persists exactly what a -j1
-   one does. *)
+   one does.  A context that can fork profiles every bench before it
+   does, over a cold store and over a warm one, so that its workers
+   inherit the profiles. *)
 let test_fork_baselines_persisted () =
   if List.mem `Fork (Gp.Parmap.capabilities ()) then
     with_dir "fork" @@ fun dir ->
@@ -585,10 +625,15 @@ let test_fork_baselines_persisted () =
     let kind = Driver.Study.Sched_study
     and benches = [ "codrle4"; "huff_dec" ] in
     let seq = with_context (stored_cfg seq_dir) kind benches baseline_bits in
-    with_context (stored_cfg ~backend:`Fork ~jobs:2 fork_dir) kind benches
-      (fun ctx ->
+    let fork_cfg = stored_cfg ~backend:`Fork ~jobs:2 fork_dir in
+    with_context fork_cfg kind benches (fun ctx ->
         check_counts "fork" ~loaded:0 ~measured:4 ctx;
-        check_baselines "fork" seq ctx);
+        check_baselines "fork" seq ctx;
+        Alcotest.(check int) "fork: benches profiled" 2 (profiled ctx));
+    with_context fork_cfg kind benches (fun ctx ->
+        check_counts "fork, warm" ~loaded:4 ~measured:0 ctx;
+        check_baselines "fork, warm" seq ctx;
+        Alcotest.(check int) "fork, warm: benches profiled" 2 (profiled ctx));
     Alcotest.(check (list string)) "same lines on disk"
       (List.sort compare (store_lines seq_dir))
       (List.sort compare (store_lines fork_dir));
