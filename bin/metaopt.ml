@@ -27,42 +27,66 @@ let study_conv =
   let print ppf k = Fmt.string ppf (Driver.Study.kind_name k) in
   Arg.conv (parse, print)
 
-let bench_arg =
-  Arg.(required & pos 1 (some string) None & info [] ~docv:"BENCH")
+(* A benchmark name, checked against the registry at parse time so an
+   unknown one is a usage error, not an uncaught lookup failure. *)
+let bench_conv =
+  let parse s =
+    if List.mem s Benchmarks.Registry.names then Ok s
+    else
+      Error
+        (`Msg
+          (Printf.sprintf "unknown benchmark %s (metaopt list shows all)" s))
+  in
+  Arg.conv (parse, Fmt.string)
+
+let bench_at i =
+  Arg.(required & pos i (some bench_conv) None & info [] ~docv:"BENCH")
 
 let study_arg =
   Arg.(required & pos 0 (some study_conv) None & info [] ~docv:"STUDY")
 
+(* An integer in [lo..hi], checked at parse time: a count the run
+   cannot use is a usage error rather than a failure deep inside it —
+   an empty population, a negative retry count, or a worker count of
+   zero (silent clamping to sequential hid misconfigured runs) or above
+   [Gp.Parmap.max_jobs] (a typo such as -j 40000 would fork that many
+   workers). *)
+let int_conv ?(hi = max_int) lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when lo <= n && n <= hi -> Ok n
+    | Some n when hi = max_int ->
+      Error (`Msg (Printf.sprintf "must be at least %d (got %d)" lo n))
+    | Some n ->
+      Error (`Msg (Printf.sprintf "must be in %d..%d (got %d)" lo hi n))
+    | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
+(* A positive, finite number of seconds, checked at parse time. *)
+let seconds_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | _ ->
+      Error
+        (`Msg (Printf.sprintf "expected a positive number of seconds (got %s)" s))
+  in
+  Arg.conv (parse, Fmt.float)
+
 let pop =
-  Arg.(value & opt int Gp.Params.scaled.Gp.Params.population_size
-       & info [ "population" ] ~doc:"GP population size")
+  Arg.(value & opt (int_conv 1) Gp.Params.scaled.Gp.Params.population_size
+       & info [ "population" ] ~doc:"GP population size (at least 1)")
 
 let gens =
-  Arg.(value & opt int Gp.Params.scaled.Gp.Params.generations
+  Arg.(value & opt (int_conv 0) Gp.Params.scaled.Gp.Params.generations
        & info [ "generations" ] ~doc:"GP generations")
 
 let seed =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"GP random seed")
 
-(* Reject a worker count no pool accepts at parse time: zero or
-   negative (silent clamping to sequential hid misconfigured runs), or
-   above [Gp.Parmap.max_jobs] (a typo such as -j 40000 would fork that
-   many workers). *)
-let jobs_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 && n <= Gp.Parmap.max_jobs -> Ok n
-    | Some n ->
-      Error
-        (`Msg
-          (Printf.sprintf "jobs must be a worker count in 1..%d (got %d)"
-             Gp.Parmap.max_jobs n))
-    | None -> Error (`Msg (Printf.sprintf "expected an integer, got %S" s))
-  in
-  Arg.conv (parse, Fmt.int)
-
 let jobs =
-  Arg.(value & opt jobs_conv 1
+  Arg.(value & opt (int_conv 1 ~hi:Gp.Parmap.max_jobs) 1
        & info [ "j"; "jobs" ]
            ~doc:
              (Printf.sprintf
@@ -118,14 +142,14 @@ let checkpoint_dir =
            ~docv:"DIR")
 
 let eval_timeout =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some seconds_conv) None
        & info [ "eval-timeout" ]
            ~doc:"Kill any single candidate evaluation after $(docv) \
                  seconds of wall clock (it is retried, then scored 0)"
            ~docv:"SECONDS")
 
 let eval_retries =
-  Arg.(value & opt int 1
+  Arg.(value & opt (int_conv 0) 1
        & info [ "eval-retries" ]
            ~doc:"Retry a crashed or hung candidate evaluation $(docv) \
                  times on a fresh worker before giving it fitness 0")
@@ -312,7 +336,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Compile and simulate one benchmark")
     Term.(
       const run_bench
-      $ Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH")
+      $ bench_at 0
       $ Arg.(value & opt (some string) None
              & info [ "heuristics" ]
                  ~doc:"Apply heuristics from a saved file"))
@@ -326,8 +350,7 @@ let ir_bench name =
 let ir_cmd =
   Cmd.v (Cmd.info "ir" ~doc:"Dump a benchmark's optimized IR")
     Term.(
-      const ir_bench
-      $ Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH"))
+      const ir_bench $ bench_at 0)
 
 (* --- profile ---------------------------------------------------------------- *)
 
@@ -368,8 +391,7 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:"Show block execution counts and branch statistics")
     Term.(
-      const profile_bench
-      $ Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH"))
+      const profile_bench $ bench_at 0)
 
 (* --- specialize ----------------------------------------------------------- *)
 
@@ -404,7 +426,7 @@ let specialize_cmd =
     (Cmd.info "specialize"
        ~doc:"Evolve an application-specific priority function")
     Term.(
-      const specialize $ study_arg $ bench_arg $ config_term $ metrics_out
+      const specialize $ study_arg $ bench_at 1 $ config_term $ metrics_out
       $ trace
       $ Arg.(value & opt (some string) None
              & info [ "save" ] ~doc:"Write the evolved heuristics to a file"))
@@ -443,6 +465,19 @@ let evolve_cmd =
 
 (* --- compare: one benchmark under explicit heuristic expressions ----------- *)
 
+(* A heuristic expression parsed at option-parse time over its
+   option's feature set, so a malformed one is a usage error. *)
+let expr_conv parse print fs =
+  let parse s =
+    match parse fs s with
+    | e -> Ok e
+    | exception Gp.Sexp.Parse_error m -> Error (`Msg m)
+  in
+  Arg.conv (parse, fun ppf e -> Fmt.string ppf (print fs e))
+
+let real_expr = expr_conv Gp.Sexp.parse_real Gp.Sexp.real_to_string
+let bool_expr = expr_conv Gp.Sexp.parse_bool Gp.Sexp.bool_to_string
+
 let compare_cmd =
   let run bench hb ra pf sp =
     setup_logs ();
@@ -450,21 +485,14 @@ let compare_cmd =
     let heuristics =
       {
         Driver.Compiler.hb_priority =
-          (match hb with
-          | Some s -> Gp.Sexp.parse_real Hyperblock.Features.feature_set s
-          | None -> base.Driver.Compiler.hb_priority);
-        ra_savings =
-          (match ra with
-          | Some s -> Gp.Sexp.parse_real Regalloc.Features.feature_set s
-          | None -> base.Driver.Compiler.ra_savings);
+          Option.value hb ~default:base.Driver.Compiler.hb_priority;
+        ra_savings = Option.value ra ~default:base.Driver.Compiler.ra_savings;
         pf_confidence =
           (match pf with
-          | Some s -> Some (Gp.Sexp.parse_bool Prefetch.Features.feature_set s)
+          | Some _ -> pf
           | None -> base.Driver.Compiler.pf_confidence);
         sched_priority =
-          (match sp with
-          | Some s -> Gp.Sexp.parse_real Sched.Priority.feature_set s
-          | None -> base.Driver.Compiler.sched_priority);
+          Option.value sp ~default:base.Driver.Compiler.sched_priority;
       }
     in
     let measure h =
@@ -478,20 +506,23 @@ let compare_cmd =
     Fmt.pr "candidate : %.0f cycles@." cand_cycles;
     Fmt.pr "speedup   : %.4f@." (base_cycles /. cand_cycles)
   in
-  let opt name doc =
-    Arg.(value & opt (some string) None & info [ name ] ~doc)
+  let opt expr name doc =
+    Arg.(value & opt (some expr) None & info [ name ] ~doc)
   in
   Cmd.v
     (Cmd.info "compare"
        ~doc:
          "Compare explicit heuristic expressions against the baselines on           one benchmark")
     Term.(
-      const run
-      $ Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH")
-      $ opt "hyperblock" "hyperblock priority expression"
-      $ opt "regalloc" "register-allocation savings expression"
-      $ opt "prefetch" "prefetch confidence expression (Boolean)"
-      $ opt "sched" "list-scheduling priority expression")
+      const run $ bench_at 0
+      $ opt (real_expr Hyperblock.Features.feature_set) "hyperblock"
+          "hyperblock priority expression"
+      $ opt (real_expr Regalloc.Features.feature_set) "regalloc"
+          "register-allocation savings expression"
+      $ opt (bool_expr Prefetch.Features.feature_set) "prefetch"
+          "prefetch confidence expression (Boolean)"
+      $ opt (real_expr Sched.Priority.feature_set) "sched"
+          "list-scheduling priority expression")
 
 (* --- features: print a study's feature vocabulary --------------------------- *)
 
@@ -515,18 +546,25 @@ let features_cmd =
 
 (* --- simplify: clean an expression for presentation ------------------------- *)
 
+(* The expression parses against the STUDY argument's feature set, so
+   it is checked here rather than by a converter; a malformed one is
+   still a usage error. *)
 let simplify_cmd =
   let run study expr =
     let fs = Driver.Study.feature_set_of study in
-    let g = Gp.Sexp.parse_genome fs ~sort:(Driver.Study.sort_of study) expr in
-    Fmt.pr "%s@." (Gp.Sexp.to_string fs (Gp.Simplify.genome g))
+    match Gp.Sexp.parse_genome fs ~sort:(Driver.Study.sort_of study) expr with
+    | g ->
+      Fmt.pr "%s@." (Gp.Sexp.to_string fs (Gp.Simplify.genome g));
+      `Ok ()
+    | exception Gp.Sexp.Parse_error m -> `Error (true, "EXPR argument: " ^ m)
   in
   Cmd.v
     (Cmd.info "simplify"
        ~doc:"Algebraically simplify a priority-function expression")
     Term.(
-      const run $ study_arg
-      $ Arg.(required & pos 1 (some string) None & info [] ~docv:"EXPR"))
+      ret
+        (const run $ study_arg
+        $ Arg.(required & pos 1 (some string) None & info [] ~docv:"EXPR")))
 
 (* --- fuzz: differential oracle campaigns ------------------------------------ *)
 
@@ -682,17 +720,17 @@ let serve_cmd =
              & info [] ~docv:"SOCK"
                  ~doc:"Unix-domain socket path to listen on")
       $ backend $ jobs $ eval_timeout $ eval_retries $ cache_dir
-      $ Arg.(value & opt int 4096
+      $ Arg.(value & opt (int_conv 1) 4096
              & info [ "queue-cap" ]
                  ~doc:"Reject evaluation batches that would push the \
                        pending-work queue past $(docv) tasks"
                  ~docv:"N")
-      $ Arg.(value & opt int 8
+      $ Arg.(value & opt (int_conv 1) 8
              & info [ "inflight-cap" ]
                  ~doc:"Reject a client's batch while it already has \
                        $(docv) unanswered requests"
                  ~docv:"N")
-      $ Arg.(value & opt (some float) None
+      $ Arg.(value & opt (some seconds_conv) None
              & info [ "idle-timeout" ]
                  ~doc:"Disconnect a client quiet for $(docv) seconds \
                        with nothing in flight"

@@ -34,10 +34,10 @@ val site_parmap_task : string
 
 val site_cache_write : string
 (** ["evaluator.cache_write"] — before the evaluator's disk-cache
-    append (key = 1-based append number within the process). *)
+    append (key = the store handle's 1-based append number). *)
 
 val site_cache_lock : string
-(** ["evaluator.cache_lock"] — around the per-shard [lockf] guarding a
+(** ["evaluator.cache_lock"] — around the store's [lockf] guarding a
     disk-cache append (key = the same store-wide append counter as
     {!site_cache_write}).  [raise:eintr] interrupts the first lock wait
     with EINTR (must be retried, not written through unlocked); any

@@ -274,6 +274,10 @@ let latest_checkpoint dir ~fingerprint =
 let run ?(params = Params.default) ?on_generation ?checkpoint_dir
     (p : problem) : result =
   if p.n_cases <= 0 then invalid_arg "Evolve.run: no training cases";
+  if params.Params.population_size < 1 then
+    invalid_arg
+      (Printf.sprintf "Evolve.run: population_size must be >= 1 (got %d)"
+         params.Params.population_size);
   let evaluations0 = p.evaluator.evaluations () in
   let gen_cfg =
     { (Gen.default_config p.fs) with Gen.max_depth = params.Params.init_depth }

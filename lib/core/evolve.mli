@@ -117,4 +117,5 @@ val run :
     None of it reads the RNG: a telemetered run is bit-identical to a
     silent one.
 
-    @raise Invalid_argument if the problem has no training cases. *)
+    @raise Invalid_argument if the problem has no training cases or
+    [params.population_size < 1]. *)

@@ -38,7 +38,7 @@ type t = {
   case_name : int -> string;
   eval : Gp.Expr.genome -> int -> float;
   memo : (string * int, float) Hashtbl.t;   (* (canonical key, case) *)
-  store : Shardstore.t option;              (* sharded digest -> fitness *)
+  store : Shardstore.t option;              (* digest -> fitness, on disk *)
   (* The pool handle every local batch runs on, created on the first
      batch and reused for the engine's lifetime: on a supervised engine
      its forked workers keep warm state (decoded layouts, simulation
@@ -72,9 +72,9 @@ let digest_key t key case =
   store_key ~scope:t.scope ~case_name:(t.case_name case) key
 
 (* Persistence lives in {!Shardstore}: "digest value" lines, hex floats
-   for exact round-trips, sharded by digest prefix with per-shard
-   locking, compaction-on-load and per-shard write degradation.  The
-   handle is the caller's: a study context opens one and shares it. *)
+   for exact round-trips, in one file under one lock, with
+   compaction-on-load and store-wide write degradation.  The handle is
+   the caller's: a study context opens one and shares it. *)
 
 let create ?(pool = Gp.Parmap.pool ()) ?store ?remote ~fs ~scope ~case_name
     ~eval () =
@@ -108,11 +108,6 @@ let faults t =
 
 let cache_stats t =
   { memo_hits = t.h_memo; disk_hits = t.h_disk; misses = t.h_miss }
-
-let disk_degraded t =
-  match t.store with
-  | Some s -> Shardstore.mem_any_degraded s
-  | None -> false
 
 let shutdown t =
   match t.handle with

@@ -30,21 +30,17 @@
 
     The on-disk cache is a {!Shardstore}: a content-addressed store
     keyed by a digest of (scope, case name, canonical expression)
-    ({!store_key}) and sharded by digest prefix over
-    {!Shardstore.shards} append-only files, each under its own
-    advisory [lockf].
-    It survives across runs and is shared by any study pointing at the
-    same directory; concurrent runs only contend when a batch touches
-    the same shard, and each shard group goes out in one locked write,
-    so torn interleavings are impossible.  Loading validates every line
-    (32-hex digest, finite value) and {e compacts} a shard holding torn
-    or superseded lines in place, counting the dropped lines as
-    evictions.  A {e failed} shard append (ENOSPC, EACCES, a revoked
-    mount) degrades {e that shard} to memo-only operation: one warning,
-    an [evaluator.cache_write_errors] telemetry count, no further
-    appends to that shard ({!disk_degraded}) — the other shards keep
-    persisting, and never an abort — a full disk must not kill a
-    week-long campaign.
+    ({!store_key}), kept in one append-only file under one advisory
+    [lockf].  It survives across runs and is shared by any study
+    pointing at the same directory; each batch's fresh results go out
+    in one locked write, so torn interleavings are impossible.  Loading
+    validates every line (32-hex digest, finite value) and {e compacts}
+    a file holding torn or superseded lines in place, counting the
+    dropped lines as evictions.  A {e failed} append (ENOSPC, EACCES, a
+    revoked mount) degrades the store to memo-only operation: one
+    warning, an [evaluator.cache_write_errors] telemetry count, no
+    further appends ({!Shardstore.degraded}), and never an abort — a
+    full disk must not kill a week-long campaign.
 
     With {!Gp.Telemetry} enabled, every batch emits one [kind = "cache"]
     record (memo/disk hit counts, misses, hit rate, evaluations, faults,
@@ -73,12 +69,6 @@ val merge_faults : fault_stats -> fault_stats -> fault_stats
 type cache_stats = { memo_hits : int; disk_hits : int; misses : int }
 
 val cache_stats : t -> cache_stats
-
-val disk_degraded : t -> bool
-(** Whether at least one shard of the disk cache has stopped persisting
-    after a failed append (see the failure model above).  Reads and the
-    remaining shards are unaffected; the flag never resets for the
-    engine's lifetime. *)
 
 val total_faults : fault_stats -> int
 (** [crashed + timed_out + gave_up] (retries are attempts, not tasks). *)
@@ -129,7 +119,8 @@ val create :
     before being abandoned).  [store] is the persistent cache, an open
     {!Shardstore} handle the caller owns and may share: a study context
     opens one per [--cache-dir] and hands it to both dataset engines
-    and its baselines.  [scope] namespaces that store — include
+    and its baselines, so a failed write degrades it for all three
+    ({!Shardstore.degraded}).  [scope] namespaces that store — include
     everything the fitness depends on besides the genome and case:
     study, machine, dataset.  [case_name] names each case in store keys
     and fault warnings, so it must tell apart any two cases whose

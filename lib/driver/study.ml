@@ -416,7 +416,7 @@ let create_with (cfg : config) (kind : kind) (bench_names : string list) :
       ~retries:cfg.retries ()
   in
   (* One store handle for the whole context too: the baselines and both
-     dataset evaluators read and append through it, so its shards load
+     dataset evaluators read and append through it, so its file loads
      once.  Served, the daemon owns the store. *)
   let store =
     if remote_h = None then Option.map Shardstore.open_store cfg.cache_dir

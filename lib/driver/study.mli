@@ -137,8 +137,9 @@ type context = {
 val create_with : config -> kind -> string list -> context
 (** Prepare the named benchmarks, find or measure the baseline on both
     datasets, and build one cached batch evaluator per dataset.  With
-    [cache_dir], the directory is opened once ({!Shardstore.open_store})
-    and that one handle serves the baselines and both evaluators: each
+    [cache_dir], the store's one file is loaded once
+    ({!Shardstore.open_store}) and that one handle serves the baselines
+    and both evaluators: each
     baseline (cycles and output checksum, per dataset and bench) is
     looked up in the store first — fitness and baselines are keyed by
     bench name, and in the prefetch study, whose noise is drawn per

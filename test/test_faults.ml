@@ -189,14 +189,7 @@ let test_evaluator_fault_split () =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "metaopt-faultcache-%d" (Unix.getpid ()))
   in
-  (* Persisted results are sharded over shard-NN.tsv files under the
-     cache dir; read and clean the whole store. *)
-  let store_lines () =
-    Sys.readdir cache_dir |> Array.to_list
-    |> List.filter (fun f ->
-           String.length f > 6 && String.sub f 0 6 = "shard-")
-    |> List.concat_map (fun f -> read_lines (Filename.concat cache_dir f))
-  in
+  let store_lines () = read_lines (Filename.concat cache_dir "fitness.tsv") in
   Fun.protect
     ~finally:(fun () ->
       FI.cleanup fault_dir;

@@ -443,7 +443,15 @@ let test_population_of_one () =
   in
   let r2 = Gp.Evolve.run ~params:unseeded (synthetic_problem ()) in
   Alcotest.(check bool) "unseeded run completes" true
-    (Float.is_finite r2.Gp.Evolve.best_fitness)
+    (Float.is_finite r2.Gp.Evolve.best_fitness);
+  (* One is the smallest population: none is rejected by name. *)
+  Alcotest.check_raises "population of zero"
+    (Invalid_argument "Evolve.run: population_size must be >= 1 (got 0)")
+    (fun () ->
+      ignore
+        (Gp.Evolve.run
+           ~params:{ params with Gp.Params.population_size = 0 }
+           (synthetic_problem ())))
 
 (* The tournament sampler: distinct contestants whenever the population
    can supply them. *)

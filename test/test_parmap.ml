@@ -245,8 +245,7 @@ let test_parallel_noisy_study_deterministic () =
     (measure 3)
 
 (* The persistent cache is a {!Driver.Shardstore}: entries land in
-   shard-NN.tsv files under [dir].  These helpers clean up and read the
-   whole store regardless of which shards a test's digests landed in. *)
+   [dir]/fitness.tsv.  These helpers clean up and read the store. *)
 let rm_cache_dir dir =
   if Sys.file_exists dir then begin
     Array.iter
@@ -256,11 +255,7 @@ let rm_cache_dir dir =
   end
 
 let store_files dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f ->
-         String.length f > 6 && String.sub f 0 6 = "shard-")
-  |> List.sort compare
-  |> List.map (Filename.concat dir)
+  List.filter Sys.file_exists [ Filename.concat dir "fitness.tsv" ]
 
 let read_lines path =
   let ic = open_in path in
@@ -309,7 +304,7 @@ let test_disk_cache_roundtrip () =
       Alcotest.(check int) "no new compiles" 2 !count;
       Alcotest.(check int) "disk hits are not evaluations" 0
         (Driver.Evaluator.evaluations e2);
-      Alcotest.(check int) "entries persisted in shard files" 2
+      Alcotest.(check int) "entries persisted in the store's file" 2
         (List.length (store_lines dir));
       (* A different scope misses. *)
       let e3 =
@@ -352,10 +347,10 @@ let test_corrupted_cache_lines () =
       let e1 = mk () in
       ignore (Driver.Evaluator.evaluate_batch e1 [| g |] ~cases:[ 0; 1 ]);
       Alcotest.(check int) "two computed" 2 !count;
-      (* Corrupt every shard file holding an entry with every malformed
-         flavour the reader must survive: free text, a short digest,
-         non-hex, a non-finite value, an unparsable value, binary junk,
-         an empty line, and a truncated final line with no newline. *)
+      (* Corrupt the store's file with every malformed flavour the
+         reader must survive: free text, a short digest, non-hex, a
+         non-finite value, an unparsable value, binary junk, an empty
+         line, and a truncated final line with no newline. *)
       let damage file =
         let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
         output_string oc "this is not a cache line\n";
@@ -383,7 +378,7 @@ let test_corrupted_cache_lines () =
       let cs = Driver.Evaluator.cache_stats e2 in
       Alcotest.(check int) "both were disk hits" 2 cs.Driver.Evaluator.disk_hits;
       Alcotest.(check int) "no misses" 0 cs.Driver.Evaluator.misses;
-      (* Loading compacted each damaged shard in place: only whole,
+      (* Loading compacted the damaged file in place: only whole,
          parseable lines remain, and the intact entries survived. *)
       List.iter
         (fun file ->
@@ -398,7 +393,7 @@ let test_corrupted_cache_lines () =
               | _ -> Alcotest.failf "uncompacted line %S in %s" line file)
             (read_lines file))
         damaged;
-      Alcotest.(check int) "compacted shards hold the intact entries" 2
+      Alcotest.(check int) "the compacted file holds the intact entries" 2
         (List.length (store_lines dir)))
 
 (* Two concurrent runs appending to one shared --cache-dir: the advisory
@@ -445,11 +440,8 @@ let test_concurrent_cache_writers () =
         in
         Alcotest.(check bool) "writer 1 exited cleanly" true (clean p1);
         Alcotest.(check bool) "writer 2 exited cleanly" true (clean p2);
-        (* Every line, across every shard the two writers' digests landed
-           in, survived whole: 32-hex digest, one space, a float.  100
-           digests spread over 16 shards, so the writers collided on most
-           shards and wrote others alone — both interleavings are
-           exercised in one run. *)
+        (* Every line the two writers appended to the one file survived
+           whole: 32-hex digest, one space, a float. *)
         let lines = store_lines dir in
         Alcotest.(check int) "one line per evaluation" 100 (List.length lines);
         List.iter

@@ -1,7 +1,7 @@
-(* Tests for the sharded fitness store underneath the evaluator's disk
-   cache: digest addressing, per-shard locking under concurrent writers
-   (on disjoint shards and on one colliding shard), compaction of
-   damaged shards and its idempotence, and which files a store reads. *)
+(* Tests for the fitness store underneath the evaluator's disk cache:
+   exact round-trips through its one file, locking under concurrent
+   writers, compaction of a damaged file and its idempotence, store-wide
+   degradation, and which files a store reads. *)
 
 module S = Driver.Shardstore
 
@@ -22,8 +22,7 @@ let with_dir tag f =
   rm_rf dir;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-(* A crafted 32-hex-char digest whose first byte — and so, at 16 shards,
-   whose shard — is [prefix]. *)
+(* A crafted 32-hex-char digest whose first byte is [prefix]. *)
 let digest_in prefix n = Printf.sprintf "%02x%030x" prefix n
 
 let read_lines path =
@@ -49,45 +48,34 @@ let whole_line line =
 let test_addressing () =
   with_dir "addr" @@ fun dir ->
   let s = S.open_store dir in
-  Alcotest.(check int) "shard count" 16 S.shards;
-  (* first-byte addressing: prefix i lands in shard i *)
-  for i = 0 to 15 do
-    Alcotest.(check int)
-      (Printf.sprintf "prefix %02x" i)
-      i
-      (S.shard_of (digest_in i 7))
-  done;
-  Alcotest.(check int) "prefix wraps mod shards" 0 (S.shard_of (digest_in 16 7));
-  Alcotest.(check int) "ff wraps to the last shard" 15
-    (S.shard_of (digest_in 0xff 0));
-  (* one entry per shard: each shard file holds exactly its line, and
-     awkward values round-trip exactly through the hex-float rendering *)
+  (* sixteen awkward values, one per first byte, appended in one call:
+     each lands as a whole line in the one file and round-trips exactly
+     through the hex-float rendering *)
   let value i = 1.0 +. (Float.of_int i /. 3.0) in
   S.append s (List.init 16 (fun i -> (digest_in i i, value i)));
-  for i = 0 to 15 do
-    let lines = read_lines (S.shard_file s i) in
-    Alcotest.(check int) (Printf.sprintf "shard %d holds one line" i) 1
-      (List.length lines)
-  done;
+  Alcotest.(check string) "the store's file" (Filename.concat dir "fitness.tsv")
+    (S.file s);
+  let lines = read_lines (S.file s) in
+  Alcotest.(check int) "sixteen lines" 16 (List.length lines);
+  List.iter
+    (fun l -> if not (whole_line l) then Alcotest.failf "torn line %S" l)
+    lines;
   let s2 = S.open_store dir in
+  Alcotest.(check int) "reload evicts nothing" 0 (S.evictions s2);
   for i = 0 to 15 do
-    Alcotest.(check (float 0.0))
+    Alcotest.(check int64)
       (Printf.sprintf "entry %d round-trips" i)
-      (value i)
-      (Option.get (S.find s2 (digest_in i i)))
+      (Int64.bits_of_float (value i))
+      (Int64.bits_of_float (Option.get (S.find s2 (digest_in i i))))
   done
 
-(* Two forked writers on the same store.  [spread = false] sends both
-   writers to one shard (every append contends on that shard's lock);
-   [spread = true] gives each writer its own shard (appends never
-   contend).  Either way every line must survive whole and every value
-   must round-trip. *)
-let concurrent_writers ~spread () =
+(* Two forked writers on the same store, every append contending on the
+   one file's lock: every line must survive whole and every value must
+   round-trip. *)
+let test_concurrent_writers () =
   if Gp.Parmap.available then begin
-    let tag = if spread then "disjoint" else "colliding" in
-    with_dir tag @@ fun dir ->
+    with_dir "concurrent" @@ fun dir ->
     let n = 40 in
-    let prefix_of w = if spread then w else 0 in
     let value w i = Float.of_int ((w * 1000) + i) /. 7.0 in
     flush stdout;
     flush stderr;
@@ -98,7 +86,7 @@ let concurrent_writers ~spread () =
            let s = S.open_store dir in
            (* one append call per entry, to maximize interleaving *)
            for i = 0 to n - 1 do
-             S.append s [ (digest_in (prefix_of w) ((w * 1000) + i), value w i) ]
+             S.append s [ (digest_in w ((w * 1000) + i), value w i) ]
            done;
            Unix._exit (if S.write_errors s = 0 then 0 else 1)
          with _ -> Unix._exit 1)
@@ -114,57 +102,46 @@ let concurrent_writers ~spread () =
     Alcotest.(check bool) "writer 1 exited cleanly" true (clean p1);
     Alcotest.(check bool) "writer 2 exited cleanly" true (clean p2);
     let s = S.open_store dir in
-    (if spread then begin
-       Alcotest.(check int) "writer 1's shard complete" n
-         (List.length (read_lines (S.shard_file s 1)));
-       Alcotest.(check int) "writer 2's shard complete" n
-         (List.length (read_lines (S.shard_file s 2)))
-     end
-     else
-       Alcotest.(check int) "both writers' lines in the one shard" (2 * n)
-         (List.length (read_lines (S.shard_file s 0))));
+    let lines = read_lines (S.file s) in
+    Alcotest.(check int) "both writers' lines in the one file" (2 * n)
+      (List.length lines);
+    List.iter
+      (fun line ->
+        if not (whole_line line) then Alcotest.failf "torn line %S" line)
+      lines;
     List.iter
       (fun w ->
-        let file = S.shard_file s (prefix_of w) in
-        List.iter
-          (fun line ->
-            if not (whole_line line) then
-              Alcotest.failf "torn line %S in %s" line file)
-          (read_lines file);
         for i = 0 to n - 1 do
           Alcotest.(check (float 0.0))
             (Printf.sprintf "writer %d entry %d round-trips" w i)
             (value w i)
-            (Option.get (S.find s (digest_in (prefix_of w) ((w * 1000) + i))))
+            (Option.get (S.find s (digest_in w ((w * 1000) + i))))
         done)
       [ 1; 2 ];
     Alcotest.(check int) "no compaction was needed" 0 (S.evictions s)
   end
 
-let test_concurrent_disjoint () = concurrent_writers ~spread:true ()
-let test_concurrent_colliding () = concurrent_writers ~spread:false ()
-
 let test_compaction_idempotent () =
   with_dir "compact" @@ fun dir ->
-  (* seed one shard with a keeper, a superseded duplicate, and a torn
+  (* seed the file with a keeper, a superseded duplicate, and a torn
      final line (a killed writer's half-append) *)
   let s = S.open_store dir in
   let d_keep = digest_in 5 1 and d_dup = digest_in 5 2 in
-  let oc = open_out (S.shard_file s 5) in
+  let oc = open_out (S.file s) in
   Printf.fprintf oc "%s %h\n" d_keep 2.5;
   Printf.fprintf oc "%s %h\n" d_dup 1.0;
   Printf.fprintf oc "%s %h\n" d_dup 9.0;
   output_string oc "00112233445566778899aabbccddeef";
   close_out oc;
   (* first open: the dup and the torn line are evicted, last write wins,
-     and the shard is rewritten with only whole lines *)
+     and the file is rewritten with only whole lines *)
   let s1 = S.open_store dir in
   Alcotest.(check int) "two lines evicted" 2 (S.evictions s1);
   Alcotest.(check (float 0.0)) "keeper served" 2.5
     (Option.get (S.find s1 d_keep));
   Alcotest.(check (float 0.0)) "last write wins for the dup" 9.0
     (Option.get (S.find s1 d_dup));
-  let compacted = read_lines (S.shard_file s1 5) in
+  let compacted = read_lines (S.file s1) in
   Alcotest.(check int) "compacted to the survivors" 2 (List.length compacted);
   List.iter
     (fun l ->
@@ -175,15 +152,15 @@ let test_compaction_idempotent () =
   let s2 = S.open_store dir in
   Alcotest.(check int) "clean reload evicts nothing" 0 (S.evictions s2);
   Alcotest.(check (list string)) "file byte-stable" compacted
-    (read_lines (S.shard_file s2 5));
+    (read_lines (S.file s2));
   Alcotest.(check (float 0.0)) "still served after reload" 9.0
     (Option.get (S.find s2 d_dup))
 
 (* Regression: a signal landing while an append blocks in lockf (or
    mid-write) used to raise Unix_error (EINTR, ...) out of the append
-   path and permanently degrade the shard — or, worse, the swallowed
+   path and permanently degrade the store — or, worse, the swallowed
    lockf failure let the append proceed unlocked.  Here a forked child
-   holds the shard's lock while the parent appends under a SIGALRM storm
+   holds the file's lock while the parent appends under a SIGALRM storm
    (interval timer into a no-op handler; timers are not inherited across
    fork, so only the parent is stormed): the parent's lock wait is
    interrupted over and over and must be restarted, never abandoned and
@@ -192,9 +169,9 @@ let test_eintr_storm_append () =
   if Gp.Parmap.available then begin
     with_dir "eintr" @@ fun dir ->
     let s = S.open_store dir in
-    (* materialize the shard file so the child can lock it *)
+    (* materialize the file so the child can lock it *)
     S.append s [ (digest_in 4 0, 0.5) ];
-    let path = S.shard_file s 4 in
+    let path = S.file s in
     let r, w = Unix.pipe () in
     flush stdout;
     flush stderr;
@@ -232,7 +209,7 @@ let test_eintr_storm_append () =
       ignore (Unix.waitpid [] pid);
       Alcotest.(check int) "no write errors under the storm" 0
         (S.write_errors s);
-      Alcotest.(check bool) "no shard degraded" false (S.mem_any_degraded s);
+      Alcotest.(check bool) "store not degraded" false (S.degraded s);
       List.iter
         (fun line ->
           if not (whole_line line) then Alcotest.failf "torn line %S" line)
@@ -257,7 +234,7 @@ let arm_plan spec =
 (* Regression: a persistent lockf failure used to be swallowed and the
    group written unlocked.  Now the one append is skipped (counted,
    memo keeps the value), the file never sees an unlocked write, and the
-   shard is not degraded — the next append takes the lock again. *)
+   store is not degraded — the next append takes the lock again. *)
 let test_lock_failure_skips_append () =
   with_dir "lockfail" @@ fun dir ->
   Fun.protect ~finally:Gp.Chaos.disarm @@ fun () ->
@@ -270,10 +247,10 @@ let test_lock_failure_skips_append () =
   (* skipped, not written unlocked *)
   S.append s [ (d3, 3.5) ];
   Alcotest.(check int) "the skipped append is counted" 1 (S.write_errors s);
-  Alcotest.(check bool) "shard not degraded" false (S.mem_any_degraded s);
+  Alcotest.(check bool) "store not degraded" false (S.degraded s);
   Alcotest.(check (float 0.0)) "memo still serves the skipped value" 2.5
     (Option.get (S.find s d2));
-  let lines = read_lines (S.shard_file s 7) in
+  let lines = read_lines (S.file s) in
   Alcotest.(check int) "only the locked appends reached disk" 2
     (List.length lines);
   List.iter
@@ -301,46 +278,81 @@ let test_lock_eintr_injected () =
   Alcotest.(check int) "interrupted locks retried, not failed" 0
     (S.write_errors s);
   Alcotest.(check int) "every append landed" 5
-    (List.length (read_lines (S.shard_file s 9)));
+    (List.length (read_lines (S.file s)));
   Gp.Chaos.disarm ();
   let s2 = S.open_store dir in
   Alcotest.(check int) "reload evicts nothing" 0 (S.evictions s2)
 
-(* A store reads its 16 shard files and nothing else: a pre-shard
-   fitness-cache.tsv or a shard-XX.tsv above shard-0f.tsv in the same
-   directory is neither loaded nor touched, so an entry held only there
-   is a miss (recomputed by the evaluator), never a wrong answer. *)
+(* A store reads its one file and nothing else: an older layout's
+   fitness-cache.tsv or shard-XX.tsv files in the same directory are
+   neither loaded nor touched, so an entry held only there is a miss
+   (recomputed by the evaluator), never a wrong answer. *)
 let test_validation () =
   with_dir "valid" @@ fun dir ->
   Unix.mkdir dir 0o755;
-  let d_legacy = digest_in 3 42 and d_high = digest_in 0x13 7 in
-  let stray name digest =
-    let path = Filename.concat dir name in
-    let oc = open_out path in
-    Printf.fprintf oc "%s %h\n" digest 4.25;
-    output_string oc "not a cache line\n";
-    close_out oc;
-    (path, read_lines path)
-  in
+  (* each stray file holds one digest, where the older layout kept it *)
   let strays =
-    [ stray "fitness-cache.tsv" d_legacy; stray "shard-13.tsv" d_high ]
+    [
+      ("fitness-cache.tsv", digest_in 3 42);
+      ("shard-00.tsv", digest_in 0x00 7);
+      ("shard-0f.tsv", digest_in 0x0f 7);
+    ]
+  in
+  let before =
+    List.map
+      (fun (name, digest) ->
+        let path = Filename.concat dir name in
+        let oc = open_out path in
+        Printf.fprintf oc "%s %h\n" digest 4.25;
+        output_string oc "not a cache line\n";
+        close_out oc;
+        read_lines path)
+      strays
   in
   let s = S.open_store dir in
-  Alcotest.(check bool) "healthy" false (S.mem_any_degraded s);
-  Alcotest.(check bool) "pre-shard file not read" true
-    (S.find s d_legacy = None);
-  Alcotest.(check bool) "above-range shard not read" true
-    (S.find s d_high = None);
-  Alcotest.(check int) "stray damage is not an eviction" 0 (S.evictions s);
-  S.append s [ (d_legacy, 1.5); (d_high, 2.5) ];
+  Alcotest.(check bool) "healthy" false (S.degraded s);
   List.iter
-    (fun (path, before) ->
-      Alcotest.(check (list string))
-        (Filename.basename path ^ " untouched")
-        before (read_lines path))
+    (fun (name, d) ->
+      Alcotest.(check bool) (name ^ " not read") true (S.find s d = None))
     strays;
-  Alcotest.(check (float 0.0)) "recomputed entry persisted in range" 2.5
-    (Option.get (S.find (S.open_store dir) d_high))
+  Alcotest.(check int) "stray damage is not an eviction" 0 (S.evictions s);
+  let value i = Float.of_int i +. 1.5 in
+  S.append s (List.mapi (fun i (_, d) -> (d, value i)) strays);
+  List.iter2
+    (fun (name, _) lines ->
+      Alcotest.(check (list string)) (name ^ " untouched") lines
+        (read_lines (Filename.concat dir name)))
+    strays before;
+  let s2 = S.open_store dir in
+  List.iteri
+    (fun i (name, d) ->
+      Alcotest.(check (option (float 0.0)))
+        (name ^ "'s entry recomputed and persisted")
+        (Some (value i)) (S.find s2 d))
+    strays
+
+(* The store's file cannot be opened for append — here it is a
+   directory, which even root cannot write as a file: the first append
+   counts one write error and degrades the whole store, every value
+   stays served from memory, and later appends are dropped silently. *)
+let test_unwritable_degrades_once () =
+  with_dir "unwritable" @@ fun dir ->
+  Gp.Dirs.mkdir_p (Filename.concat dir "fitness.tsv");
+  let s = S.open_store dir in
+  Alcotest.(check bool) "healthy at open" false (S.degraded s);
+  let entries = List.init 20 (fun i -> (digest_in (i * 13) i, Float.of_int i)) in
+  S.append s entries;
+  Alcotest.(check int) "one write error" 1 (S.write_errors s);
+  Alcotest.(check bool) "degraded" true (S.degraded s);
+  List.iter
+    (fun (d, v) ->
+      Alcotest.(check (option (float 0.0))) ("served " ^ d) (Some v)
+        (S.find s d))
+    entries;
+  S.append s [ (digest_in 0xee 1, 0.5) ];
+  Alcotest.(check int) "no error on the next append" 1 (S.write_errors s);
+  Alcotest.(check (option (float 0.0))) "later value served" (Some 0.5)
+    (S.find s (digest_in 0xee 1))
 
 (* An append refuses every entry that would not load back — a malformed
    digest (empty, short, upper-case, or carrying a forged second line)
@@ -375,7 +387,7 @@ let test_refused_append () =
   check_store "reloaded" s2;
   Alcotest.(check (list string)) "one line written"
     [ Printf.sprintf "%s %h" good 5.0 ]
-    (read_lines (S.shard_file s2 5))
+    (read_lines (S.file s2))
 
 (* A torn append that ends the file mid-line can still parse: a hex
    float cut short reads as a finite, wrong value.  Text after the last
@@ -384,7 +396,7 @@ let test_unterminated_tail_evicted () =
   with_dir "tail" @@ fun dir ->
   let s = S.open_store dir in
   let d_keep = digest_in 3 1 and d_torn = digest_in 3 2 in
-  let oc = open_out (S.shard_file s 3) in
+  let oc = open_out (S.file s) in
   Printf.fprintf oc "%s %h\n" d_keep 2.5;
   (* "0x1.9a2b3cp+18" cut after "0x1.9a2b": 1.6, were it parsed *)
   Printf.fprintf oc "%s 0x1.9a2b" d_torn;
@@ -397,7 +409,7 @@ let test_unterminated_tail_evicted () =
     (S.find s1 d_torn);
   Alcotest.(check (list string)) "compacted to the whole line"
     [ Printf.sprintf "%s %h" d_keep 2.5 ]
-    (read_lines (S.shard_file s1 3))
+    (read_lines (S.file s1))
 
 (* --- Persisted baselines ---------------------------------------------- *)
 
@@ -531,14 +543,10 @@ let test_damaged_baseline_remeasured () =
   let cfg = stored_cfg dir in
   let kind = Driver.Study.Prefetch_study in
   let cold = with_context cfg kind prefetch_benches baseline_bits in
-  let shard =
-    List.find
-      (fun f -> read_lines f <> [])
-      (List.init S.shards (S.shard_file (S.open_store dir)))
-  in
+  let file = S.file (S.open_store dir) in
   let rewrite f =
-    let lines = read_lines shard in
-    Out_channel.with_open_bin shard (fun oc -> output_string oc (f lines))
+    let lines = read_lines file in
+    Out_channel.with_open_bin file (fun oc -> output_string oc (f lines))
   in
   let remeasured name =
     with_context cfg kind prefetch_benches (fun ctx ->
@@ -549,16 +557,16 @@ let test_damaged_baseline_remeasured () =
         check_baselines (name ^ ", reloaded") cold ctx)
   in
   let whole lines = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
-  (* deleted: the shard's first line *)
+  (* deleted: the file's first line *)
   rewrite (fun lines -> whole (List.tl lines));
   remeasured "deleted";
-  (* torn: the shard's last line cut mid-value, with no newline *)
+  (* torn: the file's last line cut mid-value, with no newline *)
   rewrite (fun lines ->
       match List.rev lines with
       | last :: rest ->
         whole (List.rev rest)
         ^ String.sub last 0 (33 + ((String.length last - 33) / 2))
-      | [] -> Alcotest.fail "empty shard");
+      | [] -> Alcotest.fail "empty store");
   remeasured "torn"
 
 (* Kinds never share baselines: a sched context over a directory a
@@ -642,7 +650,7 @@ let test_fork_baselines_persisted () =
         check_baselines "warm over the fork store" seq ctx)
 
 (* [--cache-dir] under parents that do not exist yet: the store creates
-   them and persists, rather than warning on every shard. *)
+   them and persists, rather than degrading on its first append. *)
 let test_cache_dir_parents_created () =
   with_dir "parents" @@ fun dir ->
   let nested = Filename.concat dir (Filename.concat "a" "b") in
@@ -661,10 +669,7 @@ let test_cache_dir_parents_created () =
 let suite =
   [
     Alcotest.test_case "digest addressing" `Quick test_addressing;
-    Alcotest.test_case "concurrent writers, disjoint shards" `Quick
-      test_concurrent_disjoint;
-    Alcotest.test_case "concurrent writers, colliding shard" `Quick
-      test_concurrent_colliding;
+    Alcotest.test_case "concurrent writers" `Quick test_concurrent_writers;
     Alcotest.test_case "compaction idempotent" `Quick
       test_compaction_idempotent;
     Alcotest.test_case "EINTR storm during contended append" `Quick
@@ -674,6 +679,8 @@ let suite =
     Alcotest.test_case "injected lock EINTR is retried" `Quick
       test_lock_eintr_injected;
     Alcotest.test_case "validation" `Quick test_validation;
+    Alcotest.test_case "unwritable store degrades once" `Quick
+      test_unwritable_degrades_once;
     Alcotest.test_case "refused append" `Quick test_refused_append;
     Alcotest.test_case "unterminated tail evicted" `Quick
       test_unterminated_tail_evicted;
